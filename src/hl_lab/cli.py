@@ -198,8 +198,9 @@ def _cmd_sdhl_search(args, doc):
 
 
 def _cmd_fhl(args, doc):
+    seed = args.seed if args.seed is not None else args.seed_default
     report = finite_hl_number(args.d, args.b, args.r, mode=args.mode,
-                              samples=args.samples, seed=args.seed,
+                              samples=args.samples, seed=seed,
                               max_height=args.max_height,
                               budget=args.budget)
     return report.to_json(), 0

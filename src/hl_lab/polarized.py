@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PreconditionError
-from .search import BudgetExhausted, Caps, StepBudget, prefiltered_assignment
+from .search import (
+    BudgetExhausted,
+    Caps,
+    StepBudget,
+    prefiltered_assignment,
+    typed_consistent,
+)
 from .subtrees import SubtreeReport, ValidationResult
 from .trees import node_key
 from .views import as_view
@@ -522,37 +528,14 @@ def polarized_search(f: Coloring, depth: int, trees=None,
     gamma: dict = {}
     next_level = 0
 
-    def pick_consistent(slots, tree):
-        others = [sorted(picked[i].items()) for i in range(k)]
+    def pick_consistent(tree):
+        agree = typed_consistent(f.evaluate, tree,
+                                 [sorted(picked[i].items()) for i in range(k)], gamma)
 
         def consistent(partial, slot, choice):
-            if slot[1] == 1 and (slot[0], 0) in partial \
-                    and choice == partial[(slot[0], 0)]:
+            if slot[1] == 1 and partial.get((slot[0], 0)) == choice:
                 return False
-            tentative = dict(gamma)
-            probes = [partial[s] for s in slots if s in partial and s != slot]
-            probes.append(choice)
-            for node in probes:
-                for combo in itertools.product(*(others[i] for i in range(k)
-                                                 if i != tree)):
-                    tup = [None] * k
-                    bands = [None] * k
-                    pos = 0
-                    for i in range(k):
-                        if i == tree:
-                            tup[i] = node
-                            bands[i] = 10 ** 6  # the candidate is picked last
-                        else:
-                            tup[i], bands[i] = combo[pos]
-                            pos += 1
-                    pattern = tuple(sorted(range(k), key=lambda i: bands[i]))
-                    value = f.evaluate(tuple(tup))
-                    if pattern in tentative:
-                        if tentative[pattern] != value:
-                            return False
-                    else:
-                        tentative[pattern] = value
-            return True
+            return agree(partial, slot, choice)
 
         return consistent
 
@@ -574,7 +557,7 @@ def polarized_search(f: Coloring, depth: int, trees=None,
                     if any(not candidates[s] for s in slots):
                         continue
                     assignment = prefiltered_assignment(
-                        slots, candidates, pick_consistent(slots, tree), budget)
+                        slots, candidates, pick_consistent(tree), budget)
                     if assignment is not None:
                         found = (lam, assignment)
                         break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -119,3 +120,109 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
             return None
         filtered[slot] = tuple(keep)
     return first_assignment(slots, filtered, consistent, budget)
+
+
+# ---------------------------------------------------------------------------
+# consistency kernel
+#
+# The staged searches hand ``prefiltered_assignment`` one predicate per
+# stage.  The predicates below build each coordinate's assigned nodes from
+# the partial assignment alone, read in insertion order (which
+# ``first_assignment`` keeps equal to slot order), and memoize every tuple's
+# value for the life of the predicate: a tuple met again after backtracking
+# costs one dict lookup.  Verdicts are exactly those of evaluating every
+# tuple afresh, so step counts and witnesses do not depend on the memo.
+
+_UNSEEN = object()
+
+
+def cross_consistent(arity, value, reference=None):
+    """Predicate: every completed tuple through the newest choice has one value.
+
+    Slots are ``(coordinate, key)`` pairs.  A tuple takes one assigned
+    node per coordinate, with the newest choice in its own coordinate;
+    until every other coordinate holds a node no tuple exists and every
+    choice is consistent.  Tuples among earlier choices were checked when
+    their newest member was assigned.  Each tuple's ``value(tup)`` must
+    equal ``reference``; when ``reference`` is ``None`` it is the value of
+    the tuple of each coordinate's first assigned node, the choice
+    standing in for its own coordinate when that is still empty.
+    """
+    memo: dict = {}
+    coords = range(arity)
+
+    def consistent(partial, slot, choice):
+        pools = [[] for _ in coords]
+        for s, node in partial.items():
+            pools[s[0]].append(node)
+        j = slot[0]
+        own = pools[j]
+        pools[j] = (choice,)
+        if not all(pools):
+            return True
+        target = reference
+        if target is None:
+            anchor = [pool[0] for pool in pools]
+            if own:
+                anchor[j] = own[0]
+            anchor = tuple(anchor)
+            target = memo.get(anchor, _UNSEEN)
+            if target is _UNSEEN:
+                target = memo[anchor] = value(anchor)
+        for tup in itertools.product(*pools):
+            got = memo.get(tup, _UNSEEN)
+            if got is _UNSEEN:
+                got = memo[tup] = value(tup)
+            if got != target:
+                return False
+        return True
+
+    return consistent
+
+
+def typed_consistent(value, at, fixed, pinned):
+    """Predicate: each tuple type keeps one value across all picked nodes.
+
+    The nodes of the partial assignment and the choice sit at coordinate
+    ``at``; every other coordinate ``i`` ranges over the ``(node, band)``
+    pairs of ``fixed[i]``.  A tuple's type is its coordinates ordered by
+    band, the picked node counting as the highest band.  The choice is
+    consistent when, over every tuple through an assigned node or the
+    choice, each type takes a single value, equal to ``pinned[type]``
+    where that is given.  Types are computed once per predicate, and each
+    node's row of (type, value) pairs once per node.
+    """
+    pinned = dict(pinned)
+    combos = []
+    for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
+        bands = [band for _, band in combo]
+        bands.insert(at, float("inf"))
+        pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
+        nodes = tuple(node for node, _ in combo)
+        combos.append((nodes[:at], nodes[at:], pattern))
+    rows: dict = {}
+
+    def row(node):
+        """The value of each type on the node's tuples, or None on a clash."""
+        table: dict = {}
+        for before, after, pattern in combos:
+            got = value(before + (node,) + after)
+            if got != pinned.get(pattern, table.get(pattern, got)):
+                return None
+            table[pattern] = got
+        return table
+
+    def consistent(partial, slot, choice):
+        merged: dict = {}
+        for node in [n for s, n in partial.items() if s != slot] + [choice]:
+            table = rows.get(node, _UNSEEN)
+            if table is _UNSEEN:
+                table = rows[node] = row(node)
+            if table is None:
+                return False
+            for pattern, got in table.items():
+                if merged.setdefault(pattern, got) != got:
+                    return False
+        return True
+
+    return consistent

@@ -22,7 +22,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidInputError
-from .search import BudgetExhausted, Caps, StepBudget, prefiltered_assignment
+from .search import (
+    BudgetExhausted,
+    Caps,
+    StepBudget,
+    cross_consistent,
+    prefiltered_assignment,
+)
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
 from .trees import node_key
 from .views import as_view
@@ -136,28 +142,6 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         reports.append(SubtreeReport(space=views[j].ambient_space, nodes=nodes,
                                      level_set=ambient))
     return GrowOutcome(True, tuple(reports), tuple(level_set))
-
-
-def _cross_consistent(d, slots, accept):
-    """Incremental cross-coordinate product check for staged DFS.
-
-    ``accept(tup) -> bool`` is evaluated on every complete one-node-per-
-    coordinate tuple involving the newest choice; earlier tuples were
-    checked when their own newest member was assigned.
-    """
-
-    def consistent(partial, slot, choice):
-        j = slot[0]
-        per_coord: list[list[str]] = [[] for _ in range(d)]
-        for s in slots:
-            if s in partial:
-                per_coord[s[0]].append(partial[s])
-        if any(not per_coord[k] for k in range(d) if k != j):
-            return True
-        parts = [per_coord[k] if k != j else [choice] for k in range(d)]
-        return all(accept(tup) for tup in itertools.product(*parts))
-
-    return consistent
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +314,7 @@ def fuse(family: ColoringFamily, trees=None, h=None, caps: Caps | None = None,
                     return False
             return True
 
-        return _cross_consistent(d, slots, accept)
+        return cross_consistent(d, accept, True)
 
     def on_stage(stage, level_set, layers):
         idx = stage - 1
@@ -567,8 +551,7 @@ def hl_search(coloring: Coloring, trees=None, h=None, caps: Caps | None = None,
             gamma = coloring.evaluate(roots)
 
             def stage_factory(stage, level_set, layers, chi, slots):
-                return _cross_consistent(
-                    d, slots, lambda tup: coloring.evaluate(tup) == gamma)
+                return cross_consistent(d, coloring.evaluate, gamma)
 
             outcome = grow_shared_subtrees(views, roots, h, stage_factory,
                                            budget, transcript=transcript,
@@ -649,11 +632,10 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
             if any(not candidates[slot] for slot in slots):
                 continue
             for sp in s_cands:
-                consistent = _cross_consistent(
-                    d, slots,
-                    lambda tup, sp=sp: coloring.evaluate((sp,) + tup) == gamma)
+                consistent = cross_consistent(
+                    d, lambda tup, sp=sp: coloring.evaluate((sp,) + tup), gamma)
                 assignment = prefiltered_assignment(slots, candidates, consistent,
-                                              budget)
+                                                    budget)
                 if assignment is not None:
                     found = (xi, sp, assignment)
                     break

@@ -34,7 +34,13 @@ from .errors import (
     OracleContradictionError,
     OutOfRangeError,
 )
-from .search import BudgetExhausted, Caps, StepBudget, prefiltered_assignment
+from .search import (
+    BudgetExhausted,
+    Caps,
+    StepBudget,
+    cross_consistent,
+    prefiltered_assignment,
+)
 from .subtrees import SubtreeReport, ValidationResult
 from .trees import TreeSpace, node_key, sort_nodes
 from .views import as_view
@@ -363,38 +369,6 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
     return ValidationResult(not violations, tuple(violations))
 
 
-def _mono_selection_consistent(coloring, arity, slots, color_cell):
-    """Consistency predicate: all completed cross-coordinate tuples share a color.
-
-    ``color_cell`` is a single-element list carrying a fixed color, or
-    ``[None]`` to let the color emerge from the first completed tuple.
-    """
-
-    def consistent(partial, slot, choice):
-        j = slot[0]
-        per_coord: list[list[str]] = [[] for _ in range(arity)]
-        for s in slots:
-            if s in partial:
-                per_coord[s[0]].append(partial[s])
-        others_have_nodes = all(per_coord[k] or k == j for k in range(arity))
-        if not others_have_nodes:
-            return True
-        reference = color_cell[0]
-        if reference is None and per_coord[j]:
-            probe = tuple(per_coord[k][0] for k in range(arity))
-            reference = coloring.evaluate(probe)
-        parts = [per_coord[k] if k != j else [choice] for k in range(arity)]
-        for tup in itertools.product(*parts):
-            got = coloring.evaluate(tup)
-            if reference is None:
-                reference = got
-            elif got != reference:
-                return False
-        return True
-
-    return consistent
-
-
 def _selection_color(coloring, assignment, slots, arity):
     per_coord: list[list[str]] = [[] for _ in range(arity)]
     for s in slots:
@@ -426,12 +400,9 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
                     candidates = {(j, u): views[j].above(u, eta) for (j, u) in slots}
                     if any(not candidates[s] for s in slots):
                         continue
-                    color_cell = [None]
                     found = prefiltered_assignment(
                         slots, candidates,
-                        _mono_selection_consistent(coloring, len(base), slots,
-                                                   color_cell),
-                        budget)
+                        cross_consistent(len(base), coloring.evaluate), budget)
                     if found is not None:
                         matrix = tuple(
                             sort_nodes(found[(j, u)] for u in cones[j])
@@ -479,7 +450,6 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     ht = levels.pop()
     budget = StepBudget(caps.max_steps)
     violations: list[str] = []
-    color_cell = [color]
     try:
         for eta in range(ht + 1, height):
             cones = [views[j].above(base[j], eta) for j in range(len(base))]
@@ -491,8 +461,7 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
                     continue
                 found = prefiltered_assignment(
                     slots, candidates,
-                    _mono_selection_consistent(coloring, len(base), slots, color_cell),
-                    budget)
+                    cross_consistent(len(base), coloring.evaluate, color), budget)
                 if found is not None:
                     ok = True
                     break
@@ -668,12 +637,9 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
                     for candidates in candidate_sets:
                         if any(not candidates[s] for s in slots):
                             continue
-                        color_cell = [None]
                         found = prefiltered_assignment(
                             slots, candidates,
-                            _mono_selection_consistent(coloring, len(base), slots,
-                                                       color_cell),
-                            budget)
+                            cross_consistent(len(base), coloring.evaluate), budget)
                         if found is not None:
                             matrix = tuple(
                                 sort_nodes(found[(j, u)] for u in cones[j])

@@ -200,3 +200,101 @@ def make_raw_map(seed: int, size: int, d: int):
             raw[u] = (set(u) | set(bots[:bot_cut[r]])
                       | set(tops[:top_cut[r]]))
     return ground, raw
+
+
+# ---------------------------------------------------------------------------
+# the per-search consistency predicates the shared kernel replaced
+#
+# Kept verbatim as references: each rebuilds the per-coordinate pools from
+# every slot on every call and evaluates the coloring on every tuple.  The
+# polarized predicate was a closure over the search's state; its free
+# variables are parameters here.
+
+
+def mono_selection_consistent(coloring, arity, slots, color_cell):
+    """Consistency predicate: all completed cross-coordinate tuples share a color.
+
+    ``color_cell`` is a single-element list carrying a fixed color, or
+    ``[None]`` to let the color emerge from the first completed tuple.
+    """
+
+    def consistent(partial, slot, choice):
+        j = slot[0]
+        per_coord: list[list[str]] = [[] for _ in range(arity)]
+        for s in slots:
+            if s in partial:
+                per_coord[s[0]].append(partial[s])
+        others_have_nodes = all(per_coord[k] or k == j for k in range(arity))
+        if not others_have_nodes:
+            return True
+        reference = color_cell[0]
+        if reference is None and per_coord[j]:
+            probe = tuple(per_coord[k][0] for k in range(arity))
+            reference = coloring.evaluate(probe)
+        parts = [per_coord[k] if k != j else [choice] for k in range(arity)]
+        for tup in itertools.product(*parts):
+            got = coloring.evaluate(tup)
+            if reference is None:
+                reference = got
+            elif got != reference:
+                return False
+        return True
+
+    return consistent
+
+
+def cross_consistent(d, slots, accept):
+    """Incremental cross-coordinate product check for staged DFS.
+
+    ``accept(tup) -> bool`` is evaluated on every complete one-node-per-
+    coordinate tuple involving the newest choice; earlier tuples were
+    checked when their own newest member was assigned.
+    """
+
+    def consistent(partial, slot, choice):
+        j = slot[0]
+        per_coord: list[list[str]] = [[] for _ in range(d)]
+        for s in slots:
+            if s in partial:
+                per_coord[s[0]].append(partial[s])
+        if any(not per_coord[k] for k in range(d) if k != j):
+            return True
+        parts = [per_coord[k] if k != j else [choice] for k in range(d)]
+        return all(accept(tup) for tup in itertools.product(*parts))
+
+    return consistent
+
+
+def pick_consistent(f, k, picked, gamma, slots, tree):
+    others = [sorted(picked[i].items()) for i in range(k)]
+
+    def consistent(partial, slot, choice):
+        if slot[1] == 1 and (slot[0], 0) in partial \
+                and choice == partial[(slot[0], 0)]:
+            return False
+        tentative = dict(gamma)
+        probes = [partial[s] for s in slots if s in partial and s != slot]
+        probes.append(choice)
+        for node in probes:
+            for combo in itertools.product(*(others[i] for i in range(k)
+                                             if i != tree)):
+                tup = [None] * k
+                bands = [None] * k
+                pos = 0
+                for i in range(k):
+                    if i == tree:
+                        tup[i] = node
+                        bands[i] = 10 ** 6  # the candidate is picked last
+                    else:
+                        tup[i], bands[i] = combo[pos]
+                        pos += 1
+                pattern = tuple(sorted(range(k), key=lambda i: bands[i]))
+                value = f.evaluate(tuple(tup))
+                if pattern in tentative:
+                    if tentative[pattern] != value:
+                        return False
+                else:
+                    tentative[pattern] = value
+        return True
+
+    return consistent

@@ -142,6 +142,16 @@ def test_fhl_document(capsys):
     assert manifest["seed"] == 0  # default recorded even when not passed
 
 
+def test_randomized_fhl_without_seed_uses_the_recorded_default(capsys):
+    argv = ["fhl", "--d", "2", "--b", "2", "--r", "2", "--mode", "randomized",
+            "--samples", "3"]
+    runs = [run_cli(argv, capsys) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, manifest = runs[0]
+    assert json.loads(out)["seed"] == 0
+    assert manifest["seed"] == 0
+
+
 def test_fusion_run_and_check_round_trip(tmp_path, capsys):
     base = {
         "spaces": [SPACE4, SPACE4],

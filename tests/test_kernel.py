@@ -1,0 +1,181 @@
+"""The shared consistency kernel against the per-search predicates it replaced.
+
+Every staged search is run twice on the same box: once as it stands, and
+once with each kernel predicate swapped for the old predicate kept in
+``oracles``, built from the same arguments.  Both runs must give the same
+outcome and, call by call, the same ``prefiltered_assignment`` result and
+the same ``StepBudget.used``: the kernel may only make a step cheaper.
+"""
+
+import types
+
+import pytest
+
+import oracles
+from hl_lab import polarized, search, tailcone, witness
+from hl_lab.errors import CapExceededError
+from hl_lab.polarized import height_permutation_coloring, polarized_search
+from hl_lab.search import Caps, StepBudget, cross_consistent, prefiltered_assignment
+from hl_lab.tailcone import ColoringFamily, dimension_induction, fuse, hl_search
+from hl_lab.trees import TreeSpace
+from hl_lab.witness import (
+    dshl_search,
+    random_table_coloring,
+    sdhl_prime_search,
+    sdhl_search,
+    seeded_hash_coloring,
+)
+
+
+def _old_mono(slots, arity, value, reference=None):
+    shim = types.SimpleNamespace(evaluate=value)
+    return oracles.mono_selection_consistent(shim, arity, slots, [reference])
+
+
+def _old_cross(slots, arity, value, reference):
+    return oracles.cross_consistent(arity, slots,
+                                    lambda tup: value(tup) == reference)
+
+
+def _old_pick(slots, value, at, fixed, pinned):
+    shim = types.SimpleNamespace(evaluate=value)
+    return oracles.pick_consistent(shim, len(fixed), [dict(f) for f in fixed],
+                                   pinned, slots, at)
+
+
+# module -> (kernel name it calls, old predicate built from the same arguments)
+OLD = {witness: ("cross_consistent", _old_mono),
+       tailcone: ("cross_consistent", _old_cross),
+       polarized: ("typed_consistent", _old_pick)}
+
+
+def _run(monkeypatch, run, old):
+    """Outcome of ``run()`` plus (result, steps used) of every staged call."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for module, (kernel, make_old) in OLD.items():
+            pending: list = []
+            if old:
+                def deferred(*args, pending=pending):
+                    pending.append(args)
+                    return pending  # stand-in; the old predicate replaces it
+                patch.setattr(module, kernel, deferred)
+
+            def staged(slots, candidates, consistent, budget,
+                       pending=pending, make_old=make_old):
+                if pending:
+                    consistent = make_old(slots, *pending.pop())
+                try:
+                    found = prefiltered_assignment(slots, candidates, consistent,
+                                                   budget)
+                except search.BudgetExhausted:
+                    calls.append(("exhausted", budget.used))
+                    raise
+                calls.append((found, budget.used))
+                return found
+
+            patch.setattr(module, "prefiltered_assignment", staged)
+        try:
+            outcome = run()
+        except CapExceededError as capped:
+            outcome = ("capped", str(capped))
+    if hasattr(outcome, "to_json"):
+        outcome = outcome.to_json()
+    return outcome, calls
+
+
+def _same(monkeypatch, run):
+    new = _run(monkeypatch, run, old=False)
+    assert new == _run(monkeypatch, run, old=True)
+    assert new[1], "the box never reached a staged search"
+    return new
+
+
+def _spaces(b, h, d):
+    return (TreeSpace(b, h),) * d
+
+
+@pytest.mark.parametrize("d,h,colors,seed", [
+    (1, 5, 2, 3), (2, 4, 2, 1), (2, 5, 3, 7), (3, 4, 8, 2), (3, 5, 8, 1),
+    (3, 5, 3, 5)])
+def test_sdhl_search_matches_old_predicate(monkeypatch, d, h, colors, seed):
+    col = seeded_hash_coloring(_spaces(2, h, d), d, colors, seed, domain="level")
+    _same(monkeypatch, lambda: sdhl_search(col))
+
+
+@pytest.mark.parametrize("domain", ["level", "full"])
+def test_sdhl_prime_search_matches_old_predicate(monkeypatch, domain):
+    col = seeded_hash_coloring(_spaces(2, 4, 2), 2, 3, 11, domain=domain)
+    _same(monkeypatch, lambda: sdhl_prime_search(col))
+
+
+def test_dshl_search_matches_old_predicate(monkeypatch):
+    col = seeded_hash_coloring(_spaces(2, 5, 2), 2, 2, 4, domain="level")
+    _same(monkeypatch, lambda: dshl_search(col))
+
+
+@pytest.mark.parametrize("h,m,goal,seed", [(6, 1, 3, 2), (7, 1, 4, 9), (7, 2, 3, 5),
+                                           (7, 2, 4, 1)])
+def test_fuse_matches_old_predicate(monkeypatch, h, m, goal, seed):
+    spaces = _spaces(2, h, 2)
+    family = ColoringFamily([seeded_hash_coloring(spaces, 2, 2, 10 * seed + i)
+                             for i in range(m)])
+    _same(monkeypatch, lambda: fuse(family, h=goal))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hl_search_matches_old_predicate(monkeypatch, seed):
+    col = seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, seed)
+    _same(monkeypatch, lambda: hl_search(col, h=3))
+
+
+@pytest.mark.parametrize("h,seed", [(10, 19), (11, 11), (11, 6)])
+def test_dimension_induction_matches_old_predicates(monkeypatch, h, seed):
+    col = seeded_hash_coloring(_spaces(2, h, 2), 2, 2, seed)
+    _same(monkeypatch, lambda: dimension_induction(col, h=4))
+
+
+@pytest.mark.parametrize("dim,depth,height", [(1, 3, 8), (1, 4, 10), (2, 2, 10)])
+def test_polarized_type_coloring_matches_old_predicate(monkeypatch, dim, depth,
+                                                       height):
+    col = height_permutation_coloring(dim, _spaces(2, height, dim + 1))
+    _same(monkeypatch, lambda: polarized_search(col, depth=depth))
+
+
+@pytest.mark.parametrize("k,height,depth,seed", [(2, 7, 1, 0), (2, 7, 2, 4),
+                                                 (3, 5, 1, 2)])
+def test_polarized_random_coloring_matches_old_predicate(monkeypatch, k, height,
+                                                         depth, seed):
+    col = random_table_coloring(_spaces(2, height, k), k, 3, seed, domain="full")
+    _same(monkeypatch, lambda: polarized_search(col, depth=depth))
+
+
+@pytest.mark.parametrize("run", [
+    lambda caps: sdhl_search(seeded_hash_coloring(_spaces(2, 5, 3), 3, 8, 1,
+                                                  domain="level"), caps=caps),
+    lambda caps: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, 2, s)
+                                      for s in (3, 4)]), h=4, caps=caps),
+    lambda caps: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 5), h=4,
+                           caps=caps),
+    lambda caps: polarized_search(
+        height_permutation_coloring(2, _spaces(2, 10, 3)), depth=2, caps=caps),
+], ids=["sdhl", "fuse", "hl", "polarized"])
+def test_capped_outcome_matches_old_predicate(monkeypatch, run):
+    outcome, calls = _same(monkeypatch, lambda: run(Caps(max_steps=150)))
+    assert calls[-1][0] == "exhausted"
+
+
+def test_memo_is_scoped_to_one_predicate():
+    seen = []
+
+    def value(tup):
+        seen.append(tup)
+        return 0
+
+    slots = [(0, "0"), (1, "0")]
+    candidates = {(0, "0"): ("00", "01"), (1, "0"): ("00", "01")}
+    for _ in range(2):
+        found = prefiltered_assignment(slots, candidates,
+                                       cross_consistent(2, value), StepBudget(100))
+        assert found == {(0, "0"): "00", (1, "0"): "00"}
+    assert seen == [("00", "00")] * 2
