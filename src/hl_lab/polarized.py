@@ -574,23 +574,18 @@ def polarized_search(f: Coloring, depth: int, trees=None,
             new_nodes = sorted(set(assignment.values()), key=node_key)
             for node in new_nodes:
                 picked[tree][node] = band
-            # pin the new tuples' types
-            others = [sorted(picked[i].items()) for i in range(k)]
-            for node in new_nodes:
-                for combo in itertools.product(*(others[i] for i in range(k)
-                                                 if i != tree)):
-                    tup = [None] * k
-                    bands = [None] * k
-                    pos = 0
-                    for i in range(k):
-                        if i == tree:
-                            tup[i] = node
-                            bands[i] = 10 ** 6
-                        else:
-                            tup[i], bands[i] = combo[pos]
-                            pos += 1
-                    pattern = tuple(sorted(range(k), key=lambda i: bands[i]))
-                    gamma.setdefault(pattern, f.evaluate(tuple(tup)))
+            # Pin the new tuples' types.  A type depends on bands alone and the
+            # predicate gave every new node the same value on it, so one tuple
+            # through the first new node settles each type not yet pinned.
+            others = [sorted(picked[i].items()) for i in range(k) if i != tree]
+            for combo in itertools.product(*others):
+                bands = [b for _, b in combo]
+                bands.insert(tree, band)
+                pattern = tuple(sorted(range(k), key=bands.__getitem__))
+                if pattern not in gamma:
+                    tup = [node for node, _ in combo]
+                    tup.insert(tree, new_nodes[0])
+                    gamma[pattern] = f.evaluate(tuple(tup))
             tree_levels[tree].append(lam)
             terminals[tree] = new_nodes
             next_level = lam + 1
@@ -608,7 +603,7 @@ def polarized_search(f: Coloring, depth: int, trees=None,
                        for xi in tree_levels[tree])
         reports.append(SubtreeReport(space=views[tree].ambient_space,
                                      nodes=nodes, level_set=levels))
-    realized = sorted({f.evaluate(tup) for tup in
-                       itertools.product(*(sorted(picked[i], key=node_key)
-                                           for i in range(k)))})
+    # Every tuple of the product was checked against its type's pinned
+    # color when its highest-band node was picked.
+    realized = sorted(set(gamma.values()))
     return PolarizedOutcome(True, tuple(reports), gamma, tuple(realized))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,17 +201,30 @@ def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Color
 
 
 def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
-    """Coloring given by a Python expression over ``nodes``/``heights``/``d``."""
-    code = compile(source, "<coloring>", "eval")
+    """Coloring given by a Python expression over ``nodes``/``heights``/``d``.
+
+    The expression comes from the input document, so any error raised
+    while compiling or evaluating it is an :class:`InvalidInputError`.
+    """
+    try:
+        code = compile(source, "<coloring>", "eval")
+    except (SyntaxError, ValueError) as bad:
+        raise InvalidInputError(f"expr coloring {source!r} does not compile: "
+                                f"{bad}") from None
     safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
             "abs": abs, "int": int}
 
     def fn(tup):
-        value = eval(code, dict(safe), {
-            "nodes": tup, "heights": tuple(len(t) for t in tup),
-            "d": arity, "colors": colors,
-        })
-        return int(value) % colors
+        try:
+            value = eval(code, dict(safe), {
+                "nodes": tup, "heights": tuple(len(t) for t in tup),
+                "d": arity, "colors": colors,
+            })
+            return int(value) % colors
+        except Exception as bad:
+            raise InvalidInputError(
+                f"expr coloring {source!r} failed on {tup}: "
+                f"{type(bad).__name__}: {bad}") from None
 
     return Coloring(arity, colors, spaces, fn, domain=domain, kind="expr",
                     body={"arity": arity, "colors": colors, "source": source,
@@ -717,6 +731,57 @@ def _witness_groups(d, b, n):
     return domain, groups
 
 
+def _witness_test(groups):
+    """Predicate: some witness group is monochromatic under ``colors``.
+
+    ``colors`` is any sequence of color values indexed like the level
+    domain: the exhaustive scan's tuples and the sampler's bytes alike.
+    Each group has at least ``b ** d >= 2`` members, so its itemgetter
+    returns a tuple.
+    """
+    getters = [operator.itemgetter(*g) for g in groups]
+
+    def has_witness(colors):
+        for get in getters:
+            vals = get(colors)
+            if vals.count(vals[0]) == len(vals):
+                return True
+        return False
+
+    return has_witness
+
+
+def _color_sampler(rng, r):
+    """``draw(size)`` equal to ``tuple(rng.randrange(r) for _ in range(size))``.
+
+    ``randrange(r)`` takes one 32-bit Mersenne Twister word per try and
+    keeps its top ``k = r.bit_length()`` bits, retrying while they are
+    ``>= r``.  ``rng.getrandbits(32 * need)`` returns the next ``need``
+    words with the first-generated word least significant, so the top
+    byte of each word is every fourth byte of the little-endian encoding;
+    one ``bytes.translate`` maps the accepted bytes to colors and drops the
+    rejects.  A round draws one word per color still missing, so the
+    generator never runs ahead of ``randrange`` and its state after each
+    sample is the same.  The top byte holds ``k`` bits only for
+    ``r <= 255``; above that ``randrange`` itself draws.
+    """
+    if r > 255:
+        return lambda size: tuple(rng.randrange(r) for _ in range(size))
+    shift = 8 - r.bit_length()
+    table = bytes(top >> shift for top in range(256))
+    rejects = bytes(top for top in range(256) if top >> shift >= r)
+
+    def draw(size):
+        colors = b""
+        while len(colors) < size:
+            need = size - len(colors)
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            colors += words[3::4].translate(table, rejects)
+        return colors
+
+    return draw
+
+
 def _coloring_from_assignment(d, b, n, domain, assignment):
     spaces = [TreeSpace.uniform(b, n)] * d
     views = [as_view(s) for s in spaces]
@@ -742,8 +807,12 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
         raise InvalidInputError(f"need d >= 1, b >= 2, r >= 1; got {(d, b, r)}")
     if mode not in ("exhaustive", "randomized"):
         raise InvalidInputError(f"mode must be exhaustive or randomized, got {mode!r}")
+    if mode == "randomized" and samples < 1:
+        raise InvalidInputError(f"need samples >= 1, got {samples}")
+    if max_height < 2:
+        raise InvalidInputError(f"need max_height >= 2, got {max_height}")
 
-    rng = random.Random(seed)
+    draw = _color_sampler(random.Random(seed), r)
     checked_total = 0
     lower = 1  # height 1 has no successor level: automatic failure
     counter_doc = None
@@ -754,13 +823,7 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
             raise CapExceededError(budget, f"tree of height {n} outside size budget")
         domain, groups = _witness_groups(d, b, n)
         size = len(domain)
-
-        def has_witness(colors):
-            for g in groups:
-                first = colors[g[0]]
-                if all(colors[i] == first for i in g[1:]):
-                    return True
-            return False
+        has_witness = _witness_test(groups)
 
         if mode == "exhaustive":
             total = r ** size
@@ -793,7 +856,7 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
         else:
             counterexample = None
             for _ in range(samples):
-                colors = tuple(rng.randrange(r) for _ in range(size))
+                colors = draw(size)
                 checked_total += 1
                 if not has_witness(colors):
                     counterexample = colors

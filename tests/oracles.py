@@ -298,3 +298,22 @@ def pick_consistent(f, k, picked, gamma, slots, tree):
         return True
 
     return consistent
+
+
+# ---------------------------------------------------------------------------
+# the finite-HL inner loop the bulk sampler and itemgetter test replaced
+#
+# Kept verbatim as references.  ``has_witness`` was a closure over the
+# height's witness groups; they are a parameter here.
+
+
+def has_witness(groups, colors):
+    for g in groups:
+        first = colors[g[0]]
+        if all(colors[i] == first for i in g[1:]):
+            return True
+    return False
+
+
+def sample_colors(rng, r, size):
+    return tuple(rng.randrange(r) for _ in range(size))

@@ -115,6 +115,35 @@ def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
     assert doc["capped"] is True and doc["success"] is False
 
 
+@pytest.mark.parametrize("source", ["1//0", "nodes[9]", "undefined", "1 +"])
+def test_broken_expr_coloring_exits_two(tmp_path, source, capsys):
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [SPACE4, SPACE4],
+        "coloring": {"kind": "named", "name": "expr",
+                     "params": {"colors": 2, "source": source}},
+    })
+    code, doc, manifest = run_json(["sdhl-search", path], capsys)
+    assert code == 2
+    assert "expr coloring" in doc["error"]
+    jsonschema.validate(doc, schema("error"))
+    assert manifest["outcome"] == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "randomized", "--samples", "-5"],
+    ["--mode", "randomized", "--samples", "0"],
+    ["--max-height", "1"],
+    ["--mode", "randomized", "--max-height", "1"],
+])
+def test_fhl_bad_samples_or_max_height_exits_two(flags, capsys):
+    code, doc, manifest = run_json(
+        ["fhl", "--d", "1", "--b", "2", "--r", "2"] + flags, capsys)
+    assert code == 2
+    assert set(doc) == {"error"}
+    jsonschema.validate(doc, schema("error"))
+    assert manifest["outcome"] == 2
+
+
 # ---------------------------------------------------------------------------
 # subcommand documents against their schemas
 

@@ -77,6 +77,13 @@ def test_expr_and_hash_colorings_are_deterministic():
     assert any(h1((n,)) != h3((n,)) for n in all_nodes(3))
 
 
+@pytest.mark.parametrize("source", ["1//0", "nodes[9]", "undefined", "'a'", "1 +"])
+def test_broken_expr_coloring_is_invalid_input(source):
+    space = TreeSpace(2, 3)
+    with pytest.raises(InvalidInputError, match="expr coloring"):
+        expr_coloring((space,), 1, 2, source).evaluate(("0",))
+
+
 def test_coloring_json_round_trips():
     space = TreeSpace(2, 3)
     col = random_table_coloring((space,), 1, 3, seed=5)
@@ -255,6 +262,12 @@ def test_least_height_bad_parameters():
         finite_hl_number(0, 2, 2)
     with pytest.raises(InvalidInputError):
         finite_hl_number(1, 2, 2, mode="guess")
+    for samples in (0, -5):
+        with pytest.raises(InvalidInputError):
+            finite_hl_number(1, 2, 2, mode="randomized", samples=samples)
+    for mode in ("exhaustive", "randomized"):
+        with pytest.raises(InvalidInputError):
+            finite_hl_number(1, 2, 2, mode=mode, max_height=1)
 
 
 def test_least_height_budget_cap_carries_partial():
