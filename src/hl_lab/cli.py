@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -150,15 +149,6 @@ def _spaces_from(doc) -> tuple[TreeSpace, ...]:
     raise InvalidInputError("document must carry 'space' or 'spaces'")
 
 
-def _caps_from(args) -> Caps:
-    base = Caps()
-    return Caps(
-        max_steps=args.max_steps if args.max_steps else base.max_steps,
-        stage_candidates=(args.stage_candidates if args.stage_candidates
-                          else base.stage_candidates),
-    )
-
-
 def _write_transcript(path, events) -> None:
     if path is None or events is None:
         return
@@ -191,7 +181,7 @@ def _cmd_validate_subtree(args, doc):
 def _cmd_sdhl_search(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    witness = sdhl_search(coloring, caps=_caps_from(args))
+    witness = sdhl_search(coloring, caps=args.caps)
     if witness is None:
         return {"found": False, "witness": None}, 1
     return {"found": True, "witness": witness.to_json()}, 0
@@ -220,7 +210,7 @@ def _cmd_fusion_run(args, doc):
     members = [coloring_from_json(c, spaces) for c in doc.get("colorings", [])]
     family = ColoringFamily(members, spaces=spaces)
     events = [] if args.transcript else None
-    outcome = fuse(family, h=doc.get("h"), caps=_caps_from(args),
+    outcome = fuse(family, h=doc.get("h"), caps=args.caps,
                    transcript=events)
     _write_transcript(args.transcript, events)
     code = 0 if outcome.success else (3 if outcome.capped else 1)
@@ -241,7 +231,7 @@ def _cmd_dim_induct(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     events = [] if args.transcript else None
     outcome = dimension_induction(coloring, h=doc.get("h"),
-                                  caps=_caps_from(args), transcript=events)
+                                  caps=args.caps, transcript=events)
     _write_transcript(args.transcript, events)
     code = 0 if outcome.success else (3 if outcome.capped else 1)
     return outcome.to_json(), code
@@ -252,7 +242,7 @@ def _cmd_polarized_search(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     events = [] if args.transcript else None
     outcome = polarized_search(coloring, int(doc.get("depth", 3)),
-                               caps=_caps_from(args), transcript=events)
+                               caps=args.caps, transcript=events)
     _write_transcript(args.transcript, events)
     code = 0 if outcome.success else (3 if outcome.capped else 1)
     return outcome.to_json(), code
@@ -271,7 +261,7 @@ def _cmd_almost_all(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     epsilon = Fraction(doc.get("epsilon", "1/10"))
     report = almost_all_homogenize(coloring, epsilon=epsilon,
-                                   h=doc.get("h"), caps=_caps_from(args))
+                                   h=doc.get("h"), caps=args.caps)
     code = 0 if report.success else (3 if report.capped else 1)
     return report.to_json(), code
 
@@ -330,13 +320,9 @@ def _add_common(parser, *, takes_input=True, transcript=False):
         parser.add_argument("input", nargs="?", default="-",
                             help="JSON document path, or - for stdin")
     parser.add_argument("--max-steps", type=int, default=None,
-                        help="total candidate-inspection budget")
-    parser.add_argument("--stage-candidates", type=int, default=None,
-                        help="per-stage backtracking budget")
+                        help="total candidate-inspection budget (at least 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in the manifest")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count (HL_LAB_WORKERS overrides)")
     parser.add_argument("--table", action="store_true",
                         help="render the output as aligned text instead of JSON")
     if transcript:
@@ -371,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--max-height", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=2_000_000,
+                   help="most colorings enumerated per height (at least 0)")
     p.set_defaults(handler=_cmd_fhl, seed_default=0)
 
     p = sub.add_parser("hl-check", help="check one color across subtree levels")
@@ -452,22 +439,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest(args, raw: bytes, code: int) -> dict:
     caps = None
-    if getattr(args, "max_steps", None) is not None or \
-            getattr(args, "stage_candidates", None) is not None:
-        caps = _caps_from(args).to_json()
+    if args.max_steps is not None:
+        caps = {"max_steps": args.max_steps}
     subcommand = args.command
     if getattr(args, "subcommand", None):
         subcommand += " " + args.subcommand
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = getattr(args, "seed_default", None)
-    workers = int(os.environ.get("HL_LAB_WORKERS",
-                                 getattr(args, "workers", 1) or 1))
     return {"subcommand": subcommand,
             "input_sha256": hashlib.sha256(raw).hexdigest() if raw else None,
             "seed": seed,
             "caps": caps,
-            "workers": workers,
             "version": __version__,
             "outcome": code}
 
@@ -479,6 +462,7 @@ def dispatch(argv=None) -> int:
     try:
         doc_in, raw = _read_input(getattr(args, "input", None)) \
             if hasattr(args, "input") else (None, b"")
+        args.caps = Caps() if args.max_steps is None else Caps(args.max_steps)
         document, code = args.handler(args, doc_in)
     except IncompatibleConditionsError as bad:
         document = {"error": str(bad), "index": bad.index,

@@ -358,32 +358,22 @@ def almost_all_homogenize(f: Coloring, trees=None, epsilon=Fraction(1, 10),
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
+        agree: dict = {}  # (stage, coordinate) -> kernel predicate
 
         def stage_factory(stage, level_set, layers, chi, slots):
+            # Every pattern is pinned, so a choice is consistent exactly when
+            # its own row matches gamma.  A coordinate's predicate depends on
+            # the committed layers alone: it is built the first time one of
+            # its slots is tested and serves every level tried for the stage.
             def consistent(partial, slot, choice):
-                t = slot[0]
-                for pattern in perms:
-                    if pattern[-1] != t:
-                        continue
-                    want = gamma[pattern]
-                    pools = []
-                    for pos in range(arity - 1):
-                        k = pattern[pos]
-                        pools.append(tuple(
-                            (node, lvl) for lvl in range(stage)
-                            for node in layers[lvl][k]))
-                    for combo in itertools.product(*pools):
-                        levels = [lvl for (_, lvl) in combo]
-                        if any(levels[i] >= levels[i + 1]
-                               for i in range(len(levels) - 1)):
-                            continue
-                        tup = [None] * arity
-                        for pos in range(arity - 1):
-                            tup[pattern[pos]] = combo[pos][0]
-                        tup[t] = choice
-                        if f.evaluate(tuple(tup)) != want:
-                            return False
-                return True
+                key = (stage, slot[0])
+                check = agree.get(key)
+                if check is None:
+                    fixed = [tuple((node, lvl) for lvl in range(stage)
+                                   for node in layers[lvl][k]) for k in range(arity)]
+                    check = agree[key] = typed_consistent(f.evaluate, slot[0],
+                                                          fixed, gamma)
+                return check({}, slot, choice)
 
             return consistent
 

@@ -5,32 +5,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InvalidInputError
+
 
 @dataclass(frozen=True)
 class Caps:
-    """Budgets for the staged searches.
+    """Budget for the staged searches.
 
     ``max_steps`` bounds the total number of candidate inspections an
-    operation may perform; ``stage_candidates`` bounds the backtracking
-    inside a single construction stage.  Hitting a cap is a reported
-    outcome, not a bug: constructions return a failure record naming the
-    stage that starved.
+    operation may perform; it must be at least 1.  Hitting the cap is a
+    reported outcome, not a bug: constructions return a failure record
+    naming the stage that starved.
     """
 
     max_steps: int = 500_000
-    stage_candidates: int = 50_000
 
-    def to_json(self) -> dict:
-        return {"max_steps": self.max_steps, "stage_candidates": self.stage_candidates}
-
-    @classmethod
-    def from_json(cls, doc) -> "Caps":
-        if doc is None:
-            return cls()
-        return cls(
-            max_steps=int(doc.get("max_steps", cls.max_steps)),
-            stage_candidates=int(doc.get("stage_candidates", cls.stage_candidates)),
-        )
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise InvalidInputError(f"need max_steps >= 1, got {self.max_steps}")
 
 
 class BudgetExhausted(Exception):
@@ -127,32 +119,35 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
 #
 # The staged searches hand ``prefiltered_assignment`` one predicate per
 # stage.  The predicates below build each coordinate's assigned nodes from
-# the partial assignment alone, read in insertion order (which
-# ``first_assignment`` keeps equal to slot order), and memoize every tuple's
-# value for the life of the predicate: a tuple met again after backtracking
-# costs one dict lookup.  Verdicts are exactly those of evaluating every
-# tuple afresh, so step counts and witnesses do not depend on the memo.
+# the partial assignment alone (after any nodes committed at earlier
+# stages), read in insertion order (which ``first_assignment`` keeps equal
+# to slot order), and memoize every tuple's value for the life of the
+# predicate: a tuple met again after backtracking costs one dict lookup.
+# Verdicts are exactly those of evaluating every tuple afresh, so step
+# counts and witnesses do not depend on the memo.
 
 _UNSEEN = object()
 
 
-def cross_consistent(arity, value, reference=None):
+def cross_consistent(arity, value, reference=None, fixed=None):
     """Predicate: every completed tuple through the newest choice has one value.
 
-    Slots are ``(coordinate, key)`` pairs.  A tuple takes one assigned
-    node per coordinate, with the newest choice in its own coordinate;
-    until every other coordinate holds a node no tuple exists and every
-    choice is consistent.  Tuples among earlier choices were checked when
-    their newest member was assigned.  Each tuple's ``value(tup)`` must
-    equal ``reference``; when ``reference`` is ``None`` it is the value of
-    the tuple of each coordinate's first assigned node, the choice
-    standing in for its own coordinate when that is still empty.
+    Slots are ``(coordinate, key)`` pairs.  A tuple takes one node per
+    coordinate from its pool, with the newest choice in its own
+    coordinate.  A coordinate's pool holds ``fixed[i]`` (when given: the
+    nodes of earlier, committed stages) followed by its assigned nodes;
+    until every other pool holds a node no tuple exists and every choice
+    is consistent.  Tuples among earlier choices were checked when their
+    newest member was assigned.  Each tuple's ``value(tup)`` must equal
+    ``reference``; when ``reference`` is ``None`` it is the value of the
+    tuple of each pool's first node, the choice standing in for its own
+    coordinate when that pool is still empty.
     """
     memo: dict = {}
-    coords = range(arity)
+    heads = fixed if fixed is not None else [()] * arity
 
     def consistent(partial, slot, choice):
-        pools = [[] for _ in coords]
+        pools = [list(head) for head in heads]
         for s, node in partial.items():
             pools[s[0]].append(node)
         j = slot[0]
@@ -186,7 +181,8 @@ def typed_consistent(value, at, fixed, pinned):
     The nodes of the partial assignment and the choice sit at coordinate
     ``at``; every other coordinate ``i`` ranges over the ``(node, band)``
     pairs of ``fixed[i]``.  A tuple's type is its coordinates ordered by
-    band, the picked node counting as the highest band.  The choice is
+    band, the picked node counting as the highest band; tuples whose fixed
+    coordinates tie on a band have no type and are skipped.  The choice is
     consistent when, over every tuple through an assigned node or the
     choice, each type takes a single value, equal to ``pinned[type]``
     where that is given.  Types are computed once per predicate, and each
@@ -196,6 +192,8 @@ def typed_consistent(value, at, fixed, pinned):
     combos = []
     for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
         bands = [band for _, band in combo]
+        if len(set(bands)) < len(bands):
+            continue
         bands.insert(at, float("inf"))
         pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
         nodes = tuple(node for node, _ in combo)

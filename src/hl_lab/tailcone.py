@@ -439,36 +439,27 @@ def apply_tailcone_partial(coloring: Coloring, base_coords, trees=None,
     budget = StepBudget(caps.max_steps)
 
     def stage_factory(stage, level_set, layers, chi, slots):
-        def consistent(partial, slot, choice):
-            j = slot[0]
-            if j in base_set:
+        fixed = [[node for lvl in range(stage) for node in layers[lvl][k]]
+                 for k in range(d)]
+        level_of = [{node: lvl for lvl in range(stage) for node in layers[lvl][k]}
+                    for k in range(d)]
+
+        def accept(tup):
+            # nodes outside the committed layers sit at this stage's level
+            lvls = [level_of[k].get(tup[k], stage) for k in range(d)]
+            xi = max(lvls[k] for k in base_list)
+            if xi + 1 >= stage or any(lvls[k] < xi + 1 for k in comp_list):
                 return True
-            pools = []
-            for k in range(d):
-                if k == j:
-                    pools.append(((choice, stage),))
-                else:
-                    entries = [(node, lvl) for lvl in range(stage)
-                               for node in layers[lvl][k]]
-                    entries.extend((partial[s], stage) for s in slots
-                                   if s[0] == k and s in partial)
-                    pools.append(tuple(entries))
-            for combo in itertools.product(*pools):
-                xi = max(combo[k][1] for k in base_list)
-                if xi + 1 >= stage:
-                    continue
-                if any(combo[k][1] < xi + 1 for k in comp_list):
-                    continue
-                t_key = tuple(combo[k][0] for k in base_list)
-                v_key = tuple(
-                    views[k].restrict(combo[k][0], level_set[xi + 1])
-                    for k in comp_list)
-                want = table.get((t_key, v_key))
-                if want is None:
-                    continue
-                if coloring.evaluate(tuple(combo[k][0] for k in range(d))) != want:
-                    return False
-            return True
+            t_key = tuple(tup[k] for k in base_list)
+            v_key = tuple(views[k].restrict(tup[k], level_set[xi + 1])
+                          for k in comp_list)
+            want = table.get((t_key, v_key))
+            return want is None or coloring.evaluate(tup) == want
+
+        agree = cross_consistent(d, accept, True, fixed)
+
+        def consistent(partial, slot, choice):
+            return slot[0] in base_set or agree(partial, slot, choice)
 
         return consistent
 
@@ -545,7 +536,6 @@ def hl_search(coloring: Coloring, trees=None, h=None, caps: Caps | None = None,
     if h is None:
         h = height
     budget = StepBudget(caps.max_steps)
-    capped = False
     for rho in range(height):
         for roots in itertools.product(*(v.level(rho) for v in views)):
             gamma = coloring.evaluate(roots)
@@ -563,7 +553,7 @@ def hl_search(coloring: Coloring, trees=None, h=None, caps: Caps | None = None,
                                  failure=outcome.failure, capped=True)
     return HLOutcome(False, None, None,
                      failure="no root tuple grows a monochromatic product "
-                             f"of height {h}", capped=capped)
+                             f"of height {h}")
 
 
 # ---------------------------------------------------------------------------

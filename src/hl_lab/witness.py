@@ -332,6 +332,15 @@ def _views(trees, arity):
     return views
 
 
+def _undominated(views, base, matrix, level):
+    """Violations: tuples at ``level`` above ``base`` no matrix member extends."""
+    cones = [views[j].above(base[j], level) for j in range(len(base))]
+    return [f"tuple {cone_tuple} at level {level} is not dominated"
+            for cone_tuple in itertools.product(*cones)
+            if not any(all(m.startswith(u) for m, u in zip(member, cone_tuple))
+                       for member in itertools.product(*matrix))]
+
+
 def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
                        trees=None) -> ValidationResult:
     """Verify density and monochromaticity literally, by quantifier scan."""
@@ -370,12 +379,7 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
         return ValidationResult(False, tuple(violations))
 
     # density: every tuple one level above the base is dominated by a member
-    cones = [views[j].above(base[j], ht + 1) for j in range(len(base))]
-    for cone_tuple in itertools.product(*cones):
-        if not any(all(m.startswith(u) for m, u in zip(member, cone_tuple))
-                   for member in itertools.product(*matrix)):
-            violations.append(f"tuple {cone_tuple} at level {ht + 1} is not dominated")
-
+    violations.extend(_undominated(views, base, matrix, ht + 1))
     for member in itertools.product(*matrix):
         got = coloring.evaluate(member)
         if got != color:
@@ -599,11 +603,7 @@ def check_somewhere_dense_witness(witness: SomewhereDenseWitness,
         violations.append("matrix has an empty coordinate")
         return ValidationResult(False, tuple(violations))
 
-    cones = [views[j].above(base[j], xi) for j in range(len(base))]
-    for cone_tuple in itertools.product(*cones):
-        if not any(all(m.startswith(u) for m, u in zip(member, cone_tuple))
-                   for member in itertools.product(*matrix)):
-            violations.append(f"tuple {cone_tuple} at level {xi} is not dominated")
+    violations.extend(_undominated(views, base, matrix, xi))
     try:
         for member in itertools.product(*matrix):
             got = coloring.evaluate(member)
@@ -636,7 +636,6 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
                     cones = [views[j].above(base[j], xi) for j in range(len(base))]
                     slots = [(j, u) for j in range(len(base)) for u in cones[j]]
                     if coloring.domain == "level":
-                        level_choices = [range(xi, height)]
                         candidate_sets = [
                             {(j, u): views[j].above(u, chi) for (j, u) in slots}
                             for chi in range(xi, height)
@@ -811,6 +810,8 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
         raise InvalidInputError(f"need samples >= 1, got {samples}")
     if max_height < 2:
         raise InvalidInputError(f"need max_height >= 2, got {max_height}")
+    if budget < 0:
+        raise InvalidInputError(f"need budget >= 0, got {budget}")
 
     draw = _color_sampler(random.Random(seed), r)
     checked_total = 0

@@ -206,9 +206,10 @@ def make_raw_map(seed: int, size: int, d: int):
 # the per-search consistency predicates the shared kernel replaced
 #
 # Kept verbatim as references: each rebuilds the per-coordinate pools from
-# every slot on every call and evaluates the coloring on every tuple.  The
-# polarized predicate was a closure over the search's state; its free
-# variables are parameters here.
+# every slot (and, for the partial law and almost-all, every committed
+# layer) on every call and evaluates the coloring on every tuple.  The
+# polarized, partial-law and almost-all predicates were closures over their
+# search's state; their free variables are parameters here.
 
 
 def mono_selection_consistent(coloring, arity, slots, color_cell):
@@ -295,6 +296,75 @@ def pick_consistent(f, k, picked, gamma, slots, tree):
                         return False
                 else:
                     tentative[pattern] = value
+        return True
+
+    return consistent
+
+
+def partial_consistent(coloring, views, d, base_set, base_list, comp_list,
+                       table, stage, level_set, layers, slots):
+    """The partial tail-cone law's stage predicate, before the kernel."""
+
+    def consistent(partial, slot, choice):
+        j = slot[0]
+        if j in base_set:
+            return True
+        pools = []
+        for k in range(d):
+            if k == j:
+                pools.append(((choice, stage),))
+            else:
+                entries = [(node, lvl) for lvl in range(stage)
+                           for node in layers[lvl][k]]
+                entries.extend((partial[s], stage) for s in slots
+                               if s[0] == k and s in partial)
+                pools.append(tuple(entries))
+        for combo in itertools.product(*pools):
+            xi = max(combo[k][1] for k in base_list)
+            if xi + 1 >= stage:
+                continue
+            if any(combo[k][1] < xi + 1 for k in comp_list):
+                continue
+            t_key = tuple(combo[k][0] for k in base_list)
+            v_key = tuple(
+                views[k].restrict(combo[k][0], level_set[xi + 1])
+                for k in comp_list)
+            want = table.get((t_key, v_key))
+            if want is None:
+                continue
+            if coloring.evaluate(tuple(combo[k][0] for k in range(d))) != want:
+                return False
+        return True
+
+    return consistent
+
+
+def almost_all_consistent(f, arity, perms, gamma, stage, layers):
+    """The almost-all homogenization's stage predicate, before the kernel."""
+
+    def consistent(partial, slot, choice):
+        t = slot[0]
+        for pattern in perms:
+            if pattern[-1] != t:
+                continue
+            want = gamma[pattern]
+            pools = []
+            for pos in range(arity - 1):
+                k = pattern[pos]
+                pools.append(tuple(
+                    (node, lvl) for lvl in range(stage)
+                    for node in layers[lvl][k]))
+            for combo in itertools.product(*pools):
+                levels = [lvl for (_, lvl) in combo]
+                if any(levels[i] >= levels[i + 1]
+                       for i in range(len(levels) - 1)):
+                    continue
+                tup = [None] * arity
+                for pos in range(arity - 1):
+                    tup[pattern[pos]] = combo[pos][0]
+                tup[t] = choice
+                if f.evaluate(tuple(tup)) != want:
+                    return False
         return True
 
     return consistent

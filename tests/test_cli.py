@@ -134,6 +134,7 @@ def test_broken_expr_coloring_exits_two(tmp_path, source, capsys):
     ["--mode", "randomized", "--samples", "0"],
     ["--max-height", "1"],
     ["--mode", "randomized", "--max-height", "1"],
+    ["--budget", "-1"],
 ])
 def test_fhl_bad_samples_or_max_height_exits_two(flags, capsys):
     code, doc, manifest = run_json(
@@ -142,6 +143,22 @@ def test_fhl_bad_samples_or_max_height_exits_two(flags, capsys):
     assert set(doc) == {"error"}
     jsonschema.validate(doc, schema("error"))
     assert manifest["outcome"] == 2
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_max_steps_below_one_exits_two(tmp_path, steps, capsys):
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [SPACE4, SPACE4],
+        "coloring": {"kind": "named", "name": "seeded-random",
+                     "params": {"colors": 3, "seed": 1}},
+    })
+    for argv in (["sdhl-search", path], ["lex-sort", path]):
+        code, doc, manifest = run_json(argv + ["--max-steps", steps], capsys)
+        assert code == 2
+        assert doc == {"error": f"need max_steps >= 1, got {steps}"}
+        jsonschema.validate(doc, schema("error"))
+        assert manifest["caps"] == {"max_steps": int(steps)}
+        assert manifest["outcome"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +399,21 @@ def test_manifest_records_caps_only_when_given(tmp_path, capsys):
     assert manifest["caps"]["max_steps"] == 999
 
 
-def test_workers_env_override(tmp_path, capsys, monkeypatch):
-    path = write_doc(tmp_path, "in.json", {
-        "space": {"branching": 2, "height": 3}, "nodes": ["0"]})
-    _, _, manifest = run_json(["lex-sort", path, "--workers", "2"], capsys)
-    assert manifest["workers"] == 2
-    monkeypatch.setenv("HL_LAB_WORKERS", "7")
-    _, _, manifest = run_json(["lex-sort", path, "--workers", "2"], capsys)
-    assert manifest["workers"] == 7
+def test_manifest_schema_rejects_stray_keys():
+    manifest = {"subcommand": "lex-sort", "input_sha256": None, "seed": None,
+                "caps": {"max_steps": 5}, "version": "0.1.0", "outcome": 0}
+    jsonschema.validate(manifest, schema("manifest"))
+    for stray in ({"workers": 1}, {"caps": {"max_steps": 5, "stage_candidates": 9}}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**manifest, **stray}, schema("manifest"))
+
+
+def test_removed_flags_are_rejected(capsys):
+    for flag in ("--workers", "--stage-candidates"):
+        with pytest.raises(SystemExit) as info:
+            dispatch(["degrees", "tangent", "3", flag, "2"])
+        assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_flag_recorded(tmp_path, capsys):

@@ -268,6 +268,8 @@ def test_least_height_bad_parameters():
     for mode in ("exhaustive", "randomized"):
         with pytest.raises(InvalidInputError):
             finite_hl_number(1, 2, 2, mode=mode, max_height=1)
+        with pytest.raises(InvalidInputError):
+            finite_hl_number(1, 2, 2, mode=mode, budget=-1)
 
 
 def test_least_height_budget_cap_carries_partial():
