@@ -188,9 +188,8 @@ def _cmd_sdhl_search(args, doc):
 
 
 def _cmd_fhl(args, doc):
-    seed = args.seed if args.seed is not None else args.seed_default
     report = finite_hl_number(args.d, args.b, args.r, mode=args.mode,
-                              samples=args.samples, seed=seed,
+                              samples=args.samples, seed=args.seed,
                               max_height=args.max_height,
                               budget=args.budget)
     return report.to_json(), 0
@@ -315,14 +314,13 @@ def _cmd_delta_system(args, doc):
 # parser
 
 
-def _add_common(parser, *, takes_input=True, transcript=False):
+def _add_common(parser, *, takes_input=True, search=False, transcript=False):
     if takes_input:
         parser.add_argument("input", nargs="?", default="-",
                             help="JSON document path, or - for stdin")
-    parser.add_argument("--max-steps", type=int, default=None,
-                        help="total candidate-inspection budget (at least 1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the manifest")
+    if search:
+        parser.add_argument("--max-steps", type=int, default=None,
+                            help="total candidate-inspection budget (at least 1)")
     parser.add_argument("--table", action="store_true",
                         help="render the output as aligned text instead of JSON")
     if transcript:
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_validate_subtree)
 
     p = sub.add_parser("sdhl-search", help="search for a dense witness")
-    _add_common(p)
+    _add_common(p, search=True)
     p.set_defaults(handler=_cmd_sdhl_search)
 
     p = sub.add_parser("fhl", help="least height forcing a dense witness")
@@ -353,13 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized mode")
     p.add_argument("--mode", choices=("exhaustive", "randomized"),
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--max-height", type=int, default=8)
     p.add_argument("--budget", type=int, default=2_000_000,
                    help="most colorings enumerated per height (at least 0)")
-    p.set_defaults(handler=_cmd_fhl, seed_default=0)
+    p.set_defaults(handler=_cmd_fhl)
 
     p = sub.add_parser("hl-check", help="check one color across subtree levels")
     _add_common(p)
@@ -368,26 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="tail-cone fusion")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     q = fsub.add_parser("run", help="grow subtrees and record the tables")
-    _add_common(q, transcript=True)
+    _add_common(q, search=True, transcript=True)
     q.set_defaults(handler=_cmd_fusion_run)
     q = fsub.add_parser("check", help="verify a recorded certificate")
     _add_common(q)
     q.set_defaults(handler=_cmd_fusion_check)
 
     p = sub.add_parser("dim-induct", help="raise witness arity by one")
-    _add_common(p, transcript=True)
+    _add_common(p, search=True, transcript=True)
     p.set_defaults(handler=_cmd_dim_induct)
 
     p = sub.add_parser("polarized", help="polarized constructions")
     psub = p.add_subparsers(dest="subcommand", required=True)
     q = psub.add_parser("search", help="round-robin splitting-tree growth")
-    _add_common(q, transcript=True)
+    _add_common(q, search=True, transcript=True)
     q.set_defaults(handler=_cmd_polarized_search)
     q = psub.add_parser("verify-lb", help="check all height-order types occur")
     _add_common(q)
     q.set_defaults(handler=_cmd_polarized_verify_lb)
     q = psub.add_parser("almost-all", help="near-constant color per height order")
-    _add_common(q)
+    _add_common(q, search=True)
     q.set_defaults(handler=_cmd_almost_all)
 
     p = sub.add_parser("degrees", help="degree numerics")
@@ -438,18 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest(args, raw: bytes, code: int) -> dict:
-    caps = None
-    if args.max_steps is not None:
-        caps = {"max_steps": args.max_steps}
+    steps = getattr(args, "max_steps", None)
+    caps = None if steps is None else {"max_steps": steps}
     subcommand = args.command
     if getattr(args, "subcommand", None):
         subcommand += " " + args.subcommand
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = getattr(args, "seed_default", None)
     return {"subcommand": subcommand,
             "input_sha256": hashlib.sha256(raw).hexdigest() if raw else None,
-            "seed": seed,
+            "seed": getattr(args, "seed", None),
             "caps": caps,
             "version": __version__,
             "outcome": code}
@@ -462,7 +458,8 @@ def dispatch(argv=None) -> int:
     try:
         doc_in, raw = _read_input(getattr(args, "input", None)) \
             if hasattr(args, "input") else (None, b"")
-        args.caps = Caps() if args.max_steps is None else Caps(args.max_steps)
+        steps = getattr(args, "max_steps", None)
+        args.caps = Caps() if steps is None else Caps(steps)
         document, code = args.handler(args, doc_in)
     except IncompatibleConditionsError as bad:
         document = {"error": str(bad), "index": bad.index,

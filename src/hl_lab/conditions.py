@@ -250,13 +250,15 @@ class WMap:
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "entries", tuple(sorted(canon.items())))
+        # lookup table, not a dataclass field: equality stays on the fields
+        object.__setattr__(self, "_images", canon)
 
     def image(self, u) -> tuple[int, ...]:
-        key = tuple(sorted(set(u)))
-        for cand, w in self.entries:
-            if cand == key:
-                return w
-        raise InvalidInputError(f"subset {set(u) or '{}'} outside the map domain")
+        try:
+            return self._images[tuple(sorted(set(u)))]
+        except KeyError:
+            raise InvalidInputError(
+                f"subset {set(u) or '{}'} outside the map domain") from None
 
     def to_json(self) -> dict:
         return {"E": list(self.ground), "d": self.degree,

@@ -381,28 +381,28 @@ def almost_all_homogenize(f: Coloring, trees=None, epsilon=Fraction(1, 10),
                                        budget, label="almost-all")
         return outcome, gamma
 
-    try:
-        for h_goal in range(h_max, 1, -1):
-            for rho in range(height - h_goal + 1):
-                for roots in itertools.product(*(v.level(rho) for v in views)):
-                    for gamma_vec in itertools.product(range(f.colors),
-                                                       repeat=len(perms)):
-                        outcome, gamma = attempt(h_goal, roots, gamma_vec)
-                        if outcome.success:
-                            out_views = [as_view(r) for r in outcome.reports]
-                            patterns = _measure_patterns(f, out_views, gamma)
-                            ok = all(p.fraction <= epsilon for p in patterns)
-                            return AlmostAllReport(
-                                success=ok, reports=outcome.reports,
-                                patterns=patterns, epsilon=epsilon,
-                                route="staged",
-                                failure="" if ok else
-                                "construction exceeds the exception budget")
-    except BudgetExhausted:
-        return AlmostAllReport(
-            success=False, reports=None, patterns=(), epsilon=epsilon,
-            route="staged", failure="budget exhausted during the staged scan",
-            capped=True)
+    for h_goal in range(h_max, 1, -1):
+        for rho in range(height - h_goal + 1):
+            for roots in itertools.product(*(v.level(rho) for v in views)):
+                for gamma_vec in itertools.product(range(f.colors),
+                                                   repeat=len(perms)):
+                    outcome, gamma = attempt(h_goal, roots, gamma_vec)
+                    if outcome.capped:
+                        return AlmostAllReport(
+                            success=False, reports=None, patterns=(),
+                            epsilon=epsilon, route="staged",
+                            failure="budget exhausted during the staged scan",
+                            capped=True)
+                    if outcome.success:
+                        out_views = [as_view(r) for r in outcome.reports]
+                        patterns = _measure_patterns(f, out_views, gamma)
+                        ok = all(p.fraction <= epsilon for p in patterns)
+                        return AlmostAllReport(
+                            success=ok, reports=outcome.reports,
+                            patterns=patterns, epsilon=epsilon,
+                            route="staged",
+                            failure="" if ok else
+                            "construction exceeds the exception budget")
     return AlmostAllReport(
         success=False, reports=None, patterns=(), epsilon=epsilon,
         route="staged",

@@ -387,12 +387,29 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
     return ValidationResult(not violations, tuple(violations))
 
 
-def _selection_color(coloring, assignment, slots, arity):
-    per_coord: list[list[str]] = [[] for _ in range(arity)]
-    for s in slots:
-        per_coord[s[0]].append(assignment[s])
-    probe = tuple(per_coord[k][0] for k in range(arity))
-    return coloring.evaluate(probe)
+def _dense_matrix(views, base, xi, pools, value, reference, budget):
+    """Columns of the first monochromatic matrix dominating level ``xi``.
+
+    The matrix has one member above each cone node (each node at level
+    ``xi`` above ``base``), drawn from the levels of a pool; pools are
+    tried in order, skipping any that leaves some cone node without a
+    candidate.  Every matrix tuple's value must equal ``reference``, or
+    one common value when ``reference`` is ``None``.  Returns the sorted
+    columns, or ``None`` when no pool admits a matrix.
+    """
+    cones = [views[j].above(base[j], xi) for j in range(len(base))]
+    slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+    for pool in pools:
+        candidates = {(j, u): tuple(m for chi in pool for m in views[j].above(u, chi))
+                      for (j, u) in slots}
+        if any(not candidates[s] for s in slots):
+            continue
+        found = prefiltered_assignment(
+            slots, candidates, cross_consistent(len(base), value, reference), budget)
+        if found is not None:
+            return tuple(sort_nodes(found[(j, u)] for u in cones[j])
+                         for j in range(len(base)))
+    return None
 
 
 def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
@@ -411,22 +428,14 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
     budget = StepBudget(caps.max_steps)
     try:
         for ht in range(height - 1):
+            levels = [(eta,) for eta in range(ht + 1, height)]
             for base in itertools.product(*(v.level(ht) for v in views)):
-                cones = [views[j].above(base[j], ht + 1) for j in range(len(base))]
-                slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-                for eta in range(ht + 1, height):
-                    candidates = {(j, u): views[j].above(u, eta) for (j, u) in slots}
-                    if any(not candidates[s] for s in slots):
-                        continue
-                    found = prefiltered_assignment(
-                        slots, candidates,
-                        cross_consistent(len(base), coloring.evaluate), budget)
-                    if found is not None:
-                        matrix = tuple(
-                            sort_nodes(found[(j, u)] for u in cones[j])
-                            for j in range(len(base)))
-                        color = _selection_color(coloring, found, slots, len(base))
-                        return SDHLWitness(base=base, matrix=matrix, color=color)
+                matrix = _dense_matrix(views, base, ht + 1, levels,
+                                       coloring.evaluate, None, budget)
+                if matrix is not None:
+                    # the matrix is monochromatic: any member tuple gives its color
+                    color = coloring.evaluate(tuple(col[0] for col in matrix))
+                    return SDHLWitness(base=base, matrix=matrix, color=color)
     except BudgetExhausted:
         raise CapExceededError(caps.max_steps,
                                "successor-level witness scan exceeded its budget")
@@ -448,6 +457,15 @@ class DenseSetCheck:
                 "violations": list(self.violations)}
 
 
+def _undense_levels(views, base, color, value, budget):
+    """Levels above ``base`` with no dominating matrix of ``color``, lazily."""
+    height = min(v.height for v in views)
+    for eta in range(views[0].level_of(base[0]) + 1, height):
+        levels = [(chi,) for chi in range(eta, height)]
+        if _dense_matrix(views, base, eta, levels, value, color, budget) is None:
+            yield eta
+
+
 def check_dshl_witness(base, color, coloring: Coloring, trees=None,
                        caps: Caps | None = None) -> DenseSetCheck:
     """Dense-set check: a monochromatic dominating level matrix at every level.
@@ -461,32 +479,13 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     trees = trees if trees is not None else coloring.spaces
     views = _views(trees, coloring.arity)
     base = tuple(base)
-    height = min(v.height for v in views)
-    levels = {views[j].level_of(base[j]) for j in range(len(base))}
-    if len(levels) != 1:
+    if len({views[j].level_of(base[j]) for j in range(len(base))}) != 1:
         raise InvalidInputError(f"base {base} is not a level sequence")
-    ht = levels.pop()
     budget = StepBudget(caps.max_steps)
-    violations: list[str] = []
     try:
-        for eta in range(ht + 1, height):
-            cones = [views[j].above(base[j], eta) for j in range(len(base))]
-            slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-            ok = False
-            for chi in range(eta, height):
-                candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
-                if any(not candidates[s] for s in slots):
-                    continue
-                found = prefiltered_assignment(
-                    slots, candidates,
-                    cross_consistent(len(base), coloring.evaluate, color), budget)
-                if found is not None:
-                    ok = True
-                    break
-            if not ok:
-                violations.append(
-                    f"no dominating matrix of color {color} at level {eta}"
-                )
+        violations = [f"no dominating matrix of color {color} at level {eta}"
+                      for eta in _undense_levels(views, base, color,
+                                                 coloring.evaluate, budget)]
     except BudgetExhausted:
         raise CapExceededError(caps.max_steps, "dense-set check exceeded its budget")
     roots = tuple(v.level(0)[0] for v in views)
@@ -495,17 +494,26 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
 
 
 def dshl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
-    """First (base, color) passing the dense-set check, canonical order."""
+    """First (base, color) passing the dense-set check, canonical order.
+
+    One step budget covers the whole scan.  A (base, color) pair is
+    dropped at its first level without a dominating matrix.
+    """
     caps = caps or Caps()
     trees = trees if trees is not None else coloring.spaces
     views = _views(trees, coloring.arity)
     height = min(v.height for v in views)
-    for ht in range(height - 1):
-        for base in itertools.product(*(v.level(ht) for v in views)):
-            for color in range(coloring.colors):
-                res = check_dshl_witness(base, color, coloring, trees, caps)
-                if res.valid:
-                    return base, color
+    budget = StepBudget(caps.max_steps)
+    try:
+        for ht in range(height - 1):
+            for base in itertools.product(*(v.level(ht) for v in views)):
+                for color in range(coloring.colors):
+                    undense = _undense_levels(views, base, color,
+                                              coloring.evaluate, budget)
+                    if next(undense, None) is None:
+                        return base, color
+    except BudgetExhausted:
+        raise CapExceededError(caps.max_steps, "dense-set search exceeded its budget")
     return None
 
 
@@ -633,34 +641,14 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
                 for xi in range(ht + 1, height):
-                    cones = [views[j].above(base[j], xi) for j in range(len(base))]
-                    slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-                    if coloring.domain == "level":
-                        candidate_sets = [
-                            {(j, u): views[j].above(u, chi) for (j, u) in slots}
-                            for chi in range(xi, height)
-                        ]
-                    else:
-                        pooled = {
-                            (j, u): tuple(m for chi in range(xi, height)
-                                          for m in views[j].above(u, chi))
-                            for (j, u) in slots
-                        }
-                        candidate_sets = [pooled]
-                    for candidates in candidate_sets:
-                        if any(not candidates[s] for s in slots):
-                            continue
-                        found = prefiltered_assignment(
-                            slots, candidates,
-                            cross_consistent(len(base), coloring.evaluate), budget)
-                        if found is not None:
-                            matrix = tuple(
-                                sort_nodes(found[(j, u)] for u in cones[j])
-                                for j in range(len(base)))
-                            color = _selection_color(coloring, found, slots, len(base))
-                            return SomewhereDenseWitness(
-                                base=base, matrix=matrix,
-                                density_level=xi, color=color)
+                    pools = ([(chi,) for chi in range(xi, height)]
+                             if coloring.domain == "level" else [range(xi, height)])
+                    matrix = _dense_matrix(views, base, xi, pools,
+                                           coloring.evaluate, None, budget)
+                    if matrix is not None:
+                        color = coloring.evaluate(tuple(col[0] for col in matrix))
+                        return SomewhereDenseWitness(
+                            base=base, matrix=matrix, density_level=xi, color=color)
     except BudgetExhausted:
         raise CapExceededError(caps.max_steps,
                                "free-level witness scan exceeded its budget")

@@ -387,3 +387,174 @@ def has_witness(groups, colors):
 
 def sample_colors(rng, r, size):
     return tuple(rng.randrange(r) for _ in range(size))
+
+
+# ---------------------------------------------------------------------------
+# the dense-matrix searches before they shared one matrix routine
+#
+# Kept verbatim as references: ``sdhl_search``, ``sdhl_prime_search`` and
+# ``check_dshl_witness`` each built their cones, slots and candidate pools
+# themselves, and the first two read the color off the assignment with
+# ``_selection_color``.  They call the library's kernel and assignment
+# search, so they are compared on results and steps, not re-derived.  The
+# one edit: the kernel is imported as ``kernel_cross_consistent``, since
+# ``cross_consistent`` here names the older fusion predicate above.
+
+from hl_lab.errors import CapExceededError, InvalidInputError  # noqa: E402
+from hl_lab.search import (  # noqa: E402
+    BudgetExhausted,
+    Caps,
+    StepBudget,
+    cross_consistent as kernel_cross_consistent,
+    prefiltered_assignment,
+)
+from hl_lab.trees import sort_nodes  # noqa: E402
+from hl_lab.witness import (  # noqa: E402
+    DenseSetCheck,
+    SDHLWitness,
+    SomewhereDenseWitness,
+    _views,
+)
+
+
+def _selection_color(coloring, assignment, slots, arity):
+    per_coord: list[list[str]] = [[] for _ in range(arity)]
+    for s in slots:
+        per_coord[s[0]].append(assignment[s])
+    probe = tuple(per_coord[k][0] for k in range(arity))
+    return coloring.evaluate(probe)
+
+
+def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
+    """First somewhere-dense successor-level witness in canonical scan order.
+
+    Scan order: base height, base (coordinatewise canonical), matrix
+    level, matrix (one member per successor cone, product order).  A
+    monochromatic dense matrix exists iff one with exactly one member per
+    cone does, so the scan is complete.  Returns ``None`` when the whole
+    truncation admits no witness.
+    """
+    caps = caps or Caps()
+    trees = trees if trees is not None else coloring.spaces
+    views = _views(trees, coloring.arity)
+    height = min(v.height for v in views)
+    budget = StepBudget(caps.max_steps)
+    try:
+        for ht in range(height - 1):
+            for base in itertools.product(*(v.level(ht) for v in views)):
+                cones = [views[j].above(base[j], ht + 1) for j in range(len(base))]
+                slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+                for eta in range(ht + 1, height):
+                    candidates = {(j, u): views[j].above(u, eta) for (j, u) in slots}
+                    if any(not candidates[s] for s in slots):
+                        continue
+                    found = prefiltered_assignment(
+                        slots, candidates,
+                        kernel_cross_consistent(len(base), coloring.evaluate), budget)
+                    if found is not None:
+                        matrix = tuple(
+                            sort_nodes(found[(j, u)] for u in cones[j])
+                            for j in range(len(base)))
+                        color = _selection_color(coloring, found, slots, len(base))
+                        return SDHLWitness(base=base, matrix=matrix, color=color)
+    except BudgetExhausted:
+        raise CapExceededError(caps.max_steps,
+                               "successor-level witness scan exceeded its budget")
+    return None
+
+
+def check_dshl_witness(base, color, coloring: Coloring, trees=None,
+                       caps: Caps | None = None) -> DenseSetCheck:
+    """Dense-set check: a monochromatic dominating level matrix at every level.
+
+    For each level ``eta`` above the base there must be a level matrix of
+    the given color whose members dominate every tuple at level ``eta``
+    above the base.  ``asym_ok`` reports the root-base refinement: color 0
+    witnesses are expected to sit at the roots.
+    """
+    caps = caps or Caps()
+    trees = trees if trees is not None else coloring.spaces
+    views = _views(trees, coloring.arity)
+    base = tuple(base)
+    height = min(v.height for v in views)
+    levels = {views[j].level_of(base[j]) for j in range(len(base))}
+    if len(levels) != 1:
+        raise InvalidInputError(f"base {base} is not a level sequence")
+    ht = levels.pop()
+    budget = StepBudget(caps.max_steps)
+    violations: list[str] = []
+    try:
+        for eta in range(ht + 1, height):
+            cones = [views[j].above(base[j], eta) for j in range(len(base))]
+            slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+            ok = False
+            for chi in range(eta, height):
+                candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                if any(not candidates[s] for s in slots):
+                    continue
+                found = prefiltered_assignment(
+                    slots, candidates,
+                    kernel_cross_consistent(len(base), coloring.evaluate, color), budget)
+                if found is not None:
+                    ok = True
+                    break
+            if not ok:
+                violations.append(
+                    f"no dominating matrix of color {color} at level {eta}"
+                )
+    except BudgetExhausted:
+        raise CapExceededError(caps.max_steps, "dense-set check exceeded its budget")
+    roots = tuple(v.level(0)[0] for v in views)
+    asym_ok = (color != 0) or (base == roots)
+    return DenseSetCheck(not violations, asym_ok, tuple(violations))
+
+
+def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
+    """First free-level witness in canonical scan order.
+
+    Bases scan over level sequences; the density level is free; matrix
+    members come one per cone, drawn from any level at or above the
+    density level (restricted to a single level for colorings defined on
+    level sequences only).
+    """
+    caps = caps or Caps()
+    trees = trees if trees is not None else coloring.spaces
+    views = _views(trees, coloring.arity)
+    height = min(v.height for v in views)
+    budget = StepBudget(caps.max_steps)
+    try:
+        for ht in range(height - 1):
+            for base in itertools.product(*(v.level(ht) for v in views)):
+                for xi in range(ht + 1, height):
+                    cones = [views[j].above(base[j], xi) for j in range(len(base))]
+                    slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+                    if coloring.domain == "level":
+                        candidate_sets = [
+                            {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                            for chi in range(xi, height)
+                        ]
+                    else:
+                        pooled = {
+                            (j, u): tuple(m for chi in range(xi, height)
+                                          for m in views[j].above(u, chi))
+                            for (j, u) in slots
+                        }
+                        candidate_sets = [pooled]
+                    for candidates in candidate_sets:
+                        if any(not candidates[s] for s in slots):
+                            continue
+                        found = prefiltered_assignment(
+                            slots, candidates,
+                            kernel_cross_consistent(len(base), coloring.evaluate), budget)
+                        if found is not None:
+                            matrix = tuple(
+                                sort_nodes(found[(j, u)] for u in cones[j])
+                                for j in range(len(base)))
+                            color = _selection_color(coloring, found, slots, len(base))
+                            return SomewhereDenseWitness(
+                                base=base, matrix=matrix,
+                                density_level=xi, color=color)
+    except BudgetExhausted:
+        raise CapExceededError(caps.max_steps,
+                               "free-level witness scan exceeded its budget")
+    return None

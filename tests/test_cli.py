@@ -152,7 +152,7 @@ def test_max_steps_below_one_exits_two(tmp_path, steps, capsys):
         "coloring": {"kind": "named", "name": "seeded-random",
                      "params": {"colors": 3, "seed": 1}},
     })
-    for argv in (["sdhl-search", path], ["lex-sort", path]):
+    for argv in (["sdhl-search", path], ["dim-induct", path]):
         code, doc, manifest = run_json(argv + ["--max-steps", steps], capsys)
         assert code == 2
         assert doc == {"error": f"need max_steps >= 1, got {steps}"}
@@ -392,10 +392,12 @@ def test_manifest_records_input_digest(tmp_path, capsys):
 
 def test_manifest_records_caps_only_when_given(tmp_path, capsys):
     path = write_doc(tmp_path, "in.json", {
-        "space": {"branching": 2, "height": 3}, "nodes": ["0"]})
-    _, _, manifest = run_json(["lex-sort", path], capsys)
+        "space": {"branching": 2, "height": 3},
+        "coloring": {"kind": "named", "name": "constant",
+                     "params": {"arity": 1, "colors": 2}}})
+    _, _, manifest = run_json(["sdhl-search", path], capsys)
     assert manifest["caps"] is None
-    _, _, manifest = run_json(["lex-sort", path, "--max-steps", "999"], capsys)
+    _, _, manifest = run_json(["sdhl-search", path, "--max-steps", "999"], capsys)
     assert manifest["caps"]["max_steps"] == 999
 
 
@@ -409,18 +411,30 @@ def test_manifest_schema_rejects_stray_keys():
 
 
 def test_removed_flags_are_rejected(capsys):
-    for flag in ("--workers", "--stage-candidates"):
+    # --seed stays only on fhl; --max-steps only on the staged searches
+    for argv in (["degrees", "tangent", "3", "--workers", "2"],
+                 ["degrees", "tangent", "3", "--stage-candidates", "2"],
+                 ["lex-sort", "-", "--max-steps", "2"],
+                 ["degrees", "tangent", "3", "--seed", "2"],
+                 ["fhl", "--d", "1", "--b", "2", "--r", "2", "--max-steps", "2"],
+                 ["wmap", "verify", "-", "--seed", "2"],
+                 ["fusion", "check", "-", "--max-steps", "2"],
+                 ["polarized", "search", "-", "--seed", "2"]):
         with pytest.raises(SystemExit) as info:
-            dispatch(["degrees", "tangent", "3", flag, "2"])
+            dispatch(argv)
         assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_seed_flag_recorded(tmp_path, capsys):
+    _, doc, manifest = run_json(["fhl", "--d", "1", "--b", "2", "--r", "2",
+                                 "--mode", "randomized", "--samples", "3",
+                                 "--seed", "42"], capsys)
+    assert manifest["seed"] == 42 and doc["seed"] == 42
     path = write_doc(tmp_path, "in.json", {
         "space": {"branching": 2, "height": 3}, "nodes": ["0"]})
-    _, _, manifest = run_json(["lex-sort", path, "--seed", "42"], capsys)
-    assert manifest["seed"] == 42
+    _, _, manifest = run_json(["lex-sort", path], capsys)
+    assert manifest["seed"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,21 @@ def test_wmap_totality_and_json():
         wm.image((9,))
 
 
+def test_wmap_image_reads_every_entry():
+    ground = (0, 1, 2, 3)
+    raw = {u: set(u) | {100} for r in range(3)
+           for u in itertools.combinations(ground, r)}
+    wm = build_w_map(ground, raw, 2, stride=1)
+    for u, w in wm.entries:
+        assert wm.image(u) == w
+        assert wm.image(reversed(u)) == w  # any order, as a set
+    with pytest.raises(InvalidInputError) as info:
+        wm.image((0, 9))
+    assert str(info.value) == "subset {0, 9} outside the map domain"
+    shuffled = WMap(ground, 2, dict(reversed(wm.entries)))
+    assert shuffled == wm and hash(shuffled) == hash(wm)
+
+
 def test_constructed_intersection_violation_is_detected():
     mapping = {(): (), (0,): (0, 9), (1,): (1, 9), (2,): (2,)}
     wm = WMap((0, 1, 2), 1, mapping)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hl_lab import polarized
 from hl_lab.errors import InvalidInputError, PreconditionError
 from hl_lab.polarized import (
     almost_all_homogenize,
@@ -17,6 +18,7 @@ from hl_lab.polarized import (
     validate_splitting_tree,
     verify_lower_bound,
 )
+from hl_lab.search import Caps, StepBudget
 from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees, trim
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
@@ -187,6 +189,26 @@ def test_staged_route_on_seeded_coloring():
     assert rep.success and rep.route == "staged"
     assert rep.max_fraction == 0  # staged constructions admit no exceptions
     assert all(r.level_set == (0, 3, 7) for r in rep.reports)
+
+
+@pytest.mark.parametrize("k,height", [(2, 6), (3, 5)])
+def test_staged_route_stops_at_its_cap(monkeypatch, k, height):
+    # Uncapped, both boxes try every root tuple and color vector without a
+    # construction; before the fix a cap of 150 steps spent 1,849 (k=2)
+    # and 42,256 (k=3) steps and reported capped false.
+    made = []
+
+    class Budget(StepBudget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            made.append(self)
+
+    monkeypatch.setattr(polarized, "StepBudget", Budget)
+    col = seeded_hash_coloring((TreeSpace(2, height),) * k, k, 2, seed=3)
+    rep = almost_all_homogenize(col, h=3, caps=Caps(max_steps=150))
+    assert rep.capped and not rep.success
+    assert rep.failure == "budget exhausted during the staged scan"
+    assert [b.used for b in made] == [151]
 
 
 def test_homogenize_guards():

@@ -173,6 +173,16 @@ def test_dense_set_search_on_parity():
     assert not check_dshl_witness(("",), 0, col).valid
 
 
+def test_dense_set_search_spends_one_budget():
+    # Before, every (base, color) check made its own budget: a cap of 4219
+    # spent 12,659 steps over 66 checks and still returned the answer.
+    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 3, seed=0, domain="level")
+    assert dshl_search(col) == (("000", "000"), 2)
+    assert dshl_search(col, caps=Caps(max_steps=8325)) == (("000", "000"), 2)
+    with pytest.raises(CapExceededError):
+        dshl_search(col, caps=Caps(max_steps=4219))
+
+
 def test_dense_set_asymmetry_flag():
     space = TreeSpace(2, 5)
     col = level_parity_coloring((space,), 1)
