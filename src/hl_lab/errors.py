@@ -46,20 +46,6 @@ class IncompatibleConditionsError(HLError):
         )
 
 
-class OracleContradictionError(HLError):
-    """A largeness oracle claimed a set was large but no witness level exists."""
-
-    def __init__(self, node: str, color: int, level: int, message: str | None = None):
-        self.node = node
-        self.color = color
-        self.level = level
-        super().__init__(
-            message
-            or f"oracle claimed color {color} large above {node!r} "
-            f"but no witness level was found (last level tried: {level})"
-        )
-
-
 class CapExceededError(HLError):
     """A search budget was exhausted before the scan completed (CLI exit 3).
 

@@ -4,8 +4,9 @@ A node is a digit string: ``""`` is the root, ``"010"`` is the node at
 height 3 whose digits are 0, 1, 0.  A :class:`TreeSpace` is a finite
 truncation holding every node of height below ``height``.  Uniform mode
 covers the full ``branching``-ary tree; explicit mode carries a concrete
-node set (closed under prefixes, containing the root, and well pruned:
-every node below the top level has at least one immediate successor).
+node set (closed under prefixes, containing the root, reaching the top
+level ``height - 1``, and well pruned: every node below the top level has
+at least one immediate successor).
 
 All functions that emit node sets emit them sorted by ``(height, digits)``
 so equal inputs produce byte-identical output.
@@ -128,6 +129,12 @@ class TreeSpace:
                 )
             by_level.setdefault(len(node), []).append(node)
         top = max(by_level)
+        if top < self.height - 1:
+            # an empty top level would leave empty cones above every node
+            raise InvalidInputError(
+                f"explicit node set stops at height {top}, below the top "
+                f"level {self.height - 1} of truncation {self.height}"
+            )
         for alpha in range(top):
             for node in by_level.get(alpha, ()):
                 if not any(ch.isdigit() and node + ch in node_set

@@ -7,13 +7,12 @@ product.  The checkers and searches cover:
 
 * somewhere-dense witnesses at the successor level (base ``t``, a
   monochromatic level matrix dominating every node one level above the
-  base) and their free-level variant;
+  base);
+* the free-level witness form (checker only; ``dim-induct`` produces it);
 * the dense-set variant (a monochromatic dominating matrix at every
   level above the base);
 * monochromatic strong subtrees;
-* least truncation heights at which every coloring admits a witness;
-* a stage-by-stage monochromatic strong subtree construction driven by
-  a pluggable largeness oracle.
+* least truncation heights at which every coloring admits a witness.
 
 Search scan orders are fixed (base height, then base, then matrix level,
 then matrix, all canonically) so a given input always yields the same
@@ -22,19 +21,14 @@ witness, byte for byte.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .errors import (
-    CapExceededError,
-    InvalidInputError,
-    OracleContradictionError,
-    OutOfRangeError,
-)
+from .errors import CapExceededError, InvalidInputError
 from .search import (
     BudgetExhausted,
     Caps,
@@ -42,8 +36,8 @@ from .search import (
     cross_consistent,
     prefiltered_assignment,
 )
-from .subtrees import SubtreeReport, ValidationResult
-from .trees import TreeSpace, node_key, sort_nodes
+from .subtrees import ValidationResult
+from .trees import TreeSpace, sort_nodes
 from .views import as_view
 
 # ---------------------------------------------------------------------------
@@ -200,17 +194,48 @@ def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Color
                           "domain": domain})
 
 
+# syntax an ``expr`` coloring may use; there is no attribute access at all
+_EXPR_NODES = (ast.Expression, ast.BoolOp, ast.BinOp, ast.UnaryOp, ast.Compare,
+               ast.IfExp, ast.Name, ast.Constant, ast.Subscript, ast.Slice,
+               ast.Tuple, ast.List, ast.GeneratorExp, ast.ListComp,
+               ast.comprehension, ast.Call, ast.boolop, ast.operator,
+               ast.unaryop, ast.cmpop, ast.expr_context)
+
+
+def _forbidden_syntax(tree):
+    """What in ``tree`` an ``expr`` coloring may not use, or ``None``.
+
+    Node types outside ``_EXPR_NODES``, calls of anything but a bare name,
+    and names starting with ``_`` are refused, so no expression can reach
+    an object's dunder attributes.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            return type(node).__name__
+        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
+            return "a call of a computed target"
+        if isinstance(node, ast.Name) and node.id.startswith("_"):
+            return f"the name {node.id!r}"
+    return None
+
+
 def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     """Coloring given by a Python expression over ``nodes``/``heights``/``d``.
 
     The expression comes from the input document, so any error raised
-    while compiling or evaluating it is an :class:`InvalidInputError`.
+    while compiling or evaluating it is an :class:`InvalidInputError`, as
+    is any syntax outside the small whitelist ``_forbidden_syntax`` checks.
     """
     try:
-        code = compile(source, "<coloring>", "eval")
+        tree = ast.parse(source, "<coloring>", "eval")
     except (SyntaxError, ValueError) as bad:
         raise InvalidInputError(f"expr coloring {source!r} does not compile: "
                                 f"{bad}") from None
+    forbidden = _forbidden_syntax(tree)
+    if forbidden is not None:
+        raise InvalidInputError(f"expr coloring {source!r} uses {forbidden}, "
+                                f"which is not allowed")
+    code = compile(tree, "<coloring>", "eval")
     safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
             "abs": abs, "int": int}
 
@@ -387,21 +412,20 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
     return ValidationResult(not violations, tuple(violations))
 
 
-def _dense_matrix(views, base, xi, pools, value, reference, budget):
-    """Columns of the first monochromatic matrix dominating level ``xi``.
+def _dense_matrix(views, base, xi, value, reference, budget):
+    """Columns of the first monochromatic level matrix dominating level ``xi``.
 
     The matrix has one member above each cone node (each node at level
-    ``xi`` above ``base``), drawn from the levels of a pool; pools are
-    tried in order, skipping any that leaves some cone node without a
+    ``xi`` above ``base``), all on one level at or above ``xi``; levels
+    are tried in order, skipping any that leaves some cone node without a
     candidate.  Every matrix tuple's value must equal ``reference``, or
     one common value when ``reference`` is ``None``.  Returns the sorted
-    columns, or ``None`` when no pool admits a matrix.
+    columns, or ``None`` when no level admits a matrix.
     """
     cones = [views[j].above(base[j], xi) for j in range(len(base))]
     slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-    for pool in pools:
-        candidates = {(j, u): tuple(m for chi in pool for m in views[j].above(u, chi))
-                      for (j, u) in slots}
+    for chi in range(xi, min(v.height for v in views)):
+        candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
         if any(not candidates[s] for s in slots):
             continue
         found = prefiltered_assignment(
@@ -428,10 +452,9 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
     budget = StepBudget(caps.max_steps)
     try:
         for ht in range(height - 1):
-            levels = [(eta,) for eta in range(ht + 1, height)]
             for base in itertools.product(*(v.level(ht) for v in views)):
-                matrix = _dense_matrix(views, base, ht + 1, levels,
-                                       coloring.evaluate, None, budget)
+                matrix = _dense_matrix(views, base, ht + 1, coloring.evaluate,
+                                       None, budget)
                 if matrix is not None:
                     # the matrix is monochromatic: any member tuple gives its color
                     color = coloring.evaluate(tuple(col[0] for col in matrix))
@@ -461,8 +484,7 @@ def _undense_levels(views, base, color, value, budget):
     """Levels above ``base`` with no dominating matrix of ``color``, lazily."""
     height = min(v.height for v in views)
     for eta in range(views[0].level_of(base[0]) + 1, height):
-        levels = [(chi,) for chi in range(eta, height)]
-        if _dense_matrix(views, base, eta, levels, value, color, budget) is None:
+        if _dense_matrix(views, base, eta, value, color, budget) is None:
             yield eta
 
 
@@ -622,37 +644,6 @@ def check_somewhere_dense_witness(witness: SomewhereDenseWitness,
     except InvalidInputError as bad:
         violations.append(str(bad))
     return ValidationResult(not violations, tuple(violations))
-
-
-def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
-    """First free-level witness in canonical scan order.
-
-    Bases scan over level sequences; the density level is free; matrix
-    members come one per cone, drawn from any level at or above the
-    density level (restricted to a single level for colorings defined on
-    level sequences only).
-    """
-    caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
-    height = min(v.height for v in views)
-    budget = StepBudget(caps.max_steps)
-    try:
-        for ht in range(height - 1):
-            for base in itertools.product(*(v.level(ht) for v in views)):
-                for xi in range(ht + 1, height):
-                    pools = ([(chi,) for chi in range(xi, height)]
-                             if coloring.domain == "level" else [range(xi, height)])
-                    matrix = _dense_matrix(views, base, xi, pools,
-                                           coloring.evaluate, None, budget)
-                    if matrix is not None:
-                        color = coloring.evaluate(tuple(col[0] for col in matrix))
-                        return SomewhereDenseWitness(
-                            base=base, matrix=matrix, density_level=xi, color=color)
-    except BudgetExhausted:
-        raise CapExceededError(caps.max_steps,
-                               "free-level witness scan exceeded its budget")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -867,126 +858,3 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
         samples=samples if mode == "randomized" else None,
         seed=seed if mode == "randomized" else None,
         note=f"every height up to {max_height} admits a counterexample")
-
-
-# ---------------------------------------------------------------------------
-# oracle-driven monochromatic subtree construction
-
-
-class DefaultLargenessOracle:
-    """Finite stand-in for a largeness notion on level sets.
-
-    A color is "large above a node" when, for at least half of the levels
-    in the top half of the truncation (restricted to levels at or above
-    the node), the node has an extension of that color.  This keeps the
-    two properties the construction relies on: a color that appears
-    cofinally often is large, and a color that dies out is not.
-    """
-
-    def __init__(self, threshold: Fraction = Fraction(1, 2)):
-        self.threshold = threshold
-
-    def is_large(self, space: TreeSpace, coloring: Coloring, node: str,
-                 color: int) -> bool:
-        n = space.height
-        start = max((n + 1) // 2, len(node))
-        window = range(start, n)
-        if not window:
-            return True
-        hits = 0
-        for alpha in window:
-            if any(coloring.evaluate((ext,)) == color
-                   for ext in space.extensions(node, alpha)):
-                hits += 1
-        return Fraction(hits, len(window)) >= self.threshold
-
-    def select_level(self, space: TreeSpace, coloring: Coloring, nodes, color: int,
-                     min_level: int):
-        """First level at which every node has an extension of the color."""
-        for eta in range(min_level, space.height):
-            if all(any(coloring.evaluate((ext,)) == color
-                       for ext in space.extensions(node, eta))
-                   for node in nodes):
-                return eta
-        return None
-
-
-@dataclass(frozen=True)
-class BuildOutcome:
-    success: bool
-    report: SubtreeReport | None
-    color: int | None
-    failure: str = ""
-
-    def to_json(self) -> dict:
-        return {"success": self.success,
-                "report": self.report.to_json() if self.report else None,
-                "color": self.color,
-                "failure": self.failure}
-
-
-def build_monochromatic_subtree(coloring: Coloring, space: TreeSpace | None = None,
-                                oracle=None) -> BuildOutcome:
-    """Grow a monochromatic strong subtree guided by a largeness oracle.
-
-    Root selection: if color 0 is large above every node, the root region
-    is the ambient root with color 0 (the asymmetric refinement);
-    otherwise scan above the first node where color 0 dies for a region
-    above which some other color is large everywhere.  The root is the
-    first node of the chosen color in the region, and each stage extends
-    every ambient successor to a common level where the color persists,
-    taking canonically least extensions.
-    """
-    if coloring.arity != 1:
-        raise InvalidInputError("the subtree builder works on unary colorings")
-    space = space if space is not None else coloring.spaces[0]
-    oracle = oracle or DefaultLargenessOracle()
-    every = space.all_nodes()
-
-    region, color = None, None
-    if all(oracle.is_large(space, coloring, q, 0) for q in every):
-        region, color = space.root, 0
-    else:
-        bad = next(q for q in every
-                   if not oracle.is_large(space, coloring, q, 0))
-        for q in (x for x in every if x.startswith(bad)):
-            for gamma in range(coloring.colors):
-                above = [x for x in every if x.startswith(q)]
-                if all(oracle.is_large(space, coloring, x, gamma) for x in above):
-                    region, color = q, gamma
-                    break
-            if region is not None:
-                break
-        if region is None:
-            return BuildOutcome(False, None, None,
-                                "no region with a uniformly large color")
-
-    root = next((x for x in every
-                 if x.startswith(region) and coloring.evaluate((x,)) == color), None)
-    if root is None:
-        raise OracleContradictionError(region, color, space.height - 1)
-
-    levels = [len(root)]
-    layers = [[root]]
-    while levels[-1] + 1 < space.height:
-        successors = []
-        for node in layers[-1]:
-            successors.extend(space.successors(node))
-        for t in successors:
-            if not oracle.is_large(space, coloring, t, color):
-                return BuildOutcome(
-                    False, None, None,
-                    f"stage {len(levels)}: successor {t!r} lost largeness")
-        eta = oracle.select_level(space, coloring, successors, color, levels[-1] + 1)
-        if eta is None:
-            raise OracleContradictionError(successors[0], color, space.height - 1)
-        picked = []
-        for t in successors:
-            choice = next(ext for ext in space.extensions(t, eta)
-                          if coloring.evaluate((ext,)) == color)
-            picked.append(choice)
-        levels.append(eta)
-        layers.append(sorted(picked, key=node_key))
-    nodes = tuple(n for layer in layers for n in layer)
-    report = SubtreeReport(space=space, nodes=nodes, level_set=tuple(levels))
-    return BuildOutcome(True, report, color)

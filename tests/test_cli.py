@@ -115,7 +115,10 @@ def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
     assert doc["capped"] is True and doc["success"] is False
 
 
-@pytest.mark.parametrize("source", ["1//0", "nodes[9]", "undefined", "1 +"])
+@pytest.mark.parametrize("source", [
+    "1//0", "nodes[9]", "undefined", "1 +",
+    "().__class__.__base__.__subclasses__()",
+    "len(().__class__.__base__.__subclasses__())"])
 def test_broken_expr_coloring_exits_two(tmp_path, source, capsys):
     path = write_doc(tmp_path, "in.json", {
         "spaces": [SPACE4, SPACE4],

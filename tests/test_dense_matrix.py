@@ -1,14 +1,15 @@
-"""The shared dense-matrix routine against the three searches it replaced.
+"""The shared dense-matrix routine against the searches it replaced.
 
-``sdhl_search``, ``sdhl_prime_search`` and ``check_dshl_witness`` each
-built their own cones, slots and candidate pools before they shared
-``witness._dense_matrix``; the old bodies are kept verbatim in
-``oracles``.  On a grid of small boxes (d <= 3, H <= 5, level and full
-domains, uncapped and capped) both must give the same result and spend
-the same steps: every ``StepBudget`` either one creates ends at the same
-``used`` count.  Some boxes end their last factor's nodes two levels
-below the truncation, so the levels above it are empty and a pool can
-leave a cone node without candidates.
+``sdhl_search`` and ``check_dshl_witness`` each built their own cones,
+slots and candidate pools before they shared ``witness._dense_matrix``;
+the old bodies are kept verbatim in ``oracles``.  On a grid of small
+boxes (d <= 3, H <= 5, level and full domains, uncapped and capped) both
+must give the same result and spend the same steps: every ``StepBudget``
+either one creates ends at the same ``used`` count.  In the "short"
+boxes the last factor is two levels lower than the others, so every scan
+stops at its height though the other factors go higher.  Every
+successor-level witness found on the grid must also pass the free-level
+checker at its density level.
 """
 
 import itertools
@@ -21,10 +22,11 @@ from hl_lab.errors import CapExceededError
 from hl_lab.search import Caps, StepBudget
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
+    SomewhereDenseWitness,
     check_dshl_witness,
+    check_somewhere_dense_witness,
     constant_coloring,
     level_parity_coloring,
-    sdhl_prime_search,
     sdhl_search,
     seeded_hash_coloring,
 )
@@ -45,10 +47,6 @@ def _measure(monkeypatch, module, run):
             result = run()
         except CapExceededError as capped:
             result = ("capped", capped.cap, str(capped))
-        except IndexError as bad:
-            # a base whose cone is empty in some factor (a short box) gets
-            # an empty matrix column, which both versions fail to read
-            result = ("IndexError",)
     return result, [b.used for b in made]
 
 
@@ -64,10 +62,7 @@ CAPS = [None, Caps(max_steps=40)]
 
 
 def _spaces(d, h, short):
-    if not short:
-        return (TreeSpace(2, h),) * d
-    nodes = TreeSpace(2, h - 2).all_nodes()
-    return (TreeSpace(2, h),) * (d - 1) + (TreeSpace(2, h, nodes=nodes),)
+    return (TreeSpace(2, h),) * (d - 1) + (TreeSpace(2, h - 2 if short else h),)
 
 
 def _colorings(d, h, short, domain):
@@ -86,13 +81,12 @@ def _bases(coloring, caps):
     Uncapped, the root base of the d=3, H=5 box exhausts the default
     budget (about 1.5 s a run); the capped runs keep it.
     """
-    height = coloring.spaces[0].height
+    height = min(space.height for space in coloring.spaces)
     low = 1 if caps is None and (coloring.arity, height) == (3, 5) else 0
     for ht in range(low, height - 1):
         levels = [space.level(ht) for space in coloring.spaces]
-        if all(levels):
-            yield tuple(level[0] for level in levels)
-            yield tuple(level[-1] for level in levels)
+        yield tuple(level[0] for level in levels)
+        yield tuple(level[-1] for level in levels)
 
 
 CASES = [(d, h, short, domain, caps) for d, h in BOXES
@@ -115,11 +109,16 @@ def test_sdhl_search_matches_oracle(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_sdhl_prime_search_matches_oracle(monkeypatch, case):
+def test_sdhl_witness_is_a_free_level_witness(case):
     d, h, short, domain, caps = case
-    assert sum(_same(monkeypatch, lambda: sdhl_prime_search(col, caps=caps),
-                     lambda: oracles.sdhl_prime_search(col, caps=caps))
-               for col in _colorings(d, h, short, domain))
+    for col in _colorings(d, h, short, domain):
+        try:
+            w = sdhl_search(col, caps=caps)
+        except CapExceededError:
+            continue
+        if w is not None:
+            free = SomewhereDenseWitness(w.base, w.matrix, w.density_level, w.color)
+            assert check_somewhere_dense_witness(free, col).valid
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

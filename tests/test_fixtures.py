@@ -1,5 +1,11 @@
-"""Replay every fixture manifest twice and demand byte-identical output."""
+"""Replay every fixture manifest twice and demand byte-identical output.
 
+Each manifest also freezes its answer under ``"expected"``: the exit code
+and the sha256 of stdout. A changed answer fails here, not only a
+run-to-run difference.
+"""
+
+import hashlib
 import json
 import pathlib
 
@@ -32,3 +38,6 @@ def test_every_fixture_reproduces_byte_identical_output(tmp_path, capsys):
         code, out, err = first
         assert out.endswith(b"\n") and err.endswith(b"\n"), path.name
         json.loads(out)  # stdout stays a single JSON document
+        expected = manifest["expected"]
+        assert code == expected["exit"], path.name
+        assert hashlib.sha256(out).hexdigest() == expected["stdout_sha256"], path.name

@@ -39,7 +39,6 @@ from hl_lab.witness import (
     Coloring,
     dshl_search,
     random_table_coloring,
-    sdhl_prime_search,
     sdhl_search,
     seeded_hash_coloring,
 )
@@ -146,12 +145,6 @@ def _spaces(b, h, d):
 def test_sdhl_search_matches_old_predicate(monkeypatch, d, h, colors, seed):
     col = seeded_hash_coloring(_spaces(2, h, d), d, colors, seed, domain="level")
     _same(monkeypatch, lambda: sdhl_search(col))
-
-
-@pytest.mark.parametrize("domain", ["level", "full"])
-def test_sdhl_prime_search_matches_old_predicate(monkeypatch, domain):
-    col = seeded_hash_coloring(_spaces(2, 4, 2), 2, 3, 11, domain=domain)
-    _same(monkeypatch, lambda: sdhl_prime_search(col))
 
 
 def test_dshl_search_matches_old_predicate(monkeypatch):

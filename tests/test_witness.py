@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hl_lab.errors import CapExceededError, InvalidInputError, OracleContradictionError
+from hl_lab.errors import CapExceededError, InvalidInputError
 from hl_lab.search import Caps
 from hl_lab.subtrees import SubtreeReport
 from hl_lab.trees import TreeSpace
@@ -12,7 +12,6 @@ from hl_lab.witness import (
     SDHLWitness,
     SomewhereDenseWitness,
     antichain_split_coloring,
-    build_monochromatic_subtree,
     check_dshl_witness,
     check_hl_strong_subtree,
     check_sdhl_witness,
@@ -24,7 +23,6 @@ from hl_lab.witness import (
     finite_hl_number,
     level_parity_coloring,
     random_table_coloring,
-    sdhl_prime_search,
     sdhl_search,
     seeded_hash_coloring,
     table_coloring,
@@ -43,6 +41,8 @@ def test_constant_and_parity_values():
     assert const.evaluate(("0", "11")) == 1  # full domain: mixed heights fine
     par = level_parity_coloring((space,), 1)
     assert par(("",)) == 0 and par(("0",)) == 1 and par(("01",)) == 0
+    split = antichain_split_coloring(space)
+    assert [split((n,)) for n in ("", "0", "011", "1", "100")] == [0, 0, 0, 1, 1]
 
 
 def test_level_domain_is_enforced():
@@ -82,6 +82,25 @@ def test_broken_expr_coloring_is_invalid_input(source):
     space = TreeSpace(2, 3)
     with pytest.raises(InvalidInputError, match="expr coloring"):
         expr_coloring((space,), 1, 2, source).evaluate(("0",))
+
+
+@pytest.mark.parametrize("source", [
+    "().__class__.__base__.__subclasses__()",
+    "len(().__class__.__base__.__subclasses__())",
+    "len(().__class__.__name__)", "(lambda: 1)()", 'f"{d}"',
+    "nodes[0].count('1')", "_x", "max(d, default=0)"])
+def test_expr_coloring_refuses_syntax_outside_the_whitelist(source):
+    # Before, every one of these compiled; most evaluated to an int.
+    with pytest.raises(InvalidInputError, match="not allowed"):
+        expr_coloring((TreeSpace(2, 3),), 1, 2, source)
+
+
+def test_expr_coloring_accepts_the_whitelist():
+    space = TreeSpace(2, 4)
+    source = ("sum(int(c) for c in nodes[0][:2]) + len([h for h in heights])"
+              " if not d > 1 and heights[-1] in (1, 2, 3) else -abs(1)")
+    ex = expr_coloring((space,), 1, 5, source)
+    assert [ex((n,)) for n in ("", "1", "011", "11")] == [4, 2, 2, 3]
 
 
 def test_coloring_json_round_trips():
@@ -183,6 +202,18 @@ def test_dense_set_search_spends_one_budget():
         dshl_search(col, caps=Caps(max_steps=4219))
 
 
+def test_explicit_space_with_empty_top_levels_is_rejected():
+    # Before, the space built; a cone above the base was empty in its factor
+    # and the search died with IndexError reading an empty matrix column.
+    short = TreeSpace(2, 2).all_nodes()
+    with pytest.raises(InvalidInputError, match="below the top level"):
+        sdhl_search(seeded_hash_coloring(
+            (TreeSpace(2, 4), TreeSpace(2, 4, nodes=short)), 2, 2, 7, domain="level"))
+    with pytest.raises(InvalidInputError, match="below the top level"):
+        TreeSpace(2, 3, nodes=short)
+    assert TreeSpace(2, 2, nodes=short) == TreeSpace.explicit(short)
+
+
 def test_dense_set_asymmetry_flag():
     space = TreeSpace(2, 5)
     col = level_parity_coloring((space,), 1)
@@ -191,20 +222,27 @@ def test_dense_set_asymmetry_flag():
     assert not off_root.asym_ok  # color 0 witnesses belong at the roots
 
 
+# The two accepted free-level witnesses below are the ones the former
+# free-level search returned on these colorings.
+
+
 def test_free_level_witness_on_parity():
     space = TreeSpace(2, 3)
     col = level_parity_coloring((space,), 1)
-    w = sdhl_prime_search(col)
-    assert w is not None and (w.density_level, w.color) == (1, 1)
+    w = SomewhereDenseWitness(("",), (("0", "1"),), density_level=1, color=1)
     assert check_somewhere_dense_witness(w, col).valid
+    wrong = SomewhereDenseWitness(("",), (("0", "1"),), density_level=1, color=0)
+    assert not check_somewhere_dense_witness(wrong, col).valid
 
 
 def test_free_level_witness_may_mix_levels():
     space = TreeSpace(2, 4)
     col = seeded_hash_coloring((space,), 1, 3, seed=2)
-    w = sdhl_prime_search(col)
-    assert w is not None
+    w = SomewhereDenseWitness(("",), (("0", "100"),), density_level=1, color=1)
     assert check_somewhere_dense_witness(w, col).valid
+    # "100" alone dominates only the cone node "1"
+    lopsided = SomewhereDenseWitness(("",), (("100",),), density_level=1, color=1)
+    assert not check_somewhere_dense_witness(lopsided, col).valid
 
 
 def test_free_level_checker_rejects_bad_levels():
@@ -293,67 +331,3 @@ def test_report_json_shape():
     doc = finite_hl_number(1, 2, 1).to_json()
     assert doc["n"] == 2 and doc["counterexample_at"] is None
     assert set(doc) >= {"d", "b", "r", "mode", "lower_bound", "colorings_checked"}
-
-
-# ---------------------------------------------------------------------------
-# oracle-guided monochromatic subtrees
-
-
-def test_build_on_even_height_parity():
-    space = TreeSpace(2, 7)
-    out = build_monochromatic_subtree(level_parity_coloring((space,), 1))
-    assert out.success and out.color == 0
-    assert out.report.level_set == (0, 2, 4, 6)
-    col = level_parity_coloring((space,), 1)
-    assert all(col((n,)) == 0 for n in out.report.nodes)
-
-
-def test_build_flips_color_when_zero_dies():
-    space = TreeSpace(2, 6)
-    out = build_monochromatic_subtree(level_parity_coloring((space,), 1))
-    assert out.success and out.color == 1
-    assert out.report.level_set == (1, 3, 5)
-
-
-def test_build_on_antichain_split():
-    space = TreeSpace(2, 6)
-    out = build_monochromatic_subtree(antichain_split_coloring(space))
-    assert out.success and out.color == 1
-    assert out.report.nodes[0] == "1"
-    assert out.report.level_set == (1, 2, 3, 4, 5)
-
-
-def test_build_reports_missing_region():
-    space = TreeSpace(2, 4)
-
-    class Shallow:
-        def is_large(self, space, coloring, node, color):
-            return len(node) <= 1
-
-        def select_level(self, space, coloring, nodes, color, min_level):
-            return min_level
-
-    out = build_monochromatic_subtree(constant_coloring((space,), 1, 2),
-                                      oracle=Shallow())
-    assert not out.success and out.failure
-
-
-def test_lying_oracle_is_contradicted():
-    space = TreeSpace(2, 4)
-
-    class Liar:
-        def is_large(self, space, coloring, node, color):
-            return color == 1  # color 1 never appears below
-
-        def select_level(self, space, coloring, nodes, color, min_level):
-            return min_level
-
-    with pytest.raises(OracleContradictionError):
-        build_monochromatic_subtree(constant_coloring((space,), 1, 2),
-                                    oracle=Liar())
-
-
-def test_build_rejects_higher_arity():
-    space = TreeSpace(2, 3)
-    with pytest.raises(InvalidInputError):
-        build_monochromatic_subtree(constant_coloring((space, space), 2, 2))
