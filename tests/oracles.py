@@ -435,7 +435,9 @@ def sample_colors(rng, r, size):
 # call the library's kernel and assignment search, so they are compared on
 # results and steps, not re-derived.  The one edit: the kernel is imported
 # as ``kernel_cross_consistent``, since ``cross_consistent`` here names the
-# older fusion predicate above.
+# older fusion predicate above.  ``sdhl_prime_search``, the free-level
+# search the library no longer has, stays as the reference producer of
+# free-level witnesses for ``check_somewhere_dense_witness``.
 
 from hl_lab.errors import CapExceededError, InvalidInputError  # noqa: E402
 from hl_lab.search import (  # noqa: E402
@@ -449,6 +451,7 @@ from hl_lab.trees import sort_nodes  # noqa: E402
 from hl_lab.witness import (  # noqa: E402
     DenseSetCheck,
     SDHLWitness,
+    SomewhereDenseWitness,
     _views,
 )
 
@@ -543,3 +546,54 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     roots = tuple(v.level(0)[0] for v in views)
     asym_ok = (color != 0) or (base == roots)
     return DenseSetCheck(not violations, asym_ok, tuple(violations))
+
+
+def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
+    """First free-level witness in canonical scan order.
+
+    Bases scan over level sequences; the density level is free; matrix
+    members come one per cone, drawn from any level at or above the
+    density level (restricted to a single level for colorings defined on
+    level sequences only).
+    """
+    caps = caps or Caps()
+    trees = trees if trees is not None else coloring.spaces
+    views = _views(trees, coloring.arity)
+    height = min(v.height for v in views)
+    budget = StepBudget(caps.max_steps)
+    try:
+        for ht in range(height - 1):
+            for base in itertools.product(*(v.level(ht) for v in views)):
+                for xi in range(ht + 1, height):
+                    cones = [views[j].above(base[j], xi) for j in range(len(base))]
+                    slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+                    if coloring.domain == "level":
+                        candidate_sets = [
+                            {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                            for chi in range(xi, height)
+                        ]
+                    else:
+                        pooled = {
+                            (j, u): tuple(m for chi in range(xi, height)
+                                          for m in views[j].above(u, chi))
+                            for (j, u) in slots
+                        }
+                        candidate_sets = [pooled]
+                    for candidates in candidate_sets:
+                        if any(not candidates[s] for s in slots):
+                            continue
+                        found = prefiltered_assignment(
+                            slots, candidates,
+                            kernel_cross_consistent(len(base), coloring.evaluate), budget)
+                        if found is not None:
+                            matrix = tuple(
+                                sort_nodes(found[(j, u)] for u in cones[j])
+                                for j in range(len(base)))
+                            color = _selection_color(coloring, found, slots, len(base))
+                            return SomewhereDenseWitness(
+                                base=base, matrix=matrix,
+                                density_level=xi, color=color)
+    except BudgetExhausted:
+        raise CapExceededError(caps.max_steps,
+                               "free-level witness scan exceeded its budget")
+    return None

@@ -7,9 +7,10 @@ boxes (d <= 3, H <= 5, level and full domains, uncapped and capped) both
 must give the same result and spend the same steps: every ``StepBudget``
 either one creates ends at the same ``used`` count.  In the "short"
 boxes the last factor is two levels lower than the others, so every scan
-stops at its height though the other factors go higher.  Every
-successor-level witness found on the grid must also pass the free-level
-checker at its density level.
+stops at its height though the other factors go higher.  On the same
+grid, the free-level checker must accept every witness of the reference
+free-level search ``oracles.sdhl_prime_search`` and every ``sdhl_search``
+witness read at its density level.
 """
 
 import itertools
@@ -108,17 +109,36 @@ def test_sdhl_search_matches_oracle(monkeypatch, case):
                for col in _colorings(d, h, short, domain))
 
 
+def _or_capped(run):
+    try:
+        return run()
+    except CapExceededError:
+        return "capped"
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_sdhl_witness_is_a_free_level_witness(case):
+def test_sdhl_prime_search_matches_oracle(case):
+    """The free-level checker against the reference free-level search.
+
+    Every witness ``oracles.sdhl_prime_search`` finds passes
+    ``check_somewhere_dense_witness``, and so does every ``sdhl_search``
+    witness read at its density level.  Where ``sdhl_search`` finds a
+    witness, the free-level search finds one too.
+    """
     d, h, short, domain, caps = case
+    found = 0
     for col in _colorings(d, h, short, domain):
-        try:
-            w = sdhl_search(col, caps=caps)
-        except CapExceededError:
-            continue
-        if w is not None:
-            free = SomewhereDenseWitness(w.base, w.matrix, w.density_level, w.color)
+        free = _or_capped(lambda: oracles.sdhl_prime_search(col, caps=caps))
+        if free not in (None, "capped"):
             assert check_somewhere_dense_witness(free, col).valid
+            found += 1
+        w = _or_capped(lambda: sdhl_search(col, caps=caps))
+        if w not in (None, "capped"):
+            as_free = SomewhereDenseWitness(w.base, w.matrix, w.density_level, w.color)
+            assert check_somewhere_dense_witness(as_free, col).valid
+            if caps is None:
+                assert free is not None
+    assert found or caps is not None
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
