@@ -15,7 +15,7 @@ can be machine-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     IncompatibleConditionsError,

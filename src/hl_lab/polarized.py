@@ -158,7 +158,7 @@ def height_permutation_coloring(d: int, spaces) -> Coloring:
 
     return Coloring(arity, colors, spaces, fn, domain="full",
                     kind="height-permutation", body={"dimension": d},
-                    height_factored=True, height_fn=height_value)
+                    height_fn=height_value)
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def _measure_patterns(f, views, gamma):
     return tuple(out)
 
 
-def _measure_height_factored(f, views, epsilon):
+def _measure_height_factored(f, views):
     """Quick route: tally height combinations instead of tuples."""
     arity = f.arity
     out = []
@@ -319,7 +319,7 @@ def _measure_height_factored(f, views, epsilon):
     return out
 
 
-def almost_all_homogenize(f: Coloring, trees=None, epsilon=Fraction(1, 10),
+def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                           h=None, caps: Caps | None = None) -> AlmostAllReport:
     """Shrink to subtrees on which each height-order pattern is near-constant.
 
@@ -336,13 +336,12 @@ def almost_all_homogenize(f: Coloring, trees=None, epsilon=Fraction(1, 10),
     if f.domain != "full":
         raise InvalidInputError("strictly ordered tuples mix heights; a "
                                 "full-domain coloring is required")
-    trees = trees if trees is not None else f.spaces
-    views = [as_view(t) for t in trees]
+    views = [as_view(s) for s in f.spaces]
     arity = f.arity
     epsilon = Fraction(epsilon)
 
-    if f.height_factored and f.height_fn is not None:
-        patterns = _measure_height_factored(f, views, epsilon)
+    if f.height_fn is not None:
+        patterns = _measure_height_factored(f, views)
         ok = all(p.fraction <= epsilon for p in patterns)
         return AlmostAllReport(
             success=ok,
@@ -483,8 +482,7 @@ class PolarizedOutcome:
                 "capped": self.capped}
 
 
-def polarized_search(f: Coloring, depth: int, trees=None,
-                     caps: Caps | None = None,
+def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
                      transcript=None) -> PolarizedOutcome:
     """Round-robin growth of one splitting tree per factor, colors by type.
 
@@ -504,11 +502,8 @@ def polarized_search(f: Coloring, depth: int, trees=None,
                                 "coloring is required")
     if depth < 1:
         raise InvalidInputError(f"splitting depth must be positive, got {depth}")
-    trees = trees if trees is not None else f.spaces
-    views = [as_view(t) for t in trees]
+    views = [as_view(s) for s in f.spaces]
     k = f.arity
-    if len(views) != k:
-        raise InvalidInputError(f"coloring arity {k} but {len(views)} trees")
     height = min(v.height for v in views)
     budget = StepBudget(caps.max_steps)
 

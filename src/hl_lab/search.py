@@ -45,9 +45,6 @@ class StepBudget:
         if self.used > self.cap:
             raise BudgetExhausted(f"budget of {self.cap} steps exhausted")
 
-    def remaining(self) -> int:
-        return max(0, self.cap - self.used)
-
 
 def first_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.

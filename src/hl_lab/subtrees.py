@@ -18,6 +18,7 @@ as the ambient tree does, one level-set step at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, OutOfRangeError, UnknownNodeError
@@ -49,10 +50,6 @@ class SubtreeReport:
         return {"nodes": list(self.nodes), "level_set": list(self.level_set)}
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def subtree_height(self) -> int:
-        return len(self.level_set)
 
     def level(self, xi: int) -> tuple[str, ...]:
         """Subtree nodes at subtree level ``xi`` (ambient level ``a_xi``)."""
@@ -129,12 +126,14 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
                     f"node {node!r} lacks its predecessor at witnessing level {lower}"
                 )
 
-    # splitting clause: each ambient successor extends to exactly one node
+    # splitting clause: each ambient successor extends to exactly one node;
+    # successors of level-``a_xi`` nodes have length ``a_xi + 1``
     for xi in range(len(levels) - 1):
-        nxt = set(per_level[xi + 1])
+        width = levels[xi] + 1
+        extensions = Counter(m[:width] for m in set(per_level[xi + 1]))
         for node in per_level[xi]:
             for succ in space.successors(node):
-                count = sum(1 for m in nxt if m.startswith(succ))
+                count = extensions[succ]
                 if count != 1:
                     violations.append(
                         f"successor {succ!r} of {node!r} has {count} extensions "
@@ -204,7 +203,6 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
         raise InvalidInputError(f"level subset must be strictly increasing, got {target}")
 
     space = report.space
-    node_set = set(report.nodes)
 
     def members_at(ambient_level, above):
         return tuple(n for n in report.nodes
@@ -232,7 +230,6 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
         stage = sort_nodes(stage)
         chosen.extend(stage)
         current = stage
-    _ = node_set  # membership guaranteed by members_at
     return SubtreeReport(space=space, nodes=tuple(chosen), level_set=target)
 
 

@@ -47,17 +47,8 @@ from .witness import (
 class GrowOutcome:
     success: bool
     reports: tuple[SubtreeReport, ...] | None
-    level_set: tuple[int, ...] | None
     failure: str = ""
     capped: bool = False
-
-    def to_json(self) -> dict:
-        return {"success": self.success,
-                "reports": ([r.to_json() for r in self.reports]
-                            if self.reports else None),
-                "level_set": list(self.level_set) if self.level_set else None,
-                "failure": self.failure,
-                "capped": self.capped}
 
 
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
@@ -89,7 +80,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     while len(level_set) < height_goal:
         alpha = len(level_set) - 1
         if level_set[alpha] + 1 >= height:
-            return GrowOutcome(False, None, None,
+            return GrowOutcome(False, None,
                                f"{label}: truncation exhausted before stage "
                                f"{alpha + 1}")
         successors = []
@@ -99,7 +90,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
                 per.extend(views[j].above(node, level_set[alpha] + 1))
             successors.append(tuple(per))
         if any(not per for per in successors):
-            return GrowOutcome(False, None, None,
+            return GrowOutcome(False, None,
                                f"{label}: a stage-{alpha} node does not split")
         slots = [(j, u) for j in range(d) for u in successors[j]]
         picked = None
@@ -110,18 +101,16 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
                     continue
                 consistent = stage_factory(alpha + 1, tuple(level_set), layers,
                                            chi, slots)
-                if consistent is None:
-                    continue
                 assignment = prefiltered_assignment(slots, candidates, consistent, budget)
                 if assignment is not None:
                     picked = (chi, assignment)
                     break
         except BudgetExhausted:
-            return GrowOutcome(False, None, None,
+            return GrowOutcome(False, None,
                                f"{label}: budget exhausted during stage {alpha + 1}",
                                capped=True)
         if picked is None:
-            return GrowOutcome(False, None, None,
+            return GrowOutcome(False, None,
                                f"{label}: no admissible level for stage {alpha + 1}")
         chi, assignment = picked
         layer = [tuple(sorted((assignment[(j, u)] for u in successors[j]),
@@ -141,7 +130,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         ambient = tuple(views[j].ambient_level(xi) for xi in level_set)
         reports.append(SubtreeReport(space=views[j].ambient_space, nodes=nodes,
                                      level_set=ambient))
-    return GrowOutcome(True, tuple(reports), tuple(level_set))
+    return GrowOutcome(True, tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +151,10 @@ class ColoringFamily:
             self.arity = arities.pop()
             self.spaces = (tuple(self.members[0].spaces) if spaces is None
                            else tuple(spaces))
+            if len(self.spaces) != self.arity:
+                raise InvalidInputError(
+                    f"family arity {self.arity} but {len(self.spaces)} spaces given"
+                )
         else:
             if not spaces:
                 raise InvalidInputError("an empty family needs explicit factor spaces")
@@ -271,7 +264,7 @@ class FuseOutcome:
                 "capped": self.capped}
 
 
-def fuse(family: ColoringFamily, trees=None, h=None, caps: Caps | None = None,
+def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
          transcript=None) -> FuseOutcome:
     """Build shared subtrees making every family member tail-cone determined.
 
@@ -281,12 +274,7 @@ def fuse(family: ColoringFamily, trees=None, h=None, caps: Caps | None = None,
     the canonically least one the construction can realize.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else family.spaces
-    views = [as_view(t) for t in trees]
-    if len(views) != family.arity:
-        raise InvalidInputError(
-            f"family arity {family.arity} but {len(views)} trees supplied"
-        )
+    views = [as_view(s) for s in family.spaces]
     m = len(family)
     height = min(v.height for v in views)
     if h is None:
@@ -402,7 +390,7 @@ def check_partial_tailcone(reports, coloring: Coloring, base_coords,
     return ValidationResult(not violations, tuple(violations))
 
 
-def apply_tailcone_partial(coloring: Coloring, base_coords, trees=None,
+def apply_tailcone_partial(coloring: Coloring, base_coords,
                            h=None, caps: Caps | None = None,
                            transcript=None) -> PartialOutcome:
     """Shared subtrees on which the coloring obeys the partial tail-cone law.
@@ -414,11 +402,8 @@ def apply_tailcone_partial(coloring: Coloring, base_coords, trees=None,
     of the law on the output.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = [as_view(t) for t in trees]
+    views = [as_view(s) for s in coloring.spaces]
     d = coloring.arity
-    if len(views) != d:
-        raise InvalidInputError(f"coloring arity {d} but {len(views)} trees")
     if coloring.domain != "full":
         raise InvalidInputError("the partial law quantifies over mixed-height "
                                 "tuples; a full-domain coloring is required")
@@ -518,7 +503,7 @@ class HLOutcome:
                 "capped": self.capped}
 
 
-def hl_search(coloring: Coloring, trees=None, h=None, caps: Caps | None = None,
+def hl_search(coloring: Coloring, h=None, caps: Caps | None = None,
               transcript=None) -> HLOutcome:
     """Strong subtrees whose level products all get one color.
 
@@ -527,11 +512,8 @@ def hl_search(coloring: Coloring, trees=None, h=None, caps: Caps | None = None,
     holds at every subtree level including the roots.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = [as_view(t) for t in trees]
+    views = [as_view(s) for s in coloring.spaces]
     d = coloring.arity
-    if len(views) != d:
-        raise InvalidInputError(f"coloring arity {d} but {len(views)} trees")
     height = min(v.height for v in views)
     if h is None:
         h = height
@@ -644,7 +626,7 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     return matrix0, rest
 
 
-def dimension_induction(coloring: Coloring, trees=None, h=None,
+def dimension_induction(coloring: Coloring, h=None,
                         caps: Caps | None = None,
                         transcript=None) -> InductionOutcome:
     """Somewhere-dense witness for a higher-arity coloring, by reduction.
@@ -659,12 +641,11 @@ def dimension_induction(coloring: Coloring, trees=None, h=None,
     constructed subtrees before it is returned.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
     if coloring.arity < 2:
         raise InvalidInputError("dimension raising needs arity at least 2")
     if coloring.domain != "full":
         raise InvalidInputError("a full-domain coloring is required")
-    part = apply_tailcone_partial(coloring, (0,), trees, h=h, caps=caps,
+    part = apply_tailcone_partial(coloring, (0,), h=h, caps=caps,
                                   transcript=transcript)
     if not part.success:
         return InductionOutcome(False, None, None, None, None,
@@ -688,7 +669,7 @@ def dimension_induction(coloring: Coloring, trees=None, h=None,
         branch_coloring = Coloring(d, coloring.colors, trimmed, branch_fn,
                                    domain="level", kind="derived")
         try:
-            found = dshl_search(branch_coloring, trimmed, caps)
+            found = dshl_search(branch_coloring, caps=caps)
         except CapExceededError:
             capped_branches += 1
             continue

@@ -36,7 +36,7 @@ from .search import (
     cross_consistent,
     prefiltered_assignment,
 )
-from .subtrees import ValidationResult
+from .subtrees import ValidationResult, validate_strong_subtree
 from .trees import TreeSpace, sort_nodes
 from .views import as_view
 
@@ -48,13 +48,13 @@ class Coloring:
     """A total map from node tuples to ``range(colors)``.
 
     ``domain`` is ``"level"`` (defined on level sequences only) or
-    ``"full"`` (defined on arbitrary tuples).  ``height_factored`` marks
-    colorings whose value depends on coordinate heights alone, which lets
-    some consumers count over height patterns instead of node tuples.
+    ``"full"`` (defined on arbitrary tuples).  ``height_fn``, when given,
+    computes the color from the coordinate heights alone, which lets some
+    consumers count over height patterns instead of node tuples.
     """
 
     def __init__(self, arity, colors, spaces, fn, *, domain="level", kind="table",
-                 body=None, height_factored=False, height_fn=None):
+                 body=None, height_fn=None):
         if arity < 1:
             raise InvalidInputError(f"arity must be positive, got {arity}")
         if colors < 1:
@@ -72,7 +72,6 @@ class Coloring:
         self.domain = domain
         self.kind = kind
         self.body = body if body is not None else {}
-        self.height_factored = height_factored
         self.height_fn = height_fn
         self._fn = fn
 
@@ -151,7 +150,7 @@ def constant_coloring(spaces, arity, colors, value=0) -> Coloring:
     return Coloring(arity, colors, spaces, lambda tup: value, domain="full",
                     kind="constant", body={"arity": arity, "colors": colors,
                                            "value": value},
-                    height_factored=True, height_fn=lambda hts: value)
+                    height_fn=lambda hts: value)
 
 
 def level_parity_coloring(spaces, arity, modulus=2) -> Coloring:
@@ -161,7 +160,7 @@ def level_parity_coloring(spaces, arity, modulus=2) -> Coloring:
     return Coloring(arity, modulus, spaces, lambda tup: len(tup[0]) % modulus,
                     domain="level", kind="level-parity",
                     body={"arity": arity, "modulus": modulus},
-                    height_factored=True, height_fn=lambda hts: hts[0] % modulus)
+                    height_fn=lambda hts: hts[0] % modulus)
 
 
 def antichain_split_coloring(space) -> Coloring:
@@ -207,10 +206,11 @@ def _forbidden_syntax(tree):
 
     Node types outside ``_EXPR_NODES``, calls of anything but a bare name,
     and names starting with ``_`` are refused, so no expression can reach
-    an object's dunder attributes.
+    an object's dunder attributes.  ``**`` and ``<<`` are refused too:
+    ``9**9**9`` builds an integer no step cap interrupts.
     """
     for node in ast.walk(tree):
-        if not isinstance(node, _EXPR_NODES):
+        if not isinstance(node, _EXPR_NODES) or isinstance(node, (ast.Pow, ast.LShift)):
             return type(node).__name__
         if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
             return "a call of a computed target"
@@ -366,11 +366,9 @@ def _undominated(views, base, matrix, level):
                        for member in itertools.product(*matrix))]
 
 
-def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring,
-                       trees=None) -> ValidationResult:
+def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
     """Verify density and monochromaticity literally, by quantifier scan."""
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
+    views = [as_view(s) for s in coloring.spaces]
     base, matrix, color = witness.base, witness.matrix, witness.color
     violations: list[str] = []
     if len(base) != coloring.arity or len(matrix) != coloring.arity:
@@ -436,7 +434,7 @@ def _dense_matrix(views, base, xi, value, reference, budget):
     return None
 
 
-def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
+def sdhl_search(coloring: Coloring, caps: Caps | None = None):
     """First somewhere-dense successor-level witness in canonical scan order.
 
     Scan order: base height, base (coordinatewise canonical), matrix
@@ -446,8 +444,7 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
     truncation admits no witness.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
+    views = [as_view(s) for s in coloring.spaces]
     height = min(v.height for v in views)
     budget = StepBudget(caps.max_steps)
     try:
@@ -488,7 +485,7 @@ def _undense_levels(views, base, color, value, budget):
             yield eta
 
 
-def check_dshl_witness(base, color, coloring: Coloring, trees=None,
+def check_dshl_witness(base, color, coloring: Coloring,
                        caps: Caps | None = None) -> DenseSetCheck:
     """Dense-set check: a monochromatic dominating level matrix at every level.
 
@@ -498,8 +495,7 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     witnesses are expected to sit at the roots.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
+    views = [as_view(s) for s in coloring.spaces]
     base = tuple(base)
     if len({views[j].level_of(base[j]) for j in range(len(base))}) != 1:
         raise InvalidInputError(f"base {base} is not a level sequence")
@@ -515,15 +511,14 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     return DenseSetCheck(not violations, asym_ok, tuple(violations))
 
 
-def dshl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
+def dshl_search(coloring: Coloring, caps: Caps | None = None):
     """First (base, color) passing the dense-set check, canonical order.
 
     One step budget covers the whole scan.  A (base, color) pair is
     dropped at its first level without a dominating matrix.
     """
     caps = caps or Caps()
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
+    views = [as_view(s) for s in coloring.spaces]
     height = min(v.height for v in views)
     budget = StepBudget(caps.max_steps)
     try:
@@ -544,7 +539,7 @@ def dshl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
 
 
 def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
-    """Check that the level products of the subtrees are monochromatic.
+    """Check that the reports are strong subtrees with monochromatic level products.
 
     All reports must share one witnessing level set; the union over
     subtree levels of the coordinatewise products must get a single color.
@@ -558,8 +553,11 @@ def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
         raise InvalidInputError(
             f"subtrees must share one witnessing level set, got {sorted(level_sets)}"
         )
-    views = [as_view(r) for r in reports]
     violations: list[str] = []
+    for idx, report in enumerate(reports):
+        violations.extend(f"subtree {idx}: {v}"
+                          for v in validate_strong_subtree(report).violations)
+    views = [as_view(r) for r in reports]
     reference = None
     for xi in range(views[0].height):
         for tup in itertools.product(*(v.level(xi) for v in views)):
@@ -612,7 +610,11 @@ class SomewhereDenseWitness:
 
 def check_somewhere_dense_witness(witness: SomewhereDenseWitness,
                                   coloring: Coloring, trees=None) -> ValidationResult:
-    """Literal check of the free-level dense clause plus monochromaticity."""
+    """Literal check of the free-level dense clause plus monochromaticity.
+
+    ``trees`` defaults to the coloring's factor spaces; pass the subtrees
+    a witness was built in to check it there.
+    """
     trees = trees if trees is not None else coloring.spaces
     views = _views(trees, coloring.arity)
     base, matrix = witness.base, witness.matrix
@@ -797,6 +799,13 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
     lower = 1  # height 1 has no successor level: automatic failure
     counter_doc = None
     counter_at = None
+    sampling = {"samples": samples, "seed": seed} if mode == "randomized" else {}
+
+    def report(value=None, note=""):
+        return FiniteHLReport(
+            d=d, b=b, r=r, mode=mode, value=value, lower_bound=lower,
+            counterexample_height=counter_at, counterexample=counter_doc,
+            colorings_checked=checked_total, note=note, **sampling)
 
     for n in range(2, max_height + 1):
         if d * (b ** n) > 200_000:
@@ -804,57 +813,28 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
         domain, groups = _witness_groups(d, b, n)
         size = len(domain)
         has_witness = _witness_test(groups)
-
         if mode == "exhaustive":
             total = r ** size
             if total > budget:
                 raise CapExceededError(
-                    budget,
-                    f"{total} colorings at height {n} exceed the budget",
-                    partial=FiniteHLReport(
-                        d=d, b=b, r=r, mode=mode, value=None, lower_bound=lower,
-                        counterexample_height=counter_at,
-                        counterexample=counter_doc,
-                        colorings_checked=checked_total,
-                        note=f"exhaustive scan stopped before height {n}"),
-                )
-            counterexample = None
-            for colors in itertools.product(range(r), repeat=size):
-                checked_total += 1
-                if not has_witness(colors):
-                    counterexample = colors
-                    break
-            if counterexample is None:
-                return FiniteHLReport(
-                    d=d, b=b, r=r, mode=mode, value=n, lower_bound=n - 1,
-                    counterexample_height=counter_at, counterexample=counter_doc,
-                    colorings_checked=checked_total)
-            counter_doc = _coloring_from_assignment(d, b, n, domain,
-                                                    counterexample).to_json()
-            counter_at = n
-            lower = n
+                    budget, f"{total} colorings at height {n} exceed the budget",
+                    partial=report(note=f"exhaustive scan stopped before height {n}"))
+            candidates = itertools.product(range(r), repeat=size)
         else:
-            counterexample = None
-            for _ in range(samples):
-                colors = draw(size)
-                checked_total += 1
-                if not has_witness(colors):
-                    counterexample = colors
-                    break
-            if counterexample is None:
-                return FiniteHLReport(
-                    d=d, b=b, r=r, mode=mode, value=None, lower_bound=lower,
-                    counterexample_height=counter_at, counterexample=counter_doc,
-                    colorings_checked=checked_total, samples=samples, seed=seed,
-                    note=f"no counterexample among {samples} samples at height {n}")
-            counter_doc = _coloring_from_assignment(d, b, n, domain,
-                                                    counterexample).to_json()
-            counter_at = n
-            lower = n
-    return FiniteHLReport(
-        d=d, b=b, r=r, mode=mode, value=None, lower_bound=lower,
-        counterexample_height=counter_at, counterexample=counter_doc,
-        colorings_checked=checked_total,
-        samples=samples if mode == "randomized" else None,
-        seed=seed if mode == "randomized" else None,
-        note=f"every height up to {max_height} admits a counterexample")
+            candidates = (draw(size) for _ in range(samples))
+        counterexample = None
+        for colors in candidates:
+            checked_total += 1
+            if not has_witness(colors):
+                counterexample = colors
+                break
+        if counterexample is None:
+            # every height below ``n`` had a counterexample, so ``lower == n - 1``
+            if mode == "exhaustive":
+                return report(value=n)
+            return report(note=f"no counterexample among {samples} samples at height {n}")
+        counter_doc = _coloring_from_assignment(d, b, n, domain,
+                                                counterexample).to_json()
+        counter_at = n
+        lower = n
+    return report(note=f"every height up to {max_height} admits a counterexample")

@@ -118,7 +118,7 @@ def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
 @pytest.mark.parametrize("source", [
     "1//0", "nodes[9]", "undefined", "1 +",
     "().__class__.__base__.__subclasses__()",
-    "len(().__class__.__base__.__subclasses__())"])
+    "len(().__class__.__base__.__subclasses__())", "9**9**9"])
 def test_broken_expr_coloring_exits_two(tmp_path, source, capsys):
     path = write_doc(tmp_path, "in.json", {
         "spaces": [SPACE4, SPACE4],
@@ -377,6 +377,25 @@ def test_hl_check_document(tmp_path, capsys):
     })
     code, doc, _ = run_json(["hl-check", path], capsys)
     assert code == 0 and doc["valid"] is True
+
+
+def test_hl_check_rejects_chains(tmp_path, capsys):
+    # monochromatic, but a chain does not split as the ambient tree does
+    space = {"branching": 2, "height": 4}
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [space, space],
+        "coloring": {"kind": "named", "name": "constant",
+                     "params": {"arity": 2, "colors": 2}},
+        "reports": [{"nodes": ["", "0", "00", "000"], "level_set": [0, 1, 2, 3]},
+                    {"nodes": ["", "1", "11", "111"], "level_set": [0, 1, 2, 3]}],
+    })
+    code, doc, _ = run_json(["hl-check", path], capsys)
+    assert code == 1 and doc["valid"] is False
+    assert doc["violations"][0] == ("subtree 0: successor '1' of '' has 0 "
+                                    "extensions at witnessing level 1; "
+                                    "expected exactly one")
+    assert all(v.startswith(("subtree 0: ", "subtree 1: "))
+               for v in doc["violations"])
 
 
 # ---------------------------------------------------------------------------

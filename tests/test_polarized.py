@@ -150,8 +150,7 @@ def test_lower_bound_needs_spread_and_arity():
 
 def _first_coordinate_parity(spaces):
     return Coloring(2, 2, spaces, lambda tup: len(tup[0]) % 2,
-                    domain="full", height_factored=True,
-                    height_fn=lambda hts: hts[0] % 2)
+                    domain="full", height_fn=lambda hts: hts[0] % 2)
 
 
 def test_type_coloring_homogenizes_exactly():
@@ -175,8 +174,7 @@ def test_first_coordinate_parity_succeeds_on_even_levels():
     space = TreeSpace(2, 5)
     full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3, 4))
     even = trim(full, (0, 2, 4))
-    rep = almost_all_homogenize(_first_coordinate_parity((space, space)),
-                                trees=(even, even))
+    rep = almost_all_homogenize(_first_coordinate_parity((even, even)))
     assert rep.success
     assert rep.max_fraction == 0
     assert all(p.color == 0 for p in rep.patterns)

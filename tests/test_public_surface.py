@@ -1,4 +1,6 @@
-"""The package's export list: star-importable, resolvable, no repeats."""
+"""The package's public surface: export list and entry-point signatures."""
+
+import inspect
 
 import hl_lab
 
@@ -21,3 +23,12 @@ def test_deleted_entry_points_stay_gone():
                  "DefaultLargenessOracle", "BuildOutcome",
                  "OracleContradictionError"):
         assert not hasattr(hl_lab, name), name
+
+
+def test_searches_read_their_trees_from_the_coloring():
+    for name in ("sdhl_search", "check_sdhl_witness", "check_dshl_witness",
+                 "dshl_search", "fuse", "apply_tailcone_partial", "hl_search",
+                 "dimension_induction", "almost_all_homogenize", "polarized_search"):
+        assert "trees" not in inspect.signature(getattr(hl_lab, name)).parameters, name
+    # checks a witness inside the subtrees it was built in
+    assert "trees" in inspect.signature(hl_lab.check_somewhere_dense_witness).parameters

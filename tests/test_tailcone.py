@@ -66,7 +66,7 @@ def test_fuse_parameter_guards():
     with pytest.raises(InvalidInputError):
         fuse(family, h=9)
     with pytest.raises(InvalidInputError):
-        fuse(family, trees=(space,))
+        ColoringFamily(family.members, spaces=(space,))
     with pytest.raises(InvalidInputError):
         ColoringFamily([], spaces=())
 

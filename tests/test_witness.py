@@ -88,7 +88,8 @@ def test_broken_expr_coloring_is_invalid_input(source):
     "().__class__.__base__.__subclasses__()",
     "len(().__class__.__base__.__subclasses__())",
     "len(().__class__.__name__)", "(lambda: 1)()", 'f"{d}"',
-    "nodes[0].count('1')", "_x", "max(d, default=0)"])
+    "nodes[0].count('1')", "_x", "max(d, default=0)",
+    "9**9**9", "d << 99999999999"])
 def test_expr_coloring_refuses_syntax_outside_the_whitelist(source):
     # Before, every one of these compiled; most evaluated to an int.
     with pytest.raises(InvalidInputError, match="not allowed"):
