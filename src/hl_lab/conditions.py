@@ -110,14 +110,14 @@ def condition_leq(p: Condition, q: Condition) -> bool:
 
 def compatible(p: Condition, q: Condition) -> bool:
     try:
-        _merge_pair(p, q)
+        _merge_into(dict(p.entries), q)
     except IncompatibleConditionsError:
         return False
     return True
 
 
-def _merge_pair(p: Condition, q: Condition) -> dict:
-    merged = dict(p.entries)
+def _merge_into(merged: dict, q: Condition) -> None:
+    """Merge ``q`` into the index -> nodes dict ``merged`` in place."""
     for index, nodes in q.entries:
         mine = merged.get(index)
         if mine is None:
@@ -132,7 +132,6 @@ def _merge_pair(p: Condition, q: Condition) -> dict:
                 raise IncompatibleConditionsError(index, coord)
             best.append(a if len(a) >= len(b) else b)
         merged[index] = tuple(best)
-    return merged
 
 
 def glb(conditions) -> Condition:
@@ -140,15 +139,22 @@ def glb(conditions) -> Condition:
 
     The support is the union of supports and every coordinate is the
     longest of the recorded nodes; incomparable nodes at a shared
-    coordinate raise with the offending index and coordinate.
+    coordinate raise with the offending index and coordinate.  All
+    merges fold into one dict; a condition of another arity makes the
+    fold build its ``Condition`` at once, which rejects the mixed arity.
     """
     conditions = list(conditions)
     if not conditions:
         raise InvalidInputError("need at least one condition")
-    merged = conditions[0]
+    merged = dict(conditions[0].entries)
+    arity = conditions[0].arity
     for q in conditions[1:]:
-        merged = Condition(_merge_pair(merged, q))
-    return merged
+        _merge_into(merged, q)
+        if arity is None:
+            arity = q.arity
+        elif q.arity is not None and q.arity != arity:
+            Condition(merged)
+    return Condition(merged)
 
 
 def copying_action(p: Condition, w0, w1) -> Condition:
@@ -198,22 +204,31 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
     if target > len(family):
         raise InvalidInputError(
             f"target {target} exceeds the family size {len(family)}")
+    # meets[i][j] = family[i] & family[j] for i < j, built on first use
+    meets: list = [{} for _ in family]
+
+    def meet(i, j):
+        row = meets[i]
+        both = row.get(j)
+        if both is None:
+            both = row[j] = family[i] & family[j]
+        return both
+
     scanned = 0
     for combo in itertools.combinations(range(len(family)), target):
         scanned += 1
-        members = [family[i] for i in combo]
-        if len(members) < 2:
+        if target < 2:
             chosen_root: frozenset = frozenset()
             ok = True
         else:
-            chosen_root = members[0] & members[1]
-            ok = all(members[i] & members[j] == chosen_root
-                     for i in range(len(members))
-                     for j in range(i + 1, len(members)))
+            chosen_root = meet(combo[0], combo[1])
+            ok = all(meet(combo[i], combo[j]) == chosen_root
+                     for i in range(target)
+                     for j in range(i + 1, target))
         if ok:
             return DeltaSystemOutcome(
                 True, tuple(combo),
-                tuple(tuple(sorted(m)) for m in members),
+                tuple(tuple(sorted(family[i])) for i in combo),
                 tuple(sorted(chosen_root)), scanned)
     return DeltaSystemOutcome(False, (), (), None, scanned)
 
@@ -311,22 +326,23 @@ def build_w_map(ground, raw, degree: int, stride: int | None = None) -> WMap:
     if stride < 1:
         raise InvalidInputError(f"stride must be positive, got {stride}")
     thinned = ground[::stride]
-    dsubsets = [tuple(sorted(c)) for c in itertools.combinations(ground, degree)]
+    dsubsets = list(itertools.combinations(ground, degree))
+    cores = [frozenset(v) for v in dsubsets]
+    images = [table[v] for v in dsubsets]
+    # each family's core (the meet of its subsets) -> union of family images
+    by_core: dict = {}
+    for size in range(1, degree + 2):
+        for fam in itertools.combinations(range(len(dsubsets)), size):
+            core = cores[fam[0]].intersection(*(cores[i] for i in fam[1:]))
+            image = images[fam[0]].intersection(*(images[i] for i in fam[1:]))
+            by_core.setdefault(core, set()).update(image)
     mapping = {}
     for r in range(degree + 1):
         for u in itertools.combinations(thinned, r):
             uset = set(u)
             acc: set = set()
-            for size in range(1, degree + 2):
-                for fam in itertools.combinations(dsubsets, size):
-                    core = set(fam[0])
-                    for v in fam[1:]:
-                        core &= set(v)
-                    if not core <= uset:
-                        continue
-                    image = set(table[fam[0]])
-                    for v in fam[1:]:
-                        image &= table[v]
+            for core, image in by_core.items():
+                if core <= uset:
                     acc |= image
             mapping[u] = tuple(sorted(acc))
     return WMap(thinned, degree, mapping)
@@ -381,15 +397,15 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
             if len(u2) != len(v2):
                 continue
             iso = dict(zip(u2, v2))
+            wu2, wv2 = wmap.image(u2), wmap.image(v2)
+            carry = dict(zip(wu2, wv2)) if len(wu2) == len(wv2) else None
             for r in range(len(u2) + 1):
                 for u1 in itertools.combinations(u2, r):
                     v1 = tuple(sorted(iso[i] for i in u1))
                     transports += 1
-                    wu2, wv2 = wmap.image(u2), wmap.image(v2)
-                    if len(wu2) != len(wv2):
+                    if carry is None:
                         transport_bad.append((u1, u2, v1, v2))
                         continue
-                    carry = dict(zip(wu2, wv2))
                     moved = set()
                     ok = True
                     for i in wmap.image(u1):

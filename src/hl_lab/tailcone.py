@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .search import (
     BudgetExhausted,
     Caps,
@@ -35,8 +35,8 @@ from .views import as_view
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
+    _dshl_search,
     check_somewhere_dense_witness,
-    dshl_search,
 )
 
 # ---------------------------------------------------------------------------
@@ -402,6 +402,12 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
     of the law on the output.
     """
     caps = caps or Caps()
+    return _apply_tailcone_partial(coloring, base_coords, h,
+                                   StepBudget(caps.max_steps), transcript)
+
+
+def _apply_tailcone_partial(coloring, base_coords, h, budget, transcript):
+    """``apply_tailcone_partial`` spending from a caller's budget."""
     views = [as_view(s) for s in coloring.spaces]
     d = coloring.arity
     if coloring.domain != "full":
@@ -421,7 +427,6 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
     if h < 2:
         raise InvalidInputError(f"need at least two subtree levels, got {h}")
     table: dict = {}
-    budget = StepBudget(caps.max_steps)
 
     def stage_factory(stage, level_set, layers, chi, slots):
         fixed = [[node for lvl in range(stage) for node in layers[lvl][k]]
@@ -638,15 +643,16 @@ def dimension_induction(coloring: Coloring, h=None,
     there; take the most voted base and color; then reassemble cones
     above a node one level past the base into a mixed-height matrix.
     The result is validated by the somewhere-dense checker over the
-    constructed subtrees before it is returned.
+    constructed subtrees before it is returned.  One step budget of
+    ``caps.max_steps`` covers the whole pipeline.
     """
     caps = caps or Caps()
     if coloring.arity < 2:
         raise InvalidInputError("dimension raising needs arity at least 2")
     if coloring.domain != "full":
         raise InvalidInputError("a full-domain coloring is required")
-    part = apply_tailcone_partial(coloring, (0,), h=h, caps=caps,
-                                  transcript=transcript)
+    budget = StepBudget(caps.max_steps)
+    part = _apply_tailcone_partial(coloring, (0,), h, budget, transcript)
     if not part.success:
         return InductionOutcome(False, None, None, None, None,
                                 failure=f"tail-cone step failed: {part.failure}",
@@ -659,7 +665,6 @@ def dimension_induction(coloring: Coloring, h=None,
     d = coloring.arity - 1
 
     votes: Counter = Counter()
-    capped_branches = 0
     for chain in _branches(tview):
 
         def branch_fn(tup, chain=chain):
@@ -669,10 +674,12 @@ def dimension_induction(coloring: Coloring, h=None,
         branch_coloring = Coloring(d, coloring.colors, trimmed, branch_fn,
                                    domain="level", kind="derived")
         try:
-            found = dshl_search(branch_coloring, caps=caps)
-        except CapExceededError:
-            capped_branches += 1
-            continue
+            found = _dshl_search(branch_coloring, budget)
+        except BudgetExhausted:
+            return InductionOutcome(
+                False, None, reports, None, None,
+                failure="budget exhausted during the branch searches",
+                capped=True)
         if found is not None:
             base, color = found
             beta = uviews[0].level_of(base[0])
@@ -684,16 +691,13 @@ def dimension_induction(coloring: Coloring, h=None,
         transcript.append({"event": "induct-votes",
                            "votes": [{"base_level": b, "base": list(t),
                                       "color": g, "count": c}
-                                     for (b, t, g), c in sorted(votes.items())],
-                           "capped_branches": capped_branches})
+                                     for (b, t, g), c in sorted(votes.items())]})
     ordered = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
     if not ordered:
         return InductionOutcome(
             False, None, reports, None, None,
-            failure="no branch admits a dense-set witness",
-            capped=capped_branches > 0)
+            failure="no branch admits a dense-set witness")
 
-    budget = StepBudget(caps.max_steps)
     h_sub = tview.height
     for (beta, tbar, gamma), _count in ordered:
         if beta + 4 > h_sub:

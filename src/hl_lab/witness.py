@@ -518,19 +518,23 @@ def dshl_search(coloring: Coloring, caps: Caps | None = None):
     dropped at its first level without a dominating matrix.
     """
     caps = caps or Caps()
-    views = [as_view(s) for s in coloring.spaces]
-    height = min(v.height for v in views)
-    budget = StepBudget(caps.max_steps)
     try:
-        for ht in range(height - 1):
-            for base in itertools.product(*(v.level(ht) for v in views)):
-                for color in range(coloring.colors):
-                    undense = _undense_levels(views, base, color,
-                                              coloring.evaluate, budget)
-                    if next(undense, None) is None:
-                        return base, color
+        return _dshl_search(coloring, StepBudget(caps.max_steps))
     except BudgetExhausted:
         raise CapExceededError(caps.max_steps, "dense-set search exceeded its budget")
+
+
+def _dshl_search(coloring: Coloring, budget: StepBudget):
+    """``dshl_search`` spending from a caller's budget; may raise ``BudgetExhausted``."""
+    views = [as_view(s) for s in coloring.spaces]
+    height = min(v.height for v in views)
+    for ht in range(height - 1):
+        for base in itertools.product(*(v.level(ht) for v in views)):
+            for color in range(coloring.colors):
+                undense = _undense_levels(views, base, color,
+                                          coloring.evaluate, budget)
+                if next(undense, None) is None:
+                    return base, color
     return None
 
 

@@ -597,3 +597,187 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
         raise CapExceededError(caps.max_steps,
                                "free-level witness scan exceeded its budget")
     return None
+
+
+# ---------------------------------------------------------------------------
+# the condition algebra before it stopped redoing work
+#
+# Kept verbatim as references: ``glb`` built a ``Condition`` after every
+# merge, ``delta_system`` recomputed every pairwise intersection of every
+# combination, ``build_w_map`` rescanned every family of d-subsets for
+# each thinned subset, and ``verify_wmap_laws`` re-read the two big images
+# for every small subset.  ``_merge_pair``, which ``glb`` called, is kept
+# beside it: the library's merge now works in place on one dict.
+
+from hl_lab.conditions import (  # noqa: E402
+    Condition,
+    DeltaSystemOutcome,
+    WMap,
+    WMapLawReport,
+    _check_raw_map,
+    _comparable,
+)
+from hl_lab.errors import IncompatibleConditionsError  # noqa: E402
+
+
+def _merge_pair(p: Condition, q: Condition) -> dict:
+    merged = dict(p.entries)
+    for index, nodes in q.entries:
+        mine = merged.get(index)
+        if mine is None:
+            merged[index] = nodes
+            continue
+        if len(mine) != len(nodes):
+            raise IncompatibleConditionsError(
+                index, -1, f"index {index} carries tuples of different arity")
+        best = []
+        for coord, (a, b) in enumerate(zip(mine, nodes)):
+            if not _comparable(a, b):
+                raise IncompatibleConditionsError(index, coord)
+            best.append(a if len(a) >= len(b) else b)
+        merged[index] = tuple(best)
+    return merged
+
+
+def glb(conditions) -> Condition:
+    """Greatest lower bound of pairwise-compatible conditions.
+
+    The support is the union of supports and every coordinate is the
+    longest of the recorded nodes; incomparable nodes at a shared
+    coordinate raise with the offending index and coordinate.
+    """
+    conditions = list(conditions)
+    if not conditions:
+        raise InvalidInputError("need at least one condition")
+    merged = conditions[0]
+    for q in conditions[1:]:
+        merged = Condition(_merge_pair(merged, q))
+    return merged
+
+
+def delta_system(family, target: int) -> DeltaSystemOutcome:
+    """First subfamily (in combination order) with one common intersection.
+
+    Every pairwise intersection of the chosen members must literally
+    equal the root.  With fewer than two members the root is empty.
+    """
+    family = [frozenset(int(i) for i in member) for member in family]
+    if target < 1:
+        raise InvalidInputError(f"target size must be positive, got {target}")
+    if target > len(family):
+        raise InvalidInputError(
+            f"target {target} exceeds the family size {len(family)}")
+    scanned = 0
+    for combo in itertools.combinations(range(len(family)), target):
+        scanned += 1
+        members = [family[i] for i in combo]
+        if len(members) < 2:
+            chosen_root: frozenset = frozenset()
+            ok = True
+        else:
+            chosen_root = members[0] & members[1]
+            ok = all(members[i] & members[j] == chosen_root
+                     for i in range(len(members))
+                     for j in range(i + 1, len(members)))
+        if ok:
+            return DeltaSystemOutcome(
+                True, tuple(combo),
+                tuple(tuple(sorted(m)) for m in members),
+                tuple(sorted(chosen_root)), scanned)
+    return DeltaSystemOutcome(False, (), (), None, scanned)
+
+
+def build_w_map(ground, raw, degree: int, stride: int | None = None) -> WMap:
+    """Close a raw index-set map under bounded intersections.
+
+    The output ground set keeps every ``stride``-th element of the input
+    (default ``degree + 2``), and the image of ``u`` is the union of
+    intersections of raw images over families of at most ``degree + 1``
+    many ``degree``-subsets whose own intersection sits inside ``u``.
+    The raw map must contain each subset in its image and be monotone.
+    """
+    if degree < 1:
+        raise InvalidInputError(f"degree must be positive, got {degree}")
+    ground = tuple(sorted(set(int(i) for i in ground)))
+    raw = {tuple(sorted(set(u))): w for u, w in
+           (raw.items() if hasattr(raw, "items") else raw)}
+    table = _check_raw_map(ground, raw, degree)
+    if stride is None:
+        stride = degree + 2
+    if stride < 1:
+        raise InvalidInputError(f"stride must be positive, got {stride}")
+    thinned = ground[::stride]
+    dsubsets = [tuple(sorted(c)) for c in itertools.combinations(ground, degree)]
+    mapping = {}
+    for r in range(degree + 1):
+        for u in itertools.combinations(thinned, r):
+            uset = set(u)
+            acc: set = set()
+            for size in range(1, degree + 2):
+                for fam in itertools.combinations(dsubsets, size):
+                    core = set(fam[0])
+                    for v in fam[1:]:
+                        core &= set(v)
+                    if not core <= uset:
+                        continue
+                    image = set(table[fam[0]])
+                    for v in fam[1:]:
+                        image &= table[v]
+                    acc |= image
+            mapping[u] = tuple(sorted(acc))
+    return WMap(thinned, degree, mapping)
+
+
+def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
+    """Check the two closure laws over the whole domain.
+
+    Intersection law: images of two ``degree``-subsets meet exactly in
+    the image of their intersection.  Transport law: for nested pairs
+    ``u1`` within ``u2`` and their order-isomorphic copies, the order
+    isomorphism between the two big images carries the small image onto
+    its copy's image.
+    """
+    d = wmap.degree
+    ground = wmap.ground
+    inter_bad = []
+    pairs = 0
+    for u, v in itertools.combinations_with_replacement(
+            itertools.combinations(ground, d), 2):
+        pairs += 1
+        left = set(wmap.image(u)) & set(wmap.image(v))
+        right = set(wmap.image(set(u) & set(v)))
+        if left != right:
+            inter_bad.append((tuple(u), tuple(v)))
+    transport_bad = []
+    transports = 0
+    subsets = [tuple(sorted(c)) for r in range(d + 1)
+               for c in itertools.combinations(ground, r)]
+    for u2 in subsets:
+        for v2 in subsets:
+            if len(u2) != len(v2):
+                continue
+            iso = dict(zip(u2, v2))
+            for r in range(len(u2) + 1):
+                for u1 in itertools.combinations(u2, r):
+                    v1 = tuple(sorted(iso[i] for i in u1))
+                    transports += 1
+                    wu2, wv2 = wmap.image(u2), wmap.image(v2)
+                    if len(wu2) != len(wv2):
+                        transport_bad.append((u1, u2, v1, v2))
+                        continue
+                    carry = dict(zip(wu2, wv2))
+                    moved = set()
+                    ok = True
+                    for i in wmap.image(u1):
+                        if i not in carry:
+                            ok = False
+                            break
+                        moved.add(carry[i])
+                    if not ok or moved != set(wmap.image(v1)):
+                        transport_bad.append((u1, u2, v1, v2))
+    return WMapLawReport(
+        valid=not inter_bad and not transport_bad,
+        intersection_violations=tuple(inter_bad),
+        transport_violations=tuple(transport_bad),
+        pairs_checked=pairs,
+        transports_checked=transports)

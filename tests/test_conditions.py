@@ -23,6 +23,7 @@ from hl_lab.errors import (
     PreconditionError,
 )
 
+import oracles
 from oracles import all_nodes, make_raw_map, wmap_image_unbounded
 
 
@@ -332,3 +333,138 @@ def test_transport_is_positional():
                 pos_u = [wm.image(u2).index(i) for i in wm.image(u1)]
                 pos_v = [wm.image(v2).index(i) for i in wm.image(v1)]
                 assert pos_u == pos_v, (u1, u2, v1, v2)
+
+
+# ---------------------------------------------------------------------------
+# the rewritten algebra against its verbatim predecessors in ``oracles``
+
+
+def _outcome(fn, *args):
+    """Result, or the raised error's type, message, index and coordinate."""
+    try:
+        return ("ok", fn(*args))
+    except (InvalidInputError, IncompatibleConditionsError) as err:
+        return ("raised", type(err), str(err), getattr(err, "index", None),
+                getattr(err, "coordinate", None))
+
+
+def _node(rng):
+    return "".join(rng.choice("01") for _ in range(rng.randrange(1, 6)))
+
+
+def _compatible_conditions(rng, count, indices, arity):
+    """Conditions recording prefixes of one hidden assignment, some empty."""
+    truth = {i: tuple(_node(rng) for _ in range(arity)) for i in indices}
+    out = []
+    for _ in range(count):
+        picked = rng.sample(indices, rng.randrange(0, min(4, len(indices)) + 1))
+        out.append(Condition({i: tuple(n[:rng.randrange(0, len(n) + 1)]
+                                       for n in truth[i]) for i in picked}))
+    return out, truth
+
+
+def _glb_case(rng, kind):
+    arity = rng.randrange(1, 4)
+    indices = rng.sample(range(12), rng.randrange(1, 7))
+    conditions, truth = _compatible_conditions(rng, rng.randrange(1, 8), indices,
+                                               arity)
+    if kind == "clash":
+        i = rng.choice(indices)
+        coord = rng.randrange(arity)
+        nodes = list(truth[i])
+        node = nodes[coord] or "0"
+        nodes[coord] = ("1" if node[0] == "0" else "0") + node[1:]
+        odd = Condition({i: tuple(nodes)})
+    elif kind == "shared-arity":
+        odd = Condition({rng.choice(indices): tuple(
+            _node(rng) for _ in range(arity + rng.choice((-1, 1)) or 2))})
+    elif kind == "disjoint-arity":
+        fresh = rng.sample(range(12, 24), rng.randrange(1, 3))
+        other = arity + 1 if arity == 1 or rng.random() < 0.5 else arity - 1
+        odd = Condition({i: tuple(_node(rng) for _ in range(other))
+                         for i in fresh})
+    elif kind == "empty":
+        odd = Condition({})
+    else:
+        return conditions
+    conditions.insert(rng.randrange(len(conditions) + 1), odd)
+    return conditions
+
+
+@pytest.mark.parametrize("kind", ["compatible", "clash", "shared-arity",
+                                  "disjoint-arity", "empty"])
+def test_glb_matches_the_per_merge_oracle(kind):
+    rng = random.Random(f"glb:{kind}")
+    raised = 0
+    for _ in range(400):
+        conditions = _glb_case(rng, kind)
+        got = _outcome(glb, conditions)
+        assert got == _outcome(oracles.glb, conditions), conditions
+        raised += got[0] == "raised"
+        for p, q in itertools.combinations(conditions, 2):
+            merges = _outcome(oracles._merge_pair, p, q)[0] == "ok"
+            assert compatible(p, q) == merges, (p, q)
+    assert (raised > 0) == (kind in ("clash", "shared-arity", "disjoint-arity"))
+    assert _outcome(glb, []) == _outcome(oracles.glb, [])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_w_map_matches_the_rescanning_oracle(d):
+    for stride in range(1, d + 3):
+        for seed in range(6):
+            size = d + seed % 3
+            ground, raw = make_raw_map(100 * d + seed, size, d)
+            built = build_w_map(ground, raw, d, stride)
+            assert built == oracles.build_w_map(ground, raw, d, stride), (
+                d, stride, seed)
+            assert verify_wmap_laws(built) == oracles.verify_wmap_laws(built)
+
+
+def test_build_w_map_keeps_the_oracle_errors():
+    ground, raw = make_raw_map(7, 5, 2)
+    bad = dict(raw)
+    bad[()] = {99}  # inside no other image: monotonicity fails
+    got = _outcome(build_w_map, ground, bad, 2)
+    assert got[1] is PreconditionError
+    assert got == _outcome(oracles.build_w_map, ground, bad, 2)
+    smaller = dict(raw)
+    u = max(smaller, key=len)
+    smaller[u] = set(u)  # still contains u, no longer above its subsets
+    assert _outcome(build_w_map, ground, smaller, 2) == _outcome(
+        oracles.build_w_map, ground, smaller, 2)
+    for degree, stride in ((0, None), (2, 0)):
+        assert _outcome(build_w_map, ground, raw, degree, stride) == _outcome(
+            oracles.build_w_map, ground, raw, degree, stride)
+
+
+def test_verify_wmap_laws_matches_the_oracle_on_broken_maps():
+    rng = random.Random(20261018)
+    mismatched = 0
+    for _ in range(40):
+        d = rng.randrange(1, 3)
+        ground = sorted(rng.sample(range(20), rng.randrange(2, 6)))
+        mapping = {}
+        for r in range(d + 1):
+            for u in itertools.combinations(ground, r):
+                extra = rng.sample(range(30, 36), rng.randrange(0, 3))
+                mapping[u] = set(u) | set(extra)
+        wm = WMap(ground, d, mapping)
+        report = verify_wmap_laws(wm)
+        assert report == oracles.verify_wmap_laws(wm)
+        mismatched += any(len(wm.image(u2)) != len(wm.image(v2))
+                          for _, u2, _, v2 in report.transport_violations)
+    assert mismatched > 0
+
+
+@pytest.mark.parametrize("target", [1, 2, 3, 4])
+def test_delta_system_matches_the_recomputing_oracle(target):
+    rng = random.Random(f"delta:{target}")
+    found = 0
+    for _ in range(300):
+        ground = rng.randrange(3, 9)
+        family = [rng.sample(range(ground), rng.randrange(0, ground))
+                  for _ in range(rng.randrange(1, 11))]
+        got = _outcome(delta_system, family, target)
+        assert got == _outcome(oracles.delta_system, family, target), family
+        found += got[0] == "ok" and got[1].success
+    assert found > 0

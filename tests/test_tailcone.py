@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from hl_lab import tailcone, witness
 from hl_lab.errors import InvalidInputError
-from hl_lab.search import Caps
+from hl_lab.search import Caps, StepBudget
 from hl_lab.tailcone import (
     ColoringFamily,
     TailConeCertificate,
@@ -237,6 +238,39 @@ def test_dimension_induction_honest_failure():
     assert not out.success
     assert out.failure
     assert out.witness is None
+
+
+def test_dimension_induction_cap_bounds_the_whole_run(monkeypatch):
+    # the tail-cone step, every branch search and the cone reassembly
+    # spend from one budget; with a budget each, this box succeeded
+    # under a cap of 1,000 after 1,139 steps
+    budgets = []
+
+    class Counting(StepBudget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            self.done = 0
+            budgets.append(self)
+
+        def spend(self, amount=1):
+            super().spend(amount)
+            self.done += amount
+
+    monkeypatch.setattr(tailcone, "StepBudget", Counting)
+    monkeypatch.setattr(witness, "StepBudget", Counting)
+    space = TreeSpace(2, 11)
+    col = seeded_hash_coloring((space, space), 2, 2, seed=11)
+    out = dimension_induction(col, h=4, caps=Caps(max_steps=400_000))
+    assert out.success and len(budgets) == 1
+    needed = budgets[0].done
+    assert needed > 1000
+    budgets.clear()
+    out = dimension_induction(col, h=4, caps=Caps(max_steps=1000))
+    assert not out.success and out.capped
+    assert sum(b.done for b in budgets) <= 1000
+    budgets.clear()
+    out = dimension_induction(col, h=4, caps=Caps(max_steps=needed))
+    assert out.success and [b.done for b in budgets] == [needed]
 
 
 def test_dimension_induction_guards():
