@@ -15,6 +15,7 @@ can be machine-checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -197,6 +198,10 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
 
     Every pairwise intersection of the chosen members must literally
     equal the root.  With fewer than two members the root is empty.
+    The first pair fixes the root, so deeper members are drawn only from
+    the later indices that meet every chosen member in it; ``scanned``
+    counts the combinations up to the answer in ``itertools.combinations``
+    order, or all of them when there is none.
     """
     family = [frozenset(int(i) for i in member) for member in family]
     if target < 1:
@@ -204,33 +209,55 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
     if target > len(family):
         raise InvalidInputError(
             f"target {target} exceeds the family size {len(family)}")
-    # meets[i][j] = family[i] & family[j] for i < j, built on first use
-    meets: list = [{} for _ in family]
+    n = len(family)
+    # rows[i][root]: the j > i with family[i] & family[j] == root, descending
+    rows: dict = {}
 
-    def meet(i, j):
-        row = meets[i]
-        both = row.get(j)
-        if both is None:
-            both = row[j] = family[i] & family[j]
-        return both
+    def row(i):
+        by_root = rows.get(i)
+        if by_root is None:
+            by_root = rows[i] = {}
+            for j in range(n - 1, i, -1):
+                by_root.setdefault(family[i] & family[j], []).append(j)
+        return by_root
 
-    scanned = 0
-    for combo in itertools.combinations(range(len(family)), target):
-        scanned += 1
-        if target < 2:
-            chosen_root: frozenset = frozenset()
-            ok = True
-        else:
-            chosen_root = meet(combo[0], combo[1])
-            ok = all(meet(combo[i], combo[j]) == chosen_root
-                     for i in range(target)
-                     for j in range(i + 1, target))
-        if ok:
-            return DeltaSystemOutcome(
-                True, tuple(combo),
-                tuple(tuple(sorted(family[i])) for i in combo),
-                tuple(sorted(chosen_root)), scanned)
-    return DeltaSystemOutcome(False, (), (), None, scanned)
+    def found(combo, root):
+        return DeltaSystemOutcome(
+            True, tuple(combo), tuple(tuple(sorted(family[i])) for i in combo),
+            tuple(sorted(root)), _combination_rank(combo, n) + 1)
+
+    if target == 1:
+        return found((0,), frozenset())
+    for i in range(n):
+        for j in range(i + 1, n):
+            root = family[i] & family[j]
+            combo = [i, j]
+            # pools[-1]: untried indices above combo[-1] meeting each member in root
+            partners = set(row(j).get(root, ()))
+            pools = [[k for k in row(i)[root] if k > j and k in partners]]
+            while pools:
+                if len(combo) == target:
+                    return found(combo, root)
+                pool = pools[-1]
+                if len(pool) < target - len(combo):
+                    pools.pop()
+                    combo.pop()
+                    continue
+                k = pool.pop()
+                partners = set(row(k).get(root, ()))
+                combo.append(k)
+                pools.append([m for m in pool if m in partners])
+    return DeltaSystemOutcome(False, (), (), None, math.comb(n, target))
+
+
+def _combination_rank(combo, n: int) -> int:
+    """Position of a sorted ``combo`` in ``itertools.combinations(range(n), k)``."""
+    size, rank, prev = len(combo), 0, -1
+    for pos, c in enumerate(combo):
+        # combinations that agree before ``pos`` and hold a smaller index there
+        rank += math.comb(n - prev - 1, size - pos) - math.comb(n - c, size - pos)
+        prev = c
+    return rank
 
 
 # ---------------------------------------------------------------------------

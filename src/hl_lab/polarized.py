@@ -182,8 +182,13 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
     Works on height combinations: a type is realized as soon as some
     strictly ordered choice of one occupied level per factor sorts by
     that permutation, which is what forces the full ``(d+1)!`` colors
-    under the height-permutation coloring.
+    under the height-permutation coloring.  The picks of each type are
+    counted, not listed: walking the occupied heights upward, ``ways[v]``
+    counts the increasing picks for the permutation's first coordinates
+    that end at height ``v``.
     """
+    if d < 1:
+        raise InvalidInputError(f"dimension must be positive, got {d}")
     views = [as_view(r) for r in reports]
     if len(views) != d + 1:
         raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(views)}")
@@ -193,17 +198,26 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
                 f"insufficient spread: factor {idx} has {view.height} levels, "
                 f"need at least {d + 1}"
             )
-    heights = [tuple(view.ambient_level(xi) for xi in range(view.height))
-               for view in views]
-    combos: Counter = Counter()
-    for pick in itertools.product(*heights):
-        if len(set(pick)) != len(pick):
-            continue
-        combos[tuple_type(pick).rank] += 1
+    counts = [Counter(view.ambient_level(xi) for xi in range(view.height))
+              for view in views]
+    occupied = sorted(set().union(*counts))
+    combos = {}
+    # permutations come in lexicographic order, so their index is their rank
+    for rank, perm in enumerate(itertools.permutations(range(d + 1))):
+        ways = [counts[perm[0]][v] for v in occupied]
+        for coord in perm[1:]:
+            factor, below, ways_up = counts[coord], 0, []
+            for v, w in zip(occupied, ways):
+                ways_up.append(below * factor[v])
+                below += w
+            ways = ways_up
+        picks = sum(ways)
+        if picks:
+            combos[rank] = picks
     total = math.factorial(d + 1)
     missing = tuple(r for r in range(total) if r not in combos)
     return LowerBoundReport(realizes_all=not missing, total_types=total,
-                            missing=missing, combos_per_type=dict(combos))
+                            missing=missing, combos_per_type=combos)
 
 
 # ---------------------------------------------------------------------------

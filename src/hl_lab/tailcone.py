@@ -230,18 +230,22 @@ def check_tail_cone(certificate: TailConeCertificate,
             f"{len(family)} colorings need subtree height {len(family) + 1}, got {h}"
         )
         return ValidationResult(False, tuple(violations))
-    d = family.arity
     for i in range(len(family)):
         table = certificate.tables[i]
         for tup in itertools.product(*(v.level(i + 1) for v in views)):
             if tup not in table:
                 violations.append(f"table {i} is missing entry {tup}")
+        evaluate = family[i].evaluate
         for xi in range(i + 1, h):
-            for tup in itertools.product(*(v.level(xi) for v in views)):
-                key = tuple(views[j].restrict(tup[j], i + 1) for j in range(d))
+            levels = [v.level(xi) for v in views]
+            # cuts[j][node]: node's restriction to view level i + 1 in factor j
+            cuts = [{node: v.restrict(node, i + 1) for node in level}
+                    for v, level in zip(views, levels)]
+            for tup in itertools.product(*levels):
+                key = tuple(map(dict.__getitem__, cuts, tup))
                 if key not in table:
                     continue
-                got = family[i].evaluate(tup)
+                got = evaluate(tup)
                 if got != table[key]:
                     violations.append(
                         f"coloring {i} at {tup}: color {got}, table says {table[key]}"

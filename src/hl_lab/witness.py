@@ -225,6 +225,9 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     The expression comes from the input document, so any error raised
     while compiling or evaluating it is an :class:`InvalidInputError`, as
     is any syntax outside the small whitelist ``_forbidden_syntax`` checks.
+    The checked expression becomes the body of a lambda over
+    ``nodes, heights, d, colors``, compiled once; comprehensions inside it
+    see those names like any closure.
     """
     try:
         tree = ast.parse(source, "<coloring>", "eval")
@@ -235,16 +238,17 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     if forbidden is not None:
         raise InvalidInputError(f"expr coloring {source!r} uses {forbidden}, "
                                 f"which is not allowed")
-    code = compile(tree, "<coloring>", "eval")
+    names = ("nodes", "heights", "d", "colors")  # the order ``fn`` passes them
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(a) for a in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree.body = ast.Lambda(params, tree.body)
     safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
             "abs": abs, "int": int}
+    rule = eval(compile(ast.fix_missing_locations(tree), "<coloring>", "eval"), safe)
 
     def fn(tup):
         try:
-            value = eval(code, dict(safe), {
-                "nodes": tup, "heights": tuple(len(t) for t in tup),
-                "d": arity, "colors": colors,
-            })
+            value = rule(tup, tuple(map(len, tup)), arity, colors)
             return int(value) % colors
         except Exception as bad:
             raise InvalidInputError(

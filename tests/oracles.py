@@ -51,6 +51,18 @@ def level_nodes(length: int):
     return ["".join(bits) for bits in itertools.product("01", repeat=length)]
 
 
+def random_strong_subtree(rng, level_set):
+    """Nodes of a random binary strong subtree on ``level_set``."""
+    def fill(length):
+        return "".join(rng.choice("01") for _ in range(length))
+
+    layers = [[fill(level_set[0])]]
+    for lo, hi in zip(level_set, level_set[1:]):
+        layers.append([node + digit + fill(hi - lo - 1)
+                       for node in layers[-1] for digit in "01"])
+    return [n for layer in layers for n in layer]
+
+
 # ---------------------------------------------------------------------------
 # strong subtrees by subset scan
 
@@ -781,3 +793,182 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
         transport_violations=tuple(transport_bad),
         pairs_checked=pairs,
         transports_checked=transports)
+
+
+# ---------------------------------------------------------------------------
+# the checkers before they counted by structure
+#
+# Kept verbatim as references: ``verify_lower_bound`` typed every pick of
+# one occupied height per factor, ``delta_system_memoized`` (the library's
+# ``delta_system`` once pairwise meets were memoized, renamed here beside
+# the older ``delta_system`` above) scanned every combination in order,
+# ``check_tail_cone`` restricted every coordinate of every tuple through
+# its view, and ``expr_coloring`` ran ``eval`` with fresh globals and
+# locals per tuple, so a comprehension could not see ``nodes``,
+# ``heights``, ``d`` or ``colors``.
+
+import ast  # noqa: E402
+import math  # noqa: E402
+from collections import Counter  # noqa: E402
+
+from hl_lab.errors import PreconditionError  # noqa: E402
+from hl_lab.polarized import LowerBoundReport, tuple_type  # noqa: E402
+from hl_lab.subtrees import ValidationResult, validate_strong_subtree  # noqa: E402
+from hl_lab.tailcone import ColoringFamily, TailConeCertificate  # noqa: E402
+from hl_lab.views import as_view  # noqa: E402
+from hl_lab.witness import Coloring, _forbidden_syntax  # noqa: E402
+
+
+def verify_lower_bound(reports, d: int) -> LowerBoundReport:
+    """Check that distinct-height tuples of the product realize every type.
+
+    Works on height combinations: a type is realized as soon as some
+    strictly ordered choice of one occupied level per factor sorts by
+    that permutation, which is what forces the full ``(d+1)!`` colors
+    under the height-permutation coloring.
+    """
+    views = [as_view(r) for r in reports]
+    if len(views) != d + 1:
+        raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(views)}")
+    for idx, view in enumerate(views):
+        if view.height < d + 1:
+            raise PreconditionError(
+                f"insufficient spread: factor {idx} has {view.height} levels, "
+                f"need at least {d + 1}"
+            )
+    heights = [tuple(view.ambient_level(xi) for xi in range(view.height))
+               for view in views]
+    combos: Counter = Counter()
+    for pick in itertools.product(*heights):
+        if len(set(pick)) != len(pick):
+            continue
+        combos[tuple_type(pick).rank] += 1
+    total = math.factorial(d + 1)
+    missing = tuple(r for r in range(total) if r not in combos)
+    return LowerBoundReport(realizes_all=not missing, total_types=total,
+                            missing=missing, combos_per_type=dict(combos))
+
+
+def delta_system_memoized(family, target: int) -> DeltaSystemOutcome:
+    """First subfamily (in combination order) with one common intersection.
+
+    Every pairwise intersection of the chosen members must literally
+    equal the root.  With fewer than two members the root is empty.
+    """
+    family = [frozenset(int(i) for i in member) for member in family]
+    if target < 1:
+        raise InvalidInputError(f"target size must be positive, got {target}")
+    if target > len(family):
+        raise InvalidInputError(
+            f"target {target} exceeds the family size {len(family)}")
+    # meets[i][j] = family[i] & family[j] for i < j, built on first use
+    meets: list = [{} for _ in family]
+
+    def meet(i, j):
+        row = meets[i]
+        both = row.get(j)
+        if both is None:
+            both = row[j] = family[i] & family[j]
+        return both
+
+    scanned = 0
+    for combo in itertools.combinations(range(len(family)), target):
+        scanned += 1
+        if target < 2:
+            chosen_root: frozenset = frozenset()
+            ok = True
+        else:
+            chosen_root = meet(combo[0], combo[1])
+            ok = all(meet(combo[i], combo[j]) == chosen_root
+                     for i in range(target)
+                     for j in range(i + 1, target))
+        if ok:
+            return DeltaSystemOutcome(
+                True, tuple(combo),
+                tuple(tuple(sorted(family[i])) for i in combo),
+                tuple(sorted(chosen_root)), scanned)
+    return DeltaSystemOutcome(False, (), (), None, scanned)
+
+
+def check_tail_cone(certificate: TailConeCertificate,
+                    family: ColoringFamily) -> ValidationResult:
+    """Verify the determining law of every table, quantifier by quantifier."""
+    reports = certificate.reports
+    if len(reports) != family.arity:
+        raise InvalidInputError(
+            f"certificate has {len(reports)} subtrees, family arity {family.arity}"
+        )
+    if len(certificate.tables) != len(family):
+        raise InvalidInputError(
+            f"certificate has {len(certificate.tables)} tables for "
+            f"{len(family)} colorings"
+        )
+    level_sets = {r.level_set for r in reports}
+    if len(level_sets) != 1:
+        raise InvalidInputError("certificate subtrees must share one level set")
+    violations: list[str] = []
+    for idx, report in enumerate(reports):
+        structural = validate_strong_subtree(report)
+        if not structural.valid:
+            violations.extend(f"subtree {idx}: {v}" for v in structural.violations)
+    views = [as_view(r) for r in reports]
+    h = views[0].height
+    if len(family) > h - 1:
+        violations.append(
+            f"{len(family)} colorings need subtree height {len(family) + 1}, got {h}"
+        )
+        return ValidationResult(False, tuple(violations))
+    d = family.arity
+    for i in range(len(family)):
+        table = certificate.tables[i]
+        for tup in itertools.product(*(v.level(i + 1) for v in views)):
+            if tup not in table:
+                violations.append(f"table {i} is missing entry {tup}")
+        for xi in range(i + 1, h):
+            for tup in itertools.product(*(v.level(xi) for v in views)):
+                key = tuple(views[j].restrict(tup[j], i + 1) for j in range(d))
+                if key not in table:
+                    continue
+                got = family[i].evaluate(tup)
+                if got != table[key]:
+                    violations.append(
+                        f"coloring {i} at {tup}: color {got}, table says {table[key]}"
+                    )
+    return ValidationResult(not violations, tuple(violations))
+
+
+def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
+    """Coloring given by a Python expression over ``nodes``/``heights``/``d``.
+
+    The expression comes from the input document, so any error raised
+    while compiling or evaluating it is an :class:`InvalidInputError`, as
+    is any syntax outside the small whitelist ``_forbidden_syntax`` checks.
+    """
+    try:
+        tree = ast.parse(source, "<coloring>", "eval")
+    except (SyntaxError, ValueError) as bad:
+        raise InvalidInputError(f"expr coloring {source!r} does not compile: "
+                                f"{bad}") from None
+    forbidden = _forbidden_syntax(tree)
+    if forbidden is not None:
+        raise InvalidInputError(f"expr coloring {source!r} uses {forbidden}, "
+                                f"which is not allowed")
+    code = compile(tree, "<coloring>", "eval")
+    safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
+            "abs": abs, "int": int}
+
+    def fn(tup):
+        try:
+            value = eval(code, dict(safe), {
+                "nodes": tup, "heights": tuple(len(t) for t in tup),
+                "d": arity, "colors": colors,
+            })
+            return int(value) % colors
+        except Exception as bad:
+            raise InvalidInputError(
+                f"expr coloring {source!r} failed on {tup}: "
+                f"{type(bad).__name__}: {bad}") from None
+
+    return Coloring(arity, colors, spaces, fn, domain=domain, kind="expr",
+                    body={"arity": arity, "colors": colors, "source": source,
+                          "domain": domain})

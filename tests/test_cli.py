@@ -265,6 +265,32 @@ def test_polarized_verify_lb_document(tmp_path, capsys):
     jsonschema.validate(doc, schema("verify-lb"))
 
 
+@pytest.mark.parametrize("doc", [
+    {"spaces": [], "reports": [], "d": -1},
+    {"spaces": [{"branching": 2, "height": 3}],
+     "reports": [{"nodes": ["", "0", "1"], "level_set": [0, 1]}], "d": 0}])
+def test_verify_lb_refuses_a_dimension_below_one(tmp_path, doc, capsys):
+    # both once exited 0: an empty product "realized all" 0! types, and
+    # d = 0 reported its one type
+    path = write_doc(tmp_path, "in.json", doc)
+    code, out, manifest = run_json(["polarized", "verify-lb", path], capsys)
+    assert code == 2
+    assert "dimension must be positive" in out["error"]
+    jsonschema.validate(out, schema("error"))
+    assert manifest["outcome"] == 2
+
+
+def test_expr_comprehension_reads_the_coloring_names(tmp_path, capsys):
+    # once a NameError for ``d`` inside the generator (exit 2)
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [SPACE4, SPACE4],
+        "coloring": {"kind": "named", "name": "expr",
+                     "params": {"colors": 2, "source": "sum(h * d for h in heights)"}},
+    })
+    code, doc, _ = run_json(["sdhl-search", path], capsys)
+    assert code == 0 and doc["found"] is True
+
+
 def test_almost_all_document(tmp_path, capsys):
     path = write_doc(tmp_path, "in.json", {
         "spaces": [{"branching": 2, "height": 6}] * 2,

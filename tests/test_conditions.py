@@ -468,3 +468,45 @@ def test_delta_system_matches_the_recomputing_oracle(target):
         assert got == _outcome(oracles.delta_system, family, target), family
         found += got[0] == "ok" and got[1].success
     assert found > 0
+
+
+def _sunflower_family(rng):
+    """Random sets with duplicates, empty sets and, sometimes, a planted sunflower."""
+    ground = rng.randrange(3, 10)
+    family = [rng.sample(range(ground), rng.randrange(0, ground + 1))
+              for _ in range(rng.randrange(1, 13))]
+    for _ in range(rng.randrange(0, 3)):
+        family.insert(rng.randrange(len(family) + 1), list(rng.choice(family)))
+    if rng.random() < 0.2:
+        family.insert(rng.randrange(len(family) + 1), [])
+    if rng.random() < 0.4:
+        core = rng.sample(range(ground), rng.randrange(0, 3))
+        petals = iter(range(ground, ground + 20))
+        for _ in range(rng.randrange(2, 6)):
+            family.insert(rng.randrange(len(family) + 1), core + [next(petals)])
+    return family
+
+
+@pytest.mark.parametrize("target", [1, 2, 3, 4, 5])
+def test_delta_system_matches_the_combination_scan(target):
+    rng = random.Random(f"sunflower:{target}")
+    found = missed = 0
+    for _ in range(300):
+        family = _sunflower_family(rng)
+        got = _outcome(delta_system, family, target)
+        assert got == _outcome(oracles.delta_system_memoized, family, target), family
+        if got[0] == "ok":
+            found += got[1].success
+            missed += not got[1].success
+    assert found > 0 and (missed > 0 or target < 3)
+
+
+def test_delta_system_without_a_sunflower_counts_every_combination():
+    # no five of these sets form a sunflower: the combination scan lists
+    # all C(40, 5) combinations, the search must report the same count
+    rng = random.Random(1)
+    family = [rng.sample(range(12), 6) for _ in range(40)]
+    out = delta_system(family, 5)
+    assert not out.success
+    assert out.scanned == 658_008
+    assert out == oracles.delta_system_memoized(family, 5)

@@ -1,5 +1,6 @@
 """Degree arithmetic, height-order types, and the round-robin construction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,8 @@ from hl_lab.witness import (
     seeded_hash_coloring,
 )
 
-from oracles import alternating_count
+import oracles
+from oracles import alternating_count, random_strong_subtree
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,66 @@ def test_lower_bound_needs_spread_and_arity():
         verify_lower_bound((single, full), 1)
     with pytest.raises(InvalidInputError):
         verify_lower_bound((full,), 1)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_lower_bound_needs_a_positive_dimension(d):
+    space = TreeSpace(2, 4)
+    full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3))
+    with pytest.raises(InvalidInputError, match="dimension must be positive"):
+        verify_lower_bound((full,) * (d + 1), d)
+
+
+def _factor_level_sets(rng, kind, d, count):
+    """``d + 1`` level sets of ``count`` levels each, related as ``kind`` says."""
+    factors = range(d + 1)
+    if kind == "shared":
+        one = sorted(rng.sample(range(2 * count), count))
+        return [one] * (d + 1)
+    if kind == "disjoint":
+        blocks = rng.sample(factors, d + 1)
+        return [[blocks[k] * count + i for i in range(count)] for k in factors]
+    if kind == "interleaved":
+        offsets = rng.sample(factors, d + 1)
+        return [[offsets[k] + (d + 1) * i for i in range(count)] for k in factors]
+    if kind == "repeated":  # not a strong subtree, but the product counts it
+        return [sorted(rng.choices(range(count), k=count)) for _ in factors]
+    return [sorted(rng.sample(range(2 * count), count)) for _ in factors]
+
+
+def _lower_bound_outcome(fn, reports, d):
+    try:
+        return ("ok", fn(reports, d))
+    except InvalidInputError as err:
+        return ("raised", type(err), str(err))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["shared", "disjoint", "interleaved", "random",
+                                  "repeated"])
+def test_lower_bound_chain_count_matches_the_per_pick_oracle(d, kind):
+    rng = random.Random(f"verify-lb:{kind}:{d}")
+    space = TreeSpace(2, 2 * (d + 3) * (d + 1))
+    outcomes = set()
+    for _ in range(12 if d < 4 else 4):
+        count = rng.randrange(d + 1, d + 3)
+        level_sets = _factor_level_sets(rng, kind, d, count)
+        if kind == "repeated":
+            reports = [SubtreeReport(space, (), levels) for levels in level_sets]
+        else:
+            reports = [SubtreeReport(space, random_strong_subtree(rng, levels),
+                                     levels) for levels in level_sets]
+        got = _lower_bound_outcome(verify_lower_bound, reports, d)
+        assert got == _lower_bound_outcome(oracles.verify_lower_bound, reports, d)
+        outcomes.add(got[1].realizes_all)
+    if kind in ("shared", "disjoint"):
+        assert outcomes == {kind == "shared"}
+    # too few levels in one factor, and one factor too few or too many
+    short = SubtreeReport(space, random_strong_subtree(rng, range(d)), range(d))
+    for bad in (reports[:-1] + [short], reports[:-1], reports + [short]):
+        got = _lower_bound_outcome(verify_lower_bound, bad, d)
+        assert got[0] == "raised"
+        assert got == _lower_bound_outcome(oracles.verify_lower_bound, bad, d)
 
 
 # ---------------------------------------------------------------------------

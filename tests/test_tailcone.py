@@ -7,6 +7,7 @@ import pytest
 from hl_lab import tailcone, witness
 from hl_lab.errors import InvalidInputError
 from hl_lab.search import Caps, StepBudget
+from hl_lab.subtrees import SubtreeReport
 from hl_lab.tailcone import (
     ColoringFamily,
     TailConeCertificate,
@@ -26,6 +27,8 @@ from hl_lab.witness import (
     seeded_hash_coloring,
     table_coloring,
 )
+
+import oracles
 
 
 def _parity_family(space):
@@ -137,6 +140,72 @@ def test_fuse_seeded_family_box():
         assert not check_tail_cone(bad, family).valid
     assert successes > 0
     assert capped + successes <= 30
+
+
+def _check_outcome(fn, cert, family):
+    try:
+        return ("ok", fn(cert, family))
+    except InvalidInputError as err:
+        return ("raised", type(err), str(err))
+
+
+def _mutated_tables(rng, tables):
+    """The tables as built, one entry flipped, one entry dropped, and both."""
+    yield tables
+    flipped = [dict(t) for t in tables]
+    i = rng.randrange(len(flipped))
+    key = rng.choice(sorted(flipped[i]))
+    flipped[i][key] += 1
+    yield flipped
+    dropped = [dict(t) for t in tables]
+    del dropped[i][rng.choice(sorted(dropped[i]))]
+    yield dropped
+    del flipped[i][rng.choice(sorted(flipped[i]))]
+    yield flipped
+
+
+def test_tail_cone_check_matches_the_per_tuple_oracle_on_fused_certificates():
+    rng = random.Random("tail-cone-oracle")
+    checked = 0
+    for trial in range(24):
+        d = 1 + trial % 3
+        m = 1 + trial % 2
+        space = TreeSpace(2, 6 if d < 3 else 5)
+        spaces = (space,) * d
+        family = ColoringFamily([
+            seeded_hash_coloring(spaces, d, rng.randrange(1, 3),
+                                 seed=rng.randrange(10 ** 6))
+            for _ in range(m)])
+        out = fuse(family, h=m + 1 + trial % 2, caps=Caps(max_steps=50_000))
+        if not out.success:
+            continue
+        cert = out.certificate
+        for tables in _mutated_tables(rng, list(cert.tables)):
+            mutated = TailConeCertificate(cert.reports, tables)
+            got = _check_outcome(check_tail_cone, mutated, family)
+            assert got == _check_outcome(oracles.check_tail_cone, mutated, family)
+            checked += 1
+    assert checked >= 40
+
+
+def test_tail_cone_check_matches_the_oracle_on_random_tables():
+    # strong subtrees on spread levels, tables drawn at random: most
+    # entries break the law, so the violation order is compared at length
+    rng = random.Random("tail-cone-random")
+    space = TreeSpace(2, 9)
+    parity = level_parity_coloring((space, space), 2, 2)
+    for _ in range(10):
+        levels = sorted(rng.sample(range(9), 4))
+        reports = [SubtreeReport(space, oracles.random_strong_subtree(rng, levels),
+                                 levels) for _ in range(2)]
+        family = ColoringFamily([parity, seeded_hash_coloring(
+            (space, space), 2, 2, seed=rng.randrange(10 ** 6))])
+        tables = [{(x, y): rng.randrange(2) for x in reports[0].level(i + 1)
+                   for y in reports[1].level(i + 1)} for i in range(2)]
+        cert = TailConeCertificate(tuple(reports), tables)
+        got = _check_outcome(check_tail_cone, cert, family)
+        assert got[0] == "ok" and not got[1].valid
+        assert got == _check_outcome(oracles.check_tail_cone, cert, family)
 
 
 # ---------------------------------------------------------------------------

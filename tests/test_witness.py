@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from hl_lab import witness
 from hl_lab.errors import CapExceededError, InvalidInputError
 from hl_lab.search import Caps
 from hl_lab.subtrees import SubtreeReport
@@ -28,6 +29,7 @@ from hl_lab.witness import (
     table_coloring,
 )
 
+import oracles
 from oracles import all_nodes, sdhl_exists_by_scan
 
 
@@ -102,6 +104,66 @@ def test_expr_coloring_accepts_the_whitelist():
               " if not d > 1 and heights[-1] in (1, 2, 3) else -abs(1)")
     ex = expr_coloring((space,), 1, 5, source)
     assert [ex((n,)) for n in ("", "1", "011", "11")] == [4, 2, 2, 3]
+
+
+def test_expr_comprehensions_see_the_coloring_names():
+    # evaluated with separate locals, a comprehension body could not see
+    # ``d``: this source raised NameError (exit 2 from the CLI)
+    space = TreeSpace(2, 4)
+    source = "sum(h * d for h in heights)"
+    ex = expr_coloring((space, space), 2, 5, source)
+    assert ex(("01", "10")) == (2 * 2 + 2 * 2) % 5
+    assert ex(("", "")) == 0
+    assert [ex((n, n)) for n in ("0", "011")] == [4, 2]
+    with pytest.raises(InvalidInputError, match="NameError: name 'd'"):
+        oracles.expr_coloring((space, space), 2, 5, source)(("01", "10"))
+
+
+def _prefix_color_source(width, a, b):
+    """The source the ``fusion-check`` benchmark documents color with."""
+    return (f"(int(nodes[0][:{width}]) * {a} + int(nodes[1][:{width}]) * {b}"
+            f" + {a + b}) % colors")
+
+
+def _expr_outcomes(build, spaces, arity, colors, source):
+    """The coloring's value, or its error message, on every level tuple."""
+    try:
+        ex = build(spaces, arity, colors, source)
+    except InvalidInputError as err:
+        return ("raised", str(err))
+    out = []
+    for tup in witness._level_domain(spaces):
+        try:
+            out.append(ex(tup))
+        except InvalidInputError as err:
+            out.append(("raised", str(err)))
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_compiled_expr_matches_the_eval_oracle_on_prefix_sources(width):
+    space = TreeSpace(2, 5)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            source = _prefix_color_source(width, a, b)
+            got = _expr_outcomes(expr_coloring, (space, space), 2, 3, source)
+            assert got == _expr_outcomes(oracles.expr_coloring, (space, space), 2,
+                                         3, source), source
+            assert got[0][0] == "raised"  # int("") at the root
+
+
+@pytest.mark.parametrize("source", [
+    "sum(heights) + len(nodes[0])", "1//0", "nodes[9]", "undefined", "'a'", "1 +",
+    "().__class__.__base__.__subclasses__()", "(lambda: 1)()", "9**9**9",
+    "sum(int(c) for c in nodes[0][:2]) + len([h for h in heights])"
+    " if not d > 1 and heights[-1] in (1, 2, 3) else -abs(1)",
+    "max(heights) - min(heights) + colors * d", "int(nodes[-1] or 0) % 7",
+    "[n for n in nodes]", "heights[0] < heights[-1] < 3"])
+def test_compiled_expr_matches_the_eval_oracle(source):
+    for arity in (1, 2):
+        spaces = (TreeSpace(2, 4),) * arity
+        got = _expr_outcomes(expr_coloring, spaces, arity, 4, source)
+        assert got == _expr_outcomes(oracles.expr_coloring, spaces, arity, 4, source)
 
 
 def test_coloring_json_round_trips():
