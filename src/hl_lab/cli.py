@@ -149,6 +149,21 @@ def _spaces_from(doc) -> tuple[TreeSpace, ...]:
     raise InvalidInputError("document must carry 'space' or 'spaces'")
 
 
+def _reports_from(doc, spaces) -> tuple[SubtreeReport, ...]:
+    """One subtree report per entry of ``doc["reports"]``, in factor order."""
+    entries = doc["reports"]
+    if len(entries) > len(spaces):
+        raise InvalidInputError(
+            f"document has {len(entries)} reports but {len(spaces)} spaces")
+    return tuple(SubtreeReport.from_json(r, spaces[j])
+                 for j, r in enumerate(entries))
+
+
+def _search_code(outcome) -> int:
+    """0 when the search succeeded, 3 when its cap stopped it, 1 otherwise."""
+    return 0 if outcome.success else (3 if outcome.capped else 1)
+
+
 def _write_transcript(path, events) -> None:
     if path is None or events is None:
         return
@@ -198,8 +213,7 @@ def _cmd_fhl(args, doc):
 def _cmd_hl_check(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    reports = tuple(SubtreeReport.from_json(r, spaces[j])
-                    for j, r in enumerate(doc["reports"]))
+    reports = _reports_from(doc, spaces)
     result = check_hl_strong_subtree(reports, coloring)
     return result.to_json(), 0 if result.valid else 1
 
@@ -212,8 +226,7 @@ def _cmd_fusion_run(args, doc):
     outcome = fuse(family, h=doc.get("h"), caps=args.caps,
                    transcript=events)
     _write_transcript(args.transcript, events)
-    code = 0 if outcome.success else (3 if outcome.capped else 1)
-    return outcome.to_json(), code
+    return outcome.to_json(), _search_code(outcome)
 
 
 def _cmd_fusion_check(args, doc):
@@ -232,8 +245,7 @@ def _cmd_dim_induct(args, doc):
     outcome = dimension_induction(coloring, h=doc.get("h"),
                                   caps=args.caps, transcript=events)
     _write_transcript(args.transcript, events)
-    code = 0 if outcome.success else (3 if outcome.capped else 1)
-    return outcome.to_json(), code
+    return outcome.to_json(), _search_code(outcome)
 
 
 def _cmd_polarized_search(args, doc):
@@ -243,14 +255,12 @@ def _cmd_polarized_search(args, doc):
     outcome = polarized_search(coloring, int(doc.get("depth", 3)),
                                caps=args.caps, transcript=events)
     _write_transcript(args.transcript, events)
-    code = 0 if outcome.success else (3 if outcome.capped else 1)
-    return outcome.to_json(), code
+    return outcome.to_json(), _search_code(outcome)
 
 
 def _cmd_polarized_verify_lb(args, doc):
     spaces = _spaces_from(doc)
-    reports = tuple(SubtreeReport.from_json(r, spaces[j])
-                    for j, r in enumerate(doc["reports"]))
+    reports = _reports_from(doc, spaces)
     result = verify_lower_bound(reports, int(doc["d"]))
     return result.to_json(), 0 if result.realizes_all else 1
 
@@ -261,8 +271,7 @@ def _cmd_almost_all(args, doc):
     epsilon = Fraction(doc.get("epsilon", "1/10"))
     report = almost_all_homogenize(coloring, epsilon=epsilon,
                                    h=doc.get("h"), caps=args.caps)
-    code = 0 if report.success else (3 if report.capped else 1)
-    return report.to_json(), code
+    return report.to_json(), _search_code(report)
 
 
 def _cmd_degrees_tangent(args, doc):

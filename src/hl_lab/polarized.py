@@ -29,8 +29,8 @@ from .search import (
     typed_consistent,
 )
 from .subtrees import SubtreeReport, ValidationResult
+from .tailcone import grow_shared_subtrees
 from .trees import node_key
-from .views import as_view
 from .witness import Coloring
 
 # ---------------------------------------------------------------------------
@@ -189,17 +189,16 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
     """
     if d < 1:
         raise InvalidInputError(f"dimension must be positive, got {d}")
-    views = [as_view(r) for r in reports]
-    if len(views) != d + 1:
-        raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(views)}")
-    for idx, view in enumerate(views):
-        if view.height < d + 1:
+    if len(reports) != d + 1:
+        raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(reports)}")
+    for idx, report in enumerate(reports):
+        if report.height < d + 1:
             raise PreconditionError(
-                f"insufficient spread: factor {idx} has {view.height} levels, "
+                f"insufficient spread: factor {idx} has {report.height} levels, "
                 f"need at least {d + 1}"
             )
-    counts = [Counter(view.ambient_level(xi) for xi in range(view.height))
-              for view in views]
+    counts = [Counter(report.ambient_level(xi) for xi in range(report.height))
+              for report in reports]
     occupied = sorted(set().union(*counts))
     combos = {}
     # permutations come in lexicographic order, so their index is their rank
@@ -283,14 +282,14 @@ def _full_report(view) -> SubtreeReport:
 def _measure_patterns(f, views, gamma):
     """Exact per-pattern violation counts over strictly ordered tuples."""
     arity = f.arity
+    pools = [tuple((node, views[k].ambient_level(xi))
+                   for xi in range(views[k].height)
+                   for node in views[k].level(xi))
+             for k in range(arity)]
     out = []
     for pattern in itertools.permutations(range(arity)):
         want = gamma.get(pattern)
         violations = total = 0
-        pools = [tuple((node, views[k].ambient_level(xi))
-                       for xi in range(views[k].height)
-                       for node in views[k].level(xi))
-                 for k in range(arity)]
         for combo in itertools.product(*pools):
             hts = [combo[pattern[i]][1] for i in range(arity)]
             if any(hts[i] >= hts[i + 1] for i in range(arity - 1)):
@@ -350,7 +349,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     if f.domain != "full":
         raise InvalidInputError("strictly ordered tuples mix heights; a "
                                 "full-domain coloring is required")
-    views = [as_view(s) for s in f.spaces]
+    views = f.spaces
     arity = f.arity
     epsilon = Fraction(epsilon)
 
@@ -367,7 +366,6 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     height = min(v.height for v in views)
     h_max = min(h if h is not None else height, height)
     budget = StepBudget(caps.max_steps)
-    from .tailcone import grow_shared_subtrees
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
@@ -407,8 +405,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                             failure="budget exhausted during the staged scan",
                             capped=True)
                     if outcome.success:
-                        out_views = [as_view(r) for r in outcome.reports]
-                        patterns = _measure_patterns(f, out_views, gamma)
+                        patterns = _measure_patterns(f, outcome.reports, gamma)
                         ok = all(p.fraction <= epsilon for p in patterns)
                         return AlmostAllReport(
                             success=ok, reports=outcome.reports,
@@ -516,7 +513,7 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
                                 "coloring is required")
     if depth < 1:
         raise InvalidInputError(f"splitting depth must be positive, got {depth}")
-    views = [as_view(s) for s in f.spaces]
+    views = f.spaces
     k = f.arity
     height = min(v.height for v in views)
     budget = StepBudget(caps.max_steps)
@@ -551,7 +548,7 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
                     if round_idx == 0:
                         candidates = {("", 0): views[tree].level(lam)}
                     else:
-                        candidates = {(p, c): views[tree].above(p, lam)
+                        candidates = {(p, c): views[tree].extensions(p, lam)
                                       for (p, c) in slots}
                     if any(not candidates[s] for s in slots):
                         continue

@@ -14,12 +14,20 @@ Validity means:
 
 The second clause is what makes the subtree "strong": it splits exactly
 as the ambient tree does, one level-set step at a time.
+
+A strong subtree is a leveled tree in its own right: its level ``xi`` is
+its witnessing level ``a_xi``.  :class:`SubtreeReport` answers the same
+queries as :class:`~hl_lab.trees.TreeSpace` over those levels, and
+``ambient_level(xi)`` gives ``a_xi``.  Nodes stay ambient digit strings,
+so colorings always evaluate ambient nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInputError, OutOfRangeError, UnknownNodeError
 from .trees import TreeSpace, node_key, sort_nodes
@@ -49,14 +57,59 @@ class SubtreeReport:
     def to_json(self) -> dict:
         return {"nodes": list(self.nodes), "level_set": list(self.level_set)}
 
-    # -- structure ----------------------------------------------------
+    # -- leveled-tree queries -----------------------------------------
+    # one index per report, built on first use, serves every reader
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[str, ...], ...]:
+        by_length: dict[int, list[str]] = {}
+        for node in self.nodes:
+            by_length.setdefault(len(node), []).append(node)
+        return tuple(tuple(by_length.get(a, ())) for a in self.level_set)
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.nodes)
+
+    @property
+    def height(self) -> int:
+        return len(self.level_set)
+
+    @property
+    def ambient_space(self) -> TreeSpace:
+        return self.space
+
+    def ambient_level(self, xi: int) -> int:
+        return self.level_set[xi]
 
     def level(self, xi: int) -> tuple[str, ...]:
         """Subtree nodes at subtree level ``xi`` (ambient level ``a_xi``)."""
         if xi < 0 or xi >= len(self.level_set):
             raise OutOfRangeError(f"subtree level {xi} outside level set {self.level_set}")
+        return self._levels[xi]
+
+    def contains(self, node: str) -> bool:
+        return node in self._members
+
+    def extensions(self, node: str, xi: int) -> tuple[str, ...]:
+        """Subtree nodes at subtree level ``xi`` extending the member ``node``."""
+        if node not in self._members:
+            raise UnknownNodeError(f"node {node!r} not in subtree")
+        return tuple(m for m in self.level(xi) if m.startswith(node))
+
+    def level_of(self, node: str) -> int:
+        if node not in self._members:
+            raise UnknownNodeError(f"node {node!r} not in subtree")
+        return self.level_set.index(len(node))
+
+    def restrict(self, node: str, xi: int) -> str:
+        """The member's predecessor at subtree level ``xi``."""
+        if node not in self._members:
+            raise UnknownNodeError(f"node {node!r} not in subtree")
         ambient = self.level_set[xi]
-        return tuple(n for n in self.nodes if len(n) == ambient)
+        if ambient > len(node):
+            raise OutOfRangeError(f"cannot restrict {node!r} to subtree level {xi}")
+        return node[:ambient]
 
     @property
     def root(self) -> str:
@@ -95,7 +148,7 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
 
     violations: list[str] = []
     level_pos = {a: i for i, a in enumerate(levels)}
-    node_set = set(report.nodes)
+    node_set = report._members
     for node in report.nodes:
         if len(node) not in level_pos:
             violations.append(
@@ -105,7 +158,7 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
     if violations:
         return ValidationResult(False, tuple(violations))
 
-    per_level = [tuple(n for n in report.nodes if len(n) == a) for a in levels]
+    per_level = report._levels
     if len(per_level[0]) != 1:
         violations.append(
             f"expected exactly one node at root level {levels[0]}, "
@@ -172,8 +225,6 @@ def enumerate_strong_subtrees(space: TreeSpace, level_set):
                 if not choices:
                     return
                 slots.append(choices)
-        import itertools
-
         for pick in itertools.product(*slots):
             next_nodes = sort_nodes(pick)
             for rest in grow(next_nodes, xi + 1):
@@ -205,8 +256,8 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
     space = report.space
 
     def members_at(ambient_level, above):
-        return tuple(n for n in report.nodes
-                     if len(n) == ambient_level and n.startswith(above))
+        level = report.level(report.level_set.index(ambient_level))
+        return tuple(n for n in level if n.startswith(above))
 
     first = target[0]
     if first == report.level_set[0]:
@@ -246,7 +297,7 @@ def subtree_restrict(seq, i: int, reports) -> tuple[str, ...]:
         )
     out = []
     for j, (node, rep) in enumerate(zip(seq, reports)):
-        if node not in set(rep.nodes):
+        if not rep.contains(node):
             raise UnknownNodeError(f"coordinate {j}: node {node!r} not in its subtree")
         try:
             xi = rep.level_set.index(len(node))

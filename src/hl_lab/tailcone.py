@@ -31,7 +31,6 @@ from .search import (
 )
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
 from .trees import node_key
-from .views import as_view
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
@@ -53,16 +52,17 @@ class GrowOutcome:
 
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
                          on_stage=None, transcript=None, label="grow"):
-    """Grow strong subtrees of the viewed trees over one shared level set.
+    """Grow strong subtrees of the given trees over one shared level set.
 
-    Each stage extends every view-successor of the previous layer to a
-    common higher view level.  Candidate levels are scanned upward and
-    the first canonically least choice vector accepted by the predicate
-    from ``stage_factory(stage, level_set, layers, chi, slots)`` wins.
+    ``views`` holds one leveled tree per coordinate: a ``TreeSpace``, or a
+    ``SubtreeReport`` whose levels are its witnessing levels.  Each stage
+    extends every successor of the previous layer to a common higher
+    level.  Candidate levels are scanned upward and the first canonically
+    least choice vector accepted by the predicate from
+    ``stage_factory(stage, level_set, layers, chi, slots)`` wins.
     ``on_stage`` runs after every committed stage (including the root
     stage) so callers can record tables the later stages constrain.
     """
-    views = [as_view(v) for v in views]
     d = len(views)
     if len(roots) != d:
         raise InvalidInputError(f"need one root per tree: {d} trees, "
@@ -87,7 +87,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         for j in range(d):
             per = []
             for node in layers[alpha][j]:
-                per.extend(views[j].above(node, level_set[alpha] + 1))
+                per.extend(views[j].extensions(node, level_set[alpha] + 1))
             successors.append(tuple(per))
         if any(not per for per in successors):
             return GrowOutcome(False, None,
@@ -96,7 +96,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         picked = None
         try:
             for chi in range(level_set[alpha] + 1, height):
-                candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                candidates = {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
                 if any(not candidates[s] for s in slots):
                     continue
                 consistent = stage_factory(alpha + 1, tuple(level_set), layers,
@@ -223,8 +223,7 @@ def check_tail_cone(certificate: TailConeCertificate,
         structural = validate_strong_subtree(report)
         if not structural.valid:
             violations.extend(f"subtree {idx}: {v}" for v in structural.violations)
-    views = [as_view(r) for r in reports]
-    h = views[0].height
+    h = reports[0].height
     if len(family) > h - 1:
         violations.append(
             f"{len(family)} colorings need subtree height {len(family) + 1}, got {h}"
@@ -232,15 +231,15 @@ def check_tail_cone(certificate: TailConeCertificate,
         return ValidationResult(False, tuple(violations))
     for i in range(len(family)):
         table = certificate.tables[i]
-        for tup in itertools.product(*(v.level(i + 1) for v in views)):
+        for tup in itertools.product(*(r.level(i + 1) for r in reports)):
             if tup not in table:
                 violations.append(f"table {i} is missing entry {tup}")
         evaluate = family[i].evaluate
         for xi in range(i + 1, h):
-            levels = [v.level(xi) for v in views]
-            # cuts[j][node]: node's restriction to view level i + 1 in factor j
-            cuts = [{node: v.restrict(node, i + 1) for node in level}
-                    for v, level in zip(views, levels)]
+            levels = [r.level(xi) for r in reports]
+            # cuts[j][node]: node's restriction to subtree level i + 1 in factor j
+            cuts = [{node: r.restrict(node, i + 1) for node in level}
+                    for r, level in zip(reports, levels)]
             for tup in itertools.product(*levels):
                 key = tuple(map(dict.__getitem__, cuts, tup))
                 if key not in table:
@@ -278,7 +277,7 @@ def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
     the canonically least one the construction can realize.
     """
     caps = caps or Caps()
-    views = [as_view(s) for s in family.spaces]
+    views = family.spaces
     m = len(family)
     height = min(v.height for v in views)
     if h is None:
@@ -365,13 +364,12 @@ class PartialOutcome:
 def check_partial_tailcone(reports, coloring: Coloring, base_coords,
                            table) -> ValidationResult:
     """Direct scan of the partial determining law over all in-range tuples."""
-    views = [as_view(r) for r in reports]
     d = coloring.arity
     base_list = sorted(base_coords)
     comp_list = [k for k in range(d) if k not in set(base_list)]
-    h = views[0].height
+    h = reports[0].height
     violations: list[str] = []
-    pools = [tuple((node, xi) for xi in range(h) for node in views[k].level(xi))
+    pools = [tuple((node, xi) for xi in range(h) for node in reports[k].level(xi))
              for k in range(d)]
     for combo in itertools.product(*pools):
         xi = max(combo[k][1] for k in base_list)
@@ -380,7 +378,7 @@ def check_partial_tailcone(reports, coloring: Coloring, base_coords,
         if any(combo[k][1] < xi + 1 for k in comp_list):
             continue
         t_key = tuple(combo[k][0] for k in base_list)
-        v_key = tuple(views[k].restrict(combo[k][0], xi + 1) for k in comp_list)
+        v_key = tuple(reports[k].restrict(combo[k][0], xi + 1) for k in comp_list)
         want = table.get((t_key, v_key))
         tup = tuple(combo[k][0] for k in range(d))
         if want is None:
@@ -412,7 +410,7 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
 
 def _apply_tailcone_partial(coloring, base_coords, h, budget, transcript):
     """``apply_tailcone_partial`` spending from a caller's budget."""
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     d = coloring.arity
     if coloring.domain != "full":
         raise InvalidInputError("the partial law quantifies over mixed-height "
@@ -521,7 +519,7 @@ def hl_search(coloring: Coloring, h=None, caps: Caps | None = None,
     holds at every subtree level including the roots.
     """
     caps = caps or Caps()
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     d = coloring.arity
     height = min(v.height for v in views)
     if h is None:
@@ -578,7 +576,7 @@ def _branches(view):
     chains = [(view.root,)]
     for xi in range(1, view.height):
         chains = [chain + (ext,) for chain in chains
-                  for ext in view.above(chain[-1], xi)]
+                  for ext in view.extensions(chain[-1], xi)]
     return chains
 
 
@@ -592,8 +590,8 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     makes the last layer a single matrix working for all chosen nodes.
     """
     d = len(uviews)
-    cones0 = tview.above(s, beta + 2)
-    cone_reps = [uviews[k].above(tbar[k], beta + 1) for k in range(d)]
+    cones0 = tview.extensions(s, beta + 2)
+    cone_reps = [uviews[k].extensions(tbar[k], beta + 1) for k in range(d)]
     if any(not reps for reps in cone_reps):
         return None
     slots = [(k, v) for k in range(d) for v in cone_reps[k]]
@@ -605,10 +603,10 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
         found = None
         for xi in range(cursor, u_height):
             s_cands = [sp for lam in range(beta + 2, xi + 1)
-                       for sp in tview.above(u, lam)]
+                       for sp in tview.extensions(u, lam)]
             if not s_cands:
                 continue
-            candidates = {(k, v): uviews[k].above(current[(k, v)], xi)
+            candidates = {(k, v): uviews[k].extensions(current[(k, v)], xi)
                           for (k, v) in slots}
             if any(not candidates[slot] for slot in slots):
                 continue
@@ -663,9 +661,8 @@ def dimension_induction(coloring: Coloring, h=None,
                                 capped=part.capped)
     reports = part.reports
     level_set = reports[0].level_set
-    tview = as_view(reports[0])
-    trimmed = [trim(r, level_set[1:]) for r in reports[1:]]
-    uviews = [as_view(r) for r in trimmed]
+    tview = reports[0]
+    uviews = [trim(r, level_set[1:]) for r in reports[1:]]
     d = coloring.arity - 1
 
     votes: Counter = Counter()
@@ -675,7 +672,7 @@ def dimension_induction(coloring: Coloring, h=None,
             zeta = uviews[0].level_of(tup[0])
             return coloring.evaluate((chain[zeta],) + tuple(tup))
 
-        branch_coloring = Coloring(d, coloring.colors, trimmed, branch_fn,
+        branch_coloring = Coloring(d, coloring.colors, uviews, branch_fn,
                                    domain="level", kind="derived")
         try:
             found = _dshl_search(branch_coloring, budget)

@@ -8,6 +8,13 @@ node set (closed under prefixes, containing the root, reaching the top
 level ``height - 1``, and well pruned: every node below the top level has
 at least one immediate successor).
 
+Level ``alpha`` of a :class:`TreeSpace` is plain height: the nodes of
+length ``alpha``.  A strong subtree's levels are its witnessing levels
+(:mod:`hl_lab.subtrees`).  Both answer the same leveled-tree queries
+(``level``, ``extensions``, ``level_of``, ``restrict``, ``contains``,
+``root``, ``height``, ``ambient_space``, ``ambient_level``), so searches
+and checkers read either kind of factor alike.
+
 All functions that emit node sets emit them sorted by ``(height, digits)``
 so equal inputs produce byte-identical output.
 """
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .errors import (
     InvalidInputError,
@@ -196,6 +203,29 @@ class TreeSpace:
             object.__setattr__(self, "_cached_set", cached)
         return cached
 
+    @property
+    def ambient_space(self) -> "TreeSpace":
+        return self
+
+    def ambient_level(self, alpha: int) -> int:
+        """Level ``alpha`` of the space is ambient level ``alpha``."""
+        if alpha < 0 or alpha >= self.height:
+            raise OutOfRangeError(
+                f"level {alpha} outside truncation of height {self.height}"
+            )
+        return alpha
+
+    def level_of(self, node: str) -> int:
+        if not self.contains(node):
+            raise UnknownNodeError(f"node {node!r} not in space")
+        return len(node)
+
+    def restrict(self, node: str, alpha: int) -> str:
+        """The root-path prefix of ``node`` at height ``alpha``."""
+        if alpha > len(node):
+            raise OutOfRangeError(f"cannot restrict {node!r} to level {alpha}")
+        return node[:alpha]
+
     def level(self, alpha: int) -> tuple[str, ...]:
         """All nodes of height ``alpha``, canonically sorted."""
         if alpha < 0 or alpha >= self.height:
@@ -268,6 +298,4 @@ def sort_nodes(nodes) -> tuple[str, ...]:
 
 def lex_sorted(nodes) -> tuple[str, ...]:
     """Sort binary nodes by the lexicographic order of :func:`lex_compare`."""
-    import functools
-
-    return tuple(sorted(nodes, key=functools.cmp_to_key(lex_compare)))
+    return tuple(sorted(nodes, key=cmp_to_key(lex_compare)))

@@ -1,120 +1,6 @@
-"""Uniform level-indexed access to trees and strong subtrees.
+"""Empty: ``TreeSpace`` and ``SubtreeReport`` answer the leveled-tree queries.
 
-Searches and checkers quantify over "nodes at level xi above x".  For an
-ambient :class:`~hl_lab.trees.TreeSpace` that is plain height; for a
-strong subtree the levels are the witnessing levels.  A ``LevelView``
-hides the difference: view level ``xi`` of a subtree view is its
-``xi``-th witnessing level.  Node identities stay ambient digit strings
-throughout, so colorings always evaluate ambient nodes.
+The benchmark tracer (``perfbench/tracer.py``) imports every module it
+names, this one included, so the module stays importable until the
+tracer's module list drops it.
 """
-
-from __future__ import annotations
-
-from .errors import OutOfRangeError, UnknownNodeError
-from .subtrees import SubtreeReport
-from .trees import TreeSpace
-
-
-class SpaceView:
-    """View of a full tree space; view levels are ambient levels."""
-
-    def __init__(self, space: TreeSpace):
-        self.space = space
-
-    @property
-    def height(self) -> int:
-        return self.space.height
-
-    def level(self, xi: int) -> tuple[str, ...]:
-        return self.space.level(xi)
-
-    def above(self, node: str, xi: int) -> tuple[str, ...]:
-        return self.space.extensions(node, xi)
-
-    def level_of(self, node: str) -> int:
-        if not self.space.contains(node):
-            raise UnknownNodeError(f"node {node!r} not in space")
-        return len(node)
-
-    def restrict(self, node: str, xi: int) -> str:
-        if xi > len(node):
-            raise OutOfRangeError(f"cannot restrict {node!r} to level {xi}")
-        return node[:xi]
-
-    def contains(self, node: str) -> bool:
-        return self.space.contains(node)
-
-    @property
-    def root(self) -> str:
-        return self.space.root
-
-    @property
-    def ambient_space(self) -> TreeSpace:
-        return self.space
-
-    def ambient_level(self, xi: int) -> int:
-        self.space.level(xi)  # range check
-        return xi
-
-
-class ReportView:
-    """View of a strong subtree; view level ``xi`` is witnessing level ``a_xi``."""
-
-    def __init__(self, report: SubtreeReport):
-        self.report = report
-        self._levels = [
-            tuple(n for n in report.nodes if len(n) == a) for a in report.level_set
-        ]
-        self._members = set(report.nodes)
-
-    @property
-    def height(self) -> int:
-        return len(self._levels)
-
-    def level(self, xi: int) -> tuple[str, ...]:
-        if xi < 0 or xi >= len(self._levels):
-            raise OutOfRangeError(f"view level {xi} outside subtree of height {len(self._levels)}")
-        return self._levels[xi]
-
-    def above(self, node: str, xi: int) -> tuple[str, ...]:
-        if node not in self._members:
-            raise UnknownNodeError(f"node {node!r} not in subtree")
-        return tuple(m for m in self.level(xi) if m.startswith(node))
-
-    def level_of(self, node: str) -> int:
-        if node not in self._members:
-            raise UnknownNodeError(f"node {node!r} not in subtree")
-        return self.report.level_set.index(len(node))
-
-    def restrict(self, node: str, xi: int) -> str:
-        if node not in self._members:
-            raise UnknownNodeError(f"node {node!r} not in subtree")
-        ambient = self.report.level_set[xi]
-        if ambient > len(node):
-            raise OutOfRangeError(f"cannot restrict {node!r} to view level {xi}")
-        return node[:ambient]
-
-    def contains(self, node: str) -> bool:
-        return node in self._members
-
-    @property
-    def root(self) -> str:
-        return self.report.root
-
-    @property
-    def ambient_space(self) -> TreeSpace:
-        return self.report.space
-
-    def ambient_level(self, xi: int) -> int:
-        return self.report.level_set[xi]
-
-
-def as_view(obj):
-    """Normalize a TreeSpace, SubtreeReport or view to a LevelView."""
-    if isinstance(obj, (SpaceView, ReportView)):
-        return obj
-    if isinstance(obj, TreeSpace):
-        return SpaceView(obj)
-    if isinstance(obj, SubtreeReport):
-        return ReportView(obj)
-    raise TypeError(f"cannot view {type(obj).__name__} as a leveled tree")

@@ -38,7 +38,6 @@ from .search import (
 )
 from .subtrees import ValidationResult, validate_strong_subtree
 from .trees import TreeSpace, sort_nodes
-from .views import as_view
 
 # ---------------------------------------------------------------------------
 # colorings
@@ -104,15 +103,13 @@ class Coloring:
 
 def _level_domain(spaces):
     """All level sequences of the factor product, canonically ordered."""
-    views = [as_view(s) for s in spaces]
-    top = min(v.height for v in views)
+    top = min(s.height for s in spaces)
     for xi in range(top):
-        yield from itertools.product(*(v.level(xi) for v in views))
+        yield from itertools.product(*(s.level(xi) for s in spaces))
 
 
 def _full_domain(spaces):
-    views = [as_view(s) for s in spaces]
-    per = [tuple(n for xi in range(v.height) for n in v.level(xi)) for v in views]
+    per = [tuple(n for xi in range(s.height) for n in s.level(xi)) for s in spaces]
     yield from itertools.product(*per)
 
 
@@ -353,7 +350,7 @@ class SDHLWitness:
 
 
 def _views(trees, arity):
-    views = [as_view(t) for t in trees]
+    views = list(trees)
     if len(views) != arity:
         raise InvalidInputError(
             f"coloring arity {arity} but {len(views)} factor trees supplied"
@@ -363,7 +360,7 @@ def _views(trees, arity):
 
 def _undominated(views, base, matrix, level):
     """Violations: tuples at ``level`` above ``base`` no matrix member extends."""
-    cones = [views[j].above(base[j], level) for j in range(len(base))]
+    cones = [views[j].extensions(base[j], level) for j in range(len(base))]
     return [f"tuple {cone_tuple} at level {level} is not dominated"
             for cone_tuple in itertools.product(*cones)
             if not any(all(m.startswith(u) for m, u in zip(member, cone_tuple))
@@ -372,7 +369,7 @@ def _undominated(views, base, matrix, level):
 
 def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
     """Verify density and monochromaticity literally, by quantifier scan."""
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     base, matrix, color = witness.base, witness.matrix, witness.color
     violations: list[str] = []
     if len(base) != coloring.arity or len(matrix) != coloring.arity:
@@ -424,10 +421,10 @@ def _dense_matrix(views, base, xi, value, reference, budget):
     one common value when ``reference`` is ``None``.  Returns the sorted
     columns, or ``None`` when no level admits a matrix.
     """
-    cones = [views[j].above(base[j], xi) for j in range(len(base))]
+    cones = [views[j].extensions(base[j], xi) for j in range(len(base))]
     slots = [(j, u) for j in range(len(base)) for u in cones[j]]
     for chi in range(xi, min(v.height for v in views)):
-        candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
+        candidates = {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
         if any(not candidates[s] for s in slots):
             continue
         found = prefiltered_assignment(
@@ -448,7 +445,7 @@ def sdhl_search(coloring: Coloring, caps: Caps | None = None):
     truncation admits no witness.
     """
     caps = caps or Caps()
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     height = min(v.height for v in views)
     budget = StepBudget(caps.max_steps)
     try:
@@ -499,7 +496,7 @@ def check_dshl_witness(base, color, coloring: Coloring,
     witnesses are expected to sit at the roots.
     """
     caps = caps or Caps()
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     base = tuple(base)
     if len({views[j].level_of(base[j]) for j in range(len(base))}) != 1:
         raise InvalidInputError(f"base {base} is not a level sequence")
@@ -530,7 +527,7 @@ def dshl_search(coloring: Coloring, caps: Caps | None = None):
 
 def _dshl_search(coloring: Coloring, budget: StepBudget):
     """``dshl_search`` spending from a caller's budget; may raise ``BudgetExhausted``."""
-    views = [as_view(s) for s in coloring.spaces]
+    views = coloring.spaces
     height = min(v.height for v in views)
     for ht in range(height - 1):
         for base in itertools.product(*(v.level(ht) for v in views)):
@@ -565,10 +562,9 @@ def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
     for idx, report in enumerate(reports):
         violations.extend(f"subtree {idx}: {v}"
                           for v in validate_strong_subtree(report).violations)
-    views = [as_view(r) for r in reports]
     reference = None
-    for xi in range(views[0].height):
-        for tup in itertools.product(*(v.level(xi) for v in views)):
+    for xi in range(reports[0].height):
+        for tup in itertools.product(*(r.level(xi) for r in reports)):
             got = coloring.evaluate(tup)
             if reference is None:
                 reference = got
@@ -697,17 +693,16 @@ def _witness_groups(d, b, n):
     The level domain excludes height-0 tuples: no witness ever evaluates
     them, so their colors are irrelevant to witness existence.
     """
-    spaces = [TreeSpace.uniform(b, n)] * d
-    views = [as_view(s) for s in spaces]
+    views = [TreeSpace.uniform(b, n)] * d
     domain = [tup for xi in range(1, n)
               for tup in itertools.product(*(v.level(xi) for v in views))]
     index = {tup: i for i, tup in enumerate(domain)}
     groups = []
     for ht in range(n - 1):
         for base in itertools.product(*(v.level(ht) for v in views)):
-            cones = [views[j].above(base[j], ht + 1) for j in range(len(base))]
+            cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
             for eta in range(ht + 1, n):
-                per_cone = [[views[j].above(u, eta) for u in cones[j]]
+                per_cone = [[views[j].extensions(u, eta) for u in cones[j]]
                             for j in range(d)]
                 coord_selections = [
                     list(itertools.product(*percoord)) for percoord in per_cone
@@ -772,8 +767,7 @@ def _color_sampler(rng, r):
 
 def _coloring_from_assignment(d, b, n, domain, assignment):
     spaces = [TreeSpace.uniform(b, n)] * d
-    views = [as_view(s) for s in spaces]
-    table = {tup: 0 for tup in itertools.product(*(v.level(0) for v in views))}
+    table = {tup: 0 for tup in itertools.product(*(s.level(0) for s in spaces))}
     table.update({tup: int(c) for tup, c in zip(domain, assignment)})
     r = max(2, max(assignment, default=0) + 1)
     return table_coloring(spaces, d, r, table, domain="level", check_total=False)

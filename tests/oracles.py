@@ -493,10 +493,10 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
     try:
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
-                cones = [views[j].above(base[j], ht + 1) for j in range(len(base))]
+                cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
                 slots = [(j, u) for j in range(len(base)) for u in cones[j]]
                 for eta in range(ht + 1, height):
-                    candidates = {(j, u): views[j].above(u, eta) for (j, u) in slots}
+                    candidates = {(j, u): views[j].extensions(u, eta) for (j, u) in slots}
                     if any(not candidates[s] for s in slots):
                         continue
                     found = prefiltered_assignment(
@@ -536,11 +536,11 @@ def check_dshl_witness(base, color, coloring: Coloring, trees=None,
     violations: list[str] = []
     try:
         for eta in range(ht + 1, height):
-            cones = [views[j].above(base[j], eta) for j in range(len(base))]
+            cones = [views[j].extensions(base[j], eta) for j in range(len(base))]
             slots = [(j, u) for j in range(len(base)) for u in cones[j]]
             ok = False
             for chi in range(eta, height):
-                candidates = {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                candidates = {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
                 if any(not candidates[s] for s in slots):
                     continue
                 found = prefiltered_assignment(
@@ -577,17 +577,17 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
                 for xi in range(ht + 1, height):
-                    cones = [views[j].above(base[j], xi) for j in range(len(base))]
+                    cones = [views[j].extensions(base[j], xi) for j in range(len(base))]
                     slots = [(j, u) for j in range(len(base)) for u in cones[j]]
                     if coloring.domain == "level":
                         candidate_sets = [
-                            {(j, u): views[j].above(u, chi) for (j, u) in slots}
+                            {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
                             for chi in range(xi, height)
                         ]
                     else:
                         pooled = {
                             (j, u): tuple(m for chi in range(xi, height)
-                                          for m in views[j].above(u, chi))
+                                          for m in views[j].extensions(u, chi))
                             for (j, u) in slots
                         }
                         candidate_sets = [pooled]
@@ -815,7 +815,6 @@ from hl_lab.errors import PreconditionError  # noqa: E402
 from hl_lab.polarized import LowerBoundReport, tuple_type  # noqa: E402
 from hl_lab.subtrees import ValidationResult, validate_strong_subtree  # noqa: E402
 from hl_lab.tailcone import ColoringFamily, TailConeCertificate  # noqa: E402
-from hl_lab.views import as_view  # noqa: E402
 from hl_lab.witness import Coloring, _forbidden_syntax  # noqa: E402
 
 
@@ -827,7 +826,7 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
     that permutation, which is what forces the full ``(d+1)!`` colors
     under the height-permutation coloring.
     """
-    views = [as_view(r) for r in reports]
+    views = list(reports)
     if len(views) != d + 1:
         raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(views)}")
     for idx, view in enumerate(views):
@@ -911,7 +910,7 @@ def check_tail_cone(certificate: TailConeCertificate,
         structural = validate_strong_subtree(report)
         if not structural.valid:
             violations.extend(f"subtree {idx}: {v}" for v in structural.violations)
-    views = [as_view(r) for r in reports]
+    views = list(reports)
     h = views[0].height
     if len(family) > h - 1:
         violations.append(

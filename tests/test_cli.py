@@ -424,6 +424,21 @@ def test_hl_check_rejects_chains(tmp_path, capsys):
                for v in doc["violations"])
 
 
+@pytest.mark.parametrize("argv", [["hl-check"], ["polarized", "verify-lb"]])
+def test_more_reports_than_spaces_exits_two(tmp_path, argv, capsys):
+    # once an uncaught IndexError traceback
+    report = {"nodes": ["", "0", "1"], "level_set": [0, 1]}
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 3}],
+        "coloring": {"kind": "named", "name": "constant",
+                     "params": {"arity": 1, "colors": 2}},
+        "reports": [report, report], "d": 1,
+    })
+    code, out, manifest = run_json(argv + [path], capsys)
+    assert code == 2 and manifest["outcome"] == 2
+    assert out == {"error": "document has 2 reports but 1 spaces"}
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

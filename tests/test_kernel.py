@@ -96,7 +96,9 @@ def _run(monkeypatch, run, old):
                     stage_factory = make_old(env)
                 return grow(views, roots, height_goal, stage_factory, budget, **kw)
 
-            patch.setattr(tailcone, "grow_shared_subtrees", old_grow)
+            # polarized imports the engine by name; patch both bindings
+            for module in (tailcone, polarized):
+                patch.setattr(module, "grow_shared_subtrees", old_grow)
         for module, (kernel, make_old) in OLD.items():
             pending: list = []
             if old:
