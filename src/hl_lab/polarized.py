@@ -25,13 +25,12 @@ from .search import (
     BudgetExhausted,
     Caps,
     StepBudget,
-    prefiltered_assignment,
     typed_consistent,
 )
 from .subtrees import SubtreeReport, ValidationResult
-from .tailcone import grow_shared_subtrees
+from .tailcone import _view_report, grow_shared_subtrees
 from .trees import node_key
-from .witness import Coloring
+from .witness import Coloring, first_level
 
 # ---------------------------------------------------------------------------
 # degree numerics
@@ -274,9 +273,8 @@ class AlmostAllReport:
 
 
 def _full_report(view) -> SubtreeReport:
-    nodes = tuple(n for xi in range(view.height) for n in view.level(xi))
-    levels = tuple(view.ambient_level(xi) for xi in range(view.height))
-    return SubtreeReport(space=view.ambient_space, nodes=nodes, level_set=levels)
+    levels = range(view.height)
+    return _view_report(view, (n for xi in levels for n in view.level(xi)), levels)
 
 
 def _measure_patterns(f, views, gamma):
@@ -371,7 +369,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
         gamma = dict(zip(perms, gamma_vec))
         agree: dict = {}  # (stage, coordinate) -> kernel predicate
 
-        def stage_factory(stage, level_set, layers, chi, slots):
+        def stage_factory(stage, level_set, layers):
             # Every pattern is pinned, so a choice is consistent exactly when
             # its own row matches gamma.  A coordinate's predicate depends on
             # the committed layers alone: it is built the first time one of
@@ -520,7 +518,7 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
 
     picked: list[dict] = [dict() for _ in range(k)]  # node -> band
     tree_levels: list[list[int]] = [[] for _ in range(k)]
-    terminals: list[list[str]] = [[] for _ in range(k)]
+    terminals: list[list[str]] = [[v.root] for v in views]
     gamma: dict = {}
     next_level = 0
 
@@ -537,26 +535,16 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
 
     band = 0
     for round_idx in range(depth + 1):
+        # round 0 picks one node above each root, later rounds two per terminal
+        children = (0,) if round_idx == 0 else (0, 1)
         for tree in range(k):
-            if round_idx == 0:
-                slots = [("", 0)]
-            else:
-                slots = [(p, c) for p in terminals[tree] for c in (0, 1)]
-            found = None
+            slots = [(p, c) for p in terminals[tree] for c in children]
             try:
-                for lam in range(next_level, height):
-                    if round_idx == 0:
-                        candidates = {("", 0): views[tree].level(lam)}
-                    else:
-                        candidates = {(p, c): views[tree].extensions(p, lam)
-                                      for (p, c) in slots}
-                    if any(not candidates[s] for s in slots):
-                        continue
-                    assignment = prefiltered_assignment(
-                        slots, candidates, pick_consistent(tree), budget)
-                    if assignment is not None:
-                        found = (lam, assignment)
-                        break
+                found = first_level(
+                    slots, range(next_level, height),
+                    lambda lam: {(p, c): views[tree].extensions(p, lam)
+                                 for (p, c) in slots},
+                    lambda lam: pick_consistent(tree), budget)
             except BudgetExhausted:
                 return PolarizedOutcome(
                     False, None, None, (),
@@ -592,14 +580,9 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
                                    "nodes": list(new_nodes)})
             band += 1
 
-    reports = []
-    for tree in range(k):
-        nodes = tuple(sorted(picked[tree], key=node_key))
-        levels = tuple(views[tree].ambient_level(xi)
-                       for xi in tree_levels[tree])
-        reports.append(SubtreeReport(space=views[tree].ambient_space,
-                                     nodes=nodes, level_set=levels))
+    reports = tuple(_view_report(views[tree], picked[tree], tree_levels[tree])
+                    for tree in range(k))
     # Every tuple of the product was checked against its type's pinned
     # color when its highest-band node was picked.
     realized = sorted(set(gamma.values()))
-    return PolarizedOutcome(True, tuple(reports), gamma, tuple(realized))
+    return PolarizedOutcome(True, reports, gamma, tuple(realized))

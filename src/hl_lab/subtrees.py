@@ -80,6 +80,8 @@ class SubtreeReport:
         return self.space
 
     def ambient_level(self, xi: int) -> int:
+        if xi < 0 or xi >= len(self.level_set):
+            raise OutOfRangeError(f"subtree level {xi} outside level set {self.level_set}")
         return self.level_set[xi]
 
     def level(self, xi: int) -> tuple[str, ...]:
@@ -100,13 +102,16 @@ class SubtreeReport:
     def level_of(self, node: str) -> int:
         if node not in self._members:
             raise UnknownNodeError(f"node {node!r} not in subtree")
-        return self.level_set.index(len(node))
+        try:
+            return self.level_set.index(len(node))
+        except ValueError:
+            raise UnknownNodeError(f"node {node!r} is on no level of the subtree") from None
 
     def restrict(self, node: str, xi: int) -> str:
         """The member's predecessor at subtree level ``xi``."""
         if node not in self._members:
             raise UnknownNodeError(f"node {node!r} not in subtree")
-        ambient = self.level_set[xi]
+        ambient = self.ambient_level(xi)
         if ambient > len(node):
             raise OutOfRangeError(f"cannot restrict {node!r} to subtree level {xi}")
         return node[:ambient]

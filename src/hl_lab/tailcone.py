@@ -27,7 +27,6 @@ from .search import (
     Caps,
     StepBudget,
     cross_consistent,
-    prefiltered_assignment,
 )
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
 from .trees import node_key
@@ -36,6 +35,7 @@ from .witness import (
     SomewhereDenseWitness,
     _dshl_search,
     check_somewhere_dense_witness,
+    first_level,
 )
 
 # ---------------------------------------------------------------------------
@@ -57,11 +57,12 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     ``views`` holds one leveled tree per coordinate: a ``TreeSpace``, or a
     ``SubtreeReport`` whose levels are its witnessing levels.  Each stage
     extends every successor of the previous layer to a common higher
-    level.  Candidate levels are scanned upward and the first canonically
-    least choice vector accepted by the predicate from
-    ``stage_factory(stage, level_set, layers, chi, slots)`` wins.
-    ``on_stage`` runs after every committed stage (including the root
-    stage) so callers can record tables the later stages constrain.
+    level: ``first_level`` scans candidate levels upward, and the first
+    canonically least choice vector accepted by the predicate
+    ``stage_factory(stage, level_set, layers)`` wins.  The factory is
+    called once per level tried.  ``on_stage`` runs after every committed
+    stage (including the root stage) so callers can record tables the
+    later stages constrain.
     """
     d = len(views)
     if len(roots) != d:
@@ -93,18 +94,12 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
             return GrowOutcome(False, None,
                                f"{label}: a stage-{alpha} node does not split")
         slots = [(j, u) for j in range(d) for u in successors[j]]
-        picked = None
         try:
-            for chi in range(level_set[alpha] + 1, height):
-                candidates = {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
-                if any(not candidates[s] for s in slots):
-                    continue
-                consistent = stage_factory(alpha + 1, tuple(level_set), layers,
-                                           chi, slots)
-                assignment = prefiltered_assignment(slots, candidates, consistent, budget)
-                if assignment is not None:
-                    picked = (chi, assignment)
-                    break
+            picked = first_level(
+                slots, range(level_set[alpha] + 1, height),
+                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                lambda chi: stage_factory(alpha + 1, tuple(level_set), layers),
+                budget)
         except BudgetExhausted:
             return GrowOutcome(False, None,
                                f"{label}: budget exhausted during stage {alpha + 1}",
@@ -124,13 +119,15 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
                                "nodes": [list(layer[j]) for j in range(d)]})
         if on_stage is not None:
             on_stage(alpha + 1, level_set, layers)
-    reports = []
-    for j in range(d):
-        nodes = tuple(n for layer in layers for n in layer[j])
-        ambient = tuple(views[j].ambient_level(xi) for xi in level_set)
-        reports.append(SubtreeReport(space=views[j].ambient_space, nodes=nodes,
-                                     level_set=ambient))
-    return GrowOutcome(True, tuple(reports))
+    return GrowOutcome(True, tuple(
+        _view_report(views[j], [n for layer in layers for n in layer[j]], level_set)
+        for j in range(d)))
+
+
+def _view_report(view, nodes, levels) -> SubtreeReport:
+    """The subtree of ``view``'s ambient space with ``nodes`` on view ``levels``."""
+    return SubtreeReport(space=view.ambient_space, nodes=tuple(nodes),
+                         level_set=tuple(view.ambient_level(xi) for xi in levels))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,7 @@ def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
     tables: list[dict] = [dict() for _ in range(m)]
     budget = StepBudget(caps.max_steps)
 
-    def stage_factory(stage, level_set, layers, chi, slots):
+    def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
         if bind == 0:
             return lambda partial, slot, choice: True
@@ -430,7 +427,7 @@ def _apply_tailcone_partial(coloring, base_coords, h, budget, transcript):
         raise InvalidInputError(f"need at least two subtree levels, got {h}")
     table: dict = {}
 
-    def stage_factory(stage, level_set, layers, chi, slots):
+    def stage_factory(stage, level_set, layers):
         fixed = [[node for lvl in range(stage) for node in layers[lvl][k]]
                  for k in range(d)]
         level_of = [{node: lvl for lvl in range(stage) for node in layers[lvl][k]}
@@ -529,7 +526,7 @@ def hl_search(coloring: Coloring, h=None, caps: Caps | None = None,
         for roots in itertools.product(*(v.level(rho) for v in views)):
             gamma = coloring.evaluate(roots)
 
-            def stage_factory(stage, level_set, layers, chi, slots):
+            def stage_factory(stage, level_set, layers):
                 return cross_consistent(d, coloring.evaluate, gamma)
 
             outcome = grow_shared_subtrees(views, roots, h, stage_factory,
@@ -600,29 +597,19 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     s_primes = []
     u_height = min(v.height for v in uviews)
     for u in cones0:
-        found = None
-        for xi in range(cursor, u_height):
-            s_cands = [sp for lam in range(beta + 2, xi + 1)
-                       for sp in tview.extensions(u, lam)]
-            if not s_cands:
-                continue
-            candidates = {(k, v): uviews[k].extensions(current[(k, v)], xi)
-                          for (k, v) in slots}
-            if any(not candidates[slot] for slot in slots):
-                continue
-            for sp in s_cands:
-                consistent = cross_consistent(
-                    d, lambda tup, sp=sp: coloring.evaluate((sp,) + tup), gamma)
-                assignment = prefiltered_assignment(slots, candidates, consistent,
-                                                    budget)
-                if assignment is not None:
-                    found = (xi, sp, assignment)
-                    break
-            if found is not None:
-                break
+        # a level is a chain level xi with a node s' above u at or below it
+        found = first_level(
+            slots,
+            ((xi, sp) for xi in range(cursor, u_height)
+             for lam in range(beta + 2, xi + 1) for sp in tview.extensions(u, lam)),
+            lambda level: {(k, v): uviews[k].extensions(current[(k, v)], level[0])
+                           for (k, v) in slots},
+            lambda level: cross_consistent(
+                d, lambda tup: coloring.evaluate((level[1],) + tup), gamma),
+            budget)
         if found is None:
             return None
-        xi, sp, assignment = found
+        (xi, sp), assignment = found
         s_primes.append(sp)
         current = dict(assignment)
         cursor = xi

@@ -222,7 +222,7 @@ class TreeSpace:
 
     def restrict(self, node: str, alpha: int) -> str:
         """The root-path prefix of ``node`` at height ``alpha``."""
-        if alpha > len(node):
+        if alpha < 0 or alpha > len(node):
             raise OutOfRangeError(f"cannot restrict {node!r} to level {alpha}")
         return node[:alpha]
 

@@ -411,28 +411,48 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationRe
     return ValidationResult(not violations, tuple(violations))
 
 
+# The stage step sits here rather than in search.py because the benchmark
+# tracer (perfbench/tracer.py) times prefiltered_assignment where search
+# modules import it, and a call from inside search.py would go untraced.
+def first_level(slots, levels, candidates_at, consistent_at, budget):
+    """The stage step of every staged search: the first level admitting a stage.
+
+    ``levels`` are tried in order.  A level where some slot has no
+    candidate in ``candidates_at(level)`` is skipped; otherwise one
+    predicate ``consistent_at(level)`` is built and
+    ``prefiltered_assignment`` looks for the stage's assignment.  Returns
+    ``(level, assignment)`` for the first level that has one, or ``None``.
+    ``BudgetExhausted`` passes through to the caller.
+    """
+    for level in levels:
+        candidates = candidates_at(level)
+        if any(not candidates[s] for s in slots):
+            continue
+        found = prefiltered_assignment(slots, candidates, consistent_at(level), budget)
+        if found is not None:
+            return level, found
+    return None
+
+
 def _dense_matrix(views, base, xi, value, reference, budget):
     """Columns of the first monochromatic level matrix dominating level ``xi``.
 
     The matrix has one member above each cone node (each node at level
-    ``xi`` above ``base``), all on one level at or above ``xi``; levels
-    are tried in order, skipping any that leaves some cone node without a
-    candidate.  Every matrix tuple's value must equal ``reference``, or
-    one common value when ``reference`` is ``None``.  Returns the sorted
-    columns, or ``None`` when no level admits a matrix.
+    ``xi`` above ``base``), all on one level at or above ``xi``, the first
+    that admits one.  Every matrix tuple's value must equal ``reference``,
+    or one common value when ``reference`` is ``None``.  Returns the
+    sorted columns, or ``None`` when no level admits a matrix.
     """
     cones = [views[j].extensions(base[j], xi) for j in range(len(base))]
     slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-    for chi in range(xi, min(v.height for v in views)):
-        candidates = {(j, u): views[j].extensions(u, chi) for (j, u) in slots}
-        if any(not candidates[s] for s in slots):
-            continue
-        found = prefiltered_assignment(
-            slots, candidates, cross_consistent(len(base), value, reference), budget)
-        if found is not None:
-            return tuple(sort_nodes(found[(j, u)] for u in cones[j])
-                         for j in range(len(base)))
-    return None
+    found = first_level(
+        slots, range(xi, min(v.height for v in views)),
+        lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+        lambda chi: cross_consistent(len(base), value, reference), budget)
+    if found is None:
+        return None
+    return tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
+                 for j in range(len(base)))
 
 
 def sdhl_search(coloring: Coloring, caps: Caps | None = None):

@@ -76,9 +76,13 @@ def check_queries(tree, members, ambient, space):
         for bad in (-1, len(ambient)):
             with pytest.raises(OutOfRangeError):
                 tree.extensions(node, bad)
+            with pytest.raises(OutOfRangeError):
+                tree.restrict(node, bad)
     for bad in (-1, len(ambient)):
         with pytest.raises(OutOfRangeError):
             tree.level(bad)
+        with pytest.raises(OutOfRangeError):
+            tree.ambient_level(bad)
     inside = set(members)
     outside = [n for n in members_of(TreeSpace(space.branching + 1, space.height + 1))
                if n not in inside]
@@ -94,9 +98,6 @@ def check_queries(tree, members, ambient, space):
 @pytest.mark.parametrize("space", SPACES, ids=space_id)
 def test_space_queries_match_brute_force(space):
     check_queries(space, members_of(space), list(range(space.height)), space)
-    for bad in (-1, space.height):
-        with pytest.raises(OutOfRangeError):
-            space.ambient_level(bad)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=space_id)
@@ -118,6 +119,21 @@ def test_trimmed_subtree_queries_match_brute_force(space):
         for trimmed in trims_of(report):
             check_queries(trimmed, list(trimmed.nodes), list(trimmed.level_set),
                           space)
+
+
+# a member off every level of its (malformed) report; the loops in
+# check_queries cover the out-of-range levels of well-formed trees
+OFF_LEVEL = SubtreeReport(TreeSpace(2, 3), ("", "0"), (0, 2))
+
+
+@pytest.mark.parametrize("query,error", [
+    (lambda: OFF_LEVEL.level_of("0"), UnknownNodeError),
+    (lambda: OFF_LEVEL.ambient_level(5), OutOfRangeError),
+    (lambda: OFF_LEVEL.restrict("", 5), OutOfRangeError),
+], ids=["level-of", "ambient-level", "restrict"])
+def test_malformed_report_queries_raise_library_errors(query, error):
+    with pytest.raises(error):
+        query()
 
 
 def test_subtree_index_is_built_once():
