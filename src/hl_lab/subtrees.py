@@ -135,10 +135,7 @@ class ValidationResult:
         return {"valid": self.valid, "violations": list(self.violations)}
 
 
-def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
-    """Check the strong-subtree clauses; violations name the offenders."""
-    space = report.space
-    levels = report.level_set
+def _check_level_set(levels, space: TreeSpace) -> None:
     if not levels:
         raise InvalidInputError("level set may not be empty")
     if list(levels) != sorted(set(levels)):
@@ -147,6 +144,13 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
         raise OutOfRangeError(
             f"level set {levels} reaches outside the truncation of height {space.height}"
         )
+
+
+def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
+    """Check the strong-subtree clauses; violations name the offenders."""
+    space = report.space
+    levels = report.level_set
+    _check_level_set(levels, space)
     for node in report.nodes:
         if not space.contains(node):
             raise UnknownNodeError(f"node {node!r} not in ambient space")
@@ -190,7 +194,7 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
         width = levels[xi] + 1
         extensions = Counter(m[:width] for m in set(per_level[xi + 1]))
         for node in per_level[xi]:
-            for succ in space.successors(node):
+            for succ in space.extensions(node, len(node) + 1):
                 count = extensions[succ]
                 if count != 1:
                     violations.append(
@@ -207,14 +211,7 @@ def enumerate_strong_subtrees(space: TreeSpace, level_set):
     scan in canonical node order, successor by successor.
     """
     levels = tuple(int(a) for a in level_set)
-    if not levels:
-        raise InvalidInputError("level set may not be empty")
-    if list(levels) != sorted(set(levels)):
-        raise InvalidInputError(f"level set must be strictly increasing, got {levels}")
-    if levels[-1] >= space.height:
-        raise OutOfRangeError(
-            f"level set {levels} reaches outside the truncation of height {space.height}"
-        )
+    _check_level_set(levels, space)
 
     def grow(stage_nodes, xi):
         # stage_nodes: chosen nodes at subtree level xi, canonically sorted
@@ -225,7 +222,7 @@ def enumerate_strong_subtrees(space: TreeSpace, level_set):
         # one choice of extension per ambient successor of each chosen node
         slots = []
         for node in stage_nodes:
-            for succ in space.successors(node):
+            for succ in space.extensions(node, len(node) + 1):
                 choices = space.extensions(succ, target)
                 if not choices:
                     return
@@ -275,7 +272,7 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
     for nxt in target[target.index(first) + 1:]:
         stage = []
         for node in current:
-            for succ in space.successors(node):
+            for succ in space.extensions(node, len(node) + 1):
                 candidates = members_at(nxt, succ)
                 if not candidates:
                     raise InvalidInputError(

@@ -686,10 +686,7 @@ def dimension_induction(coloring: Coloring, h=None,
             False, None, reports, None, None,
             failure="no branch admits a dense-set witness")
 
-    h_sub = tview.height
     for (beta, tbar, gamma), _count in ordered:
-        if beta + 4 > h_sub:
-            continue
         for s in tview.level(beta + 1):
             try:
                 tail = _induction_tail(coloring, tview, uviews, s, tbar, beta,

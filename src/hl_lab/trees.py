@@ -1,12 +1,13 @@
 """Truncated rooted trees of finite sequences.
 
-A node is a digit string: ``""`` is the root, ``"010"`` is the node at
-height 3 whose digits are 0, 1, 0.  A :class:`TreeSpace` is a finite
-truncation holding every node of height below ``height``.  Uniform mode
-covers the full ``branching``-ary tree; explicit mode carries a concrete
-node set (closed under prefixes, containing the root, reaching the top
-level ``height - 1``, and well pruned: every node below the top level has
-at least one immediate successor).
+A node is a string of ASCII digits below the branching: ``""`` is the
+root, ``"010"`` is the node at height 3 whose digits are 0, 1, 0.  A
+:class:`TreeSpace` is a finite truncation holding every node of height
+below ``height``.  Uniform mode covers the full ``branching``-ary tree;
+explicit mode carries a concrete node set (closed under prefixes,
+containing the root, reaching the top level ``height - 1``, and well
+pruned: every node below the top level has at least one immediate
+successor).
 
 Level ``alpha`` of a :class:`TreeSpace` is plain height: the nodes of
 length ``alpha``.  A strong subtree's levels are its witnessing levels
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 
 from .errors import (
     InvalidInputError,
@@ -34,8 +35,9 @@ from .errors import (
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-# wire format uses one character per digit
+# wire format uses one character per digit: the ASCII digits below the branching
 MAX_BRANCHING = 10
+DIGITS = "0123456789"
 
 
 def node_key(node: str) -> tuple[int, str]:
@@ -43,21 +45,12 @@ def node_key(node: str) -> tuple[int, str]:
     return (len(node), node)
 
 
-def height(node: str) -> int:
-    return len(node)
-
-
-def is_prefix(s: str, t: str) -> bool:
-    """True when ``s`` lies on the root path of ``t`` (or equals it)."""
-    return t.startswith(s)
-
-
 def check_node(node: str, branching: int) -> None:
-    for ch in node:
-        if not ch.isdigit() or int(ch) >= branching:
-            raise InvalidInputError(
-                f"node {node!r} has digit {ch!r} outside alphabet of size {branching}"
-            )
+    outside = node.lstrip(DIGITS[:branching])
+    if outside:
+        raise InvalidInputError(
+            f"node {node!r} has digit {outside[0]!r} outside alphabet of size {branching}"
+        )
 
 
 def lex_compare(s: str, t: str) -> int:
@@ -90,8 +83,7 @@ def lex_compare(s: str, t: str) -> int:
 
 @lru_cache(maxsize=None)
 def _uniform_level(branching: int, alpha: int) -> tuple[str, ...]:
-    digits = "0123456789"[:branching]
-    return tuple("".join(p) for p in itertools.product(digits, repeat=alpha))
+    return tuple("".join(p) for p in itertools.product(DIGITS[:branching], repeat=alpha))
 
 
 @dataclass(frozen=True)
@@ -117,35 +109,31 @@ class TreeSpace:
             self._validate_explicit()
 
     def _validate_explicit(self) -> None:
-        nodes = self.nodes
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
+        nodes, members = self.nodes, self._members
+        if len(members) != len(nodes):
             raise InvalidInputError("explicit node set contains duplicates")
-        if "" not in node_set:
+        if "" not in members:
             raise InvalidInputError("explicit node set must contain the root")
-        by_level: dict[int, list[str]] = {}
         for node in nodes:
             check_node(node, self.branching)
             if len(node) >= self.height:
                 raise OutOfRangeError(
                     f"node {node!r} has height {len(node)} outside truncation {self.height}"
                 )
-            if node and node[:-1] not in node_set:
+            if node and node[:-1] not in members:
                 raise InvalidInputError(
                     f"explicit node set is not prefix closed: {node!r} lacks its parent"
                 )
-            by_level.setdefault(len(node), []).append(node)
-        top = max(by_level)
+        top = max(map(len, nodes))
         if top < self.height - 1:
             # an empty top level would leave empty cones above every node
             raise InvalidInputError(
                 f"explicit node set stops at height {top}, below the top "
                 f"level {self.height - 1} of truncation {self.height}"
             )
-        for alpha in range(top):
-            for node in by_level.get(alpha, ()):
-                if not any(ch.isdigit() and node + ch in node_set
-                           for ch in "0123456789"[: self.branching]):
+        for level in self._levels[:-1]:
+            for node in level:
+                if not any(node + ch in members for ch in DIGITS[: self.branching]):
                     raise InvalidInputError(
                         f"explicit node set is not well pruned: {node!r} has no successor"
                     )
@@ -161,9 +149,7 @@ class TreeSpace:
         node_tuple = tuple(sorted(set(nodes), key=node_key))
         if not node_tuple:
             raise InvalidInputError("explicit node set may not be empty")
-        branching = max((max((int(ch) for ch in n), default=0) for n in node_tuple),
-                        default=0) + 1
-        branching = max(branching, 2)
+        branching = max(2, max(map(DIGITS.find, "".join(node_tuple)), default=0) + 1)
         h = max(len(n) for n in node_tuple) + 1
         return cls(branching=branching, height=h, nodes=node_tuple)
 
@@ -184,6 +170,18 @@ class TreeSpace:
         return {"nodes": list(self.nodes)}
 
     # -- queries ------------------------------------------------------
+    # an explicit space answers from one index, built on first use
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[str, ...], ...]:
+        by_length: list[list[str]] = [[] for _ in range(self.height)]
+        for node in self.nodes:
+            by_length[len(node)].append(node)
+        return tuple(map(tuple, by_length))
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.nodes)
 
     @property
     def root(self) -> str:
@@ -191,17 +189,8 @@ class TreeSpace:
 
     def contains(self, node: str) -> bool:
         if self.nodes is not None:
-            return node in self._node_set()
-        if len(node) >= self.height:
-            return False
-        return all(ch.isdigit() and int(ch) < self.branching for ch in node)
-
-    def _node_set(self) -> frozenset:
-        cached = getattr(self, "_cached_set", None)
-        if cached is None:
-            cached = frozenset(self.nodes)
-            object.__setattr__(self, "_cached_set", cached)
-        return cached
+            return node in self._members
+        return len(node) < self.height and not node.strip(DIGITS[: self.branching])
 
     @property
     def ambient_space(self) -> "TreeSpace":
@@ -234,25 +223,7 @@ class TreeSpace:
             )
         if self.nodes is None:
             return _uniform_level(self.branching, alpha)
-        return tuple(n for n in self.nodes if len(n) == alpha)
-
-    def all_nodes(self) -> tuple[str, ...]:
-        if self.nodes is not None:
-            return self.nodes
-        return tuple(
-            n for alpha in range(self.height) for n in _uniform_level(self.branching, alpha)
-        )
-
-    def successors(self, node: str) -> tuple[str, ...]:
-        """Immediate successors of ``node`` present in the space."""
-        if not self.contains(node):
-            raise UnknownNodeError(f"node {node!r} not in space")
-        if len(node) + 1 >= self.height:
-            raise OutOfRangeError(
-                f"node {node!r} sits at the top level; no successors inside the truncation"
-            )
-        digits = "0123456789"[: self.branching]
-        return tuple(node + ch for ch in digits if self.contains(node + ch))
+        return self._levels[alpha]
 
     def extensions(self, node: str, alpha: int) -> tuple[str, ...]:
         """Nodes of height ``alpha`` extending ``node`` (``node`` itself included
@@ -267,10 +238,9 @@ class TreeSpace:
         if alpha < len(node):
             return ()
         if self.nodes is None:
-            digits = "0123456789"[: self.branching]
-            return tuple(node + "".join(p)
-                         for p in itertools.product(digits, repeat=alpha - len(node)))
-        return tuple(n for n in self.level(alpha) if n.startswith(node))
+            return tuple(node + suffix
+                         for suffix in _uniform_level(self.branching, alpha - len(node)))
+        return tuple(n for n in self._levels[alpha] if n.startswith(node))
 
 
 def restrict(seq, xi: int, space: TreeSpace) -> tuple[str, ...]:

@@ -216,6 +216,44 @@ def _forbidden_syntax(tree):
     return None
 
 
+def _scalar(value):
+    """``value``, unless ``*`` would repeat it or ``%`` format it."""
+    if isinstance(value, (str, tuple, list)):
+        raise InvalidInputError(f"an expr coloring may not repeat or %-format a "
+                                f"{type(value).__name__}")
+    return value
+
+
+def _guard_sequences(tree):
+    """Route each ``*`` operand and ``%`` left operand through ``_scalar``.
+
+    Repetition (``nodes[0] * 999999999``) and formatting
+    (``"%0999999999d" % 1``) build values no step cap interrupts.  An
+    operand that is a number by its syntax, such as ``int(...)`` in
+    ``int(...) * a``, stays bare, so integer arithmetic costs nothing.
+    """
+    rebound = {n.id for n in ast.walk(tree)
+               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+    def numeric(node):
+        # a number or an error; once guarded, only ``+`` can join sequences
+        if isinstance(node, ast.BinOp):
+            return (not isinstance(node.op, ast.Add)
+                    or numeric(node.left) or numeric(node.right))
+        if isinstance(node, ast.Call):
+            return node.func.id in {"len", "int", "abs"} - rebound
+        return isinstance(node, (ast.UnaryOp, ast.Compare)) or (
+            isinstance(node, ast.Constant) and type(node.value) in (int, float, bool))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Mod)):
+            for side in ("left", "right")[:1 + isinstance(node.op, ast.Mult)]:
+                operand = getattr(node, side)
+                if not numeric(operand):
+                    setattr(node, side, ast.Call(ast.Name("_scalar", ast.Load()),
+                                                 [operand], []))
+
+
 def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     """Coloring given by a Python expression over ``nodes``/``heights``/``d``.
 
@@ -235,12 +273,13 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     if forbidden is not None:
         raise InvalidInputError(f"expr coloring {source!r} uses {forbidden}, "
                                 f"which is not allowed")
+    _guard_sequences(tree)
     names = ("nodes", "heights", "d", "colors")  # the order ``fn`` passes them
     params = ast.arguments(posonlyargs=[], args=[ast.arg(a) for a in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
     tree.body = ast.Lambda(params, tree.body)
     safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
-            "abs": abs, "int": int}
+            "abs": abs, "int": int, "_scalar": _scalar}
     rule = eval(compile(ast.fix_missing_locations(tree), "<coloring>", "eval"), safe)
 
     def fn(tup):
@@ -368,7 +407,10 @@ def _undominated(views, base, matrix, level):
 
 
 def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
-    """Verify density and monochromaticity literally, by quantifier scan."""
+    """Verify density and monochromaticity literally, by quantifier scan.
+
+    Density and color are the free-level clauses at level ``ht + 1``.
+    """
     views = coloring.spaces
     base, matrix, color = witness.base, witness.matrix, witness.color
     violations: list[str] = []
@@ -398,16 +440,8 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationRe
         violations.append(
             f"matrix level {min(member_levels)} is below the density level {ht + 1}"
         )
-    if any(not col for col in matrix):
-        violations.append("matrix has an empty coordinate")
-        return ValidationResult(False, tuple(violations))
-
-    # density: every tuple one level above the base is dominated by a member
-    violations.extend(_undominated(views, base, matrix, ht + 1))
-    for member in itertools.product(*matrix):
-        got = coloring.evaluate(member)
-        if got != color:
-            violations.append(f"matrix tuple {member} has color {got}, expected {color}")
+    violations.extend(check_somewhere_dense_witness(
+        SomewhereDenseWitness(base, matrix, ht + 1, color), coloring).violations)
     return ValidationResult(not violations, tuple(violations))
 
 

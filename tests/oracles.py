@@ -971,3 +971,115 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     return Coloring(arity, colors, spaces, fn, domain=domain, kind="expr",
                     body={"arity": arity, "colors": colors, "source": source,
                           "domain": domain})
+
+
+# ---------------------------------------------------------------------------
+# the successor-level checker before it shared the free-level clauses, and
+# the cone reassembly before it shared the stage step
+#
+# Kept verbatim as references: ``check_sdhl_witness`` evaluated the matrix
+# colors itself, so a matrix on several levels raised the coloring's
+# level-domain error instead of reporting it; ``_induction_tail`` scanned
+# chain levels, then every ``s'`` above the cone at or below each, with its
+# own loops.  The one edit: the kernel is called as
+# ``kernel_cross_consistent``, as in the section above.
+
+from hl_lab.trees import node_key  # noqa: E402
+from hl_lab.witness import _undominated  # noqa: E402
+
+
+def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
+    """Verify density and monochromaticity literally, by quantifier scan."""
+    views = coloring.spaces
+    base, matrix, color = witness.base, witness.matrix, witness.color
+    violations: list[str] = []
+    if len(base) != coloring.arity or len(matrix) != coloring.arity:
+        raise InvalidInputError("witness arity does not match coloring arity")
+    if not 0 <= color < coloring.colors:
+        violations.append(f"color {color} outside range({coloring.colors})")
+
+    base_levels = {views[j].level_of(base[j]) for j in range(len(base))}
+    if len(base_levels) != 1:
+        violations.append(f"base {base} is not a level sequence")
+        return ValidationResult(False, tuple(violations))
+    ht = base_levels.pop()
+    if ht + 1 >= views[0].height:
+        violations.append(
+            f"base height {ht} leaves no successor level inside the truncation"
+        )
+        return ValidationResult(False, tuple(violations))
+
+    member_levels = {views[j].level_of(m) for j, col in enumerate(matrix) for m in col}
+    if len(member_levels) > 1:
+        violations.append(
+            f"matrix members sit on several levels {sorted(member_levels)}; "
+            f"a level matrix has a single one"
+        )
+    elif member_levels and min(member_levels) < ht + 1:
+        violations.append(
+            f"matrix level {min(member_levels)} is below the density level {ht + 1}"
+        )
+    if any(not col for col in matrix):
+        violations.append("matrix has an empty coordinate")
+        return ValidationResult(False, tuple(violations))
+
+    # density: every tuple one level above the base is dominated by a member
+    violations.extend(_undominated(views, base, matrix, ht + 1))
+    for member in itertools.product(*matrix):
+        got = coloring.evaluate(member)
+        if got != color:
+            violations.append(f"matrix tuple {member} has color {got}, expected {color}")
+    return ValidationResult(not violations, tuple(violations))
+
+
+def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
+    """Per-cone staged extension producing the final witness matrices.
+
+    Cones above ``s`` are handled one at a time: each gets a node above
+    it together with a fresh layer of the per-cone chains over the other
+    coordinates, every cross product colored ``gamma``.  Chains are
+    nested, so the last layer restricts into every earlier one; that
+    makes the last layer a single matrix working for all chosen nodes.
+    """
+    d = len(uviews)
+    cones0 = tview.extensions(s, beta + 2)
+    cone_reps = [uviews[k].extensions(tbar[k], beta + 1) for k in range(d)]
+    if any(not reps for reps in cone_reps):
+        return None
+    slots = [(k, v) for k in range(d) for v in cone_reps[k]]
+    current = {(k, v): v for (k, v) in slots}
+    cursor = beta + 2
+    s_primes = []
+    u_height = min(v.height for v in uviews)
+    for u in cones0:
+        found = None
+        for xi in range(cursor, u_height):
+            s_cands = [sp for lam in range(beta + 2, xi + 1)
+                       for sp in tview.extensions(u, lam)]
+            if not s_cands:
+                continue
+            candidates = {(k, v): uviews[k].extensions(current[(k, v)], xi)
+                          for (k, v) in slots}
+            if any(not candidates[slot] for slot in slots):
+                continue
+            for sp in s_cands:
+                consistent = kernel_cross_consistent(
+                    d, lambda tup, sp=sp: coloring.evaluate((sp,) + tup), gamma)
+                assignment = prefiltered_assignment(slots, candidates, consistent,
+                                                    budget)
+                if assignment is not None:
+                    found = (xi, sp, assignment)
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        xi, sp, assignment = found
+        s_primes.append(sp)
+        current = dict(assignment)
+        cursor = xi
+    matrix0 = tuple(sorted(s_primes, key=node_key))
+    rest = tuple(
+        tuple(sorted({current[(k, v)] for v in cone_reps[k]}, key=node_key))
+        for k in range(d))
+    return matrix0, rest

@@ -118,7 +118,10 @@ def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
 @pytest.mark.parametrize("source", [
     "1//0", "nodes[9]", "undefined", "1 +",
     "().__class__.__base__.__subclasses__()",
-    "len(().__class__.__base__.__subclasses__())", "9**9**9"])
+    "len(().__class__.__base__.__subclasses__())", "9**9**9",
+    # repetition and %-formatting ran before; at full size they build gigabytes
+    "len(nodes[0] * 3) % 2", "len('%05d' % 1)",
+    "len(nodes[0] * 999999999)", "len('%0999999999d' % 1)"])
 def test_broken_expr_coloring_exits_two(tmp_path, source, capsys):
     path = write_doc(tmp_path, "in.json", {
         "spaces": [SPACE4, SPACE4],

@@ -12,7 +12,7 @@ import itertools
 
 import pytest
 
-from hl_lab.errors import OutOfRangeError, UnknownNodeError
+from hl_lab.errors import InvalidInputError, OutOfRangeError, UnknownNodeError
 from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees, trim
 from hl_lab.trees import TreeSpace
 
@@ -119,6 +119,29 @@ def test_trimmed_subtree_queries_match_brute_force(space):
         for trimmed in trims_of(report):
             check_queries(trimmed, list(trimmed.nodes), list(trimmed.level_set),
                           space)
+
+
+# digits of other scripts: ``str.isdigit`` accepts them all, ``int("١") == 1``
+# and ``int("²")`` raises ValueError
+NON_ASCII_DIGITS = ("١", "٠", "0١", "²")
+
+
+@pytest.mark.parametrize("space", SPACES, ids=space_id)
+def test_membership_is_ascii_digits_below_the_branching(space):
+    top = space.height - 1
+    for node in NON_ASCII_DIGITS:
+        assert not space.contains(node)
+        with pytest.raises(UnknownNodeError):
+            space.level_of(node)
+        with pytest.raises(UnknownNodeError):
+            space.extensions(node, top)
+
+
+def test_explicit_spaces_refuse_characters_outside_the_alphabet():
+    # "a" raised a bare ValueError while the branching was read off the nodes
+    for node in NON_ASCII_DIGITS[:2] + ("a", "-"):
+        with pytest.raises(InvalidInputError, match=f"has digit {node!r} outside"):
+            TreeSpace.explicit(["", "0", "1", node])
 
 
 # a member off every level of its (malformed) report; the loops in

@@ -30,7 +30,7 @@ from hl_lab.witness import (
 )
 
 import oracles
-from oracles import alternating_count, random_strong_subtree
+from oracles import all_nodes, alternating_count, random_strong_subtree
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_height_permutation_coloring_values():
 
 def test_full_products_realize_every_type():
     space = TreeSpace(2, 5)
-    full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3, 4))
+    full = SubtreeReport(space, all_nodes(5), (0, 1, 2, 3, 4))
     report = verify_lower_bound((full, full), 1)
     assert report.realizes_all
     assert report.total_types == 2
@@ -139,7 +139,7 @@ def test_disjoint_level_ranges_miss_a_type():
 def test_lower_bound_needs_spread_and_arity():
     space = TreeSpace(2, 4)
     single = SubtreeReport(space, ("",), (0,))
-    full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3))
+    full = SubtreeReport(space, all_nodes(4), (0, 1, 2, 3))
     with pytest.raises(PreconditionError):
         verify_lower_bound((single, full), 1)
     with pytest.raises(InvalidInputError):
@@ -149,7 +149,7 @@ def test_lower_bound_needs_spread_and_arity():
 @pytest.mark.parametrize("d", [0, -1])
 def test_lower_bound_needs_a_positive_dimension(d):
     space = TreeSpace(2, 4)
-    full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3))
+    full = SubtreeReport(space, all_nodes(4), (0, 1, 2, 3))
     with pytest.raises(InvalidInputError, match="dimension must be positive"):
         verify_lower_bound((full,) * (d + 1), d)
 
@@ -234,7 +234,7 @@ def test_first_coordinate_parity_fails_untrimmed():
 
 def test_first_coordinate_parity_succeeds_on_even_levels():
     space = TreeSpace(2, 5)
-    full = SubtreeReport(space, space.all_nodes(), (0, 1, 2, 3, 4))
+    full = SubtreeReport(space, all_nodes(5), (0, 1, 2, 3, 4))
     even = trim(full, (0, 2, 4))
     rep = almost_all_homogenize(_first_coordinate_parity((even, even)))
     assert rep.success

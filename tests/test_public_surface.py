@@ -3,6 +3,7 @@
 import inspect
 
 import hl_lab
+import hl_lab.trees
 
 
 def test_star_import_exports_exactly_all():
@@ -24,6 +25,17 @@ def test_deleted_entry_points_stay_gone():
                  "DefaultLargenessOracle", "BuildOutcome",
                  "OracleContradictionError", "views"):
         assert not hasattr(hl_lab, name), name
+
+
+def test_deleted_tree_helpers_stay_gone():
+    # each duplicated a question the nine leveled-tree queries answer
+    for name in ("height", "is_prefix"):
+        assert not hasattr(hl_lab.trees, name), name
+    explicit = hl_lab.TreeSpace.explicit(["", "0", "1"])
+    assert explicit.contains("0")
+    for name in ("successors", "all_nodes", "_cached_set", "_node_set"):
+        assert not hasattr(hl_lab.TreeSpace, name), name
+        assert not hasattr(explicit, name), name
 
 
 def test_searches_read_their_trees_from_the_coloring():

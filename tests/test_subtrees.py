@@ -15,12 +15,12 @@ from hl_lab.subtrees import (
 )
 from hl_lab.trees import TreeSpace
 
-from oracles import strong_subtrees_by_scan
+from oracles import all_nodes, strong_subtrees_by_scan
 
 
 def test_full_truncation_is_a_strong_subtree():
     space = TreeSpace(2, 3)
-    report = SubtreeReport(space, space.all_nodes(), (0, 1, 2))
+    report = SubtreeReport(space, all_nodes(3), (0, 1, 2))
     assert validate_strong_subtree(report).valid
 
 

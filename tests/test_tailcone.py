@@ -23,6 +23,7 @@ from hl_lab.witness import (
     check_hl_strong_subtree,
     check_somewhere_dense_witness,
     constant_coloring,
+    expr_coloring,
     level_parity_coloring,
     seeded_hash_coloring,
     table_coloring,
@@ -340,6 +341,43 @@ def test_dimension_induction_cap_bounds_the_whole_run(monkeypatch):
     budgets.clear()
     out = dimension_induction(col, h=4, caps=Caps(max_steps=needed))
     assert out.success and [b.done for b in budgets] == [needed]
+
+
+def _both_tails(col, beta, gamma, s, tbar, height):
+    """The cone reassembly and its nested-loop oracle on one box, with steps."""
+    tview, uviews = TreeSpace(2, height), [TreeSpace(2, height)]
+    out = []
+    for tail_fn in (tailcone._induction_tail, oracles._induction_tail):
+        budget = StepBudget(100_000)
+        out.append((tail_fn(col, tview, uviews, s, tbar, beta, gamma, budget),
+                    budget.used))
+    return out
+
+
+def test_induction_tail_tries_each_level_s_primes_in_canonical_order():
+    # only s' of height 3 or more take color 1: at chain level 3 the first
+    # s' (the cone node itself) fails and both s' one level up pass, so the
+    # first of them must be taken
+    space = TreeSpace(2, 6)
+    col = expr_coloring((space, space), 2, 2, "1 if len(nodes[0]) > 2 else 0",
+                        domain="full")
+    (tail, steps), (want, want_steps) = _both_tails(col, 0, 1, "0", ("",), 6)
+    assert tail == want and steps == want_steps
+    assert tail[0] == ("000", "010")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_induction_tail_matches_the_nested_loop_oracle(seed):
+    space = TreeSpace(2, 7)
+    col = seeded_hash_coloring((space, space), 2, 2, seed=seed)
+    found = 0
+    for s in ("0", "1"):
+        for gamma in (0, 1):
+            (tail, steps), (want, want_steps) = _both_tails(col, 0, gamma, s,
+                                                             ("",), 7)
+            assert tail == want and steps == want_steps, (s, gamma)
+            found += tail is not None
+    assert found
 
 
 def test_dimension_induction_guards():

@@ -11,8 +11,6 @@ from hl_lab.errors import (
 )
 from hl_lab.trees import (
     TreeSpace,
-    height,
-    is_prefix,
     lex_compare,
     lex_sorted,
     node_key,
@@ -66,14 +64,18 @@ def test_node_key_orders_by_height_then_digits():
     nodes = ["1", "00", "", "0", "11"]
     assert sort_nodes(nodes) == ("", "0", "1", "00", "11")
     assert node_key("01") == (2, "01")
-    assert height("010") == 3
+    assert TreeSpace(2, 4).level_of("010") == 3
 
 
-def test_is_prefix():
-    assert is_prefix("", "01")
-    assert is_prefix("01", "01")
-    assert not is_prefix("011", "01")
-    assert not is_prefix("1", "01")
+def test_extensions_answer_the_prefix_relation():
+    # ``s`` lies on the root path of ``t`` (or equals it) exactly when ``t``
+    # is among the extensions of ``s`` at ``t``'s height
+    space = TreeSpace(2, 4)
+    assert "01" in space.extensions("", 2)
+    assert "01" in space.extensions("01", 2)
+    assert space.extensions("011", 2) == ()
+    assert "01" not in space.extensions("1", 2)
+    assert space.restrict("011", 2) == "01"
 
 
 def test_uniform_space_levels():
@@ -93,7 +95,8 @@ def test_space_membership_and_successors():
     space = TreeSpace(2, 4)
     assert space.contains("010")
     assert not space.contains("0101")
-    assert space.successors("01") == ("010", "011")
+    # immediate successors are the extensions one level up
+    assert space.extensions("01", 3) == ("010", "011")
     assert space.extensions("0", 3) == ("000", "001", "010", "011")
     assert space.extensions("0", 1) == ("0",)
     with pytest.raises(OutOfRangeError):
@@ -119,7 +122,7 @@ def test_explicit_space_round_trip():
     assert space.height == 3
     assert space.level(2) == ("00", "01", "10", "11")
     doc = space.to_json()
-    assert TreeSpace.from_json(doc).all_nodes() == space.all_nodes()
+    assert TreeSpace.from_json(doc) == space
 
 
 def test_uniform_space_json_round_trip():

@@ -1,5 +1,6 @@
 """Colorings, somewhere-dense witness search, checkers, least heights."""
 
+import ast
 import itertools
 
 import pytest
@@ -96,6 +97,34 @@ def test_expr_coloring_refuses_syntax_outside_the_whitelist(source):
     # Before, every one of these compiled; most evaluated to an int.
     with pytest.raises(InvalidInputError, match="not allowed"):
         expr_coloring((TreeSpace(2, 3),), 1, 2, source)
+
+
+# the first two ran before; at full size the last ones would try to build
+# gigabytes under any step cap
+UNBOUNDED_SOURCES = [
+    "len(nodes[0] * 3) % 2", "len('%05d' % 1)", "len((nodes[0],) * 3)",
+    "len([len(n, 'x') * 9 for len in [max] for n in nodes])",
+    "len(nodes[0] * 999999999)", "len('%0999999999d' % 1)"]
+
+
+@pytest.mark.parametrize("source", UNBOUNDED_SOURCES)
+def test_expr_coloring_refuses_repetition_and_formatting(source):
+    ex = expr_coloring((TreeSpace(2, 3),), 1, 2, source)
+    with pytest.raises(InvalidInputError, match="may not repeat or %-format a"):
+        ex(("01",))
+
+
+def test_expr_integer_products_run_unguarded():
+    # an operand that is a number by its syntax is not routed through the
+    # guard, so the benchmark's colorings compile to the same lambda
+    for source in (_prefix_color_source(3, 4, 5), "int(nodes[-1] or 0) % 7",
+                   "len(nodes) * -abs(d) % (1 + (heights[0] < 2))"):
+        tree = ast.parse(source, mode="eval")
+        witness._guard_sequences(tree)
+        assert ast.unparse(tree) == ast.unparse(ast.parse(source, mode="eval"))
+    tree = ast.parse("int(nodes[0]) * d", mode="eval")
+    witness._guard_sequences(tree)
+    assert ast.unparse(tree) == "int(nodes[0]) * _scalar(d)"
 
 
 def test_expr_coloring_accepts_the_whitelist():
@@ -215,6 +244,63 @@ def test_witness_mutations_fail_the_checker():
     assert check_sdhl_witness(crooked, col).valid is False
 
 
+def test_matrix_on_several_levels_is_reported_not_raised():
+    # the color scan evaluated ("0", "00"), and the level-domain coloring
+    # raised on the mixed heights before any violation came back
+    w = SDHLWitness(("", ""), (("0", "1"), ("00", "01", "10", "11")), 1)
+    res = check_sdhl_witness(w, level_parity_coloring([TreeSpace(2, 4)] * 2, 2))
+    assert not res.valid
+    assert res.violations[0] == ("matrix members sit on several levels [1, 2]; "
+                                 "a level matrix has a single one")
+
+
+def _sdhl_mutations(w, space):
+    """``w`` and corruptions of its color, base and matrix columns."""
+    def with_col(j, col):
+        return w.matrix[:j] + (tuple(col),) + w.matrix[j + 1:]
+
+    yield w
+    for color in (w.color + 1, -1):
+        yield SDHLWitness(w.base, w.matrix, color)
+    for j, col in enumerate(w.matrix):
+        yield SDHLWitness(w.base, with_col(j, col[1:]), w.color)
+        yield SDHLWitness(w.base, with_col(j, col[:-1]), w.color)
+        yield SDHLWitness(w.base, with_col(j, [m + "0" for m in col]), w.color)
+        yield SDHLWitness(w.base, with_col(j, [m[:-1] for m in col]), w.color)
+        for other in space.level(len(w.base[j])) + space.level(len(w.base[j]) + 1):
+            base = w.base[:j] + (other,) + w.base[j + 1:]
+            yield SDHLWitness(base, w.matrix, w.color)
+    yield SDHLWitness(w.base, tuple(col[1:] + col[:1] for col in w.matrix), w.color)
+
+
+def test_checker_matches_the_raising_checker_wherever_it_answered():
+    space = TreeSpace(2, 4)
+    colorings = [level_parity_coloring((space,), 1),
+                 level_parity_coloring((space, space), 2),
+                 constant_coloring((space, space), 2, 3)]
+    colorings += [seeded_hash_coloring((space,) * arity, arity, 2, seed,
+                                       domain="level")
+                  for arity in (1, 2) for seed in range(6)]
+    answered = raised = 0
+    for col in colorings:
+        w = sdhl_search(col)
+        assert w is not None
+        for mutant in _sdhl_mutations(w, space):
+            try:
+                want = oracles.check_sdhl_witness(mutant, col)
+            except InvalidInputError:
+                raised += 1
+                try:
+                    got = check_sdhl_witness(mutant, col)
+                except InvalidInputError:
+                    continue
+                assert not got.valid
+                continue
+            answered += 1
+            assert check_sdhl_witness(mutant, col) == want
+    assert answered > 100 and raised > 10
+
+
 def test_witness_json_round_trip():
     w = SDHLWitness(base=("0", "1"), matrix=(("00", "01"), ("10", "11")), color=2)
     assert SDHLWitness.from_json(w.to_json()) == w
@@ -268,7 +354,7 @@ def test_dense_set_search_spends_one_budget():
 def test_explicit_space_with_empty_top_levels_is_rejected():
     # Before, the space built; a cone above the base was empty in its factor
     # and the search died with IndexError reading an empty matrix column.
-    short = TreeSpace(2, 2).all_nodes()
+    short = tuple(all_nodes(2))
     with pytest.raises(InvalidInputError, match="below the top level"):
         sdhl_search(seeded_hash_coloring(
             (TreeSpace(2, 4), TreeSpace(2, 4, nodes=short)), 2, 2, 7, domain="level"))
@@ -322,7 +408,7 @@ def test_free_level_checker_rejects_bad_levels():
 def test_hl_strong_subtree_check():
     space = TreeSpace(2, 3)
     col = constant_coloring((space, space), 2, 2)
-    reports = (SubtreeReport(space, space.all_nodes(), (0, 1, 2)),) * 2
+    reports = (SubtreeReport(space, all_nodes(3), (0, 1, 2)),) * 2
     assert check_hl_strong_subtree(reports, col).valid
     res = check_hl_strong_subtree(reports, level_parity_coloring((space, space), 2))
     assert not res.valid
