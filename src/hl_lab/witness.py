@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -131,6 +130,11 @@ def table_coloring(spaces, arity, colors, entries, *, domain="level",
         for tup in wanted:
             if tup not in table:
                 raise InvalidInputError(f"table is not total: missing {tup}")
+    return _table_coloring(spaces, arity, colors, table, domain)
+
+
+def _table_coloring(spaces, arity, colors, table, domain):
+    """A table coloring over an already-checked ``table``."""
 
     def fn(tup):
         try:
@@ -297,12 +301,17 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
 
 
 def random_table_coloring(spaces, arity, colors, seed, *, domain="level") -> Coloring:
-    """Explicit random table drawn with a seeded generator (for small boxes)."""
-    rng = random.Random(seed)
-    wanted = _level_domain(spaces) if domain == "level" else _full_domain(spaces)
-    table = {tup: rng.randrange(colors) for tup in wanted}
-    return table_coloring(spaces, arity, colors, table, domain=domain,
-                          check_total=False)
+    """Explicit random table drawn with a seeded generator (for small boxes).
+
+    The colors are those of one ``rng.randrange(colors)`` per tuple in
+    domain order, drawn in bulk by ``_color_sampler``.
+    """
+    if colors < 1:
+        raise InvalidInputError(f"color count must be positive, got {colors}")
+    wanted = list(_level_domain(spaces) if domain == "level" else _full_domain(spaces))
+    draw = _color_sampler(random.Random(seed), colors)
+    return _table_coloring(spaces, arity, colors,
+                           dict(zip(wanted, draw(len(wanted)))), domain)
 
 
 def coloring_from_json(doc, spaces) -> Coloring:
@@ -741,6 +750,14 @@ class FiniteHLReport:
                 "samples": self.samples, "seed": self.seed, "note": self.note}
 
 
+# A bit-sliced batch holds at most this many cells (colorings times
+# domain size; a larger coloring is a batch of one), which bounds its
+# planes and the bytes drawn for it.
+_BATCH_CELLS = 1 << 16
+# Heights whose witness groups would hold more members are refused.
+_MAX_GROUP_MEMBERS = 1 << 20
+
+
 def _witness_groups(d, b, n):
     """Minimal witness candidates as index groups over the level domain.
 
@@ -768,24 +785,126 @@ def _witness_groups(d, b, n):
     return domain, groups
 
 
-def _witness_test(groups):
-    """Predicate: some witness group is monochromatic under ``colors``.
+def _witness_group_count(d, b, n):
+    """``len(_witness_groups(d, b, n)[1])``, computed without the groups.
 
-    ``colors`` is any sequence of color values indexed like the level
-    domain: the exhaustive scan's tuples and the sampler's bytes alike.
-    Each group has at least ``b ** d >= 2`` members, so its itemgetter
-    returns a tuple.
+    A group picks a base at height ``ht`` (``(b**ht)**d`` ways) and, at a
+    matrix height ``eta``, one height-``eta`` extension of each of the
+    ``b`` children of every base coordinate (``(b**(eta-ht-1))**(b*d)``
+    ways).
     """
-    getters = [operator.itemgetter(*g) for g in groups]
+    return sum(b ** (ht * d) * b ** ((eta - ht - 1) * b * d)
+               for ht in range(n - 1) for eta in range(ht + 1, n))
 
-    def has_witness(colors):
-        for get in getters:
-            vals = get(colors)
-            if vals.count(vals[0]) == len(vals):
-                return True
-        return False
 
-    return has_witness
+def _first_without_witness(groups):
+    """``first(planes, count)``: the least ``s < count`` whose coloring has
+    no monochromatic witness group, or ``None`` when every one has one.
+
+    The batch is bit-sliced: ``planes[j][i]`` is an int whose bit ``s`` is
+    bit ``j`` of cell ``i``'s color in coloring ``s``.  A group's ``diff``
+    ORs ``plane[m] ^ plane[head]`` over its members and planes, so its bit
+    ``s`` is set exactly when the group is not monochromatic in coloring
+    ``s``; ANDing the diffs leaves the colorings that have no witness.
+    """
+    split = [(g[0], g[1:]) for g in groups]
+
+    def first(planes, count):
+        free = (1 << count) - 1
+        for head, rest in split:
+            diff = 0
+            for plane in planes:
+                color = plane[head]
+                for m in rest:
+                    diff |= plane[m] ^ color
+            free &= diff
+            if not free:
+                return None
+        return (free & -free).bit_length() - 1
+
+    return first
+
+
+# _BIT_CHARS[j] maps a byte to the digit "1" when its bit j is set, else "0"
+_BIT_CHARS = [bytes(48 + (c >> j & 1) for c in range(256)) for j in range(8)]
+
+
+def _column_planes(column, k):
+    """The ``k`` bit planes of one cell over a batch of colorings.
+
+    ``column[s]`` is the cell's color in coloring ``s``; bit ``s`` of
+    plane ``j`` is its bit ``j``.  A bytes column becomes one base-2
+    literal per plane (reversed, so coloring 0 is the low bit); a tuple
+    column, whose colors may exceed 255, is split into bytes of eight
+    bits each.
+    """
+    if not isinstance(column, bytes):
+        return [plane for q in range(0, k, 8)
+                for plane in _column_planes(bytes(c >> q & 255 for c in column),
+                                            min(8, k - q))]
+    column = column[::-1]
+    return [int(column.translate(_BIT_CHARS[j]), 2) for j in range(k)]
+
+
+def _batch_planes(batch, size, k):
+    """Planes of consecutive ``size``-cell colorings concatenated in ``batch``."""
+    return tuple(zip(*(_column_planes(batch[i::size], k) for i in range(size))))
+
+
+def _plane_count(r):
+    return max(1, (r - 1).bit_length())
+
+
+def _exhaustive_scan(first, size, r):
+    """``(checked, counterexample)`` over ``itertools.product(range(r), repeat=size)``.
+
+    The scan takes blocks of ``r**m`` consecutive colorings.  Inside a
+    block the last ``m`` cells run through every color pattern in the
+    same order each time, so their planes are built once; every other
+    cell keeps one color over the block, so each of its planes is all
+    ones or zero.
+    """
+    k = _plane_count(r)
+    m = 0
+    while m < size and r ** (m + 1) * size <= _BATCH_CELLS:
+        m += 1
+    count = r ** m
+    full = (1 << count) - 1
+    column = bytes if r <= 256 else tuple
+    low = [_column_planes(column(s // r ** p % r for s in range(count)), k)
+           for p in reversed(range(m))]
+    constant = [[full if c >> j & 1 else 0 for j in range(k)] for c in range(r)]
+    checked = 0
+    for high in itertools.product(range(r), repeat=size - m):
+        s = first(tuple(zip(*[constant[c] for c in high], *low)), count)
+        if s is not None:
+            return (checked + s + 1,
+                    high + tuple(s // r ** p % r for p in reversed(range(m))))
+        checked += count
+    return checked, None
+
+
+def _randomized_scan(first, rng, size, samples, r):
+    """``(checked, counterexample)`` over ``samples`` draws of ``size`` colors.
+
+    A batch is one ``draw`` of many colorings: concatenated draws take the
+    same generator words as separate ones.  On a hit the generator is
+    rewound to the batch start and redraws up to the hit, so it is left
+    where a per-sample loop would have left it.
+    """
+    draw = _color_sampler(rng, r)
+    k = _plane_count(r)
+    count = max(1, _BATCH_CELLS // size)
+    checked = 0
+    while checked < samples:
+        batch = min(count, samples - checked)
+        state = rng.getstate()
+        s = first(_batch_planes(draw(size * batch), size, k), batch)
+        if s is not None:
+            rng.setstate(state)
+            return checked + s + 1, draw(size * (s + 1))[-size:]
+        checked += batch
+    return checked, None
 
 
 def _color_sampler(rng, r):
@@ -834,10 +953,13 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
     Exhaustive mode walks heights upward, enumerating every coloring of
     the level domain (height-0 tuples excluded; no witness evaluates
     them) and checking witness existence against the precomputed minimal
-    candidates.  A height with no counterexample is the answer.  When the
-    enumeration would exceed ``budget`` colorings the scan stops with a
-    cap-exceeded error carrying the bounds found so far.  Randomized mode
-    samples colorings at each height instead and reports a lower bound.
+    candidates.  A height with no counterexample is the answer.  Randomized
+    mode samples colorings at each height instead and reports a lower
+    bound.  Both test bit-sliced batches of colorings in scan order.  A
+    height whose tree, enumeration (over ``budget`` colorings) or witness
+    groups (over ``_MAX_GROUP_MEMBERS`` members) is too large stops the
+    scan, before its groups are built, with a cap-exceeded error carrying
+    the bounds found so far.
     """
     if d < 1 or r < 1 or b < 2:
         raise InvalidInputError(f"need d >= 1, b >= 2, r >= 1; got {(d, b, r)}")
@@ -850,7 +972,7 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
     if budget < 0:
         raise InvalidInputError(f"need budget >= 0, got {budget}")
 
-    draw = _color_sampler(random.Random(seed), r)
+    rng = random.Random(seed)
     checked_total = 0
     lower = 1  # height 1 has no successor level: automatic failure
     counter_doc = None
@@ -864,26 +986,31 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
             colorings_checked=checked_total, note=note, **sampling)
 
     for n in range(2, max_height + 1):
+        stopped = f"{mode} scan stopped before height {n}"
         if d * (b ** n) > 200_000:
-            raise CapExceededError(budget, f"tree of height {n} outside size budget")
+            raise CapExceededError(budget, f"tree of height {n} outside size budget",
+                                   partial=report(note=stopped))
+        members = _witness_group_count(d, b, n) * b ** d
+        if members > _MAX_GROUP_MEMBERS:
+            raise CapExceededError(
+                _MAX_GROUP_MEMBERS,
+                f"{members} witness group members at height {n} exceed "
+                f"{_MAX_GROUP_MEMBERS}", partial=report(note=stopped))
+        # every cell lies in some group: ``size <= members`` bounds ``r ** size``
+        size = sum(b ** (xi * d) for xi in range(1, n))
+        if mode == "exhaustive" and (total := r ** size) > budget:
+            # by default int -> str refuses more than 4300 decimal digits
+            shown = f"{r}**{size}" if total.bit_length() > 10_000 else total
+            raise CapExceededError(
+                budget, f"{shown} colorings at height {n} exceed the budget",
+                partial=report(note=stopped))
         domain, groups = _witness_groups(d, b, n)
-        size = len(domain)
-        has_witness = _witness_test(groups)
+        first = _first_without_witness(groups)
         if mode == "exhaustive":
-            total = r ** size
-            if total > budget:
-                raise CapExceededError(
-                    budget, f"{total} colorings at height {n} exceed the budget",
-                    partial=report(note=f"exhaustive scan stopped before height {n}"))
-            candidates = itertools.product(range(r), repeat=size)
+            checked, counterexample = _exhaustive_scan(first, size, r)
         else:
-            candidates = (draw(size) for _ in range(samples))
-        counterexample = None
-        for colors in candidates:
-            checked_total += 1
-            if not has_witness(colors):
-                counterexample = colors
-                break
+            checked, counterexample = _randomized_scan(first, rng, size, samples, r)
+        checked_total += checked
         if counterexample is None:
             # every height below ``n`` had a counterexample, so ``lower == n - 1``
             if mode == "exhaustive":

@@ -420,7 +420,8 @@ def almost_all_consistent(f, arity, perms, gamma, stage, layers):
 
 
 # ---------------------------------------------------------------------------
-# the finite-HL inner loop the bulk sampler and itemgetter test replaced
+# the finite-HL inner loop the bulk sampler and the bit-sliced batch test
+# replaced
 #
 # Kept verbatim as references.  ``has_witness`` was a closure over the
 # height's witness groups; they are a parameter here.

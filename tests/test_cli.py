@@ -103,6 +103,17 @@ def test_cap_exceeded_exits_three(tmp_path, capsys):
     assert manifest["caps"]["max_steps"] == 3
 
 
+def test_fhl_size_refusal_exits_three_with_the_partial_report(capsys):
+    code, doc, _ = run_json(["fhl", "--d", "2001", "--b", "10", "--r", "2"],
+                            capsys)
+    assert code == 3
+    assert doc["error"] == "tree of height 2 outside size budget"
+    jsonschema.validate(doc, schema("error"))
+    jsonschema.validate(doc["partial"], schema("fhl"))
+    assert doc["partial"]["lower_bound"] == 1
+    assert doc["partial"]["note"] == "exhaustive scan stopped before height 2"
+
+
 def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
     path = write_doc(tmp_path, "in.json", {
         "spaces": [{"branching": 2, "height": 6}] * 2,
