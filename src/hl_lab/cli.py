@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--max-height", type=int, default=8)
     p.add_argument("--budget", type=int, default=2_000_000,
-                   help="most colorings enumerated per height (at least 0)")
+                   help="most colorings enumerated or sampled per height (at least 0)")
     p.set_defaults(handler=_cmd_fhl)
 
     p = sub.add_parser("hl-check", help="check one color across subtree levels")

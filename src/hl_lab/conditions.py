@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    CapExceededError,
     IncompatibleConditionsError,
     InvalidInputError,
     PreconditionError,
@@ -333,6 +334,10 @@ def _check_raw_map(ground, raw, degree):
     return table
 
 
+# ``build_w_map`` refuses inputs with more families to scan.
+_MAX_FAMILIES = 1 << 20
+
+
 def build_w_map(ground, raw, degree: int, stride: int | None = None) -> WMap:
     """Close a raw index-set map under bounded intersections.
 
@@ -341,10 +346,20 @@ def build_w_map(ground, raw, degree: int, stride: int | None = None) -> WMap:
     intersections of raw images over families of at most ``degree + 1``
     many ``degree``-subsets whose own intersection sits inside ``u``.
     The raw map must contain each subset in its image and be monotone.
+    More than ``_MAX_FAMILIES`` families raise ``CapExceededError``
+    before anything is scanned.
     """
     if degree < 1:
         raise InvalidInputError(f"degree must be positive, got {degree}")
     ground = tuple(sorted(set(int(i) for i in ground)))
+    dsubset_count = math.comb(len(ground), degree)
+    families = 0
+    for size in range(1, degree + 2):
+        families += math.comb(dsubset_count, size)
+        if families > _MAX_FAMILIES:
+            raise CapExceededError(
+                _MAX_FAMILIES, f"more than {_MAX_FAMILIES} families of "
+                f"{degree}-subsets of {len(ground)} elements to scan")
     raw = {tuple(sorted(set(u))): w for u, w in
            (raw.items() if hasattr(raw, "items") else raw)}
     table = _check_raw_map(ground, raw, degree)

@@ -155,9 +155,7 @@ def height_permutation_coloring(d: int, spaces) -> Coloring:
     def fn(tup):
         return height_value(tuple(len(x) for x in tup))
 
-    return Coloring(arity, colors, spaces, fn, domain="full",
-                    kind="height-permutation", body={"dimension": d},
-                    height_fn=height_value)
+    return Coloring(arity, colors, spaces, fn, domain="full", height_fn=height_value)
 
 
 @dataclass(frozen=True)

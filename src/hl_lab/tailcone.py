@@ -660,7 +660,7 @@ def dimension_induction(coloring: Coloring, h=None,
             return coloring.evaluate((chain[zeta],) + tuple(tup))
 
         branch_coloring = Coloring(d, coloring.colors, uviews, branch_fn,
-                                   domain="level", kind="derived")
+                                   domain="level")
         try:
             found = _dshl_search(branch_coloring, budget)
         except BudgetExhausted:

@@ -51,8 +51,7 @@ class Coloring:
     consumers count over height patterns instead of node tuples.
     """
 
-    def __init__(self, arity, colors, spaces, fn, *, domain="level", kind="table",
-                 body=None, height_fn=None):
+    def __init__(self, arity, colors, spaces, fn, *, domain="level", height_fn=None):
         if arity < 1:
             raise InvalidInputError(f"arity must be positive, got {arity}")
         if colors < 1:
@@ -68,8 +67,6 @@ class Coloring:
         self.colors = colors
         self.spaces = tuple(spaces)
         self.domain = domain
-        self.kind = kind
-        self.body = body if body is not None else {}
         self.height_fn = height_fn
         self._fn = fn
 
@@ -91,14 +88,6 @@ class Coloring:
 
     __call__ = evaluate
 
-    def to_json(self) -> dict:
-        if self.kind == "table":
-            entries = [{"tuple": list(t), "color": c}
-                       for t, c in sorted(self.body.items())]
-            return {"kind": "table", "arity": self.arity, "colors": self.colors,
-                    "domain": self.domain, "entries": entries}
-        return {"kind": "named", "name": self.kind, "params": dict(self.body)}
-
 
 def _level_domain(spaces):
     """All level sequences of the factor product, canonically ordered."""
@@ -112,8 +101,7 @@ def _full_domain(spaces):
     yield from itertools.product(*per)
 
 
-def table_coloring(spaces, arity, colors, entries, *, domain="level",
-                   check_total=True) -> Coloring:
+def table_coloring(spaces, arity, colors, entries, *, domain="level") -> Coloring:
     """Build a coloring from an explicit tuple-to-color table."""
     table = {}
     for tup, color in (entries.items() if isinstance(entries, dict) else entries):
@@ -125,11 +113,10 @@ def table_coloring(spaces, arity, colors, entries, *, domain="level",
                 f"table entry {tup} has color {color} outside range({colors})"
             )
         table[tup] = int(color)
-    if check_total:
-        wanted = _level_domain(spaces) if domain == "level" else _full_domain(spaces)
-        for tup in wanted:
-            if tup not in table:
-                raise InvalidInputError(f"table is not total: missing {tup}")
+    wanted = _level_domain(spaces) if domain == "level" else _full_domain(spaces)
+    for tup in wanted:
+        if tup not in table:
+            raise InvalidInputError(f"table is not total: missing {tup}")
     return _table_coloring(spaces, arity, colors, table, domain)
 
 
@@ -142,15 +129,13 @@ def _table_coloring(spaces, arity, colors, table, domain):
         except KeyError:
             raise InvalidInputError(f"tuple {tup} outside the table domain") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain, kind="table", body=table)
+    return Coloring(arity, colors, spaces, fn, domain=domain)
 
 
 def constant_coloring(spaces, arity, colors, value=0) -> Coloring:
     if not 0 <= value < colors:
         raise InvalidInputError(f"constant {value} outside range({colors})")
     return Coloring(arity, colors, spaces, lambda tup: value, domain="full",
-                    kind="constant", body={"arity": arity, "colors": colors,
-                                           "value": value},
                     height_fn=lambda hts: value)
 
 
@@ -159,9 +144,7 @@ def level_parity_coloring(spaces, arity, modulus=2) -> Coloring:
     if modulus < 1:
         raise InvalidInputError(f"modulus must be positive, got {modulus}")
     return Coloring(arity, modulus, spaces, lambda tup: len(tup[0]) % modulus,
-                    domain="level", kind="level-parity",
-                    body={"arity": arity, "modulus": modulus},
-                    height_fn=lambda hts: hts[0] % modulus)
+                    domain="level", height_fn=lambda hts: hts[0] % modulus)
 
 
 def antichain_split_coloring(space) -> Coloring:
@@ -172,8 +155,7 @@ def antichain_split_coloring(space) -> Coloring:
         node = tup[0]
         return int(node[0]) if node else 0
 
-    return Coloring(1, b, (space,), fn, domain="full", kind="antichain-split",
-                    body={})
+    return Coloring(1, b, (space,), fn, domain="full")
 
 
 def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Coloring:
@@ -189,9 +171,7 @@ def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Color
         digest = hashlib.blake2b(prefix + "|".join(tup).encode(), digest_size=8)
         return int.from_bytes(digest.digest(), "big") % colors
 
-    return Coloring(arity, colors, spaces, fn, domain=domain, kind="seeded-random",
-                    body={"arity": arity, "colors": colors, "seed": seed,
-                          "domain": domain})
+    return Coloring(arity, colors, spaces, fn, domain=domain)
 
 
 # syntax an ``expr`` coloring may use; there is no attribute access at all
@@ -295,9 +275,7 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
                 f"expr coloring {source!r} failed on {tup}: "
                 f"{type(bad).__name__}: {bad}") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain, kind="expr",
-                    body={"arity": arity, "colors": colors, "source": source,
-                          "domain": domain})
+    return Coloring(arity, colors, spaces, fn, domain=domain)
 
 
 def random_table_coloring(spaces, arity, colors, seed, *, domain="level") -> Coloring:
@@ -395,15 +373,6 @@ class SDHLWitness:
         return cls(base=tuple(doc["base"]),
                    matrix=tuple(tuple(col) for col in doc["matrix"]),
                    color=int(doc["color"]))
-
-
-def _views(trees, arity):
-    views = list(trees)
-    if len(views) != arity:
-        raise InvalidInputError(
-            f"coloring arity {arity} but {len(views)} factor trees supplied"
-        )
-    return views
 
 
 def _undominated(views, base, matrix, level):
@@ -682,8 +651,11 @@ def check_somewhere_dense_witness(witness: SomewhereDenseWitness,
     ``trees`` defaults to the coloring's factor spaces; pass the subtrees
     a witness was built in to check it there.
     """
-    trees = trees if trees is not None else coloring.spaces
-    views = _views(trees, coloring.arity)
+    views = coloring.spaces if trees is None else list(trees)
+    if len(views) != coloring.arity:
+        raise InvalidInputError(
+            f"coloring arity {coloring.arity} but {len(views)} factor trees supplied"
+        )
     base, matrix = witness.base, witness.matrix
     xi, color = witness.density_level, witness.color
     if len(base) != coloring.arity or len(matrix) != coloring.arity:
@@ -754,7 +726,9 @@ class FiniteHLReport:
 # domain size; a larger coloring is a batch of one), which bounds its
 # planes and the bytes drawn for it.
 _BATCH_CELLS = 1 << 16
-# Heights whose witness groups would hold more members are refused.
+# Heights whose trees (``d * b**n`` nodes) or witness groups would be
+# larger are refused.
+_MAX_TREE_NODES = 200_000
 _MAX_GROUP_MEMBERS = 1 << 20
 
 
@@ -938,12 +912,18 @@ def _color_sampler(rng, r):
     return draw
 
 
-def _coloring_from_assignment(d, b, n, domain, assignment):
-    spaces = [TreeSpace.uniform(b, n)] * d
-    table = {tup: 0 for tup in itertools.product(*(s.level(0) for s in spaces))}
-    table.update({tup: int(c) for tup, c in zip(domain, assignment)})
-    r = max(2, max(assignment, default=0) + 1)
-    return table_coloring(spaces, d, r, table, domain="level", check_total=False)
+def _counterexample_table(d, domain, assignment):
+    """The table coloring document of a counterexample.
+
+    ``assignment`` colors the level domain cell by cell; the root tuple,
+    which sorts before every other tuple, gets color 0.
+    """
+    entries = [{"tuple": [""] * d, "color": 0}]
+    entries += [{"tuple": list(tup), "color": c}
+                for tup, c in sorted(zip(domain, assignment))]
+    return {"kind": "table", "arity": d,
+            "colors": max(2, max(assignment, default=0) + 1),
+            "domain": "level", "entries": entries}
 
 
 def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
@@ -956,10 +936,11 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
     candidates.  A height with no counterexample is the answer.  Randomized
     mode samples colorings at each height instead and reports a lower
     bound.  Both test bit-sliced batches of colorings in scan order.  A
-    height whose tree, enumeration (over ``budget`` colorings) or witness
-    groups (over ``_MAX_GROUP_MEMBERS`` members) is too large stops the
-    scan, before its groups are built, with a cap-exceeded error carrying
-    the bounds found so far.
+    height whose tree (over ``_MAX_TREE_NODES`` nodes), colorings to test
+    (every one, or ``samples``, over ``budget``) or witness groups (over
+    ``_MAX_GROUP_MEMBERS`` members) is too large stops the scan, before
+    its groups are built, with a cap-exceeded error carrying the bounds
+    found so far.
     """
     if d < 1 or r < 1 or b < 2:
         raise InvalidInputError(f"need d >= 1, b >= 2, r >= 1; got {(d, b, r)}")
@@ -987,8 +968,9 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
 
     for n in range(2, max_height + 1):
         stopped = f"{mode} scan stopped before height {n}"
-        if d * (b ** n) > 200_000:
-            raise CapExceededError(budget, f"tree of height {n} outside size budget",
+        if d * (b ** n) > _MAX_TREE_NODES:
+            raise CapExceededError(_MAX_TREE_NODES,
+                                   f"tree of height {n} outside size budget",
                                    partial=report(note=stopped))
         members = _witness_group_count(d, b, n) * b ** d
         if members > _MAX_GROUP_MEMBERS:
@@ -998,7 +980,8 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
                 f"{_MAX_GROUP_MEMBERS}", partial=report(note=stopped))
         # every cell lies in some group: ``size <= members`` bounds ``r ** size``
         size = sum(b ** (xi * d) for xi in range(1, n))
-        if mode == "exhaustive" and (total := r ** size) > budget:
+        # the colorings this height would test
+        if (total := r ** size if mode == "exhaustive" else samples) > budget:
             # by default int -> str refuses more than 4300 decimal digits
             shown = f"{r}**{size}" if total.bit_length() > 10_000 else total
             raise CapExceededError(
@@ -1016,8 +999,7 @@ def finite_hl_number(d, b, r, *, mode="exhaustive", samples=1000, seed=0,
             if mode == "exhaustive":
                 return report(value=n)
             return report(note=f"no counterexample among {samples} samples at height {n}")
-        counter_doc = _coloring_from_assignment(d, b, n, domain,
-                                                counterexample).to_json()
+        counter_doc = _counterexample_table(d, domain, counterexample)
         counter_at = n
         lower = n
     return report(note=f"every height up to {max_height} admits a counterexample")

@@ -450,7 +450,9 @@ def sample_colors(rng, r, size):
 # as ``kernel_cross_consistent``, since ``cross_consistent`` here names the
 # older fusion predicate above.  ``sdhl_prime_search``, the free-level
 # search the library no longer has, stays as the reference producer of
-# free-level witnesses for ``check_somewhere_dense_witness``.
+# free-level witnesses for ``check_somewhere_dense_witness``.  ``_views``,
+# whose arity check the library's ``check_somewhere_dense_witness`` now
+# makes itself, is kept beside them.
 
 from hl_lab.errors import CapExceededError, InvalidInputError  # noqa: E402
 from hl_lab.search import (  # noqa: E402
@@ -465,8 +467,16 @@ from hl_lab.witness import (  # noqa: E402
     DenseSetCheck,
     SDHLWitness,
     SomewhereDenseWitness,
-    _views,
 )
+
+
+def _views(trees, arity):
+    views = list(trees)
+    if len(views) != arity:
+        raise InvalidInputError(
+            f"coloring arity {arity} but {len(views)} factor trees supplied"
+        )
+    return views
 
 
 def _selection_color(coloring, assignment, slots, arity):
@@ -806,7 +816,8 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
 # ``check_tail_cone`` restricted every coordinate of every tuple through
 # its view, and ``expr_coloring`` ran ``eval`` with fresh globals and
 # locals per tuple, so a comprehension could not see ``nodes``,
-# ``heights``, ``d`` or ``colors``.
+# ``heights``, ``d`` or ``colors``.  The one edit: ``expr_coloring`` no
+# longer passes ``kind`` and ``body``, which ``Coloring`` does not take.
 
 import ast  # noqa: E402
 import math  # noqa: E402
@@ -969,9 +980,7 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
                 f"expr coloring {source!r} failed on {tup}: "
                 f"{type(bad).__name__}: {bad}") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain, kind="expr",
-                    body={"arity": arity, "colors": colors, "source": source,
-                          "domain": domain})
+    return Coloring(arity, colors, spaces, fn, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,3 +1093,56 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
         tuple(sorted({current[(k, v)] for v in cone_reps[k]}, key=node_key))
         for k in range(d))
     return matrix0, rest
+
+
+# ---------------------------------------------------------------------------
+# the finite-HL counterexample document before ``finite_hl_number`` wrote it
+#
+# Kept verbatim as references: ``_coloring_from_assignment`` built ``d``
+# uniform spaces and a table coloring with the totality check off, and the
+# coloring's ``to_json`` sorted and serialized the table.  The one edit:
+# ``Coloring`` no longer keeps a table or a ``to_json``, so
+# ``_TableColoring`` holds what ``to_json`` read, and
+# ``unchecked_table_coloring`` is ``table_coloring`` on the
+# ``check_total=False`` path that was its only caller's.
+
+from hl_lab.trees import TreeSpace  # noqa: E402
+
+
+class _TableColoring:
+    def __init__(self, arity, colors, domain, kind, body):
+        self.arity = arity
+        self.colors = colors
+        self.domain = domain
+        self.kind = kind
+        self.body = body
+
+    def to_json(self) -> dict:
+        if self.kind == "table":
+            entries = [{"tuple": list(t), "color": c}
+                       for t, c in sorted(self.body.items())]
+            return {"kind": "table", "arity": self.arity, "colors": self.colors,
+                    "domain": self.domain, "entries": entries}
+        return {"kind": "named", "name": self.kind, "params": dict(self.body)}
+
+
+def unchecked_table_coloring(spaces, arity, colors, entries, *, domain="level"):
+    table = {}
+    for tup, color in (entries.items() if isinstance(entries, dict) else entries):
+        tup = tuple(tup)
+        if len(tup) != arity:
+            raise InvalidInputError(f"table entry {tup} does not have arity {arity}")
+        if not 0 <= color < colors:
+            raise InvalidInputError(
+                f"table entry {tup} has color {color} outside range({colors})"
+            )
+        table[tup] = int(color)
+    return _TableColoring(arity, colors, domain, "table", table)
+
+
+def _coloring_from_assignment(d, b, n, domain, assignment):
+    spaces = [TreeSpace.uniform(b, n)] * d
+    table = {tup: 0 for tup in itertools.product(*(s.level(0) for s in spaces))}
+    table.update({tup: int(c) for tup, c in zip(domain, assignment)})
+    r = max(2, max(assignment, default=0) + 1)
+    return unchecked_table_coloring(spaces, d, r, table, domain="level")

@@ -108,10 +108,25 @@ def test_fhl_size_refusal_exits_three_with_the_partial_report(capsys):
                             capsys)
     assert code == 3
     assert doc["error"] == "tree of height 2 outside size budget"
+    assert doc["cap"] == 200_000  # the tree-size bound, not --budget
     jsonschema.validate(doc, schema("error"))
     jsonschema.validate(doc["partial"], schema("fhl"))
     assert doc["partial"]["lower_bound"] == 1
     assert doc["partial"]["note"] == "exhaustive scan stopped before height 2"
+
+
+def test_fhl_randomized_samples_spend_from_the_budget(capsys):
+    code, doc, _ = run_json(["fhl", "--d", "17", "--b", "2", "--r", "2",
+                             "--mode", "randomized", "--samples", "50",
+                             "--budget", "0"], capsys)
+    assert code == 3
+    assert doc["error"] == "50 colorings at height 2 exceed the budget"
+    assert doc["cap"] == 0
+    jsonschema.validate(doc, schema("error"))
+    jsonschema.validate(doc["partial"], schema("fhl"))
+    assert doc["partial"]["colorings_checked"] == 0
+    assert doc["partial"]["counterexample"] is None
+    assert doc["partial"]["note"] == "randomized scan stopped before height 2"
 
 
 def test_capped_fusion_outcome_exits_three(tmp_path, capsys):
@@ -392,6 +407,18 @@ def test_wmap_build_and_verify(tmp_path, capsys):
     path = write_doc(tmp_path, "broken.json", {"wmap": broken})
     code, doc, _ = run_json(["wmap", "verify", path], capsys)
     assert code == 1 and doc["valid"] is False
+
+
+def test_wmap_build_size_refusal_exits_three(tmp_path, capsys):
+    # C(C(14, 3), <= 4) families; the raw map is never read
+    path = write_doc(tmp_path, "build.json", {"E": list(range(14)), "d": 3,
+                                              "raw": []})
+    code, doc, _ = run_json(["wmap", "build", path], capsys)
+    assert code == 3
+    assert doc["cap"] == 1 << 20
+    assert doc["error"] == ("more than 1048576 families of 3-subsets of "
+                            "14 elements to scan")
+    jsonschema.validate(doc, schema("error"))
 
 
 def test_delta_system_exit_codes(tmp_path, capsys):

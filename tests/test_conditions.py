@@ -18,6 +18,7 @@ from hl_lab.conditions import (
     verify_wmap_laws,
 )
 from hl_lab.errors import (
+    CapExceededError,
     IncompatibleConditionsError,
     InvalidInputError,
     PreconditionError,
@@ -246,6 +247,29 @@ def test_raw_map_preconditions_name_the_witness():
     with pytest.raises(PreconditionError) as info:
         build_w_map(ground, raw, 1)
     assert "monotonicity" in str(info.value)
+
+
+@pytest.mark.parametrize("size", [9, 14])
+def test_wmap_build_refuses_too_many_families(size):
+    # E=9, d=3: C(84, <= 4) = 2,028,355 families, once a 6.9 s scan
+    ground = range(size)
+    with pytest.raises(CapExceededError) as info:
+        build_w_map(ground, _identity_raw(ground, 3), 3)
+    assert info.value.cap == 1 << 20
+    # refused before the raw map is read
+    with pytest.raises(CapExceededError):
+        build_w_map(ground, {}, 3)
+
+
+def test_wmap_family_bound_is_exact():
+    # d=1: E + C(E, 2) families; 1,047,628 at E=1447, 1,049,076 at E=1448
+    with pytest.raises(PreconditionError):
+        build_w_map(range(1447), {}, 1)
+    with pytest.raises(CapExceededError):
+        build_w_map(range(1448), {}, 1)
+    # the benchmark's wmap-build box: C(C(11, 2), <= 3) = 27,775 families
+    ground = range(11)
+    assert build_w_map(ground, _identity_raw(ground, 2), 2).degree == 2
 
 
 def test_wmap_totality_and_json():

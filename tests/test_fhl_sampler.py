@@ -11,6 +11,7 @@ unchanged, which is checked against runs with the old loop (kept in
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from hl_lab.witness import (
     _randomized_scan,
     _witness_group_count,
     _witness_groups,
+    coloring_from_json,
     finite_hl_number,
     random_table_coloring,
 )
@@ -303,6 +305,10 @@ def _refuse_building(d, b, n):
     raise AssertionError(f"groups built at height {n}")
 
 
+def _refuse_drawing(rng, r):
+    raise AssertionError("colorings drawn")
+
+
 def test_height_over_the_member_bound_is_refused_with_the_partial(monkeypatch):
     # d=2, b=2: 84 members at height 3, 1428 at height 4
     monkeypatch.setattr(witness, "_MAX_GROUP_MEMBERS", 1000)
@@ -320,6 +326,26 @@ def test_height_over_the_member_bound_is_refused_with_the_partial(monkeypatch):
     with pytest.raises(CapExceededError):
         finite_hl_number(2, 2, 2, mode="randomized", samples=50, seed=1)
     assert built == [2, 3]
+
+
+def test_randomized_budget_refuses_a_height_before_drawing(monkeypatch):
+    monkeypatch.setattr(witness, "_witness_groups", _refuse_building)
+    monkeypatch.setattr(witness, "_color_sampler", _refuse_drawing)
+    with pytest.raises(CapExceededError) as info:
+        finite_hl_number(17, 2, 2, mode="randomized", samples=50, budget=0)
+    assert info.value.cap == 0
+    assert str(info.value) == "50 colorings at height 2 exceed the budget"
+    partial = info.value.partial
+    assert (partial.lower_bound, partial.colorings_checked) == (1, 0)
+    assert partial.counterexample is None
+    assert partial.note == "randomized scan stopped before height 2"
+
+
+def test_randomized_budget_admits_as_many_samples():
+    capped = finite_hl_number(1, 2, 2, mode="randomized", samples=7, seed=3,
+                              max_height=3, budget=7)
+    assert capped == finite_hl_number(1, 2, 2, mode="randomized", samples=7,
+                                      seed=3, max_height=3)
 
 
 def test_member_bound_admits_every_tested_height():
@@ -345,6 +371,7 @@ def test_oversized_tree_is_refused_with_the_partial(mode):
     with pytest.raises(CapExceededError) as info:
         finite_hl_number(2001, 10, 2, mode=mode, samples=5)
     assert str(info.value) == "tree of height 2 outside size budget"
+    assert info.value.cap == witness._MAX_TREE_NODES == 200_000
     assert info.value.partial.lower_bound == 1
     assert info.value.partial.note == f"{mode} scan stopped before height 2"
 
@@ -359,10 +386,33 @@ def test_random_table_draws_the_randrange_stream(r, domain):
     spaces = (TreeSpace(2, 4), TreeSpace(3, 3))
     col = random_table_coloring(spaces, 2, r, seed=r, domain=domain)
     rng = random.Random(r)
-    tuples = witness._level_domain(spaces) if domain == "level" \
-        else witness._full_domain(spaces)
-    assert col.body == {tup: rng.randrange(r) for tup in tuples}
-    assert all(type(c) is int for c in col.body.values())
+    tuples = list(witness._level_domain(spaces) if domain == "level"
+                  else witness._full_domain(spaces))
+    table = {tup: col.evaluate(tup) for tup in tuples}
+    assert table == {tup: rng.randrange(r) for tup in tuples}
+    assert all(type(c) is int for c in table.values())
+
+
+# ---------------------------------------------------------------------------
+# the counterexample document
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 256, 257])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_counterexample_table_is_the_old_coloring_document(d, r):
+    rng = random.Random(1000 * d + r)
+    for b, n in ((2, 2), (2, 3), (3, 2)):
+        spaces = [TreeSpace.uniform(b, n)] * d
+        domain = _witness_groups(d, b, n)[0]
+        for _ in range(3):
+            colors = tuple(rng.randrange(r) for _ in domain)
+            for assignment in (colors, bytes(colors)) if r <= 256 else (colors,):
+                doc = witness._counterexample_table(d, domain, assignment)
+                old = oracles._coloring_from_assignment(d, b, n, domain, assignment)
+                assert json.dumps(doc) == json.dumps(old.to_json())
+                again = coloring_from_json(doc, spaces)
+                assert [again.evaluate(t) for t in domain] == list(colors)
+                assert again.evaluate(("",) * d) == 0
 
 
 @pytest.mark.parametrize("colors", [0, -2])

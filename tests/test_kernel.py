@@ -257,7 +257,7 @@ def _prefix_coloring(spaces, seed, noise):
         flip = zlib.crc32(f"{seed}:{','.join(tup)}".encode()) % noise == 0
         return (zlib.crc32(f"{seed}|{key}".encode()) + flip) % 2
 
-    return Coloring(len(spaces), 2, spaces, fn, domain="full", kind="derived")
+    return Coloring(len(spaces), 2, spaces, fn, domain="full")
 
 
 @pytest.mark.parametrize("d,base,h,goal,seed", [(2, (0,), 6, 4, 2), (2, (1,), 6, 4, 0),

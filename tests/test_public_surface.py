@@ -45,3 +45,14 @@ def test_searches_read_their_trees_from_the_coloring():
         assert "trees" not in inspect.signature(getattr(hl_lab, name)).parameters, name
     # checks a witness inside the subtrees it was built in
     assert "trees" in inspect.signature(hl_lab.check_somewhere_dense_witness).parameters
+
+
+def test_colorings_only_evaluate():
+    # a counterexample document is written by finite_hl_number itself
+    col = hl_lab.constant_coloring((hl_lab.TreeSpace(2, 2),), 1, 2)
+    for name in ("to_json", "kind", "body"):
+        assert not hasattr(hl_lab.Coloring, name), name
+        assert not hasattr(col, name), name
+    for name in ("kind", "body"):
+        assert name not in inspect.signature(hl_lab.Coloring).parameters, name
+    assert "check_total" not in inspect.signature(hl_lab.table_coloring).parameters

@@ -66,7 +66,7 @@ def test_table_coloring_totality_and_bounds():
     with pytest.raises(InvalidInputError):
         table_coloring((space,), 1, 2, {("",): 0})  # missing entries
     with pytest.raises(InvalidInputError):
-        table_coloring((space,), 1, 2, {("",): 5}, check_total=False)
+        table_coloring((space,), 1, 2, {("",): 5})  # color out of range
 
 
 def test_expr_and_hash_colorings_are_deterministic():
@@ -198,9 +198,12 @@ def test_compiled_expr_matches_the_eval_oracle(source):
 def test_coloring_json_round_trips():
     space = TreeSpace(2, 3)
     col = random_table_coloring((space,), 1, 3, seed=5)
-    again = coloring_from_json(col.to_json(), (space,))
-    for n in all_nodes(3):
-        assert again((n,)) == col((n,))
+    domain = [(n,) for n in all_nodes(3) if n]
+    doc = witness._counterexample_table(1, domain, [col(t) for t in domain])
+    again = coloring_from_json(doc, (space,))
+    for t in domain:
+        assert again(t) == col(t)
+    assert again(("",)) == 0
     named = coloring_from_json(
         {"kind": "named", "name": "level-parity",
          "params": {"arity": 2, "modulus": 2}}, (space, space))
