@@ -40,7 +40,7 @@ from .polarized import (
     tangent,
     verify_lower_bound,
 )
-from .search import Caps
+from .search import StepBudget
 from .subtrees import SubtreeReport, validate_strong_subtree
 from .tailcone import (
     ColoringFamily,
@@ -196,7 +196,7 @@ def _cmd_validate_subtree(args, doc):
 def _cmd_sdhl_search(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    witness = sdhl_search(coloring, caps=args.caps)
+    witness = sdhl_search(coloring, budget=args.steps)
     if witness is None:
         return {"found": False, "witness": None}, 1
     return {"found": True, "witness": witness.to_json()}, 0
@@ -223,7 +223,7 @@ def _cmd_fusion_run(args, doc):
     members = [coloring_from_json(c, spaces) for c in doc.get("colorings", [])]
     family = ColoringFamily(members, spaces=spaces)
     events = [] if args.transcript else None
-    outcome = fuse(family, h=doc.get("h"), caps=args.caps,
+    outcome = fuse(family, h=doc.get("h"), budget=args.steps,
                    transcript=events)
     _write_transcript(args.transcript, events)
     return outcome.to_json(), _search_code(outcome)
@@ -243,7 +243,7 @@ def _cmd_dim_induct(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     events = [] if args.transcript else None
     outcome = dimension_induction(coloring, h=doc.get("h"),
-                                  caps=args.caps, transcript=events)
+                                  budget=args.steps, transcript=events)
     _write_transcript(args.transcript, events)
     return outcome.to_json(), _search_code(outcome)
 
@@ -253,7 +253,7 @@ def _cmd_polarized_search(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     events = [] if args.transcript else None
     outcome = polarized_search(coloring, int(doc.get("depth", 3)),
-                               caps=args.caps, transcript=events)
+                               budget=args.steps, transcript=events)
     _write_transcript(args.transcript, events)
     return outcome.to_json(), _search_code(outcome)
 
@@ -270,7 +270,7 @@ def _cmd_almost_all(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     epsilon = Fraction(doc.get("epsilon", "1/10"))
     report = almost_all_homogenize(coloring, epsilon=epsilon,
-                                   h=doc.get("h"), caps=args.caps)
+                                   h=doc.get("h"), budget=args.steps)
     return report.to_json(), _search_code(report)
 
 
@@ -315,7 +315,8 @@ def _cmd_wmap_verify(args, doc):
 
 
 def _cmd_delta_system(args, doc):
-    outcome = delta_system([set(m) for m in doc["family"]], int(doc["target"]))
+    outcome = delta_system([set(m) for m in doc["family"]], int(doc["target"]),
+                           budget=args.steps)
     return outcome.to_json(), 0 if outcome.success else 1
 
 
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_wmap_verify)
 
     p = sub.add_parser("delta-system", help="find a common-root subfamily")
-    _add_common(p)
+    _add_common(p, search=True)
     p.set_defaults(handler=_cmd_delta_system)
 
     return parser
@@ -468,7 +469,8 @@ def dispatch(argv=None) -> int:
         doc_in, raw = _read_input(getattr(args, "input", None)) \
             if hasattr(args, "input") else (None, b"")
         steps = getattr(args, "max_steps", None)
-        args.caps = Caps() if steps is None else Caps(steps)
+        # one budget per run; ``args.budget`` is fhl's own --budget flag
+        args.steps = StepBudget() if steps is None else StepBudget(steps)
         document, code = args.handler(args, doc_in)
     except IncompatibleConditionsError as bad:
         document = {"error": str(bad), "index": bad.index,

@@ -24,6 +24,7 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
+from .search import BudgetExhausted, StepBudget
 
 # ---------------------------------------------------------------------------
 # conditions
@@ -194,7 +195,8 @@ class DeltaSystemOutcome:
                 "scanned": self.scanned}
 
 
-def delta_system(family, target: int) -> DeltaSystemOutcome:
+def delta_system(family, target: int,
+                 budget: StepBudget | None = None) -> DeltaSystemOutcome:
     """First subfamily (in combination order) with one common intersection.
 
     Every pairwise intersection of the chosen members must literally
@@ -202,8 +204,12 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
     The first pair fixes the root, so deeper members are drawn only from
     the later indices that meet every chosen member in it; ``scanned``
     counts the combinations up to the answer in ``itertools.combinations``
-    order, or all of them when there is none.
+    order, or all of them when there is none.  Each intersection a
+    member takes with the later ones, and each candidate index a pair or
+    an appended member reads, spends one step of ``budget``; only one
+    member's intersections are held at a time.
     """
+    budget = budget or StepBudget()
     family = [frozenset(int(i) for i in member) for member in family]
     if target < 1:
         raise InvalidInputError(f"target size must be positive, got {target}")
@@ -211,16 +217,6 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
         raise InvalidInputError(
             f"target {target} exceeds the family size {len(family)}")
     n = len(family)
-    # rows[i][root]: the j > i with family[i] & family[j] == root, descending
-    rows: dict = {}
-
-    def row(i):
-        by_root = rows.get(i)
-        if by_root is None:
-            by_root = rows[i] = {}
-            for j in range(n - 1, i, -1):
-                by_root.setdefault(family[i] & family[j], []).append(j)
-        return by_root
 
     def found(combo, root):
         return DeltaSystemOutcome(
@@ -229,25 +225,34 @@ def delta_system(family, target: int) -> DeltaSystemOutcome:
 
     if target == 1:
         return found((0,), frozenset())
-    for i in range(n):
-        for j in range(i + 1, n):
-            root = family[i] & family[j]
-            combo = [i, j]
-            # pools[-1]: untried indices above combo[-1] meeting each member in root
-            partners = set(row(j).get(root, ()))
-            pools = [[k for k in row(i)[root] if k > j and k in partners]]
-            while pools:
-                if len(combo) == target:
-                    return found(combo, root)
-                pool = pools[-1]
-                if len(pool) < target - len(combo):
-                    pools.pop()
-                    combo.pop()
-                    continue
-                k = pool.pop()
-                partners = set(row(k).get(root, ()))
-                combo.append(k)
-                pools.append([m for m in pool if m in partners])
+    try:
+        for i in range(n - target + 1):
+            budget.spend(n - 1 - i)
+            roots = [family[i] & family[j] for j in range(i + 1, n)]
+            # row[root]: the j > i with family[i] & family[j] == root, descending
+            row: dict = {}
+            for j in range(n - 1, i, -1):
+                row.setdefault(roots[j - i - 1], []).append(j)
+            for j, root in enumerate(roots, i + 1):
+                combo = [i, j]
+                mates = row[root]
+                budget.spend(len(mates))
+                # pools[-1]: untried indices above combo[-1] meeting each member in root
+                pools = [[k for k in mates if k > j and family[j] & family[k] == root]]
+                while pools:
+                    if len(combo) == target:
+                        return found(combo, root)
+                    pool = pools[-1]
+                    if len(pool) < target - len(combo):
+                        pools.pop()
+                        combo.pop()
+                        continue
+                    budget.spend(len(pool))
+                    k = pool.pop()
+                    combo.append(k)
+                    pools.append([m for m in pool if family[k] & family[m] == root])
+    except BudgetExhausted:
+        raise CapExceededError(budget.cap, "delta-system search exceeded its budget")
     return DeltaSystemOutcome(False, (), (), None, math.comb(n, target))
 
 

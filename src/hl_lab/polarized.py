@@ -23,7 +23,6 @@ from fractions import Fraction
 from .errors import InvalidInputError, PreconditionError
 from .search import (
     BudgetExhausted,
-    Caps,
     StepBudget,
     typed_consistent,
 )
@@ -329,7 +328,7 @@ def _measure_height_factored(f, views):
 
 
 def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
-                          h=None, caps: Caps | None = None) -> AlmostAllReport:
+                          h=None, budget: StepBudget | None = None) -> AlmostAllReport:
     """Shrink to subtrees on which each height-order pattern is near-constant.
 
     Height-determined colorings are measured directly over height
@@ -339,7 +338,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     node is new gets the pattern's color; a completed construction has
     zero violating tuples by construction and is re-measured exactly.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     if f.arity < 2:
         raise InvalidInputError("homogenization needs arity at least 2")
     if f.domain != "full":
@@ -361,7 +360,6 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     perms = list(itertools.permutations(range(arity)))
     height = min(v.height for v in views)
     h_max = min(h if h is not None else height, height)
-    budget = StepBudget(caps.max_steps)
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
@@ -489,7 +487,7 @@ class PolarizedOutcome:
                 "capped": self.capped}
 
 
-def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
+def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
                      transcript=None) -> PolarizedOutcome:
     """Round-robin growth of one splitting tree per factor, colors by type.
 
@@ -501,7 +499,7 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
     the finished product therefore wears its type's pinned color, so at
     most ``(arity)!`` colors are realized.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     if f.arity < 2:
         raise InvalidInputError("the construction needs at least two factors")
     if f.domain != "full":
@@ -512,7 +510,6 @@ def polarized_search(f: Coloring, depth: int, caps: Caps | None = None,
     views = f.spaces
     k = f.arity
     height = min(v.height for v in views)
-    budget = StepBudget(caps.max_steps)
 
     picked: list[dict] = [dict() for _ in range(k)]  # node -> band
     tree_levels: list[list[int]] = [[] for _ in range(k)]

@@ -3,26 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Budget for the staged searches.
-
-    ``max_steps`` bounds the total number of candidate inspections an
-    operation may perform; it must be at least 1.  Hitting the cap is a
-    reported outcome, not a bug: constructions return a failure record
-    naming the stage that starved.
-    """
-
-    max_steps: int = 500_000
-
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise InvalidInputError(f"need max_steps >= 1, got {self.max_steps}")
 
 
 class BudgetExhausted(Exception):
@@ -33,12 +16,21 @@ class BudgetExhausted(Exception):
 class StepBudget:
     """Counts work units; raises once the cap is crossed.
 
-    The exception is internal; public entry points convert it into either
-    a cap-exceeded error or a first-class failure report.
+    ``cap`` bounds the total number of steps (candidate inspections, in
+    the staged searches) that the searches handed this budget may take;
+    it must be at least 1.  One budget can serve several searches in
+    turn, and ``used`` tells the caller how much of it they spent.  The
+    exception is internal; public entry points convert it into either a
+    cap-exceeded error or a first-class failure report naming the stage
+    that starved.
     """
 
-    cap: int
-    used: int = 0
+    cap: int = 500_000
+    used: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.cap < 1:
+            raise InvalidInputError(f"need max_steps >= 1, got {self.cap}")
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
@@ -46,7 +38,7 @@ class StepBudget:
             raise BudgetExhausted(f"budget of {self.cap} steps exhausted")
 
 
-def first_assignment(slots, candidates, consistent, budget: StepBudget):
+def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.
 
     ``slots`` is an ordered list of slot ids, ``candidates[slot]`` an
@@ -55,7 +47,23 @@ def first_assignment(slots, candidates, consistent, budget: StepBudget):
     assignment found is the minimum in lexicographic product order (slots
     major to minor), which is what makes emitted witnesses canonical.
     Returns ``None`` when the space is exhausted without a solution.
+
+    Requires a monotone predicate: a choice rejected against the empty
+    partial assignment stays rejected against every larger one.  Each
+    slot's candidate list is filtered against the empty assignment first;
+    an empty filtered list fails the whole call immediately, which keeps
+    independent-slot instances from backtracking exponentially.
     """
+    filtered = {}
+    for slot in slots:
+        keep = []
+        for choice in candidates[slot]:
+            budget.spend()
+            if consistent({}, slot, choice):
+                keep.append(choice)
+        if not keep:
+            return None
+        filtered[slot] = tuple(keep)
     if not slots:
         return {}
     assignment: dict = {}
@@ -63,7 +71,7 @@ def first_assignment(slots, candidates, consistent, budget: StepBudget):
     depth = 0
     while True:
         slot = slots[depth]
-        options = candidates[slot]
+        options = filtered[slot]
         idx = pointers[depth]
         advanced = False
         while idx < len(options):
@@ -89,35 +97,13 @@ def first_assignment(slots, candidates, consistent, budget: StepBudget):
         del assignment[slots[depth]]
 
 
-def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
-    """``first_assignment`` after slot-local pruning.
-
-    Requires a monotone predicate: a choice rejected against the empty
-    partial assignment stays rejected against every larger one.  Each
-    slot's candidate list is filtered against the empty assignment first;
-    an empty filtered list fails the whole call immediately, which keeps
-    independent-slot instances from backtracking exponentially.
-    """
-    filtered = {}
-    for slot in slots:
-        keep = []
-        for choice in candidates[slot]:
-            budget.spend()
-            if consistent({}, slot, choice):
-                keep.append(choice)
-        if not keep:
-            return None
-        filtered[slot] = tuple(keep)
-    return first_assignment(slots, filtered, consistent, budget)
-
-
 # ---------------------------------------------------------------------------
 # consistency kernel
 #
 # The staged searches hand ``prefiltered_assignment`` one predicate per
 # stage.  The predicates below build each coordinate's assigned nodes from
 # the partial assignment alone (after any nodes committed at earlier
-# stages), read in insertion order (which ``first_assignment`` keeps equal
+# stages), read in insertion order (which the assignment search keeps equal
 # to slot order), and memoize every tuple's value for the life of the
 # predicate: a tuple met again after backtracking costs one dict lookup.
 # Verdicts are exactly those of evaluating every tuple afresh, so step

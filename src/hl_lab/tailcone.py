@@ -21,10 +21,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import CapExceededError, InvalidInputError
 from .search import (
     BudgetExhausted,
-    Caps,
     StepBudget,
     cross_consistent,
 )
@@ -33,8 +32,8 @@ from .trees import node_key
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
-    _dshl_search,
     check_somewhere_dense_witness,
+    dshl_search,
     first_level,
 )
 
@@ -264,7 +263,7 @@ class FuseOutcome:
                 "capped": self.capped}
 
 
-def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
+def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
          transcript=None) -> FuseOutcome:
     """Build shared subtrees making every family member tail-cone determined.
 
@@ -273,7 +272,7 @@ def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
     its law.  Candidate levels are scanned upward, so the level set is
     the canonically least one the construction can realize.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     views = family.spaces
     m = len(family)
     height = min(v.height for v in views)
@@ -287,7 +286,6 @@ def fuse(family: ColoringFamily, h=None, caps: Caps | None = None,
         raise InvalidInputError(f"height goal {h} exceeds tree height {height}")
     d = family.arity
     tables: list[dict] = [dict() for _ in range(m)]
-    budget = StepBudget(caps.max_steps)
 
     def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
@@ -390,7 +388,7 @@ def check_partial_tailcone(reports, coloring: Coloring, base_coords,
 
 
 def apply_tailcone_partial(coloring: Coloring, base_coords,
-                           h=None, caps: Caps | None = None,
+                           h=None, budget: StepBudget | None = None,
                            transcript=None) -> PartialOutcome:
     """Shared subtrees on which the coloring obeys the partial tail-cone law.
 
@@ -400,13 +398,7 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
     row already recorded.  The construction ends with a full direct check
     of the law on the output.
     """
-    caps = caps or Caps()
-    return _apply_tailcone_partial(coloring, base_coords, h,
-                                   StepBudget(caps.max_steps), transcript)
-
-
-def _apply_tailcone_partial(coloring, base_coords, h, budget, transcript):
-    """``apply_tailcone_partial`` spending from a caller's budget."""
+    budget = budget or StepBudget()
     views = coloring.spaces
     d = coloring.arity
     if coloring.domain != "full":
@@ -507,7 +499,7 @@ class HLOutcome:
                 "capped": self.capped}
 
 
-def hl_search(coloring: Coloring, h=None, caps: Caps | None = None,
+def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
               transcript=None) -> HLOutcome:
     """Strong subtrees whose level products all get one color.
 
@@ -515,13 +507,12 @@ def hl_search(coloring: Coloring, h=None, caps: Caps | None = None,
     order); the root tuple's own color is the target, so homogeneity
     holds at every subtree level including the roots.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     views = coloring.spaces
     d = coloring.arity
     height = min(v.height for v in views)
     if h is None:
         h = height
-    budget = StepBudget(caps.max_steps)
     for rho in range(height):
         for roots in itertools.product(*(v.level(rho) for v in views)):
             gamma = coloring.evaluate(roots)
@@ -621,7 +612,7 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
 
 
 def dimension_induction(coloring: Coloring, h=None,
-                        caps: Caps | None = None,
+                        budget: StepBudget | None = None,
                         transcript=None) -> InductionOutcome:
     """Somewhere-dense witness for a higher-arity coloring, by reduction.
 
@@ -632,16 +623,15 @@ def dimension_induction(coloring: Coloring, h=None,
     there; take the most voted base and color; then reassemble cones
     above a node one level past the base into a mixed-height matrix.
     The result is validated by the somewhere-dense checker over the
-    constructed subtrees before it is returned.  One step budget of
-    ``caps.max_steps`` covers the whole pipeline.
+    constructed subtrees before it is returned.  One step budget covers
+    the whole pipeline.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     if coloring.arity < 2:
         raise InvalidInputError("dimension raising needs arity at least 2")
     if coloring.domain != "full":
         raise InvalidInputError("a full-domain coloring is required")
-    budget = StepBudget(caps.max_steps)
-    part = _apply_tailcone_partial(coloring, (0,), h, budget, transcript)
+    part = apply_tailcone_partial(coloring, (0,), h, budget, transcript)
     if not part.success:
         return InductionOutcome(False, None, None, None, None,
                                 failure=f"tail-cone step failed: {part.failure}",
@@ -662,8 +652,8 @@ def dimension_induction(coloring: Coloring, h=None,
         branch_coloring = Coloring(d, coloring.colors, uviews, branch_fn,
                                    domain="level")
         try:
-            found = _dshl_search(branch_coloring, budget)
-        except BudgetExhausted:
+            found = dshl_search(branch_coloring, budget)
+        except CapExceededError:
             return InductionOutcome(
                 False, None, reports, None, None,
                 failure="budget exhausted during the branch searches",

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InvalidInputError
 from .search import (
     BudgetExhausted,
-    Caps,
     StepBudget,
     cross_consistent,
     prefiltered_assignment,
@@ -467,7 +466,7 @@ def _dense_matrix(views, base, xi, value, reference, budget):
                  for j in range(len(base)))
 
 
-def sdhl_search(coloring: Coloring, caps: Caps | None = None):
+def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
     """First somewhere-dense successor-level witness in canonical scan order.
 
     Scan order: base height, base (coordinatewise canonical), matrix
@@ -476,10 +475,9 @@ def sdhl_search(coloring: Coloring, caps: Caps | None = None):
     cone does, so the scan is complete.  Returns ``None`` when the whole
     truncation admits no witness.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     views = coloring.spaces
     height = min(v.height for v in views)
-    budget = StepBudget(caps.max_steps)
     try:
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
@@ -490,7 +488,7 @@ def sdhl_search(coloring: Coloring, caps: Caps | None = None):
                     color = coloring.evaluate(tuple(col[0] for col in matrix))
                     return SDHLWitness(base=base, matrix=matrix, color=color)
     except BudgetExhausted:
-        raise CapExceededError(caps.max_steps,
+        raise CapExceededError(budget.cap,
                                "successor-level witness scan exceeded its budget")
     return None
 
@@ -519,7 +517,7 @@ def _undense_levels(views, base, color, value, budget):
 
 
 def check_dshl_witness(base, color, coloring: Coloring,
-                       caps: Caps | None = None) -> DenseSetCheck:
+                       budget: StepBudget | None = None) -> DenseSetCheck:
     """Dense-set check: a monochromatic dominating level matrix at every level.
 
     For each level ``eta`` above the base there must be a level matrix of
@@ -527,47 +525,41 @@ def check_dshl_witness(base, color, coloring: Coloring,
     above the base.  ``asym_ok`` reports the root-base refinement: color 0
     witnesses are expected to sit at the roots.
     """
-    caps = caps or Caps()
+    budget = budget or StepBudget()
     views = coloring.spaces
     base = tuple(base)
     if len({views[j].level_of(base[j]) for j in range(len(base))}) != 1:
         raise InvalidInputError(f"base {base} is not a level sequence")
-    budget = StepBudget(caps.max_steps)
     try:
         violations = [f"no dominating matrix of color {color} at level {eta}"
                       for eta in _undense_levels(views, base, color,
                                                  coloring.evaluate, budget)]
     except BudgetExhausted:
-        raise CapExceededError(caps.max_steps, "dense-set check exceeded its budget")
+        raise CapExceededError(budget.cap, "dense-set check exceeded its budget")
     roots = tuple(v.level(0)[0] for v in views)
     asym_ok = (color != 0) or (base == roots)
     return DenseSetCheck(not violations, asym_ok, tuple(violations))
 
 
-def dshl_search(coloring: Coloring, caps: Caps | None = None):
+def dshl_search(coloring: Coloring, budget: StepBudget | None = None):
     """First (base, color) passing the dense-set check, canonical order.
 
     One step budget covers the whole scan.  A (base, color) pair is
     dropped at its first level without a dominating matrix.
     """
-    caps = caps or Caps()
-    try:
-        return _dshl_search(coloring, StepBudget(caps.max_steps))
-    except BudgetExhausted:
-        raise CapExceededError(caps.max_steps, "dense-set search exceeded its budget")
-
-
-def _dshl_search(coloring: Coloring, budget: StepBudget):
-    """``dshl_search`` spending from a caller's budget; may raise ``BudgetExhausted``."""
+    budget = budget or StepBudget()
     views = coloring.spaces
     height = min(v.height for v in views)
-    for ht in range(height - 1):
-        for base in itertools.product(*(v.level(ht) for v in views)):
-            for color in range(coloring.colors):
-                undense = _undense_levels(views, base, color,
-                                          coloring.evaluate, budget)
-                if next(undense, None) is None:
-                    return base, color
+    try:
+        for ht in range(height - 1):
+            for base in itertools.product(*(v.level(ht) for v in views)):
+                for color in range(coloring.colors):
+                    undense = _undense_levels(views, base, color,
+                                              coloring.evaluate, budget)
+                    if next(undense, None) is None:
+                        return base, color
+    except BudgetExhausted:
+        raise CapExceededError(budget.cap, "dense-set search exceeded its budget")
     return None
 
 

@@ -452,16 +452,37 @@ def sample_colors(rng, r, size):
 # search the library no longer has, stays as the reference producer of
 # free-level witnesses for ``check_somewhere_dense_witness``.  ``_views``,
 # whose arity check the library's ``check_somewhere_dense_witness`` now
-# makes itself, is kept beside them.
+# makes itself, is kept beside them, and so is ``Caps``, the budget
+# configuration the three searches take (the library's searches now take
+# the ``StepBudget`` itself).
+
+from dataclasses import dataclass  # noqa: E402
 
 from hl_lab.errors import CapExceededError, InvalidInputError  # noqa: E402
 from hl_lab.search import (  # noqa: E402
     BudgetExhausted,
-    Caps,
     StepBudget,
     cross_consistent as kernel_cross_consistent,
     prefiltered_assignment,
 )
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Budget for the staged searches.
+
+    ``max_steps`` bounds the total number of candidate inspections an
+    operation may perform; it must be at least 1.  Hitting the cap is a
+    reported outcome, not a bug: constructions return a failure record
+    naming the stage that starved.
+    """
+
+    max_steps: int = 500_000
+
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise InvalidInputError(f"need max_steps >= 1, got {self.max_steps}")
+
 from hl_lab.trees import sort_nodes  # noqa: E402
 from hl_lab.witness import (  # noqa: E402
     DenseSetCheck,

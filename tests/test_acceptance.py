@@ -26,7 +26,7 @@ from hl_lab.polarized import (
     polarized_search,
     tangent,
 )
-from hl_lab.search import Caps
+from hl_lab.search import StepBudget
 from hl_lab.subtrees import (
     SubtreeReport,
     enumerate_strong_subtrees,
@@ -133,7 +133,7 @@ def test_criterion_4():
                                         seed=rng.randrange(10 ** 6))
                    for _ in range(m)]
         family = ColoringFamily(members)
-        outcome = fuse(family, h=3, caps=Caps(max_steps=150_000))
+        outcome = fuse(family, h=3, budget=StepBudget(150_000))
         if outcome.capped:
             capped += 1
             continue
@@ -167,7 +167,7 @@ def test_criterion_5():
         coloring = seeded_hash_coloring(spaces, 2, 2,
                                         seed=rng.randrange(10 ** 6))
         outcome = dimension_induction(coloring, h=3,
-                                      caps=Caps(max_steps=200_000))
+                                      budget=StepBudget(200_000))
         if outcome.success:
             literal_successes += 1
             assert check_somewhere_dense_witness(
@@ -182,7 +182,7 @@ def test_criterion_5():
         for seed in range(30):
             coloring = seeded_hash_coloring(spaces, 2, 2, seed=seed)
             outcome = dimension_induction(coloring, h=4,
-                                          caps=Caps(max_steps=400_000))
+                                          budget=StepBudget(400_000))
             if not outcome.success:
                 continue
             succeeded.add(seed)
@@ -211,12 +211,12 @@ def test_criterion_6():
     deep_successes = shallow_successes = 0
     for seed in range(100):
         coloring = seeded_hash_coloring((box, box), 2, 3, seed=seed)
-        deep = polarized_search(coloring, depth=3, caps=Caps(max_steps=200_000))
+        deep = polarized_search(coloring, depth=3, budget=StepBudget(200_000))
         if deep.success:
             deep_successes += 1
             assert len(deep.realized) <= 2, seed
         shallow = polarized_search(coloring, depth=1,
-                                   caps=Caps(max_steps=200_000))
+                                   budget=StepBudget(200_000))
         if shallow.success:
             shallow_successes += 1
             assert len(shallow.realized) <= 2, seed

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas, manifests, rendering."""
 
 import hashlib
+import itertools
 import json
 from importlib import resources
 
@@ -433,6 +434,20 @@ def test_delta_system_exit_codes(tmp_path, capsys):
     assert code == 1 and doc["success"] is False
 
 
+def test_delta_system_spends_from_max_steps(tmp_path, capsys):
+    # no 13 of the 3-subsets of range(14) form a sunflower; the search
+    # needs 24,839,980 steps (about 8 s), over the default cap
+    family = [list(c) for c in itertools.combinations(range(14), 3)]
+    path = write_doc(tmp_path, "in.json", {"family": family, "target": 13})
+    code, doc, manifest = run_json(["delta-system", path, "--max-steps", "1000"],
+                                   capsys)
+    assert code == 3
+    assert doc == {"error": "delta-system search exceeded its budget",
+                   "cap": 1000, "partial": None}
+    jsonschema.validate(doc, schema("error"))
+    assert manifest["caps"] == {"max_steps": 1000}
+
+
 def test_hl_check_document(tmp_path, capsys):
     space = {"branching": 2, "height": 3}
     nodes = ["", "0", "1", "00", "01", "10", "11"]
@@ -515,7 +530,7 @@ def test_manifest_schema_rejects_stray_keys():
 
 
 def test_removed_flags_are_rejected(capsys):
-    # --seed stays only on fhl; --max-steps only on the staged searches
+    # --seed stays only on fhl; --max-steps only on the searches
     for argv in (["degrees", "tangent", "3", "--workers", "2"],
                  ["degrees", "tangent", "3", "--stage-candidates", "2"],
                  ["lex-sort", "-", "--max-steps", "2"],

@@ -23,6 +23,7 @@ from hl_lab.errors import (
     InvalidInputError,
     PreconditionError,
 )
+from hl_lab.search import StepBudget
 
 import oracles
 from oracles import all_nodes, make_raw_map, wmap_image_unbounded
@@ -534,3 +535,34 @@ def test_delta_system_without_a_sunflower_counts_every_combination():
     assert not out.success
     assert out.scanned == 658_008
     assert out == oracles.delta_system_memoized(family, 5)
+
+
+def test_delta_system_spends_from_its_budget():
+    # no 9 of the 120 3-subsets of range(10) form a sunflower: the search
+    # takes 146,564 steps; on range(14) it takes 24,839,980, about four
+    # times more per added element
+    family = [set(c) for c in itertools.combinations(range(10), 3)]
+    budget = StepBudget(146_564)
+    assert not delta_system(family, 9, budget=budget).success
+    assert budget.used == 146_564
+    budget = StepBudget(146_563)
+    with pytest.raises(CapExceededError) as capped:
+        delta_system(family, 9, budget=budget)
+    assert capped.value.cap == 146_563
+    # a found subfamily: the first member's two intersections, the pair's
+    # two candidates and the one candidate the appended member reads
+    budget = StepBudget(5)
+    assert delta_system([{1, 2}, {1, 3}, {1, 4}], 3, budget=budget).success
+    assert budget.used == 5
+
+
+def test_delta_system_is_refused_before_it_intersects_past_its_cap():
+    # the 54,740 3-subsets of range(70): the first member's intersections
+    # with the later ones are charged before they are taken, so a small
+    # cap refuses the run without building them
+    family = [set(c) for c in itertools.combinations(range(70), 3)]
+    budget = StepBudget(1000)
+    with pytest.raises(CapExceededError) as capped:
+        delta_system(family, 69, budget=budget)
+    assert capped.value.cap == 1000
+    assert budget.used == len(family) - 1

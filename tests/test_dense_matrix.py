@@ -4,8 +4,9 @@
 slots and candidate pools before they shared ``witness._dense_matrix``;
 the old bodies are kept verbatim in ``oracles``.  On a grid of small
 boxes (d <= 3, H <= 5, level and full domains, uncapped and capped) both
-must give the same result and spend the same steps: every ``StepBudget``
-either one creates ends at the same ``used`` count.  In the "short"
+must give the same result and spend the same steps: the ``StepBudget``
+handed to the library search and the one the reference search makes
+from its ``Caps`` end at the same ``used`` count.  In the "short"
 boxes the last factor is two levels lower than the others, so every scan
 stops at its height though the other factors go higher.  On the same
 grid, the free-level checker must accept every witness of the reference
@@ -18,9 +19,8 @@ import itertools
 import pytest
 
 import oracles
-from hl_lab import witness
 from hl_lab.errors import CapExceededError
-from hl_lab.search import Caps, StepBudget
+from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
     SomewhereDenseWitness,
@@ -33,33 +33,40 @@ from hl_lab.witness import (
 )
 
 
-def _measure(monkeypatch, module, run):
-    """``run()``'s result (or cap) and the final ``used`` of each budget."""
-    made = []
+def _result(run):
+    """``run()``'s result, or its cap and message when it is capped."""
+    try:
+        return run()
+    except CapExceededError as capped:
+        return ("capped", capped.cap, str(capped))
 
-    class Budget(StepBudget):
-        def __init__(self, cap):
-            super().__init__(cap)
-            made.append(self)
+
+def _same(monkeypatch, cap, new, old):
+    """Both agree; returns the steps the new version spent.
+
+    ``new`` spends from a budget made here for this one run and read
+    afterwards.  The reference search makes its own budget from ``Caps``;
+    it hands that budget to every assignment search it runs, where it is
+    read.
+    """
+    budget = StepBudget(cap) if cap else StepBudget()
+    got = (_result(lambda: new(budget)), budget.used)
+    seen = []
+
+    def watched(slots, candidates, consistent, budget):
+        seen.append(budget)
+        return prefiltered_assignment(slots, candidates, consistent, budget)
 
     with monkeypatch.context() as patch:
-        patch.setattr(module, "StepBudget", Budget)
-        try:
-            result = run()
-        except CapExceededError as capped:
-            result = ("capped", capped.cap, str(capped))
-    return result, [b.used for b in made]
-
-
-def _same(monkeypatch, new, old):
-    """Both agree; returns the steps the new version spent."""
-    got = _measure(monkeypatch, witness, new)
-    assert got == _measure(monkeypatch, oracles, old)
-    return sum(got[1])
+        patch.setattr(oracles, "prefiltered_assignment", watched)
+        want = _result(lambda: old(oracles.Caps(cap) if cap else None))
+    assert len({id(b) for b in seen}) <= 1
+    assert got == (want, seen[-1].used if seen else 0)
+    return got[1]
 
 
 BOXES = list(itertools.product((1, 2, 3), (2, 3, 4, 5)))
-CAPS = [None, Caps(max_steps=40)]
+CAPS = [None, 40]  # a cap, not a budget: each run makes its own
 
 
 def _spaces(d, h, short):
@@ -104,8 +111,8 @@ def _case_id(case):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_sdhl_search_matches_oracle(monkeypatch, case):
     d, h, short, domain, caps = case
-    assert sum(_same(monkeypatch, lambda: sdhl_search(col, caps=caps),
-                     lambda: oracles.sdhl_search(col, caps=caps))
+    assert sum(_same(monkeypatch, caps, lambda budget: sdhl_search(col, budget=budget),
+                     lambda c: oracles.sdhl_search(col, caps=c))
                for col in _colorings(d, h, short, domain))
 
 
@@ -128,11 +135,13 @@ def test_sdhl_prime_search_matches_oracle(case):
     d, h, short, domain, caps = case
     found = 0
     for col in _colorings(d, h, short, domain):
-        free = _or_capped(lambda: oracles.sdhl_prime_search(col, caps=caps))
+        free = _or_capped(lambda: oracles.sdhl_prime_search(
+            col, caps=oracles.Caps(caps) if caps else None))
         if free not in (None, "capped"):
             assert check_somewhere_dense_witness(free, col).valid
             found += 1
-        w = _or_capped(lambda: sdhl_search(col, caps=caps))
+        w = _or_capped(lambda: sdhl_search(
+            col, budget=StepBudget(caps) if caps else None))
         if w not in (None, "capped"):
             as_free = SomewhereDenseWitness(w.base, w.matrix, w.density_level, w.color)
             assert check_somewhere_dense_witness(as_free, col).valid
@@ -144,8 +153,9 @@ def test_sdhl_prime_search_matches_oracle(case):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_check_dshl_witness_matches_oracle(monkeypatch, case):
     d, h, short, domain, caps = case
-    assert sum(_same(monkeypatch, lambda: check_dshl_witness(base, color, col, caps=caps),
-                     lambda: oracles.check_dshl_witness(base, color, col, caps=caps))
+    assert sum(_same(monkeypatch, caps,
+                     lambda budget: check_dshl_witness(base, color, col, budget=budget),
+                     lambda c: oracles.check_dshl_witness(base, color, col, caps=c))
                for col in _colorings(d, h, short, domain)
                for base, color in itertools.product(_bases(col, caps),
                                                     range(col.colors)))

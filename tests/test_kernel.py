@@ -30,7 +30,7 @@ from hl_lab.polarized import (
     height_permutation_coloring,
     polarized_search,
 )
-from hl_lab.search import Caps, StepBudget, cross_consistent, prefiltered_assignment
+from hl_lab.search import StepBudget, cross_consistent, prefiltered_assignment
 from hl_lab.tailcone import (
     ColoringFamily,
     apply_tailcone_partial,
@@ -298,23 +298,24 @@ def test_polarized_random_coloring_matches_old_predicate(same, k, height, depth,
 
 
 @pytest.mark.parametrize("run", [
-    lambda caps: sdhl_search(seeded_hash_coloring(_spaces(2, 5, 3), 3, 8, 1,
-                                                  domain="level"), caps=caps),
-    lambda caps: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, 2, s)
-                                      for s in (3, 4)]), h=4, caps=caps),
-    lambda caps: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 5), h=4,
-                           caps=caps),
-    lambda caps: polarized_search(
-        height_permutation_coloring(2, _spaces(2, 10, 3)), depth=2, caps=caps),
-    lambda caps: apply_tailcone_partial(_prefix_coloring(_spaces(2, 6, 3), 1, 5), (0,),
-                                        h=3, caps=caps),
-    lambda caps: almost_all_homogenize(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 0),
-                                       h=3, caps=caps),
-    lambda caps: dimension_induction(seeded_hash_coloring(_spaces(2, 10, 2), 2, 2, 19),
-                                     h=4, caps=caps),
+    lambda budget: sdhl_search(seeded_hash_coloring(_spaces(2, 5, 3), 3, 8, 1,
+                                                    domain="level"), budget=budget),
+    lambda budget: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, 2, s)
+                                        for s in (3, 4)]), h=4, budget=budget),
+    lambda budget: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 5), h=4,
+                             budget=budget),
+    lambda budget: polarized_search(
+        height_permutation_coloring(2, _spaces(2, 10, 3)), depth=2, budget=budget),
+    lambda budget: apply_tailcone_partial(_prefix_coloring(_spaces(2, 6, 3), 1, 5),
+                                          (0,), h=3, budget=budget),
+    lambda budget: almost_all_homogenize(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 0),
+                                         h=3, budget=budget),
+    lambda budget: dimension_induction(seeded_hash_coloring(_spaces(2, 10, 2), 2, 2, 19),
+                                       h=4, budget=budget),
 ], ids=["sdhl", "fuse", "hl", "polarized", "partial", "almost-all", "dim-induct"])
 def test_capped_outcome_matches_old_predicate(same, run):
-    outcome, calls = same(lambda: run(Caps(max_steps=150)))
+    # a fresh budget per run: the harness runs the box twice
+    outcome, calls = same(lambda: run(StepBudget(150)))
     assert calls[-1][0] == "exhausted"
 
 

@@ -3,7 +3,14 @@
 import inspect
 
 import hl_lab
+import hl_lab.search
+import hl_lab.tailcone
 import hl_lab.trees
+import hl_lab.witness
+
+SEARCHES = ("sdhl_search", "check_dshl_witness", "dshl_search", "fuse",
+            "apply_tailcone_partial", "hl_search", "dimension_induction",
+            "almost_all_homogenize", "polarized_search")
 
 
 def test_star_import_exports_exactly_all():
@@ -39,9 +46,7 @@ def test_deleted_tree_helpers_stay_gone():
 
 
 def test_searches_read_their_trees_from_the_coloring():
-    for name in ("sdhl_search", "check_sdhl_witness", "check_dshl_witness",
-                 "dshl_search", "fuse", "apply_tailcone_partial", "hl_search",
-                 "dimension_induction", "almost_all_homogenize", "polarized_search"):
+    for name in ("check_sdhl_witness",) + SEARCHES:
         assert "trees" not in inspect.signature(getattr(hl_lab, name)).parameters, name
     # checks a witness inside the subtrees it was built in
     assert "trees" in inspect.signature(hl_lab.check_somewhere_dense_witness).parameters
@@ -56,3 +61,26 @@ def test_colorings_only_evaluate():
     for name in ("kind", "body"):
         assert name not in inspect.signature(hl_lab.Coloring).parameters, name
     assert "check_total" not in inspect.signature(hl_lab.table_coloring).parameters
+
+
+def test_searches_spend_from_the_callers_budget():
+    # a run's one StepBudget replaces the Caps configuration each search
+    # turned into a private budget, and the twins that shared one
+    assert not hasattr(hl_lab, "Caps") and not hasattr(hl_lab.search, "Caps")
+    assert hl_lab.StepBudget is hl_lab.search.StepBudget
+    for name in hl_lab.__all__:
+        entry = getattr(hl_lab, name)
+        if inspect.isfunction(entry):
+            assert "caps" not in inspect.signature(entry).parameters, name
+    for name in SEARCHES + ("delta_system",):
+        budget = inspect.signature(getattr(hl_lab, name)).parameters["budget"]
+        assert budget.default is None, name
+    assert not hasattr(hl_lab.witness, "_dshl_search")
+    assert not hasattr(hl_lab.tailcone, "_apply_tailcone_partial")
+    assert not hasattr(hl_lab.search, "first_assignment")
+
+
+def test_step_budget_takes_only_its_cap():
+    # ``used`` is read back after a run, never set by the caller
+    assert list(inspect.signature(hl_lab.StepBudget).parameters) == ["cap"]
+    assert hl_lab.StepBudget(7).used == 0

@@ -1,5 +1,5 @@
-"""The stage step every staged search takes, and its place as the only caller
-of the assignment search."""
+"""The stage step every staged search takes, its place as the only caller of
+the assignment search, and the one place a run's step budget is made."""
 
 import ast
 from pathlib import Path
@@ -91,3 +91,68 @@ def test_first_level_is_the_only_caller_of_the_assignment_search():
                for path in sorted(Path(hl_lab.__file__).parent.glob("*.py"))
                for owner in prefiltered_callers(path.read_text(encoding="utf-8"))]
     assert callers == [("witness.py", "first_level")]
+
+
+def _defaults_to_none(function, name):
+    args = function.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += zip(args.kwonlyargs, args.kw_defaults)
+    return any(arg.arg == name and isinstance(default, ast.Constant)
+               and default.value is None for arg, default in pairs)
+
+
+def budget_makers(source):
+    """``(function, default)`` for every ``StepBudget(...)`` call in ``source``.
+
+    ``default`` is true for the ``StepBudget()`` of ``budget or StepBudget()``
+    in a function whose ``budget`` parameter defaults to ``None``.
+    """
+    makers = []
+
+    def makes_budget(node):
+        func = getattr(node, "func", None)
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return isinstance(node, ast.Call) and name == "StepBudget"
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            if (isinstance(child, ast.BoolOp) and isinstance(child.op, ast.Or)
+                    and len(child.values) == 2
+                    and isinstance(child.values[0], ast.Name)
+                    and child.values[0].id == "budget"
+                    and makes_budget(child.values[1])
+                    and not child.values[1].args and not child.values[1].keywords
+                    and owner is not None and _defaults_to_none(owner, "budget")):
+                makers.append((owner.name, True))
+                continue
+            if makes_budget(child):
+                makers.append((getattr(owner, "name", None), False))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return makers
+
+
+def test_budget_makers_are_found():
+    source = ("def f(x, budget=None):\n    budget = budget or StepBudget()\n"
+              "def g(budget):\n    return budget or search.StepBudget()\n"
+              "def h(*, budget=None):\n    budget = budget or StepBudget(9)\n"
+              "B = StepBudget()\n")
+    assert budget_makers(source) == [("f", True), ("g", False), ("h", False),
+                                     (None, False)]
+
+
+def test_only_dispatch_makes_a_budget_a_search_does_not_get():
+    # a search that made a budget of its own would escape the caller's cap
+    makers = [(path.name, owner, default)
+              for path in sorted(Path(hl_lab.__file__).parent.glob("*.py"))
+              for owner, default in budget_makers(path.read_text(encoding="utf-8"))]
+    assert {m for m in makers if not m[2]} == {("cli.py", "dispatch", False)}
+    assert {owner for _, owner, default in makers if default} == {
+        "sdhl_search", "check_dshl_witness", "dshl_search", "fuse",
+        "apply_tailcone_partial", "hl_search", "dimension_induction",
+        "almost_all_homogenize", "polarized_search", "delta_system"}

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hl_lab import tailcone, witness
+from hl_lab import tailcone
 from hl_lab.errors import InvalidInputError
-from hl_lab.search import Caps, StepBudget
+from hl_lab.search import StepBudget
 from hl_lab.subtrees import SubtreeReport
 from hl_lab.tailcone import (
     ColoringFamily,
@@ -125,7 +125,7 @@ def test_fuse_seeded_family_box():
                                         seed=rng.randrange(10 ** 6))
                    for _ in range(m)]
         family = ColoringFamily(members)
-        out = fuse(family, h=3, caps=Caps(max_steps=200_000))
+        out = fuse(family, h=3, budget=StepBudget(200_000))
         if out.capped:
             capped += 1
             continue
@@ -177,7 +177,7 @@ def test_tail_cone_check_matches_the_per_tuple_oracle_on_fused_certificates():
             seeded_hash_coloring(spaces, d, rng.randrange(1, 3),
                                  seed=rng.randrange(10 ** 6))
             for _ in range(m)])
-        out = fuse(family, h=m + 1 + trial % 2, caps=Caps(max_steps=50_000))
+        out = fuse(family, h=m + 1 + trial % 2, budget=StepBudget(50_000))
         if not out.success:
             continue
         cert = out.certificate
@@ -273,7 +273,7 @@ def test_hl_search_reports_impossibility():
 def test_hl_search_cap_is_an_outcome_not_an_error():
     space = TreeSpace(2, 6)
     col = seeded_hash_coloring((space, space), 2, 3, seed=7)
-    out = hl_search(col, h=3, caps=Caps(max_steps=5))
+    out = hl_search(col, h=3, budget=StepBudget(5))
     assert not out.success and out.capped
 
 
@@ -284,7 +284,7 @@ def test_hl_search_cap_is_an_outcome_not_an_error():
 def test_dimension_induction_seeded_success():
     space = TreeSpace(2, 11)
     col = seeded_hash_coloring((space, space), 2, 2, seed=11)
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=400_000))
+    out = dimension_induction(col, h=4, budget=StepBudget(400_000))
     assert out.success
     assert out.check.valid
     assert out.witness.density_level == 2
@@ -297,50 +297,38 @@ def test_dimension_induction_seeded_success():
 def test_dimension_induction_second_box():
     space = TreeSpace(2, 12)
     col = seeded_hash_coloring((space, space), 2, 2, seed=9)
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=400_000))
+    out = dimension_induction(col, h=4, budget=StepBudget(400_000))
     assert out.success and out.check.valid
 
 
 def test_dimension_induction_honest_failure():
     space = TreeSpace(2, 5)
     col = seeded_hash_coloring((space, space), 2, 2, seed=0)
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=200_000))
+    out = dimension_induction(col, h=4, budget=StepBudget(200_000))
     assert not out.success
     assert out.failure
     assert out.witness is None
 
 
-def test_dimension_induction_cap_bounds_the_whole_run(monkeypatch):
+def test_dimension_induction_cap_bounds_the_whole_run():
     # the tail-cone step, every branch search and the cone reassembly
-    # spend from one budget; with a budget each, this box succeeded
-    # under a cap of 1,000 after 1,139 steps
-    budgets = []
-
-    class Counting(StepBudget):
-        def __init__(self, cap):
-            super().__init__(cap)
-            self.done = 0
-            budgets.append(self)
-
-        def spend(self, amount=1):
-            super().spend(amount)
-            self.done += amount
-
-    monkeypatch.setattr(tailcone, "StepBudget", Counting)
-    monkeypatch.setattr(witness, "StepBudget", Counting)
+    # spend from the caller's one budget; with a budget each, this box
+    # succeeded under a cap of 1,000 after 1,139 steps
     space = TreeSpace(2, 11)
     col = seeded_hash_coloring((space, space), 2, 2, seed=11)
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=400_000))
-    assert out.success and len(budgets) == 1
-    needed = budgets[0].done
+    budget = StepBudget(400_000)
+    out = dimension_induction(col, h=4, budget=budget)
+    assert out.success
+    needed = budget.used
     assert needed > 1000
-    budgets.clear()
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=1000))
+    budget = StepBudget(1000)
+    out = dimension_induction(col, h=4, budget=budget)
     assert not out.success and out.capped
-    assert sum(b.done for b in budgets) <= 1000
-    budgets.clear()
-    out = dimension_induction(col, h=4, caps=Caps(max_steps=needed))
-    assert out.success and [b.done for b in budgets] == [needed]
+    # the cap's 1,000 steps were spent; the step that crossed it was refused
+    assert budget.used == 1001
+    budget = StepBudget(needed)
+    out = dimension_induction(col, h=4, budget=budget)
+    assert out.success and budget.used == needed
 
 
 def _both_tails(col, beta, gamma, s, tbar, height):

@@ -7,7 +7,7 @@ import pytest
 
 from hl_lab import witness
 from hl_lab.errors import CapExceededError, InvalidInputError
-from hl_lab.search import Caps
+from hl_lab.search import StepBudget
 from hl_lab.subtrees import SubtreeReport
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
@@ -327,7 +327,7 @@ def test_budget_exhaustion_raises_cap_error():
     space = TreeSpace(2, 4)
     col = random_table_coloring((space, space), 2, 3, seed=1)
     with pytest.raises(CapExceededError):
-        sdhl_search(col, caps=Caps(max_steps=3))
+        sdhl_search(col, budget=StepBudget(3))
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +349,36 @@ def test_dense_set_search_spends_one_budget():
     # spent 12,659 steps over 66 checks and still returned the answer.
     col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 3, seed=0, domain="level")
     assert dshl_search(col) == (("000", "000"), 2)
-    assert dshl_search(col, caps=Caps(max_steps=8325)) == (("000", "000"), 2)
+    assert dshl_search(col, budget=StepBudget(8325)) == (("000", "000"), 2)
     with pytest.raises(CapExceededError):
-        dshl_search(col, caps=Caps(max_steps=4219))
+        dshl_search(col, budget=StepBudget(4219))
+
+
+def test_one_budget_serves_several_searches():
+    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 3, seed=0, domain="level")
+    alone = []
+    for search in (sdhl_search, dshl_search):
+        budget = StepBudget()
+        search(col, budget=budget)
+        alone.append(budget.used)
+    shared = StepBudget()
+    assert sdhl_search(col, budget=shared) is not None
+    assert dshl_search(col, budget=shared) == (("000", "000"), 2)
+    assert shared.used == sum(alone) and min(alone) > 0
+    # once a budget is exhausted, the next search is refused at its first step
+    spent = StepBudget(3)
+    with pytest.raises(CapExceededError):
+        sdhl_search(col, budget=spent)
+    assert spent.used == 4
+    with pytest.raises(CapExceededError) as capped:
+        dshl_search(col, budget=spent)
+    assert capped.value.cap == 3 and spent.used == 5
+
+
+def test_step_budget_cap_must_be_positive():
+    assert StepBudget().cap == 500_000
+    with pytest.raises(InvalidInputError, match=r"need max_steps >= 1, got 0"):
+        StepBudget(0)
 
 
 def test_explicit_space_with_empty_top_levels_is_rejected():
