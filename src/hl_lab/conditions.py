@@ -330,12 +330,21 @@ def _check_raw_map(ground, raw, degree):
         if not set(u) <= table[u]:
             raise PreconditionError(
                 f"raw map containment fails at {set(u) or '{}'}")
+    # monotone: each image lies in the meet of the images of the subset's
+    # strict supersets, which comes down through those one element larger
+    meet: dict = {}
+    for w in reversed(subsets):
+        below = table[w] & meet[w] if w in meet else table[w]
+        for i in range(len(w)):
+            u = w[:i] + w[i + 1:]
+            meet[u] = meet[u] & below if u in meet else below
     for u in subsets:
-        for v in subsets:
-            if set(u) <= set(v) and not table[u] <= table[v]:
-                raise PreconditionError(
-                    f"raw map monotonicity fails: {set(u) or '{}'} within "
-                    f"{set(v)} but images are not nested")
+        if u in meet and not table[u] <= meet[u]:
+            for v in subsets:
+                if set(u) <= set(v) and not table[u] <= table[v]:
+                    raise PreconditionError(
+                        f"raw map monotonicity fails: {set(u) or '{}'} within "
+                        f"{set(v)} but images are not nested")
     return table
 
 
@@ -415,6 +424,10 @@ class WMapLawReport:
                 "transports_checked": self.transports_checked}
 
 
+# ``verify_wmap_laws`` refuses maps needing more pair and transport checks.
+_MAX_LAW_CHECKS = 1 << 20
+
+
 def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
     """Check the two closure laws over the whole domain.
 
@@ -422,10 +435,18 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
     the image of their intersection.  Transport law: for nested pairs
     ``u1`` within ``u2`` and their order-isomorphic copies, the order
     isomorphism between the two big images carries the small image onto
-    its copy's image.
+    its copy's image.  A map needing more than ``_MAX_LAW_CHECKS`` pair
+    and transport checks raises ``CapExceededError`` before any is made.
     """
     d = wmap.degree
     ground = wmap.ground
+    n = math.comb(len(ground), d)
+    checks = n * (n + 1) // 2 + sum(math.comb(len(ground), r) ** 2 * 2 ** r
+                                    for r in range(d + 1))
+    if checks > _MAX_LAW_CHECKS:
+        raise CapExceededError(
+            _MAX_LAW_CHECKS, f"{checks} law checks over {len(ground)} elements "
+            f"at degree {d} exceed {_MAX_LAW_CHECKS}")
     inter_bad = []
     pairs = 0
     for u, v in itertools.combinations_with_replacement(

@@ -103,40 +103,6 @@ def permutation_rank(perm) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class TupleType:
-    """Sorting permutation of a height tuple plus its tie structure.
-
-    ``permutation[i]`` is the coordinate holding the ``i``-th smallest
-    height (stable: equal heights keep coordinate order), and ``ties[i]``
-    flags sorted neighbors with equal heights.
-    """
-
-    permutation: tuple[int, ...]
-    ties: tuple[bool, ...]
-
-    @property
-    def rank(self) -> int:
-        return permutation_rank(self.permutation)
-
-    @property
-    def distinct(self) -> bool:
-        return not any(self.ties)
-
-    def to_json(self) -> dict:
-        return {"permutation": list(self.permutation),
-                "ties": list(self.ties),
-                "rank": self.rank}
-
-
-def tuple_type(heights) -> TupleType:
-    heights = tuple(heights)
-    order = tuple(sorted(range(len(heights)), key=lambda i: (heights[i], i)))
-    ties = tuple(heights[order[i]] == heights[order[i + 1]]
-                 for i in range(len(heights) - 1))
-    return TupleType(permutation=order, ties=ties)
-
-
 def height_permutation_coloring(d: int, spaces) -> Coloring:
     """Color a ``(d+1)``-tuple by the rank of its height-sorting permutation.
 
@@ -149,7 +115,7 @@ def height_permutation_coloring(d: int, spaces) -> Coloring:
     colors = math.factorial(arity)
 
     def height_value(heights):
-        return tuple_type(heights).rank
+        return permutation_rank(sorted(range(arity), key=heights.__getitem__))
 
     def fn(tup):
         return height_value(tuple(len(x) for x in tup))
@@ -274,57 +240,57 @@ def _full_report(view) -> SubtreeReport:
     return _view_report(view, (n for xi in levels for n in view.level(xi)), levels)
 
 
+def _tally_types(pools, color):
+    """Color weights per height-order type, from one walk of the product.
+
+    ``pools[k]`` lists factor ``k``'s ``(item, height, weight)`` entries.
+    A pick of one entry per factor counts when its heights are distinct:
+    its type is the permutation sorting them, and it adds the product of
+    its weights to the color of its items.
+    """
+    arity = len(pools)
+    tally: dict = {}
+    for combo in itertools.product(*pools):
+        heights = [entry[1] for entry in combo]
+        if len(set(heights)) < arity:
+            continue
+        counts = tally.setdefault(
+            tuple(sorted(range(arity), key=heights.__getitem__)), Counter())
+        counts[color(tuple(entry[0] for entry in combo))] += \
+            math.prod(entry[2] for entry in combo)
+    return tally
+
+
 def _measure_patterns(f, views, gamma):
     """Exact per-pattern violation counts over strictly ordered tuples."""
-    arity = f.arity
-    pools = [tuple((node, views[k].ambient_level(xi))
-                   for xi in range(views[k].height)
-                   for node in views[k].level(xi))
-             for k in range(arity)]
+    tally = _tally_types([[(node, v.ambient_level(xi), 1)
+                           for xi in range(v.height) for node in v.level(xi)]
+                          for v in views], f.evaluate)
     out = []
-    for pattern in itertools.permutations(range(arity)):
+    for pattern in itertools.permutations(range(f.arity)):
+        counts = tally.get(pattern, Counter())
         want = gamma.get(pattern)
-        violations = total = 0
-        for combo in itertools.product(*pools):
-            hts = [combo[pattern[i]][1] for i in range(arity)]
-            if any(hts[i] >= hts[i + 1] for i in range(arity - 1)):
-                continue
-            total += 1
-            if want is None or f.evaluate(tuple(c[0] for c in combo)) != want:
-                violations += 1
+        total = sum(counts.values())
+        # no color is None, so an unpinned pattern counts every pick
         out.append(PatternReport(pattern=pattern, color=want,
-                                 violations=violations, total=total))
+                                 violations=total - counts[want], total=total))
     return tuple(out)
 
 
 def _measure_height_factored(f, views):
     """Quick route: tally height combinations instead of tuples."""
-    arity = f.arity
+    tally = _tally_types([[(v.ambient_level(xi), v.ambient_level(xi),
+                            len(v.level(xi))) for xi in range(v.height)]
+                          for v in views], f.height_fn)
     out = []
-    per_level = [tuple((views[k].ambient_level(xi), len(views[k].level(xi)))
-                       for xi in range(views[k].height))
-                 for k in range(arity)]
-    for pattern in itertools.permutations(range(arity)):
-        tally: Counter = Counter()
-        for combo in itertools.product(*per_level):
-            hts = [combo[pattern[i]][0] for i in range(arity)]
-            if any(hts[i] >= hts[i + 1] for i in range(arity - 1)):
-                continue
-            weight = 1
-            for _, count in combo:
-                weight *= count
-            tally[f.height_fn(tuple(c[0] for c in combo))] += weight
+    for pattern in itertools.permutations(range(f.arity)):
+        counts = tally.get(pattern, Counter())
         # majority color per pattern, ties broken toward the smaller color
-        if tally:
-            best = min(tally, key=lambda c: (-tally[c], c))
-            total = sum(tally.values())
-            out.append(PatternReport(pattern=pattern, color=best,
-                                     violations=total - tally[best],
-                                     total=total))
-        else:
-            out.append(PatternReport(pattern=pattern, color=None,
-                                     violations=0, total=0))
-    return out
+        best = min(counts, key=lambda c: (-counts[c], c), default=None)
+        total = sum(counts.values())
+        out.append(PatternReport(pattern=pattern, color=best,
+                                 violations=total - counts[best], total=total))
+    return tuple(out)
 
 
 def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
@@ -354,7 +320,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
         return AlmostAllReport(
             success=ok,
             reports=tuple(_full_report(v) for v in views),
-            patterns=tuple(patterns), epsilon=epsilon, route="height-factored",
+            patterns=patterns, epsilon=epsilon, route="height-factored",
             failure="" if ok else "height tallies exceed the exception budget")
 
     perms = list(itertools.permutations(range(arity)))
@@ -386,6 +352,11 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                                        budget, label="almost-all")
         return outcome, gamma
 
+    def capped(failure):
+        return AlmostAllReport(success=False, reports=None, patterns=(),
+                               epsilon=epsilon, route="staged",
+                               failure=failure, capped=True)
+
     for h_goal in range(h_max, 1, -1):
         for rho in range(height - h_goal + 1):
             for roots in itertools.product(*(v.level(rho) for v in views)):
@@ -393,12 +364,15 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                                                    repeat=len(perms)):
                     outcome, gamma = attempt(h_goal, roots, gamma_vec)
                     if outcome.capped:
-                        return AlmostAllReport(
-                            success=False, reports=None, patterns=(),
-                            epsilon=epsilon, route="staged",
-                            failure="budget exhausted during the staged scan",
-                            capped=True)
+                        return capped("budget exhausted during the staged scan")
                     if outcome.success:
+                        # one step per tuple of the product the measurement walks
+                        try:
+                            budget.spend(math.prod(len(r.nodes)
+                                                   for r in outcome.reports))
+                        except BudgetExhausted:
+                            return capped("budget exhausted while measuring "
+                                          "the construction")
                         patterns = _measure_patterns(f, outcome.reports, gamma)
                         ok = all(p.fraction <= epsilon for p in patterns)
                         return AlmostAllReport(

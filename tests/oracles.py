@@ -652,16 +652,38 @@ def sdhl_prime_search(coloring: Coloring, trees=None, caps: Caps | None = None):
 # each thinned subset, and ``verify_wmap_laws`` re-read the two big images
 # for every small subset.  ``_merge_pair``, which ``glb`` called, is kept
 # beside it: the library's merge now works in place on one dict.
+# ``_check_raw_map``, which ``build_w_map`` calls, compared every pair of
+# subsets for monotonicity; the library's compares each subset with the
+# meet of its supersets' images.
 
 from hl_lab.conditions import (  # noqa: E402
     Condition,
     DeltaSystemOutcome,
     WMap,
     WMapLawReport,
-    _check_raw_map,
     _comparable,
 )
-from hl_lab.errors import IncompatibleConditionsError  # noqa: E402
+from hl_lab.errors import IncompatibleConditionsError, PreconditionError  # noqa: E402
+
+
+def _check_raw_map(ground, raw, degree):
+    subsets = [tuple(sorted(c)) for r in range(degree + 1)
+               for c in itertools.combinations(ground, r)]
+    table = {}
+    for u in subsets:
+        if u not in raw:
+            raise PreconditionError(f"raw map misses the subset {set(u) or '{}'}")
+        table[u] = frozenset(int(i) for i in raw[u])
+        if not set(u) <= table[u]:
+            raise PreconditionError(
+                f"raw map containment fails at {set(u) or '{}'}")
+    for u in subsets:
+        for v in subsets:
+            if set(u) <= set(v) and not table[u] <= table[v]:
+                raise PreconditionError(
+                    f"raw map monotonicity fails: {set(u) or '{}'} within "
+                    f"{set(v)} but images are not nested")
+    return table
 
 
 def _merge_pair(p: Condition, q: Condition) -> dict:
@@ -837,15 +859,17 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
 # ``check_tail_cone`` restricted every coordinate of every tuple through
 # its view, and ``expr_coloring`` ran ``eval`` with fresh globals and
 # locals per tuple, so a comprehension could not see ``nodes``,
-# ``heights``, ``d`` or ``colors``.  The one edit: ``expr_coloring`` no
-# longer passes ``kind`` and ``body``, which ``Coloring`` does not take.
+# ``heights``, ``d`` or ``colors``.  Two edits: ``expr_coloring`` no
+# longer passes ``kind`` and ``body``, which ``Coloring`` does not take,
+# and ``verify_lower_bound`` ranks a pick's sorting permutation by its
+# place in ``itertools.permutations``, since the library's ``tuple_type``
+# is gone.
 
 import ast  # noqa: E402
 import math  # noqa: E402
 from collections import Counter  # noqa: E402
 
-from hl_lab.errors import PreconditionError  # noqa: E402
-from hl_lab.polarized import LowerBoundReport, tuple_type  # noqa: E402
+from hl_lab.polarized import LowerBoundReport  # noqa: E402
 from hl_lab.subtrees import ValidationResult, validate_strong_subtree  # noqa: E402
 from hl_lab.tailcone import ColoringFamily, TailConeCertificate  # noqa: E402
 from hl_lab.witness import Coloring, _forbidden_syntax  # noqa: E402
@@ -870,11 +894,12 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
             )
     heights = [tuple(view.ambient_level(xi) for xi in range(view.height))
                for view in views]
+    rank = {perm: i for i, perm in enumerate(itertools.permutations(range(d + 1)))}
     combos: Counter = Counter()
     for pick in itertools.product(*heights):
         if len(set(pick)) != len(pick):
             continue
-        combos[tuple_type(pick).rank] += 1
+        combos[rank[tuple(sorted(range(d + 1), key=pick.__getitem__))]] += 1
     total = math.factorial(d + 1)
     missing = tuple(r for r in range(total) if r not in combos)
     return LowerBoundReport(realizes_all=not missing, total_types=total,
@@ -1167,3 +1192,66 @@ def _coloring_from_assignment(d, b, n, domain, assignment):
     table.update({tup: int(c) for tup, c in zip(domain, assignment)})
     r = max(2, max(assignment, default=0) + 1)
     return unchecked_table_coloring(spaces, d, r, table, domain="level")
+
+
+# ---------------------------------------------------------------------------
+# the almost-all measurements before they tallied each pick once
+#
+# Kept verbatim as references: ``_measure_patterns`` and
+# ``_measure_height_factored`` walked the whole product once per
+# height-order pattern, keeping the picks strictly increasing along it.
+
+from hl_lab.polarized import PatternReport  # noqa: E402
+
+
+def _measure_patterns(f, views, gamma):
+    """Exact per-pattern violation counts over strictly ordered tuples."""
+    arity = f.arity
+    pools = [tuple((node, views[k].ambient_level(xi))
+                   for xi in range(views[k].height)
+                   for node in views[k].level(xi))
+             for k in range(arity)]
+    out = []
+    for pattern in itertools.permutations(range(arity)):
+        want = gamma.get(pattern)
+        violations = total = 0
+        for combo in itertools.product(*pools):
+            hts = [combo[pattern[i]][1] for i in range(arity)]
+            if any(hts[i] >= hts[i + 1] for i in range(arity - 1)):
+                continue
+            total += 1
+            if want is None or f.evaluate(tuple(c[0] for c in combo)) != want:
+                violations += 1
+        out.append(PatternReport(pattern=pattern, color=want,
+                                 violations=violations, total=total))
+    return tuple(out)
+
+
+def _measure_height_factored(f, views):
+    """Quick route: tally height combinations instead of tuples."""
+    arity = f.arity
+    out = []
+    per_level = [tuple((views[k].ambient_level(xi), len(views[k].level(xi)))
+                       for xi in range(views[k].height))
+                 for k in range(arity)]
+    for pattern in itertools.permutations(range(arity)):
+        tally: Counter = Counter()
+        for combo in itertools.product(*per_level):
+            hts = [combo[pattern[i]][0] for i in range(arity)]
+            if any(hts[i] >= hts[i + 1] for i in range(arity - 1)):
+                continue
+            weight = 1
+            for _, count in combo:
+                weight *= count
+            tally[f.height_fn(tuple(c[0] for c in combo))] += weight
+        # majority color per pattern, ties broken toward the smaller color
+        if tally:
+            best = min(tally, key=lambda c: (-tally[c], c))
+            total = sum(tally.values())
+            out.append(PatternReport(pattern=pattern, color=best,
+                                     violations=total - tally[best],
+                                     total=total))
+        else:
+            out.append(PatternReport(pattern=pattern, color=None,
+                                     violations=0, total=0))
+    return out

@@ -422,6 +422,19 @@ def test_wmap_build_size_refusal_exits_three(tmp_path, capsys):
     jsonschema.validate(doc, schema("error"))
 
 
+def test_wmap_verify_size_refusal_exits_three(tmp_path, capsys):
+    # E=700, d=1 needs 1,225,351 pair and transport checks
+    entries = [{"u": [], "W": []}] + [{"u": [i], "W": [i]} for i in range(700)]
+    path = write_doc(tmp_path, "verify.json", {
+        "wmap": {"E": list(range(700)), "d": 1, "entries": entries}})
+    code, doc, manifest = run_json(["wmap", "verify", path], capsys)
+    assert code == 3 and manifest["outcome"] == 3
+    assert doc["cap"] == 1 << 20
+    assert doc["error"] == ("1225351 law checks over 700 elements at degree 1 "
+                            "exceed 1048576")
+    jsonschema.validate(doc, schema("error"))
+
+
 def test_delta_system_exit_codes(tmp_path, capsys):
     path = write_doc(tmp_path, "found.json", {
         "family": [[1, 2], [1, 3], [1, 4]], "target": 3})

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from hl_lab import conditions
 from hl_lab.conditions import (
     Condition,
     WMap,
+    _check_raw_map,
     build_w_map,
     compatible,
     condition_leq,
@@ -479,6 +481,58 @@ def test_verify_wmap_laws_matches_the_oracle_on_broken_maps():
         mismatched += any(len(wm.image(u2)) != len(wm.image(v2))
                           for _, u2, _, v2 in report.transport_violations)
     assert mismatched > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_check_raw_map_names_the_oracle_violation(d):
+    # monotone maps with a few entries grown or shrunk: the first violating
+    # subset and its first violating superset, or the same table
+    rng = random.Random(f"raw-map:{d}")
+    seen = set()
+    for seed in range(40):
+        ground, raw = make_raw_map(1000 * d + seed, d + rng.randrange(3), d)
+        for _ in range(rng.randrange(3)):
+            u = rng.choice(sorted(raw))
+            extra = sorted(set(raw[u]) - set(u))
+            if extra and rng.random() < 0.5:
+                raw[u] = set(raw[u]) - {rng.choice(extra)}
+            else:
+                raw[u] = set(raw[u]) | {rng.randrange(60, 64)}
+        got = _outcome(_check_raw_map, ground, raw, d)
+        assert got == _outcome(oracles._check_raw_map, ground, raw, d)
+        seen.add(got[0] if got[0] == "ok" else got[2].split(":")[0])
+    assert seen == {"ok", "raw map monotonicity fails"}
+
+
+def test_verify_wmap_laws_refuses_too_many_checks(monkeypatch):
+    # E=700, d=1: 245,350 pairs and 980,001 transports, once a 7.2 s check
+    ground = range(700)
+    wm = WMap(ground, 1, {u: u for r in range(2)
+                          for u in itertools.combinations(ground, r)})
+
+    def unread(self, u):
+        raise AssertionError("an image was read")
+
+    monkeypatch.setattr(WMap, "image", unread)
+    with pytest.raises(CapExceededError) as info:
+        verify_wmap_laws(wm)
+    assert info.value.cap == 1 << 20
+    assert str(info.value).startswith("1225351 law checks over 700 elements")
+
+
+def test_verify_wmap_law_bound_is_exact(monkeypatch):
+    # E=7, d=2: C(7, 2) = 21 pairs of pairs give 231 checks, the
+    # transports 1 + 7**2 * 2 + 21**2 * 4 = 1,863
+    ground = range(7)
+    wm = build_w_map(ground, _identity_raw(ground, 2), 2, stride=1)
+    monkeypatch.setattr(conditions, "_MAX_LAW_CHECKS", 2094)
+    report = verify_wmap_laws(wm)
+    assert report.valid
+    assert (report.pairs_checked, report.transports_checked) == (231, 1863)
+    monkeypatch.setattr(conditions, "_MAX_LAW_CHECKS", 2093)
+    with pytest.raises(CapExceededError) as info:
+        verify_wmap_laws(wm)
+    assert info.value.cap == 2093
 
 
 @pytest.mark.parametrize("target", [1, 2, 3, 4])

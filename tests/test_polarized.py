@@ -1,5 +1,6 @@
 """Degree arithmetic, height-order types, and the round-robin construction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 
 from hl_lab.errors import InvalidInputError, PreconditionError
 from hl_lab.polarized import (
+    _measure_height_factored,
+    _measure_patterns,
     almost_all_homogenize,
     build_degree_table,
     devlin_lower_bound,
@@ -14,7 +17,6 @@ from hl_lab.polarized import (
     permutation_rank,
     polarized_search,
     tangent,
-    tuple_type,
     validate_splitting_tree,
     verify_lower_bound,
 )
@@ -83,20 +85,15 @@ def test_permutation_rank_lexicographic():
     assert permutation_rank((0,)) == 0
 
 
-def test_tuple_type_worked_example():
-    t = tuple_type((2, 0, 1))
-    assert t.permutation == (1, 2, 0)
-    assert t.rank == 3
-    assert t.ties == (False, False)
-    assert t.distinct
-
-
-def test_tuple_type_stability_on_ties():
-    t = tuple_type((1, 1))
-    assert t.permutation == (0, 1)  # equal heights keep coordinate order
-    assert t.ties == (True,)
-    assert not t.distinct
-    assert tuple_type((3, 1, 3)).permutation == (1, 0, 2)
+@pytest.mark.parametrize("heights,rank", [((2, 0, 1), 3), ((1, 1), 0),
+                                           ((3, 1, 3), 2)])
+def test_height_permutation_colors_by_the_sorting_rank(heights, rank):
+    # (2, 0, 1) sorts by (1, 2, 0); equal heights keep coordinate order,
+    # so (1, 1) sorts by (0, 1) and (3, 1, 3) by (1, 0, 2)
+    space = TreeSpace(2, 4)
+    f = height_permutation_coloring(len(heights) - 1, (space,) * len(heights))
+    assert f.height_fn(heights) == rank
+    assert f.evaluate(tuple("0" * h for h in heights)) == rank
 
 
 def test_height_permutation_coloring_values():
@@ -261,6 +258,91 @@ def test_staged_route_stops_at_its_cap(k, height):
     assert rep.capped and not rep.success
     assert rep.failure == "budget exhausted during the staged scan"
     assert budget.used == 151
+
+
+def test_staged_measurement_spends_a_step_per_product_tuple():
+    # the construction ends at used 46,395 on two subtrees of 7 nodes, so
+    # measuring its 49 tuples needs a cap of 46,444
+    space = TreeSpace(2, 8)
+    col = seeded_hash_coloring((space, space), 2, 2, seed=42)
+    budget = StepBudget(46_443)
+    rep = almost_all_homogenize(col, budget=budget)
+    assert rep.capped and not rep.success and rep.reports is None
+    assert rep.failure == "budget exhausted while measuring the construction"
+    budget = StepBudget(46_444)
+    rep = almost_all_homogenize(col, budget=budget)
+    assert rep.success and not rep.capped
+    assert budget.used == 46_444
+
+
+def _measured_reports(rng, space, k, kind):
+    if kind == "single":  # one shared level: no pick has distinct heights
+        level = rng.randrange(space.height)
+        level_sets = [(level,)] * k
+    elif kind == "shared":
+        level_sets = [tuple(sorted(rng.sample(range(space.height), 3)))] * k
+    else:
+        level_sets = [tuple(sorted(rng.sample(range(space.height), 3)))
+                      for _ in range(k)]
+    return [SubtreeReport(space, random_strong_subtree(rng, levels), levels)
+            for levels in level_sets]
+
+
+def _height_hash_coloring(spaces, k, colors):
+    def weigh(hts):
+        return sum(h * (i + 3) for i, h in enumerate(hts)) % colors
+
+    return Coloring(k, colors, spaces, lambda tup: weigh([len(x) for x in tup]),
+                    domain="full", height_fn=weigh)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["shared", "random", "single"])
+def test_measurements_match_the_per_pattern_oracle(k, kind):
+    rng = random.Random(f"measure:{k}:{kind}")
+    space = TreeSpace(2, 6)
+    spaces = (space,) * k
+    perms = list(itertools.permutations(range(k)))
+    colorings = [seeded_hash_coloring(spaces, k, 3, seed=7),
+                 height_permutation_coloring(k - 1, spaces),
+                 constant_coloring(spaces, k, 3, value=2),
+                 _height_hash_coloring(spaces, k, 3)]
+    for _ in range(3 if k < 4 else 1):
+        reports = _measured_reports(rng, space, k, kind)
+        for f in colorings:
+            pinned = {p: rng.randrange(f.colors) for p in perms}
+            unpinned = {p: c for p, c in pinned.items() if rng.random() < 0.5}
+            for gamma in (pinned, unpinned, {}):
+                got = _measure_patterns(f, reports, gamma)
+                assert got == tuple(oracles._measure_patterns(f, reports, gamma))
+                assert [p.pattern for p in got] == perms
+                if kind == "single":
+                    assert all(p.total == 0 for p in got)
+            if f.height_fn is not None:
+                got = _measure_height_factored(f, reports)
+                assert got == tuple(oracles._measure_height_factored(f, reports))
+
+
+def test_a_failing_coloring_stops_measuring_at_its_first_pick_in_product_order():
+    # The picks are walked once, in product order, so ("0", "") fails
+    # first.  The per-pattern walk finished type (0, 1) before it started
+    # on (1, 0), and failed at ("0", "00").
+    space = TreeSpace(2, 3)
+    full = SubtreeReport(space, all_nodes(3), (0, 1, 2))
+
+    def fn(tup):
+        if tup[0]:
+            raise ValueError(tup)
+        return 0
+
+    f = Coloring(2, 2, (space, space), fn, domain="full")
+    gamma = {(0, 1): 0, (1, 0): 0}
+    with pytest.raises(ValueError) as info:
+        _measure_patterns(f, (full, full), gamma)
+    assert info.value.args == (("0", ""),)
+    with pytest.raises(ValueError) as info:
+        oracles._measure_patterns(f, (full, full), gamma)
+    assert info.value.args == (("0", "00"),)
 
 
 def test_homogenize_guards():

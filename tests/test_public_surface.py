@@ -3,6 +3,7 @@
 import inspect
 
 import hl_lab
+import hl_lab.polarized
 import hl_lab.search
 import hl_lab.tailcone
 import hl_lab.trees
@@ -84,3 +85,11 @@ def test_step_budget_takes_only_its_cap():
     # ``used`` is read back after a run, never set by the caller
     assert list(inspect.signature(hl_lab.StepBudget).parameters) == ["cap"]
     assert hl_lab.StepBudget(7).used == 0
+
+
+def test_tuple_types_are_ranked_not_built():
+    # the height-permutation coloring ranks the sorting permutation itself
+    for name in ("TupleType", "tuple_type"):
+        assert not hasattr(hl_lab, name), name
+        assert not hasattr(hl_lab.polarized, name), name
+        assert name not in hl_lab.__all__, name
