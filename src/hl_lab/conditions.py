@@ -79,7 +79,11 @@ class Condition:
 
     @classmethod
     def from_json(cls, doc) -> "Condition":
-        assign = {int(k): tuple(v) for k, v in doc.get("assign", {}).items()}
+        assign = doc.get("assign", {}) if isinstance(doc, dict) else None
+        if not isinstance(assign, dict):
+            raise InvalidInputError("a condition must be an object whose 'assign' "
+                                    "is an object")
+        assign = {int(k): tuple(v) for k, v in assign.items()}
         support = set(int(i) for i in doc.get("support", assign.keys()))
         if support != set(assign):
             raise InvalidInputError("support does not match assignment keys")

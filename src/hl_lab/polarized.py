@@ -103,15 +103,15 @@ def permutation_rank(perm) -> int:
     return rank
 
 
-def height_permutation_coloring(d: int, spaces) -> Coloring:
-    """Color a ``(d+1)``-tuple by the rank of its height-sorting permutation.
+def height_permutation_coloring(spaces) -> Coloring:
+    """Color a tuple by the rank of its height-sorting permutation.
 
     Equal heights are broken stably by coordinate index, so the coloring
     is total; on distinct-height tuples it is the pure type coloring.
     """
-    if d < 1:
-        raise InvalidInputError(f"dimension must be positive, got {d}")
-    arity = d + 1
+    arity = len(spaces)
+    if arity < 2:
+        raise InvalidInputError(f"dimension must be positive, got {arity - 1}")
     colors = math.factorial(arity)
 
     def height_value(heights):
@@ -120,7 +120,7 @@ def height_permutation_coloring(d: int, spaces) -> Coloring:
     def fn(tup):
         return height_value(tuple(len(x) for x in tup))
 
-    return Coloring(arity, colors, spaces, fn, domain="full", height_fn=height_value)
+    return Coloring(colors, spaces, fn, domain="full", height_fn=height_value)
 
 
 @dataclass(frozen=True)

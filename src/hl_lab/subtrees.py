@@ -51,8 +51,10 @@ class SubtreeReport:
             raise InvalidInputError(
                 "subtree document must be an object with 'nodes' and 'level_set'"
             )
-        return cls(space=space, nodes=tuple(doc["nodes"]),
-                   level_set=tuple(doc["level_set"]))
+        nodes = tuple(doc["nodes"])
+        if not all(isinstance(node, str) for node in nodes):
+            raise InvalidInputError("subtree nodes must be strings")
+        return cls(space=space, nodes=nodes, level_set=tuple(doc["level_set"]))
 
     def to_json(self) -> dict:
         return {"nodes": list(self.nodes), "level_set": list(self.level_set)}

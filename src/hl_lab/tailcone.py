@@ -193,6 +193,8 @@ class TailConeCertificate:
     def from_json(cls, doc, spaces) -> "TailConeCertificate":
         reports = tuple(SubtreeReport.from_json(r, s)
                         for r, s in zip(doc["reports"], spaces))
+        if not all(isinstance(t, dict) for t in doc["tables"]):
+            raise InvalidInputError("certificate tables must be objects")
         tables = tuple({tuple(k.split(",")): int(v) for k, v in t.items()}
                        for t in doc["tables"])
         return cls(reports=reports, tables=tables)
@@ -640,7 +642,6 @@ def dimension_induction(coloring: Coloring, h=None,
     level_set = reports[0].level_set
     tview = reports[0]
     uviews = [trim(r, level_set[1:]) for r in reports[1:]]
-    d = coloring.arity - 1
 
     votes: Counter = Counter()
     for chain in _branches(tview):
@@ -649,7 +650,7 @@ def dimension_induction(coloring: Coloring, h=None,
             zeta = uviews[0].level_of(tup[0])
             return coloring.evaluate((chain[zeta],) + tuple(tup))
 
-        branch_coloring = Coloring(d, coloring.colors, uviews, branch_fn,
+        branch_coloring = Coloring(coloring.colors, uviews, branch_fn,
                                    domain="level")
         try:
             found = dshl_search(branch_coloring, budget)

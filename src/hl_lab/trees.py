@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     InvalidInputError,
@@ -32,8 +32,6 @@ from .errors import (
     UnknownNodeError,
     UnsupportedAlphabetError,
 )
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 # wire format uses one character per digit: the ASCII digits below the branching
 MAX_BRANCHING = 10
@@ -53,32 +51,28 @@ def check_node(node: str, branching: int) -> None:
         )
 
 
-def lex_compare(s: str, t: str) -> int:
-    """Total lexicographic order on binary nodes; returns -1, 0 or 1.
+def _lex_key(node: str) -> str:
+    """Sort key of the lexicographic order on binary nodes.
 
-    Incomparable nodes compare at their first disagreement.  When one node
+    Incomparable nodes order at their first disagreement.  When one node
     is a proper prefix of the other, the longer node sorts to the side
-    named by its digit just past the shared prefix, so
-    ``x+"0" < x < x+"1"`` for every node ``x``.
+    named by its digit just past the shared prefix: ``x+"0" < x < x+"1"``.
+    That is plain string order once every node ends in an extra 1.
 
     Only the binary alphabet is supported; other digits raise
     :class:`UnsupportedAlphabetError`.
     """
-    for ch in itertools.chain(s, t):
-        if ch not in "01":
-            raise UnsupportedAlphabetError(
-                f"lexicographic order is defined for binary nodes only, got digit {ch!r}"
-            )
-    if s == t:
-        return EQUAL
-    if len(s) < len(t) and t.startswith(s):
-        return LESS if t[len(s)] == "1" else GREATER
-    if len(t) < len(s) and s.startswith(t):
-        return LESS if s[len(t)] == "0" else GREATER
-    for a, b in zip(s, t):
-        if a != b:
-            return LESS if a < b else GREATER
-    raise AssertionError("unreachable")
+    outside = node.lstrip("01")
+    if outside:
+        raise UnsupportedAlphabetError(f"lexicographic order is defined for binary "
+                                       f"nodes only, got digit {outside[0]!r}")
+    return node + "1"
+
+
+def lex_compare(s: str, t: str) -> int:
+    """Total lexicographic order on binary nodes; returns -1, 0 or 1."""
+    a, b = _lex_key(s), _lex_key(t)
+    return (a > b) - (a < b)
 
 
 @lru_cache(maxsize=None)
@@ -268,4 +262,4 @@ def sort_nodes(nodes) -> tuple[str, ...]:
 
 def lex_sorted(nodes) -> tuple[str, ...]:
     """Sort binary nodes by the lexicographic order of :func:`lex_compare`."""
-    return tuple(sorted(nodes, key=cmp_to_key(lex_compare)))
+    return tuple(sorted(nodes, key=_lex_key))

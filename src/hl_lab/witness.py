@@ -44,25 +44,21 @@ from .trees import TreeSpace, sort_nodes
 class Coloring:
     """A total map from node tuples to ``range(colors)``.
 
+    A tuple takes one node per factor space: ``arity`` is ``len(spaces)``.
     ``domain`` is ``"level"`` (defined on level sequences only) or
     ``"full"`` (defined on arbitrary tuples).  ``height_fn``, when given,
     computes the color from the coordinate heights alone, which lets some
     consumers count over height patterns instead of node tuples.
     """
 
-    def __init__(self, arity, colors, spaces, fn, *, domain="level", height_fn=None):
-        if arity < 1:
-            raise InvalidInputError(f"arity must be positive, got {arity}")
+    def __init__(self, colors, spaces, fn, *, domain="level", height_fn=None):
+        if not spaces:
+            raise InvalidInputError("arity must be positive, got 0")
         if colors < 1:
             raise InvalidInputError(f"color count must be positive, got {colors}")
-        if len(spaces) != arity:
-            raise InvalidInputError(
-                f"need one factor space per coordinate: arity {arity}, "
-                f"got {len(spaces)} spaces"
-            )
         if domain not in ("level", "full"):
             raise InvalidInputError(f"domain must be 'level' or 'full', got {domain!r}")
-        self.arity = arity
+        self.arity = len(spaces)
         self.colors = colors
         self.spaces = tuple(spaces)
         self.domain = domain
@@ -100,13 +96,14 @@ def _full_domain(spaces):
     yield from itertools.product(*per)
 
 
-def table_coloring(spaces, arity, colors, entries, *, domain="level") -> Coloring:
+def table_coloring(spaces, colors, entries, *, domain="level") -> Coloring:
     """Build a coloring from an explicit tuple-to-color table."""
     table = {}
     for tup, color in (entries.items() if isinstance(entries, dict) else entries):
         tup = tuple(tup)
-        if len(tup) != arity:
-            raise InvalidInputError(f"table entry {tup} does not have arity {arity}")
+        if len(tup) != len(spaces):
+            raise InvalidInputError(
+                f"table entry {tup} does not have arity {len(spaces)}")
         if not 0 <= color < colors:
             raise InvalidInputError(
                 f"table entry {tup} has color {color} outside range({colors})"
@@ -116,10 +113,10 @@ def table_coloring(spaces, arity, colors, entries, *, domain="level") -> Colorin
     for tup in wanted:
         if tup not in table:
             raise InvalidInputError(f"table is not total: missing {tup}")
-    return _table_coloring(spaces, arity, colors, table, domain)
+    return _table_coloring(spaces, colors, table, domain)
 
 
-def _table_coloring(spaces, arity, colors, table, domain):
+def _table_coloring(spaces, colors, table, domain):
     """A table coloring over an already-checked ``table``."""
 
     def fn(tup):
@@ -128,22 +125,21 @@ def _table_coloring(spaces, arity, colors, table, domain):
         except KeyError:
             raise InvalidInputError(f"tuple {tup} outside the table domain") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain)
+    return Coloring(colors, spaces, fn, domain=domain)
 
 
-def constant_coloring(spaces, arity, colors, value=0) -> Coloring:
+def constant_coloring(spaces, colors, value=0) -> Coloring:
     if not 0 <= value < colors:
         raise InvalidInputError(f"constant {value} outside range({colors})")
-    return Coloring(arity, colors, spaces, lambda tup: value, domain="full",
+    return Coloring(colors, spaces, lambda tup: value, domain="full",
                     height_fn=lambda hts: value)
 
 
-def level_parity_coloring(spaces, arity, modulus=2) -> Coloring:
+def level_parity_coloring(spaces, modulus=2) -> Coloring:
     """Color of a level sequence is its height modulo ``modulus``."""
     if modulus < 1:
         raise InvalidInputError(f"modulus must be positive, got {modulus}")
-    return Coloring(arity, modulus, spaces, lambda tup: len(tup[0]) % modulus,
-                    domain="level", height_fn=lambda hts: hts[0] % modulus)
+    return Coloring(modulus, spaces, lambda tup: len(tup[0]) % modulus)
 
 
 def antichain_split_coloring(space) -> Coloring:
@@ -154,10 +150,10 @@ def antichain_split_coloring(space) -> Coloring:
         node = tup[0]
         return int(node[0]) if node else 0
 
-    return Coloring(1, b, (space,), fn, domain="full")
+    return Coloring(b, (space,), fn, domain="full")
 
 
-def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Coloring:
+def seeded_hash_coloring(spaces, colors, seed, *, domain="full") -> Coloring:
     """Deterministic pseudo-random coloring keyed by a seed.
 
     Stable across runs and platforms; used for large fixtures where an
@@ -170,7 +166,7 @@ def seeded_hash_coloring(spaces, arity, colors, seed, *, domain="full") -> Color
         digest = hashlib.blake2b(prefix + "|".join(tup).encode(), digest_size=8)
         return int.from_bytes(digest.digest(), "big") % colors
 
-    return Coloring(arity, colors, spaces, fn, domain=domain)
+    return Coloring(colors, spaces, fn, domain=domain)
 
 
 # syntax an ``expr`` coloring may use; there is no attribute access at all
@@ -237,7 +233,7 @@ def _guard_sequences(tree):
                                                  [operand], []))
 
 
-def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
+def expr_coloring(spaces, colors, source, *, domain="level") -> Coloring:
     """Coloring given by a Python expression over ``nodes``/``heights``/``d``.
 
     The expression comes from the input document, so any error raised
@@ -264,6 +260,7 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
     safe = {"__builtins__": {}, "len": len, "sum": sum, "min": min, "max": max,
             "abs": abs, "int": int, "_scalar": _scalar}
     rule = eval(compile(ast.fix_missing_locations(tree), "<coloring>", "eval"), safe)
+    arity = len(spaces)
 
     def fn(tup):
         try:
@@ -274,10 +271,10 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
                 f"expr coloring {source!r} failed on {tup}: "
                 f"{type(bad).__name__}: {bad}") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain)
+    return Coloring(colors, spaces, fn, domain=domain)
 
 
-def random_table_coloring(spaces, arity, colors, seed, *, domain="level") -> Coloring:
+def random_table_coloring(spaces, colors, seed, *, domain="level") -> Coloring:
     """Explicit random table drawn with a seeded generator (for small boxes).
 
     The colors are those of one ``rng.randrange(colors)`` per tuple in
@@ -287,34 +284,43 @@ def random_table_coloring(spaces, arity, colors, seed, *, domain="level") -> Col
         raise InvalidInputError(f"color count must be positive, got {colors}")
     wanted = list(_level_domain(spaces) if domain == "level" else _full_domain(spaces))
     draw = _color_sampler(random.Random(seed), colors)
-    return _table_coloring(spaces, arity, colors,
+    return _table_coloring(spaces, colors,
                            dict(zip(wanted, draw(len(wanted)))), domain)
 
 
 def coloring_from_json(doc, spaces) -> Coloring:
+    """Read a coloring over ``spaces``; a declared ``arity`` (or
+    height-permutation's ``dimension`` plus one) must be ``len(spaces)``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError("coloring document must be an object with 'kind'")
-    kind = doc["kind"]
+    kind, name, params = doc["kind"], doc.get("name"), doc.get("params", {})
     if kind == "table":
         try:
-            arity = int(doc["arity"])
+            declared = [int(doc["arity"])]
             colors = int(doc["colors"])
             entries = [(tuple(e["tuple"]), int(e["color"])) for e in doc["entries"]]
         except (KeyError, TypeError) as bad:
             raise InvalidInputError(f"malformed table coloring: {bad}") from None
-        return table_coloring(spaces, arity, colors, entries,
-                              domain=doc.get("domain", "level"))
-    if kind != "named":
+    elif kind != "named":
         raise InvalidInputError(f"unknown coloring kind {kind!r}")
-    name = doc.get("name")
-    params = doc.get("params", {})
+    elif not isinstance(params, dict):
+        raise InvalidInputError("coloring params must be an object")
+    else:
+        declared = [int(params["arity"])] if "arity" in params else []
+        if name == "height-permutation" and "dimension" in params:
+            declared.append(int(params["dimension"]) + 1)
+    for arity in declared:
+        if arity != len(spaces):
+            raise InvalidInputError(f"need one factor space per coordinate: "
+                                    f"arity {arity}, got {len(spaces)} spaces")
+    if kind == "table":
+        return table_coloring(spaces, colors, entries,
+                              domain=doc.get("domain", "level"))
     if name == "constant":
-        return constant_coloring(spaces, int(params.get("arity", len(spaces))),
-                                 int(params.get("colors", 1)),
+        return constant_coloring(spaces, int(params.get("colors", 1)),
                                  int(params.get("value", 0)))
     if name == "level-parity":
-        return level_parity_coloring(spaces, int(params.get("arity", len(spaces))),
-                                     int(params.get("modulus", 2)))
+        return level_parity_coloring(spaces, int(params.get("modulus", 2)))
     if name == "antichain-split":
         if len(spaces) != 1:
             raise InvalidInputError("antichain-split is a unary coloring")
@@ -322,15 +328,13 @@ def coloring_from_json(doc, spaces) -> Coloring:
     if name == "height-permutation":
         from .polarized import height_permutation_coloring
 
-        dim = int(params.get("dimension", len(spaces) - 1))
-        return height_permutation_coloring(dim, spaces)
+        return height_permutation_coloring(spaces)
     if name == "seeded-random":
-        return seeded_hash_coloring(spaces, int(params.get("arity", len(spaces))),
-                                    int(params["colors"]), params.get("seed", 0),
+        return seeded_hash_coloring(spaces, int(params["colors"]),
+                                    params.get("seed", 0),
                                     domain=params.get("domain", "full"))
     if name == "expr":
-        return expr_coloring(spaces, int(params.get("arity", len(spaces))),
-                             int(params["colors"]), params["source"],
+        return expr_coloring(spaces, int(params["colors"]), params["source"],
                              domain=params.get("domain", "level"))
     raise InvalidInputError(f"unknown named coloring {name!r}")
 

@@ -860,10 +860,11 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
 # its view, and ``expr_coloring`` ran ``eval`` with fresh globals and
 # locals per tuple, so a comprehension could not see ``nodes``,
 # ``heights``, ``d`` or ``colors``.  Two edits: ``expr_coloring`` no
-# longer passes ``kind`` and ``body``, which ``Coloring`` does not take,
-# and ``verify_lower_bound`` ranks a pick's sorting permutation by its
-# place in ``itertools.permutations``, since the library's ``tuple_type``
-# is gone.
+# longer passes ``kind``, ``body`` or its ``arity`` to ``Coloring``, which
+# takes none of them (its arity is its number of spaces), and
+# ``verify_lower_bound`` ranks a pick's sorting permutation by its place
+# in ``itertools.permutations``, since the library's ``tuple_type`` is
+# gone.
 
 import ast  # noqa: E402
 import math  # noqa: E402
@@ -1026,7 +1027,7 @@ def expr_coloring(spaces, arity, colors, source, *, domain="level") -> Coloring:
                 f"expr coloring {source!r} failed on {tup}: "
                 f"{type(bad).__name__}: {bad}") from None
 
-    return Coloring(arity, colors, spaces, fn, domain=domain)
+    return Coloring(colors, spaces, fn, domain=domain)
 
 
 # ---------------------------------------------------------------------------

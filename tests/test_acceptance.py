@@ -98,7 +98,7 @@ def test_criterion_3():
     nodes = all_nodes(3)
     for assignment in itertools.product(range(2), repeat=len(nodes)):
         table = {(n,): c for n, c in zip(nodes, assignment)}
-        coloring = table_coloring((space,), 1, 2, table)
+        coloring = table_coloring((space,), 2, table)
         witness = sdhl_search(coloring)
         assert (witness is not None) == sdhl_exists_by_scan(
             coloring.evaluate, 1, 3, 2), assignment
@@ -110,7 +110,7 @@ def test_criterion_3():
         n = rng.randrange(2, 5)
         r = rng.randrange(1, 4)
         spaces = (TreeSpace(2, n),) * 2
-        coloring = random_table_coloring(spaces, 2, r,
+        coloring = random_table_coloring(spaces, r,
                                          seed=rng.randrange(10 ** 6))
         witness = sdhl_search(coloring)
         assert (witness is not None) == sdhl_exists_by_scan(
@@ -129,7 +129,7 @@ def test_criterion_4():
         m = rng.randrange(1, 3)
         n = rng.randrange(3, 9)
         spaces = (TreeSpace(2, n),) * d
-        members = [seeded_hash_coloring(spaces, d, rng.randrange(1, 3),
+        members = [seeded_hash_coloring(spaces, rng.randrange(1, 3),
                                         seed=rng.randrange(10 ** 6))
                    for _ in range(m)]
         family = ColoringFamily(members)
@@ -164,7 +164,7 @@ def test_criterion_5():
     for trial in range(30):
         n = rng.randrange(3, 9)
         spaces = (TreeSpace(2, n),) * 2
-        coloring = seeded_hash_coloring(spaces, 2, 2,
+        coloring = seeded_hash_coloring(spaces, 2,
                                         seed=rng.randrange(10 ** 6))
         outcome = dimension_induction(coloring, h=3,
                                       budget=StepBudget(200_000))
@@ -180,7 +180,7 @@ def test_criterion_5():
         spaces = (TreeSpace(2, n),) * 2
         succeeded = set()
         for seed in range(30):
-            coloring = seeded_hash_coloring(spaces, 2, 2, seed=seed)
+            coloring = seeded_hash_coloring(spaces, 2, seed=seed)
             outcome = dimension_induction(coloring, h=4,
                                           budget=StepBudget(400_000))
             if not outcome.success:
@@ -199,18 +199,18 @@ def test_criterion_6():
     """Factorially many height-order colors, and never more."""
     started = time.monotonic()
     space = TreeSpace(2, 8)
-    out = polarized_search(height_permutation_coloring(1, (space, space)),
+    out = polarized_search(height_permutation_coloring((space, space)),
                            depth=3)
     assert out.success and out.realized == (0, 1)
 
     tall = TreeSpace(2, 13)
-    out = polarized_search(height_permutation_coloring(2, (tall,) * 3), depth=3)
+    out = polarized_search(height_permutation_coloring((tall,) * 3), depth=3)
     assert out.success and out.realized == (0, 1, 2, 3, 4, 5)
 
     box = TreeSpace(2, 10)
     deep_successes = shallow_successes = 0
     for seed in range(100):
-        coloring = seeded_hash_coloring((box, box), 2, 3, seed=seed)
+        coloring = seeded_hash_coloring((box, box), 3, seed=seed)
         deep = polarized_search(coloring, depth=3, budget=StepBudget(200_000))
         if deep.success:
             deep_successes += 1

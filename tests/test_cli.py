@@ -194,6 +194,88 @@ def test_max_steps_below_one_exits_two(tmp_path, steps, capsys):
         assert manifest["outcome"] == 2
 
 
+def _exit_and_error(tmp_path, capsys, argv, doc):
+    code, out, _ = run_json([*argv, write_doc(tmp_path, "in.json", doc)], capsys)
+    jsonschema.validate(out, schema("error"))
+    return code, out["error"]
+
+
+TWO_SPACES = [SPACE4, SPACE4]
+
+
+@pytest.mark.parametrize("spaces, coloring, declared", [
+    # ignored at first: antichain-split with arity 2 on one space answered 0
+    ([SPACE4], {"name": "antichain-split", "params": {"arity": 2}}, 2),
+    (TWO_SPACES, {"name": "height-permutation", "params": {"arity": 3}}, 3),
+    # these two once said "must be positive" instead
+    ([SPACE4], {"name": "constant", "params": {"arity": 0}}, 0),
+    (TWO_SPACES, {"name": "height-permutation", "params": {"dimension": 0}}, 1),
+    ([SPACE4], {"kind": "table", "arity": -1, "colors": 1, "entries": []}, -1),
+    # once "table is not total", as the entries matched the declared arity
+    ([SPACE4], {"kind": "table", "arity": 2, "colors": 1,
+                "entries": [{"tuple": ["", ""], "color": 0}]}, 2),
+])
+def test_a_declared_arity_must_match_the_spaces(tmp_path, capsys, spaces,
+                                                coloring, declared):
+    code, error = _exit_and_error(tmp_path, capsys, ["sdhl-search"], {
+        "spaces": spaces, "coloring": {"kind": "named", **coloring}})
+    assert code == 2
+    assert error == (f"need one factor space per coordinate: arity {declared}, "
+                     f"got {len(spaces)} spaces")
+
+
+def test_a_matching_declared_arity_is_accepted(tmp_path, capsys):
+    code, doc, _ = run_json(["polarized", "search", write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 8}] * 2, "depth": 1,
+        "coloring": {"kind": "named", "name": "height-permutation",
+                     "params": {"arity": 2, "dimension": 1}}})], capsys)
+    assert code == 0 and doc["success"] is True
+
+
+@pytest.mark.parametrize("name", ["constant", "level-parity", "antichain-split",
+                                  "height-permutation", "seeded-random", "expr"])
+def test_non_object_coloring_params_exit_two(tmp_path, capsys, name):
+    code, error = _exit_and_error(tmp_path, capsys, ["sdhl-search"], {
+        "spaces": TWO_SPACES,
+        "coloring": {"kind": "named", "name": name, "params": [2]}})
+    assert (code, error) == (2, "coloring params must be an object")
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["cond", "glb"], {"conditions": [[]]}),
+    (["cond", "glb"], {"conditions": [{"assign": []}]}),
+    (["cond", "copy"], {"condition": "x", "w0": [0], "w1": [1]}),
+    (["cond", "restrict"], {"condition": {"assign": 1}, "indices": [0]}),
+])
+def test_non_object_conditions_exit_two(tmp_path, capsys, argv, doc):
+    code, error = _exit_and_error(tmp_path, capsys, argv, doc)
+    assert (code, error) == (
+        2, "a condition must be an object whose 'assign' is an object")
+
+
+def test_non_object_certificate_table_exits_two(tmp_path, capsys):
+    code, error = _exit_and_error(tmp_path, capsys, ["fusion", "check"], {
+        "spaces": [SPACE4],
+        "colorings": [{"kind": "named", "name": "level-parity", "params": {}}],
+        "certificate": {"reports": [{"level_set": [0], "nodes": [""]}],
+                        "tables": [[1]]}})
+    assert (code, error) == (2, "certificate tables must be objects")
+
+
+def test_non_string_subtree_node_exits_two(tmp_path, capsys):
+    code, error = _exit_and_error(tmp_path, capsys, ["validate-subtree"], {
+        "space": SPACE4, "nodes": ["", ["0"]], "level_set": [0, 1]})
+    assert (code, error) == (2, "subtree nodes must be strings")
+
+
+def test_lex_sort_checks_a_lone_node_alphabet(tmp_path, capsys):
+    # a one-node sort makes no comparison, but its node is still checked
+    code, error = _exit_and_error(tmp_path, capsys, ["lex-sort"], {"nodes": ["2"]})
+    assert code == 2
+    assert error == ("lexicographic order is defined for binary nodes only, "
+                     "got digit '2'")
+
+
 # ---------------------------------------------------------------------------
 # subcommand documents against their schemas
 

@@ -75,12 +75,12 @@ def _spaces(d, h, short):
 
 def _colorings(d, h, short, domain):
     spaces = _spaces(d, h, short)
-    yield seeded_hash_coloring(spaces, d, 2, 7 * d + h, domain=domain)
-    yield seeded_hash_coloring(spaces, d, 3, 11 * h + d, domain=domain)
+    yield seeded_hash_coloring(spaces, 2, 7 * d + h, domain=domain)
+    yield seeded_hash_coloring(spaces, 3, 11 * h + d, domain=domain)
     if domain == "level":
-        yield level_parity_coloring(spaces, d)
+        yield level_parity_coloring(spaces)
     else:
-        yield constant_coloring(spaces, d, 2, 1)
+        yield constant_coloring(spaces, 2, 1)
 
 
 def _bases(coloring, caps):

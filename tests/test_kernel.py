@@ -217,12 +217,12 @@ def _spaces(b, h, d):
     (1, 5, 2, 3), (2, 4, 2, 1), (2, 5, 3, 7), (3, 4, 8, 2), (3, 5, 8, 1),
     (3, 5, 3, 5)])
 def test_sdhl_search_matches_old_predicate(same, d, h, colors, seed):
-    col = seeded_hash_coloring(_spaces(2, h, d), d, colors, seed, domain="level")
+    col = seeded_hash_coloring(_spaces(2, h, d), colors, seed, domain="level")
     same(lambda: sdhl_search(col))
 
 
 def test_dshl_search_matches_old_predicate(same):
-    col = seeded_hash_coloring(_spaces(2, 5, 2), 2, 2, 4, domain="level")
+    col = seeded_hash_coloring(_spaces(2, 5, 2), 2, 4, domain="level")
     same(lambda: dshl_search(col))
 
 
@@ -230,20 +230,20 @@ def test_dshl_search_matches_old_predicate(same):
                                            (7, 2, 4, 1)])
 def test_fuse_matches_old_predicate(same, h, m, goal, seed):
     spaces = _spaces(2, h, 2)
-    family = ColoringFamily([seeded_hash_coloring(spaces, 2, 2, 10 * seed + i)
+    family = ColoringFamily([seeded_hash_coloring(spaces, 2, 10 * seed + i)
                              for i in range(m)])
     same(lambda: fuse(family, h=goal))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_hl_search_matches_old_predicate(same, seed):
-    col = seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, seed)
+    col = seeded_hash_coloring(_spaces(2, 6, 2), 2, seed)
     same(lambda: hl_search(col, h=3))
 
 
 @pytest.mark.parametrize("h,seed", [(10, 19), (11, 11), (11, 6)])
 def test_dimension_induction_matches_old_predicates(same, h, seed):
-    col = seeded_hash_coloring(_spaces(2, h, 2), 2, 2, seed)
+    col = seeded_hash_coloring(_spaces(2, h, 2), 2, seed)
     same(lambda: dimension_induction(col, h=4))
 
 
@@ -257,13 +257,13 @@ def _prefix_coloring(spaces, seed, noise):
         flip = zlib.crc32(f"{seed}:{','.join(tup)}".encode()) % noise == 0
         return (zlib.crc32(f"{seed}|{key}".encode()) + flip) % 2
 
-    return Coloring(len(spaces), 2, spaces, fn, domain="full")
+    return Coloring(2, spaces, fn, domain="full")
 
 
 @pytest.mark.parametrize("d,base,h,goal,seed", [(2, (0,), 6, 4, 2), (2, (1,), 6, 4, 0),
                                                 (2, (1,), 6, 4, 3), (3, (0, 2), 5, 3, 1)])
 def test_partial_law_matches_old_predicate(same, d, base, h, goal, seed):
-    col = seeded_hash_coloring(_spaces(2, h, d), d, 2, seed)
+    col = seeded_hash_coloring(_spaces(2, h, d), 2, seed)
     same(lambda: apply_tailcone_partial(col, base, h=goal))
 
 
@@ -278,14 +278,14 @@ def test_partial_law_two_complement_coordinates(same, h, goal, noise, seed):
 @pytest.mark.parametrize("k,height,goal,seed", [(2, 6, 3, 0), (2, 6, 3, 3), (2, 7, 3, 1),
                                                 (3, 4, 3, 0), (3, 5, 3, 1)])
 def test_almost_all_matches_old_predicate(same, k, height, goal, seed):
-    col = seeded_hash_coloring(_spaces(2, height, k), k, 2, seed)
+    col = seeded_hash_coloring(_spaces(2, height, k), 2, seed)
     outcome, _ = same(lambda: almost_all_homogenize(col, h=goal))
     assert outcome["route"] == "staged"
 
 
 @pytest.mark.parametrize("dim,depth,height", [(1, 3, 8), (1, 4, 10), (2, 2, 10)])
 def test_polarized_type_coloring_matches_old_predicate(same, dim, depth, height):
-    col = height_permutation_coloring(dim, _spaces(2, height, dim + 1))
+    col = height_permutation_coloring(_spaces(2, height, dim + 1))
     same(lambda: polarized_search(col, depth=depth))
 
 
@@ -293,24 +293,24 @@ def test_polarized_type_coloring_matches_old_predicate(same, dim, depth, height)
                                                  (3, 5, 1, 2)])
 def test_polarized_random_coloring_matches_old_predicate(same, k, height, depth,
                                                          seed):
-    col = random_table_coloring(_spaces(2, height, k), k, 3, seed, domain="full")
+    col = random_table_coloring(_spaces(2, height, k), 3, seed, domain="full")
     same(lambda: polarized_search(col, depth=depth))
 
 
 @pytest.mark.parametrize("run", [
-    lambda budget: sdhl_search(seeded_hash_coloring(_spaces(2, 5, 3), 3, 8, 1,
+    lambda budget: sdhl_search(seeded_hash_coloring(_spaces(2, 5, 3), 8, 1,
                                                     domain="level"), budget=budget),
-    lambda budget: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, 2, s)
+    lambda budget: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, s)
                                         for s in (3, 4)]), h=4, budget=budget),
-    lambda budget: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 5), h=4,
+    lambda budget: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 5), h=4,
                              budget=budget),
     lambda budget: polarized_search(
-        height_permutation_coloring(2, _spaces(2, 10, 3)), depth=2, budget=budget),
+        height_permutation_coloring(_spaces(2, 10, 3)), depth=2, budget=budget),
     lambda budget: apply_tailcone_partial(_prefix_coloring(_spaces(2, 6, 3), 1, 5),
                                           (0,), h=3, budget=budget),
-    lambda budget: almost_all_homogenize(seeded_hash_coloring(_spaces(2, 6, 2), 2, 2, 0),
+    lambda budget: almost_all_homogenize(seeded_hash_coloring(_spaces(2, 6, 2), 2, 0),
                                          h=3, budget=budget),
-    lambda budget: dimension_induction(seeded_hash_coloring(_spaces(2, 10, 2), 2, 2, 19),
+    lambda budget: dimension_induction(seeded_hash_coloring(_spaces(2, 10, 2), 2, 19),
                                        h=4, budget=budget),
 ], ids=["sdhl", "fuse", "hl", "polarized", "partial", "almost-all", "dim-induct"])
 def test_capped_outcome_matches_old_predicate(same, run):

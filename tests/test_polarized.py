@@ -91,23 +91,23 @@ def test_height_permutation_colors_by_the_sorting_rank(heights, rank):
     # (2, 0, 1) sorts by (1, 2, 0); equal heights keep coordinate order,
     # so (1, 1) sorts by (0, 1) and (3, 1, 3) by (1, 0, 2)
     space = TreeSpace(2, 4)
-    f = height_permutation_coloring(len(heights) - 1, (space,) * len(heights))
+    f = height_permutation_coloring((space,) * len(heights))
     assert f.height_fn(heights) == rank
     assert f.evaluate(tuple("0" * h for h in heights)) == rank
 
 
 def test_height_permutation_coloring_values():
     space = TreeSpace(2, 4)
-    f = height_permutation_coloring(1, (space, space))
+    f = height_permutation_coloring((space, space))
     assert (f.arity, f.colors) == (2, 2)
     assert f(("0", "11")) == 0
     assert f(("11", "0")) == 1
     assert f(("0", "1")) == 0  # stable tie
-    g = height_permutation_coloring(2, (space, space, space))
+    g = height_permutation_coloring((space, space, space))
     assert g.colors == 6
     assert g(("1", "00", "")) == permutation_rank((2, 0, 1))
-    with pytest.raises(InvalidInputError):
-        height_permutation_coloring(0, (space,))
+    with pytest.raises(InvalidInputError, match="dimension must be positive, got 0"):
+        height_permutation_coloring((space,))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +207,13 @@ def test_lower_bound_chain_count_matches_the_per_pick_oracle(d, kind):
 
 
 def _first_coordinate_parity(spaces):
-    return Coloring(2, 2, spaces, lambda tup: len(tup[0]) % 2,
+    return Coloring(2, spaces, lambda tup: len(tup[0]) % 2,
                     domain="full", height_fn=lambda hts: hts[0] % 2)
 
 
 def test_type_coloring_homogenizes_exactly():
     space = TreeSpace(2, 8)
-    rep = almost_all_homogenize(height_permutation_coloring(1, (space, space)))
+    rep = almost_all_homogenize(height_permutation_coloring((space, space)))
     assert rep.success and rep.route == "height-factored"
     by_pattern = {p.pattern: p for p in rep.patterns}
     assert by_pattern[(0, 1)].color == 0 and by_pattern[(0, 1)].violations == 0
@@ -240,7 +240,7 @@ def test_first_coordinate_parity_succeeds_on_even_levels():
 
 def test_staged_route_on_seeded_coloring():
     space = TreeSpace(2, 8)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=42)
+    col = seeded_hash_coloring((space, space), 2, seed=42)
     rep = almost_all_homogenize(col)
     assert rep.success and rep.route == "staged"
     assert rep.max_fraction == 0  # staged constructions admit no exceptions
@@ -252,7 +252,7 @@ def test_staged_route_stops_at_its_cap(k, height):
     # Uncapped, both boxes try every root tuple and color vector without a
     # construction; before the fix a cap of 150 steps spent 1,849 (k=2)
     # and 42,256 (k=3) steps and reported capped false.
-    col = seeded_hash_coloring((TreeSpace(2, height),) * k, k, 2, seed=3)
+    col = seeded_hash_coloring((TreeSpace(2, height),) * k, 2, seed=3)
     budget = StepBudget(150)
     rep = almost_all_homogenize(col, h=3, budget=budget)
     assert rep.capped and not rep.success
@@ -264,7 +264,7 @@ def test_staged_measurement_spends_a_step_per_product_tuple():
     # the construction ends at used 46,395 on two subtrees of 7 nodes, so
     # measuring its 49 tuples needs a cap of 46,444
     space = TreeSpace(2, 8)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=42)
+    col = seeded_hash_coloring((space, space), 2, seed=42)
     budget = StepBudget(46_443)
     rep = almost_all_homogenize(col, budget=budget)
     assert rep.capped and not rep.success and rep.reports is None
@@ -292,7 +292,7 @@ def _height_hash_coloring(spaces, k, colors):
     def weigh(hts):
         return sum(h * (i + 3) for i, h in enumerate(hts)) % colors
 
-    return Coloring(k, colors, spaces, lambda tup: weigh([len(x) for x in tup]),
+    return Coloring(colors, spaces, lambda tup: weigh([len(x) for x in tup]),
                     domain="full", height_fn=weigh)
 
 
@@ -303,9 +303,9 @@ def test_measurements_match_the_per_pattern_oracle(k, kind):
     space = TreeSpace(2, 6)
     spaces = (space,) * k
     perms = list(itertools.permutations(range(k)))
-    colorings = [seeded_hash_coloring(spaces, k, 3, seed=7),
-                 height_permutation_coloring(k - 1, spaces),
-                 constant_coloring(spaces, k, 3, value=2),
+    colorings = [seeded_hash_coloring(spaces, 3, seed=7),
+                 height_permutation_coloring(spaces),
+                 constant_coloring(spaces, 3, value=2),
                  _height_hash_coloring(spaces, k, 3)]
     for _ in range(3 if k < 4 else 1):
         reports = _measured_reports(rng, space, k, kind)
@@ -335,7 +335,7 @@ def test_a_failing_coloring_stops_measuring_at_its_first_pick_in_product_order()
             raise ValueError(tup)
         return 0
 
-    f = Coloring(2, 2, (space, space), fn, domain="full")
+    f = Coloring(2, (space, space), fn, domain="full")
     gamma = {(0, 1): 0, (1, 0): 0}
     with pytest.raises(ValueError) as info:
         _measure_patterns(f, (full, full), gamma)
@@ -348,10 +348,10 @@ def test_a_failing_coloring_stops_measuring_at_its_first_pick_in_product_order()
 def test_homogenize_guards():
     space = TreeSpace(2, 4)
     with pytest.raises(InvalidInputError):
-        almost_all_homogenize(constant_coloring((space,), 1, 2))
+        almost_all_homogenize(constant_coloring((space,), 2))
     from hl_lab.witness import level_parity_coloring
     with pytest.raises(InvalidInputError):
-        almost_all_homogenize(level_parity_coloring((space, space), 2))
+        almost_all_homogenize(level_parity_coloring((space, space)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def test_homogenize_guards():
 
 def test_type_coloring_realizes_two_colors_depth_three():
     space = TreeSpace(2, 8)
-    out = polarized_search(height_permutation_coloring(1, (space, space)),
+    out = polarized_search(height_permutation_coloring((space, space)),
                            depth=3)
     assert out.success
     assert out.realized == (0, 1)
@@ -371,14 +371,14 @@ def test_type_coloring_realizes_two_colors_depth_three():
 
 def test_type_coloring_dimension_two_realizes_six():
     space = TreeSpace(2, 13)
-    out = polarized_search(height_permutation_coloring(2, (space,) * 3), depth=3)
+    out = polarized_search(height_permutation_coloring((space,) * 3), depth=3)
     assert out.success
     assert out.realized == (0, 1, 2, 3, 4, 5)
 
 
 def test_constant_coloring_realizes_one():
     space = TreeSpace(2, 8)
-    out = polarized_search(constant_coloring((space, space), 2, 3, value=2),
+    out = polarized_search(constant_coloring((space, space), 3, value=2),
                            depth=3)
     assert out.success and out.realized == (2,)
 
@@ -386,7 +386,7 @@ def test_constant_coloring_realizes_one():
 def test_random_box_stays_within_factorial_bound():
     space = TreeSpace(2, 10)
     for seed in range(10):
-        col = random_table_coloring((space, space), 2, 3, seed=seed,
+        col = random_table_coloring((space, space), 3, seed=seed,
                                     domain="full")
         out = polarized_search(col, depth=1)
         assert out.success, seed
@@ -398,7 +398,7 @@ def test_random_box_stays_within_factorial_bound():
 def test_search_emits_band_transcript():
     space = TreeSpace(2, 8)
     transcript: list = []
-    out = polarized_search(height_permutation_coloring(1, (space, space)),
+    out = polarized_search(height_permutation_coloring((space, space)),
                            depth=1, transcript=transcript)
     assert out.success
     bands = [e for e in transcript if e.get("event") == "polarized-band"]
@@ -408,7 +408,7 @@ def test_search_emits_band_transcript():
 
 def test_outcome_json_shape():
     space = TreeSpace(2, 8)
-    out = polarized_search(height_permutation_coloring(1, (space, space)),
+    out = polarized_search(height_permutation_coloring((space, space)),
                            depth=1)
     doc = out.to_json()
     assert doc["success"] is True

@@ -2,6 +2,8 @@
 
 import inspect
 
+import pytest
+
 import hl_lab
 import hl_lab.polarized
 import hl_lab.search
@@ -55,7 +57,7 @@ def test_searches_read_their_trees_from_the_coloring():
 
 def test_colorings_only_evaluate():
     # a counterexample document is written by finite_hl_number itself
-    col = hl_lab.constant_coloring((hl_lab.TreeSpace(2, 2),), 1, 2)
+    col = hl_lab.constant_coloring((hl_lab.TreeSpace(2, 2),), 2)
     for name in ("to_json", "kind", "body"):
         assert not hasattr(hl_lab.Coloring, name), name
         assert not hasattr(col, name), name
@@ -93,3 +95,19 @@ def test_tuple_types_are_ranked_not_built():
         assert not hasattr(hl_lab, name), name
         assert not hasattr(hl_lab.polarized, name), name
         assert name not in hl_lab.__all__, name
+
+
+def test_a_colorings_arity_is_its_number_of_spaces():
+    # one node per factor space, so no entry point asks for the arity
+    for name in hl_lab.__all__:
+        entry = getattr(hl_lab, name)
+        if inspect.isfunction(entry) or (
+                inspect.isclass(entry) and not issubclass(entry, Exception)):
+            assert "arity" not in inspect.signature(entry).parameters, name
+    assert list(inspect.signature(hl_lab.height_permutation_coloring).parameters) \
+        == ["spaces"]
+    space = hl_lab.TreeSpace(2, 3)
+    for k in (1, 2, 3):
+        assert hl_lab.Coloring(2, (space,) * k, lambda tup: 0).arity == k
+    with pytest.raises(hl_lab.InvalidInputError, match="arity must be positive, got 0"):
+        hl_lab.Coloring(2, (), lambda tup: 0)

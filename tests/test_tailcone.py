@@ -33,8 +33,8 @@ import oracles
 
 
 def _parity_family(space):
-    return ColoringFamily([level_parity_coloring((space, space), 2, 2),
-                           level_parity_coloring((space, space), 2, 3)])
+    return ColoringFamily([level_parity_coloring((space, space), 2),
+                           level_parity_coloring((space, space), 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_fuse_seeded_family_box():
         m = rng.randrange(1, 3)
         space = TreeSpace(2, 6)
         spaces = (space,) * d
-        members = [seeded_hash_coloring(spaces, d, rng.randrange(1, 3),
+        members = [seeded_hash_coloring(spaces, rng.randrange(1, 3),
                                         seed=rng.randrange(10 ** 6))
                    for _ in range(m)]
         family = ColoringFamily(members)
@@ -174,7 +174,7 @@ def test_tail_cone_check_matches_the_per_tuple_oracle_on_fused_certificates():
         space = TreeSpace(2, 6 if d < 3 else 5)
         spaces = (space,) * d
         family = ColoringFamily([
-            seeded_hash_coloring(spaces, d, rng.randrange(1, 3),
+            seeded_hash_coloring(spaces, rng.randrange(1, 3),
                                  seed=rng.randrange(10 ** 6))
             for _ in range(m)])
         out = fuse(family, h=m + 1 + trial % 2, budget=StepBudget(50_000))
@@ -194,13 +194,13 @@ def test_tail_cone_check_matches_the_oracle_on_random_tables():
     # entries break the law, so the violation order is compared at length
     rng = random.Random("tail-cone-random")
     space = TreeSpace(2, 9)
-    parity = level_parity_coloring((space, space), 2, 2)
+    parity = level_parity_coloring((space, space), 2)
     for _ in range(10):
         levels = sorted(rng.sample(range(9), 4))
         reports = [SubtreeReport(space, oracles.random_strong_subtree(rng, levels),
                                  levels) for _ in range(2)]
         family = ColoringFamily([parity, seeded_hash_coloring(
-            (space, space), 2, 2, seed=rng.randrange(10 ** 6))])
+            (space, space), 2, seed=rng.randrange(10 ** 6))])
         tables = [{(x, y): rng.randrange(2) for x in reports[0].level(i + 1)
                    for y in reports[1].level(i + 1)} for i in range(2)]
         cert = TailConeCertificate(tuple(reports), tables)
@@ -215,7 +215,7 @@ def test_tail_cone_check_matches_the_oracle_on_random_tables():
 
 def test_partial_on_constant_is_free():
     space = TreeSpace(2, 4)
-    col = constant_coloring((space, space), 2, 2)
+    col = constant_coloring((space, space), 2)
     out = apply_tailcone_partial(col, (0,), h=4)
     assert out.success and out.check.valid
     for report in out.reports:
@@ -225,7 +225,7 @@ def test_partial_on_constant_is_free():
 
 def test_partial_on_seeded_coloring():
     space = TreeSpace(2, 8)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=4)
+    col = seeded_hash_coloring((space, space), 2, seed=4)
     out = apply_tailcone_partial(col, (0,), h=3)
     assert out.success
     assert out.check.valid
@@ -241,13 +241,13 @@ def test_partial_on_seeded_coloring():
 
 def test_partial_parameter_guards():
     space = TreeSpace(2, 5)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=0)
+    col = seeded_hash_coloring((space, space), 2, seed=0)
     with pytest.raises(InvalidInputError):
         apply_tailcone_partial(col, ())
     with pytest.raises(InvalidInputError):
         apply_tailcone_partial(col, (0, 1))
     with pytest.raises(InvalidInputError):
-        apply_tailcone_partial(level_parity_coloring((space, space), 2), (0,))
+        apply_tailcone_partial(level_parity_coloring((space, space)), (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_partial_parameter_guards():
 
 def test_hl_search_rides_even_levels():
     space = TreeSpace(2, 5)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     out = hl_search(col, h=3)
     assert out.success and out.color == 0
     assert out.reports[0].level_set == (0, 2, 4)
@@ -265,14 +265,14 @@ def test_hl_search_rides_even_levels():
 
 def test_hl_search_reports_impossibility():
     tiny = TreeSpace(2, 2)
-    col = table_coloring((tiny,), 1, 2, {("",): 0, ("0",): 1, ("1",): 1})
+    col = table_coloring((tiny,), 2, {("",): 0, ("0",): 1, ("1",): 1})
     out = hl_search(col, h=2)
     assert not out.success and "no root tuple" in out.failure
 
 
 def test_hl_search_cap_is_an_outcome_not_an_error():
     space = TreeSpace(2, 6)
-    col = seeded_hash_coloring((space, space), 2, 3, seed=7)
+    col = seeded_hash_coloring((space, space), 3, seed=7)
     out = hl_search(col, h=3, budget=StepBudget(5))
     assert not out.success and out.capped
 
@@ -283,7 +283,7 @@ def test_hl_search_cap_is_an_outcome_not_an_error():
 
 def test_dimension_induction_seeded_success():
     space = TreeSpace(2, 11)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=11)
+    col = seeded_hash_coloring((space, space), 2, seed=11)
     out = dimension_induction(col, h=4, budget=StepBudget(400_000))
     assert out.success
     assert out.check.valid
@@ -296,14 +296,14 @@ def test_dimension_induction_seeded_success():
 
 def test_dimension_induction_second_box():
     space = TreeSpace(2, 12)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=9)
+    col = seeded_hash_coloring((space, space), 2, seed=9)
     out = dimension_induction(col, h=4, budget=StepBudget(400_000))
     assert out.success and out.check.valid
 
 
 def test_dimension_induction_honest_failure():
     space = TreeSpace(2, 5)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=0)
+    col = seeded_hash_coloring((space, space), 2, seed=0)
     out = dimension_induction(col, h=4, budget=StepBudget(200_000))
     assert not out.success
     assert out.failure
@@ -315,7 +315,7 @@ def test_dimension_induction_cap_bounds_the_whole_run():
     # spend from the caller's one budget; with a budget each, this box
     # succeeded under a cap of 1,000 after 1,139 steps
     space = TreeSpace(2, 11)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=11)
+    col = seeded_hash_coloring((space, space), 2, seed=11)
     budget = StepBudget(400_000)
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success
@@ -347,7 +347,7 @@ def test_induction_tail_tries_each_level_s_primes_in_canonical_order():
     # s' (the cone node itself) fails and both s' one level up pass, so the
     # first of them must be taken
     space = TreeSpace(2, 6)
-    col = expr_coloring((space, space), 2, 2, "1 if len(nodes[0]) > 2 else 0",
+    col = expr_coloring((space, space), 2, "1 if len(nodes[0]) > 2 else 0",
                         domain="full")
     (tail, steps), (want, want_steps) = _both_tails(col, 0, 1, "0", ("",), 6)
     assert tail == want and steps == want_steps
@@ -357,7 +357,7 @@ def test_induction_tail_tries_each_level_s_primes_in_canonical_order():
 @pytest.mark.parametrize("seed", range(6))
 def test_induction_tail_matches_the_nested_loop_oracle(seed):
     space = TreeSpace(2, 7)
-    col = seeded_hash_coloring((space, space), 2, 2, seed=seed)
+    col = seeded_hash_coloring((space, space), 2, seed=seed)
     found = 0
     for s in ("0", "1"):
         for gamma in (0, 1):
@@ -371,6 +371,6 @@ def test_induction_tail_matches_the_nested_loop_oracle(seed):
 def test_dimension_induction_guards():
     space = TreeSpace(2, 6)
     with pytest.raises(InvalidInputError):
-        dimension_induction(constant_coloring((space,), 1, 2))
+        dimension_induction(constant_coloring((space,), 2))
     with pytest.raises(InvalidInputError):
-        dimension_induction(level_parity_coloring((space, space), 2))
+        dimension_induction(level_parity_coloring((space, space)))

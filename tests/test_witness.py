@@ -40,9 +40,9 @@ from oracles import all_nodes, sdhl_exists_by_scan
 
 def test_constant_and_parity_values():
     space = TreeSpace(2, 4)
-    const = constant_coloring((space, space), 2, 3, value=1)
+    const = constant_coloring((space, space), 3, value=1)
     assert const.evaluate(("0", "11")) == 1  # full domain: mixed heights fine
-    par = level_parity_coloring((space,), 1)
+    par = level_parity_coloring((space,))
     assert par(("",)) == 0 and par(("0",)) == 1 and par(("01",)) == 0
     split = antichain_split_coloring(space)
     assert [split((n,)) for n in ("", "0", "011", "1", "100")] == [0, 0, 0, 1, 1]
@@ -50,7 +50,7 @@ def test_constant_and_parity_values():
 
 def test_level_domain_is_enforced():
     space = TreeSpace(2, 4)
-    par = level_parity_coloring((space, space), 2)
+    par = level_parity_coloring((space, space))
     assert par(("0", "1")) == 1
     with pytest.raises(InvalidInputError):
         par(("0", "11"))
@@ -61,22 +61,22 @@ def test_level_domain_is_enforced():
 def test_table_coloring_totality_and_bounds():
     space = TreeSpace(2, 2)
     full = {(n,): 0 for n in ("", "0", "1")}
-    col = table_coloring((space,), 1, 2, full)
+    col = table_coloring((space,), 2, full)
     assert col(("0",)) == 0
     with pytest.raises(InvalidInputError):
-        table_coloring((space,), 1, 2, {("",): 0})  # missing entries
+        table_coloring((space,), 2, {("",): 0})  # missing entries
     with pytest.raises(InvalidInputError):
-        table_coloring((space,), 1, 2, {("",): 5})  # color out of range
+        table_coloring((space,), 2, {("",): 5})  # color out of range
 
 
 def test_expr_and_hash_colorings_are_deterministic():
     space = TreeSpace(2, 3)
-    ex = expr_coloring((space, space), 2, 3, "sum(heights) + len(nodes[0])")
+    ex = expr_coloring((space, space), 3, "sum(heights) + len(nodes[0])")
     assert ex(("0", "1")) == (2 + 1) % 3
-    h1 = seeded_hash_coloring((space,), 1, 4, seed=9)
-    h2 = seeded_hash_coloring((space,), 1, 4, seed=9)
+    h1 = seeded_hash_coloring((space,), 4, seed=9)
+    h2 = seeded_hash_coloring((space,), 4, seed=9)
     assert [h1((n,)) for n in all_nodes(3)] == [h2((n,)) for n in all_nodes(3)]
-    h3 = seeded_hash_coloring((space,), 1, 4, seed=10)
+    h3 = seeded_hash_coloring((space,), 4, seed=10)
     assert any(h1((n,)) != h3((n,)) for n in all_nodes(3))
 
 
@@ -84,7 +84,7 @@ def test_expr_and_hash_colorings_are_deterministic():
 def test_broken_expr_coloring_is_invalid_input(source):
     space = TreeSpace(2, 3)
     with pytest.raises(InvalidInputError, match="expr coloring"):
-        expr_coloring((space,), 1, 2, source).evaluate(("0",))
+        expr_coloring((space,), 2, source).evaluate(("0",))
 
 
 @pytest.mark.parametrize("source", [
@@ -96,7 +96,7 @@ def test_broken_expr_coloring_is_invalid_input(source):
 def test_expr_coloring_refuses_syntax_outside_the_whitelist(source):
     # Before, every one of these compiled; most evaluated to an int.
     with pytest.raises(InvalidInputError, match="not allowed"):
-        expr_coloring((TreeSpace(2, 3),), 1, 2, source)
+        expr_coloring((TreeSpace(2, 3),), 2, source)
 
 
 # the first two ran before; at full size the last ones would try to build
@@ -109,7 +109,7 @@ UNBOUNDED_SOURCES = [
 
 @pytest.mark.parametrize("source", UNBOUNDED_SOURCES)
 def test_expr_coloring_refuses_repetition_and_formatting(source):
-    ex = expr_coloring((TreeSpace(2, 3),), 1, 2, source)
+    ex = expr_coloring((TreeSpace(2, 3),), 2, source)
     with pytest.raises(InvalidInputError, match="may not repeat or %-format a"):
         ex(("01",))
 
@@ -131,7 +131,7 @@ def test_expr_coloring_accepts_the_whitelist():
     space = TreeSpace(2, 4)
     source = ("sum(int(c) for c in nodes[0][:2]) + len([h for h in heights])"
               " if not d > 1 and heights[-1] in (1, 2, 3) else -abs(1)")
-    ex = expr_coloring((space,), 1, 5, source)
+    ex = expr_coloring((space,), 5, source)
     assert [ex((n,)) for n in ("", "1", "011", "11")] == [4, 2, 2, 3]
 
 
@@ -140,7 +140,7 @@ def test_expr_comprehensions_see_the_coloring_names():
     # ``d``: this source raised NameError (exit 2 from the CLI)
     space = TreeSpace(2, 4)
     source = "sum(h * d for h in heights)"
-    ex = expr_coloring((space, space), 2, 5, source)
+    ex = expr_coloring((space, space), 5, source)
     assert ex(("01", "10")) == (2 * 2 + 2 * 2) % 5
     assert ex(("", "")) == 0
     assert [ex((n, n)) for n in ("0", "011")] == [4, 2]
@@ -154,10 +154,15 @@ def _prefix_color_source(width, a, b):
             f" + {a + b}) % colors")
 
 
-def _expr_outcomes(build, spaces, arity, colors, source):
+def _oracle_expr(spaces, colors, source):
+    """The eval oracle, which still takes the arity as its ``d``."""
+    return oracles.expr_coloring(spaces, len(spaces), colors, source)
+
+
+def _expr_outcomes(build, spaces, colors, source):
     """The coloring's value, or its error message, on every level tuple."""
     try:
-        ex = build(spaces, arity, colors, source)
+        ex = build(spaces, colors, source)
     except InvalidInputError as err:
         return ("raised", str(err))
     out = []
@@ -175,9 +180,9 @@ def test_compiled_expr_matches_the_eval_oracle_on_prefix_sources(width):
     for a in range(1, 7):
         for b in range(1, 7):
             source = _prefix_color_source(width, a, b)
-            got = _expr_outcomes(expr_coloring, (space, space), 2, 3, source)
-            assert got == _expr_outcomes(oracles.expr_coloring, (space, space), 2,
-                                         3, source), source
+            got = _expr_outcomes(expr_coloring, (space, space), 3, source)
+            assert got == _expr_outcomes(_oracle_expr, (space, space), 3,
+                                         source), source
             assert got[0][0] == "raised"  # int("") at the root
 
 
@@ -191,13 +196,13 @@ def test_compiled_expr_matches_the_eval_oracle_on_prefix_sources(width):
 def test_compiled_expr_matches_the_eval_oracle(source):
     for arity in (1, 2):
         spaces = (TreeSpace(2, 4),) * arity
-        got = _expr_outcomes(expr_coloring, spaces, arity, 4, source)
-        assert got == _expr_outcomes(oracles.expr_coloring, spaces, arity, 4, source)
+        got = _expr_outcomes(expr_coloring, spaces, 4, source)
+        assert got == _expr_outcomes(_oracle_expr, spaces, 4, source)
 
 
 def test_coloring_json_round_trips():
     space = TreeSpace(2, 3)
-    col = random_table_coloring((space,), 1, 3, seed=5)
+    col = random_table_coloring((space,), 3, seed=5)
     domain = [(n,) for n in all_nodes(3) if n]
     doc = witness._counterexample_table(1, domain, [col(t) for t in domain])
     again = coloring_from_json(doc, (space,))
@@ -216,7 +221,7 @@ def test_coloring_json_round_trips():
 
 def test_constant_coloring_witness_at_roots():
     space = TreeSpace(2, 3)
-    col = constant_coloring((space, space), 2, 3)
+    col = constant_coloring((space, space), 3)
     w = sdhl_search(col)
     assert w is not None and w.color == 0
     assert w.base == ("", "")
@@ -225,7 +230,7 @@ def test_constant_coloring_witness_at_roots():
 
 def test_parity_witness_checks_out():
     space = TreeSpace(2, 4)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     w = sdhl_search(col)
     assert w == SDHLWitness(base=("",), matrix=(("0", "1"),), color=1)
     assert w.density_level == 1
@@ -234,7 +239,7 @@ def test_parity_witness_checks_out():
 
 def test_witness_mutations_fail_the_checker():
     space = TreeSpace(2, 4)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     w = sdhl_search(col)
     wrong_color = SDHLWitness(w.base, w.matrix, (w.color + 1) % col.colors)
     res = check_sdhl_witness(wrong_color, col)
@@ -251,7 +256,7 @@ def test_matrix_on_several_levels_is_reported_not_raised():
     # the color scan evaluated ("0", "00"), and the level-domain coloring
     # raised on the mixed heights before any violation came back
     w = SDHLWitness(("", ""), (("0", "1"), ("00", "01", "10", "11")), 1)
-    res = check_sdhl_witness(w, level_parity_coloring([TreeSpace(2, 4)] * 2, 2))
+    res = check_sdhl_witness(w, level_parity_coloring([TreeSpace(2, 4)] * 2))
     assert not res.valid
     assert res.violations[0] == ("matrix members sit on several levels [1, 2]; "
                                  "a level matrix has a single one")
@@ -278,10 +283,10 @@ def _sdhl_mutations(w, space):
 
 def test_checker_matches_the_raising_checker_wherever_it_answered():
     space = TreeSpace(2, 4)
-    colorings = [level_parity_coloring((space,), 1),
-                 level_parity_coloring((space, space), 2),
-                 constant_coloring((space, space), 2, 3)]
-    colorings += [seeded_hash_coloring((space,) * arity, arity, 2, seed,
+    colorings = [level_parity_coloring((space,)),
+                 level_parity_coloring((space, space)),
+                 constant_coloring((space, space), 3)]
+    colorings += [seeded_hash_coloring((space,) * arity, 2, seed,
                                        domain="level")
                   for arity in (1, 2) for seed in range(6)]
     answered = raised = 0
@@ -315,7 +320,7 @@ def test_search_agrees_with_scan_oracle_on_all_unary_colorings():
     nodes = all_nodes(3)
     for assignment in itertools.product(range(2), repeat=len(nodes)):
         table = {(n,): c for n, c in zip(nodes, assignment)}
-        col = table_coloring((space,), 1, 2, table)
+        col = table_coloring((space,), 2, table)
         w = sdhl_search(col)
         expected = sdhl_exists_by_scan(col.evaluate, 1, 3, 2)
         assert (w is not None) == expected, assignment
@@ -325,7 +330,7 @@ def test_search_agrees_with_scan_oracle_on_all_unary_colorings():
 
 def test_budget_exhaustion_raises_cap_error():
     space = TreeSpace(2, 4)
-    col = random_table_coloring((space, space), 2, 3, seed=1)
+    col = random_table_coloring((space, space), 3, seed=1)
     with pytest.raises(CapExceededError):
         sdhl_search(col, budget=StepBudget(3))
 
@@ -336,7 +341,7 @@ def test_budget_exhaustion_raises_cap_error():
 
 def test_dense_set_search_on_parity():
     space = TreeSpace(2, 4)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     assert dshl_search(col) == (("",), 1)
     res = check_dshl_witness(("",), 1, col)
     assert res.valid and res.asym_ok
@@ -347,7 +352,7 @@ def test_dense_set_search_on_parity():
 def test_dense_set_search_spends_one_budget():
     # Before, every (base, color) check made its own budget: a cap of 4219
     # spent 12,659 steps over 66 checks and still returned the answer.
-    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 3, seed=0, domain="level")
+    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 3, seed=0, domain="level")
     assert dshl_search(col) == (("000", "000"), 2)
     assert dshl_search(col, budget=StepBudget(8325)) == (("000", "000"), 2)
     with pytest.raises(CapExceededError):
@@ -355,7 +360,7 @@ def test_dense_set_search_spends_one_budget():
 
 
 def test_one_budget_serves_several_searches():
-    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 3, seed=0, domain="level")
+    col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 3, seed=0, domain="level")
     alone = []
     for search in (sdhl_search, dshl_search):
         budget = StepBudget()
@@ -387,7 +392,7 @@ def test_explicit_space_with_empty_top_levels_is_rejected():
     short = tuple(all_nodes(2))
     with pytest.raises(InvalidInputError, match="below the top level"):
         sdhl_search(seeded_hash_coloring(
-            (TreeSpace(2, 4), TreeSpace(2, 4, nodes=short)), 2, 2, 7, domain="level"))
+            (TreeSpace(2, 4), TreeSpace(2, 4, nodes=short)), 2, 7, domain="level"))
     with pytest.raises(InvalidInputError, match="below the top level"):
         TreeSpace(2, 3, nodes=short)
     assert TreeSpace(2, 2, nodes=short) == TreeSpace.explicit(short)
@@ -395,7 +400,7 @@ def test_explicit_space_with_empty_top_levels_is_rejected():
 
 def test_dense_set_asymmetry_flag():
     space = TreeSpace(2, 5)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     assert check_dshl_witness(("",), 0, col).valid
     off_root = check_dshl_witness(("0",), 0, col)
     assert not off_root.asym_ok  # color 0 witnesses belong at the roots
@@ -407,7 +412,7 @@ def test_dense_set_asymmetry_flag():
 
 def test_free_level_witness_on_parity():
     space = TreeSpace(2, 3)
-    col = level_parity_coloring((space,), 1)
+    col = level_parity_coloring((space,))
     w = SomewhereDenseWitness(("",), (("0", "1"),), density_level=1, color=1)
     assert check_somewhere_dense_witness(w, col).valid
     wrong = SomewhereDenseWitness(("",), (("0", "1"),), density_level=1, color=0)
@@ -416,7 +421,7 @@ def test_free_level_witness_on_parity():
 
 def test_free_level_witness_may_mix_levels():
     space = TreeSpace(2, 4)
-    col = seeded_hash_coloring((space,), 1, 3, seed=2)
+    col = seeded_hash_coloring((space,), 3, seed=2)
     w = SomewhereDenseWitness(("",), (("0", "100"),), density_level=1, color=1)
     assert check_somewhere_dense_witness(w, col).valid
     # "100" alone dominates only the cone node "1"
@@ -426,7 +431,7 @@ def test_free_level_witness_may_mix_levels():
 
 def test_free_level_checker_rejects_bad_levels():
     space = TreeSpace(2, 4)
-    col = constant_coloring((space,), 1, 2)
+    col = constant_coloring((space,), 2)
     low = SomewhereDenseWitness(("0",), (("00", "01"),), density_level=1, color=0)
     assert not check_somewhere_dense_witness(low, col).valid
     outside = SomewhereDenseWitness(("",), (("0", "1"),), density_level=9, color=0)
@@ -437,10 +442,10 @@ def test_free_level_checker_rejects_bad_levels():
 
 def test_hl_strong_subtree_check():
     space = TreeSpace(2, 3)
-    col = constant_coloring((space, space), 2, 2)
+    col = constant_coloring((space, space), 2)
     reports = (SubtreeReport(space, all_nodes(3), (0, 1, 2)),) * 2
     assert check_hl_strong_subtree(reports, col).valid
-    res = check_hl_strong_subtree(reports, level_parity_coloring((space, space), 2))
+    res = check_hl_strong_subtree(reports, level_parity_coloring((space, space)))
     assert not res.valid
     with pytest.raises(InvalidInputError):
         check_hl_strong_subtree(reports[:1], col)
