@@ -10,6 +10,7 @@ run can be replayed byte for byte from its manifest.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -338,108 +339,97 @@ def _add_common(parser, *, takes_input=True, search=False, transcript=False):
                             help="write stage events to this JSONL file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_search = functools.partial(_add_common, search=True)
+_staged = functools.partial(_add_common, search=True, transcript=True)
+
+
+def _number(parser):
+    parser.add_argument("n", type=int)
+    _add_common(parser, takes_input=False)
+
+
+def _fhl_arguments(parser):
+    _add_common(parser, takes_input=False)
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--b", type=int, required=True)
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the randomized mode")
+    parser.add_argument("--mode", choices=("exhaustive", "randomized"),
+                        default="exhaustive")
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--max-height", type=int, default=8)
+    parser.add_argument("--budget", type=int, default=2_000_000,
+                        help="most colorings enumerated or sampled per height "
+                             "(at least 0)")
+
+
+# command -> (help, handler, arguments), or (help, {subcommand: ...}) for a group
+_COMMANDS = {
+    "lex-sort": ("sort nodes in tree order", _cmd_lex_sort, _add_common),
+    "validate-subtree": ("check the strong-subtree clauses",
+                         _cmd_validate_subtree, _add_common),
+    "sdhl-search": ("search for a dense witness", _cmd_sdhl_search, _search),
+    "fhl": ("least height forcing a dense witness", _cmd_fhl, _fhl_arguments),
+    "hl-check": ("check one color across subtree levels", _cmd_hl_check,
+                 _add_common),
+    "fusion": ("tail-cone fusion", {
+        "run": ("grow subtrees and record the tables", _cmd_fusion_run, _staged),
+        "check": ("verify a recorded certificate", _cmd_fusion_check,
+                  _add_common)}),
+    "dim-induct": ("raise witness arity by one", _cmd_dim_induct, _staged),
+    "polarized": ("polarized constructions", {
+        "search": ("round-robin splitting-tree growth", _cmd_polarized_search,
+                   _staged),
+        "verify-lb": ("check all height-order types occur",
+                      _cmd_polarized_verify_lb, _add_common),
+        "almost-all": ("near-constant color per height order", _cmd_almost_all,
+                       _search)}),
+    "degrees": ("degree numerics", {
+        "tangent": ("tangent number", _cmd_degrees_tangent, _number),
+        "devlin": ("unpolarized lower bound", _cmd_degrees_devlin, _number),
+        "table": ("degrees up to a dimension", _cmd_degrees_table, _number)}),
+    "cond": ("condition algebra", {
+        "glb": ("greatest lower bound", _cmd_cond_glb, _add_common),
+        "copy": ("transport along an order isomorphism", _cmd_cond_copy,
+                 _add_common),
+        "restrict": ("restrict the support", _cmd_cond_restrict, _add_common)}),
+    "wmap": ("index-set map closure", {
+        "build": ("close a raw map under intersections", _cmd_wmap_build,
+                  _add_common),
+        "verify": ("check the closure laws", _cmd_wmap_verify, _add_common)}),
+    "delta-system": ("find a common-root subfamily", _cmd_delta_system, _search),
+}
+
+
+def _fill(parser, handler, arguments=None):
+    """Give ``parser`` a command's handler and arguments, or, when
+    ``handler`` is a group's table, each of the group's subcommands."""
+    if isinstance(handler, dict):
+        sub = parser.add_subparsers(dest="subcommand", required=True)
+        for name, (text, *spec) in handler.items():
+            _fill(sub.add_parser(name, help=text), *spec)
+        return
+    arguments(parser)
+    parser.set_defaults(handler=handler)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that command is filled in.
+
+    Every command is listed with its help either way, so the top-level
+    help and every usage error read the same.  A run parses one command,
+    and the others' parsers are most of the cost of building them all.
+    """
     parser = argparse.ArgumentParser(
         prog="hl-lab",
         description="Finitary Halpern-Lauchli laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lex-sort", help="sort nodes in tree order")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_lex_sort)
-
-    p = sub.add_parser("validate-subtree", help="check the strong-subtree clauses")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_validate_subtree)
-
-    p = sub.add_parser("sdhl-search", help="search for a dense witness")
-    _add_common(p, search=True)
-    p.set_defaults(handler=_cmd_sdhl_search)
-
-    p = sub.add_parser("fhl", help="least height forcing a dense witness")
-    _add_common(p, takes_input=False)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the randomized mode")
-    p.add_argument("--mode", choices=("exhaustive", "randomized"),
-                   default="exhaustive")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--max-height", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2_000_000,
-                   help="most colorings enumerated or sampled per height (at least 0)")
-    p.set_defaults(handler=_cmd_fhl)
-
-    p = sub.add_parser("hl-check", help="check one color across subtree levels")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_hl_check)
-
-    p = sub.add_parser("fusion", help="tail-cone fusion")
-    fsub = p.add_subparsers(dest="subcommand", required=True)
-    q = fsub.add_parser("run", help="grow subtrees and record the tables")
-    _add_common(q, search=True, transcript=True)
-    q.set_defaults(handler=_cmd_fusion_run)
-    q = fsub.add_parser("check", help="verify a recorded certificate")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_fusion_check)
-
-    p = sub.add_parser("dim-induct", help="raise witness arity by one")
-    _add_common(p, search=True, transcript=True)
-    p.set_defaults(handler=_cmd_dim_induct)
-
-    p = sub.add_parser("polarized", help="polarized constructions")
-    psub = p.add_subparsers(dest="subcommand", required=True)
-    q = psub.add_parser("search", help="round-robin splitting-tree growth")
-    _add_common(q, search=True, transcript=True)
-    q.set_defaults(handler=_cmd_polarized_search)
-    q = psub.add_parser("verify-lb", help="check all height-order types occur")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_polarized_verify_lb)
-    q = psub.add_parser("almost-all", help="near-constant color per height order")
-    _add_common(q, search=True)
-    q.set_defaults(handler=_cmd_almost_all)
-
-    p = sub.add_parser("degrees", help="degree numerics")
-    dsub = p.add_subparsers(dest="subcommand", required=True)
-    q = dsub.add_parser("tangent", help="tangent number")
-    q.add_argument("n", type=int)
-    _add_common(q, takes_input=False)
-    q.set_defaults(handler=_cmd_degrees_tangent)
-    q = dsub.add_parser("devlin", help="unpolarized lower bound")
-    q.add_argument("n", type=int)
-    _add_common(q, takes_input=False)
-    q.set_defaults(handler=_cmd_degrees_devlin)
-    q = dsub.add_parser("table", help="degrees up to a dimension")
-    q.add_argument("n", type=int)
-    _add_common(q, takes_input=False)
-    q.set_defaults(handler=_cmd_degrees_table)
-
-    p = sub.add_parser("cond", help="condition algebra")
-    csub = p.add_subparsers(dest="subcommand", required=True)
-    q = csub.add_parser("glb", help="greatest lower bound")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_cond_glb)
-    q = csub.add_parser("copy", help="transport along an order isomorphism")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_cond_copy)
-    q = csub.add_parser("restrict", help="restrict the support")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_cond_restrict)
-
-    p = sub.add_parser("wmap", help="index-set map closure")
-    wsub = p.add_subparsers(dest="subcommand", required=True)
-    q = wsub.add_parser("build", help="close a raw map under intersections")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_wmap_build)
-    q = wsub.add_parser("verify", help="check the closure laws")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_wmap_verify)
-
-    p = sub.add_parser("delta-system", help="find a common-root subfamily")
-    _add_common(p, search=True)
-    p.set_defaults(handler=_cmd_delta_system)
-
+    for name, (text, *spec) in _COMMANDS.items():
+        if command in (None, name):
+            _fill(sub.add_parser(name, help=text), *spec)
+        else:
+            sub.add_parser(name, help=text, add_help=False)
     return parser
 
 
@@ -462,8 +452,9 @@ def _manifest(args, raw: bytes, code: int) -> dict:
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     raw = b""
     try:
         doc_in, raw = _read_input(getattr(args, "input", None)) \

@@ -232,14 +232,14 @@ def check_tail_cone(certificate: TailConeCertificate,
         for tup in itertools.product(*(r.level(i + 1) for r in reports)):
             if tup not in table:
                 violations.append(f"table {i} is missing entry {tup}")
-        evaluate = family[i].evaluate
         for xi in range(i + 1, h):
             levels = [r.level(xi) for r in reports]
-            # cuts[j][node]: node's restriction to subtree level i + 1 in factor j
-            cuts = [{node: r.restrict(node, i + 1) for node in level}
+            evaluate = family[i].on_product(levels)
+            # cuts[j][k]: levels[j][k]'s restriction to subtree level i + 1
+            cuts = [[r.restrict(node, i + 1) for node in level]
                     for r, level in zip(reports, levels)]
-            for tup in itertools.product(*levels):
-                key = tuple(map(dict.__getitem__, cuts, tup))
+            for tup, key in zip(itertools.product(*levels),
+                                itertools.product(*cuts)):
                 if key not in table:
                     continue
                 got = evaluate(tup)

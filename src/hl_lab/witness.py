@@ -83,6 +83,22 @@ class Coloring:
 
     __call__ = evaluate
 
+    def on_product(self, levels):
+        """A function equal to ``evaluate`` on ``itertools.product(*levels)``.
+
+        When ``levels`` has one list per factor and, on a level domain,
+        all of their nodes share one height, every tuple of the product
+        passes ``evaluate``'s checks, so the rule itself is returned; the
+        height scan costs one pass over the lists.  Otherwise ``evaluate``
+        is returned, which raises at the first bad tuple.
+        """
+        if len(levels) != self.arity:
+            return self.evaluate
+        if self.domain == "level" and len(
+                {len(node) for level in levels for node in level}) > 1:
+            return self.evaluate
+        return self._fn
+
 
 def _level_domain(spaces):
     """All level sequences of the factor product, canonically ordered."""
@@ -288,17 +304,33 @@ def random_table_coloring(spaces, colors, seed, *, domain="level") -> Coloring:
                            dict(zip(wanted, draw(len(wanted)))), domain)
 
 
+def _integer(doc, field, default=None):
+    """``doc[field]``, or ``default`` when given and the field is absent.
+
+    The value must be a JSON integer: not a bool, a float or a string.
+    """
+    value = doc[field] if default is None else doc.get(field, default)
+    if type(value) is not int:
+        raise InvalidInputError(f"coloring field {field!r} must be an integer, "
+                                f"got {value!r}")
+    return value
+
+
 def coloring_from_json(doc, spaces) -> Coloring:
     """Read a coloring over ``spaces``; a declared ``arity`` (or
-    height-permutation's ``dimension`` plus one) must be ``len(spaces)``."""
+    height-permutation's ``dimension`` plus one) must be ``len(spaces)``.
+
+    ``arity``, ``colors``, ``value``, ``modulus``, ``dimension`` and a
+    table entry's ``color`` must be JSON integers."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError("coloring document must be an object with 'kind'")
     kind, name, params = doc["kind"], doc.get("name"), doc.get("params", {})
     if kind == "table":
         try:
-            declared = [int(doc["arity"])]
-            colors = int(doc["colors"])
-            entries = [(tuple(e["tuple"]), int(e["color"])) for e in doc["entries"]]
+            declared = [_integer(doc, "arity")]
+            colors = _integer(doc, "colors")
+            entries = [(tuple(e["tuple"]), _integer(e, "color"))
+                       for e in doc["entries"]]
         except (KeyError, TypeError) as bad:
             raise InvalidInputError(f"malformed table coloring: {bad}") from None
     elif kind != "named":
@@ -306,9 +338,9 @@ def coloring_from_json(doc, spaces) -> Coloring:
     elif not isinstance(params, dict):
         raise InvalidInputError("coloring params must be an object")
     else:
-        declared = [int(params["arity"])] if "arity" in params else []
+        declared = [_integer(params, "arity")] if "arity" in params else []
         if name == "height-permutation" and "dimension" in params:
-            declared.append(int(params["dimension"]) + 1)
+            declared.append(_integer(params, "dimension") + 1)
     for arity in declared:
         if arity != len(spaces):
             raise InvalidInputError(f"need one factor space per coordinate: "
@@ -317,10 +349,10 @@ def coloring_from_json(doc, spaces) -> Coloring:
         return table_coloring(spaces, colors, entries,
                               domain=doc.get("domain", "level"))
     if name == "constant":
-        return constant_coloring(spaces, int(params.get("colors", 1)),
-                                 int(params.get("value", 0)))
+        return constant_coloring(spaces, _integer(params, "colors", 1),
+                                 _integer(params, "value", 0))
     if name == "level-parity":
-        return level_parity_coloring(spaces, int(params.get("modulus", 2)))
+        return level_parity_coloring(spaces, _integer(params, "modulus", 2))
     if name == "antichain-split":
         if len(spaces) != 1:
             raise InvalidInputError("antichain-split is a unary coloring")
@@ -330,11 +362,11 @@ def coloring_from_json(doc, spaces) -> Coloring:
 
         return height_permutation_coloring(spaces)
     if name == "seeded-random":
-        return seeded_hash_coloring(spaces, int(params["colors"]),
+        return seeded_hash_coloring(spaces, _integer(params, "colors"),
                                     params.get("seed", 0),
                                     domain=params.get("domain", "full"))
     if name == "expr":
-        return expr_coloring(spaces, int(params["colors"]), params["source"],
+        return expr_coloring(spaces, _integer(params, "colors"), params["source"],
                              domain=params.get("domain", "level"))
     raise InvalidInputError(f"unknown named coloring {name!r}")
 
@@ -592,15 +624,22 @@ def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
                           for v in validate_strong_subtree(report).violations)
     reference = None
     for xi in range(reports[0].height):
-        for tup in itertools.product(*(r.level(xi) for r in reports)):
-            got = coloring.evaluate(tup)
-            if reference is None:
-                reference = got
-            elif got != reference:
-                violations.append(
-                    f"tuple {tup} at subtree level {xi} has color {got}, "
-                    f"expected {reference}"
-                )
+        levels = [r.level(xi) for r in reports]
+        evaluate = coloring.on_product(levels)
+        colors = set(map(evaluate, itertools.product(*levels)))
+        if reference is None and len(colors) == 1:
+            reference = colors.pop()
+        elif colors and colors != {reference}:
+            # walk the level again to name each violation in product order
+            for tup in itertools.product(*levels):
+                got = evaluate(tup)
+                if reference is None:
+                    reference = got
+                elif got != reference:
+                    violations.append(
+                        f"tuple {tup} at subtree level {xi} has color {got}, "
+                        f"expected {reference}"
+                    )
     return ValidationResult(not violations, tuple(violations))
 
 

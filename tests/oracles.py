@@ -1256,3 +1256,97 @@ def _measure_height_factored(f, views):
             out.append(PatternReport(pattern=pattern, color=None,
                                      violations=0, total=0))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the level-product checkers before they took ``Coloring.on_product``
+#
+# Kept verbatim as references: both called ``Coloring.evaluate`` on every
+# tuple of every level product, so each tuple's arity and heights were
+# checked again, and ``check_tail_cone`` built each tuple's key from one
+# restriction dict per factor.  The one edit: that checker is named
+# ``check_tail_cone_dict_cuts`` here, since ``check_tail_cone`` above
+# names an older one.
+
+
+def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
+    """Check that the reports are strong subtrees with monochromatic level products.
+
+    All reports must share one witnessing level set; the union over
+    subtree levels of the coordinatewise products must get a single color.
+    """
+    if len(reports) != coloring.arity:
+        raise InvalidInputError(
+            f"need {coloring.arity} subtree reports, got {len(reports)}"
+        )
+    level_sets = {r.level_set for r in reports}
+    if len(level_sets) != 1:
+        raise InvalidInputError(
+            f"subtrees must share one witnessing level set, got {sorted(level_sets)}"
+        )
+    violations: list[str] = []
+    for idx, report in enumerate(reports):
+        violations.extend(f"subtree {idx}: {v}"
+                          for v in validate_strong_subtree(report).violations)
+    reference = None
+    for xi in range(reports[0].height):
+        for tup in itertools.product(*(r.level(xi) for r in reports)):
+            got = coloring.evaluate(tup)
+            if reference is None:
+                reference = got
+            elif got != reference:
+                violations.append(
+                    f"tuple {tup} at subtree level {xi} has color {got}, "
+                    f"expected {reference}"
+                )
+    return ValidationResult(not violations, tuple(violations))
+
+
+def check_tail_cone_dict_cuts(certificate: TailConeCertificate,
+                              family: ColoringFamily) -> ValidationResult:
+    """Verify the determining law of every table, quantifier by quantifier."""
+    reports = certificate.reports
+    if len(reports) != family.arity:
+        raise InvalidInputError(
+            f"certificate has {len(reports)} subtrees, family arity {family.arity}"
+        )
+    if len(certificate.tables) != len(family):
+        raise InvalidInputError(
+            f"certificate has {len(certificate.tables)} tables for "
+            f"{len(family)} colorings"
+        )
+    level_sets = {r.level_set for r in reports}
+    if len(level_sets) != 1:
+        raise InvalidInputError("certificate subtrees must share one level set")
+    violations: list[str] = []
+    for idx, report in enumerate(reports):
+        structural = validate_strong_subtree(report)
+        if not structural.valid:
+            violations.extend(f"subtree {idx}: {v}" for v in structural.violations)
+    h = reports[0].height
+    if len(family) > h - 1:
+        violations.append(
+            f"{len(family)} colorings need subtree height {len(family) + 1}, got {h}"
+        )
+        return ValidationResult(False, tuple(violations))
+    for i in range(len(family)):
+        table = certificate.tables[i]
+        for tup in itertools.product(*(r.level(i + 1) for r in reports)):
+            if tup not in table:
+                violations.append(f"table {i} is missing entry {tup}")
+        evaluate = family[i].evaluate
+        for xi in range(i + 1, h):
+            levels = [r.level(xi) for r in reports]
+            # cuts[j][node]: node's restriction to subtree level i + 1 in factor j
+            cuts = [{node: r.restrict(node, i + 1) for node in level}
+                    for r, level in zip(reports, levels)]
+            for tup in itertools.product(*levels):
+                key = tuple(map(dict.__getitem__, cuts, tup))
+                if key not in table:
+                    continue
+                got = evaluate(tup)
+                if got != table[key]:
+                    violations.append(
+                        f"coloring {i} at {tup}: color {got}, table says {table[key]}"
+                    )
+    return ValidationResult(not violations, tuple(violations))

@@ -8,7 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from hl_lab.cli import dispatch, render_table
+from hl_lab import cli
+from hl_lab.cli import build_parser, dispatch, render_table
 
 
 def schema(name):
@@ -230,6 +231,50 @@ def test_a_matching_declared_arity_is_accepted(tmp_path, capsys):
         "coloring": {"kind": "named", "name": "height-permutation",
                      "params": {"arity": 2, "dimension": 1}}})], capsys)
     assert code == 0 and doc["success"] is True
+
+
+# field -> a coloring document with the field set to a value
+INTEGER_FIELDS = [
+    ("arity", lambda v: {"name": "level-parity", "params": {"arity": v}}),
+    ("modulus", lambda v: {"name": "level-parity", "params": {"modulus": v}}),
+    ("colors", lambda v: {"name": "constant", "params": {"colors": v}}),
+    ("value", lambda v: {"name": "constant", "params": {"colors": 2, "value": v}}),
+    ("dimension", lambda v: {"name": "height-permutation",
+                             "params": {"dimension": v}}),
+    ("colors", lambda v: {"name": "seeded-random", "params": {"colors": v}}),
+    ("colors", lambda v: {"name": "expr", "params": {"colors": v, "source": "0"}}),
+    ("arity", lambda v: {"kind": "table", "arity": v, "colors": 2, "entries": []}),
+    ("colors", lambda v: {"kind": "table", "arity": 1, "colors": v, "entries": []}),
+    ("color", lambda v: {"kind": "table", "arity": 1, "colors": 2,
+                         "entries": [{"tuple": [""], "color": v}]}),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+@pytest.mark.parametrize("field, coloring", INTEGER_FIELDS)
+def test_integer_fields_of_a_coloring_must_be_json_integers(tmp_path, capsys, bad,
+                                                            field, coloring):
+    # once truncated by int(): 1.5 read as 1, true as 1, "1" as 1
+    spaces = TWO_SPACES if field == "dimension" else [SPACE4]
+    code, error = _exit_and_error(tmp_path, capsys, ["sdhl-search"], {
+        "spaces": spaces, "coloring": {"kind": "named", **coloring(bad)}})
+    assert (code, error) == (2, f"coloring field {field!r} must be an integer, "
+                                f"got {bad!r}")
+
+
+@pytest.mark.parametrize("params, field, bad", [
+    ({"arity": 1.5, "modulus": 2.9}, "arity", 1.5),
+    ({"arity": True}, "arity", True),
+    ({"modulus": 2.9}, "modulus", 2.9),
+])
+def test_truncated_level_parity_documents_exit_two(tmp_path, capsys, params,
+                                                   field, bad):
+    # the first two exited 0 as if arity 1 and modulus 2 had been given
+    code, error = _exit_and_error(tmp_path, capsys, ["sdhl-search"], {
+        "spaces": [SPACE4],
+        "coloring": {"kind": "named", "name": "level-parity", "params": params}})
+    assert (code, error) == (2, f"coloring field {field!r} must be an integer, "
+                                f"got {bad!r}")
 
 
 @pytest.mark.parametrize("name", ["constant", "level-parity", "antichain-split",
@@ -638,6 +683,40 @@ def test_removed_flags_are_rejected(capsys):
             dispatch(argv)
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _parse(parser, argv, capsys):
+    try:
+        code, fields = None, vars(parser.parse_args(argv))
+    except SystemExit as stop:
+        code, fields = stop.code, None
+    out, err = capsys.readouterr()
+    return code, out, err, fields
+
+
+GROUPS = {name: spec[1] for name, spec in cli._COMMANDS.items()
+          if isinstance(spec[1], dict)}
+PARSER_CASES = (
+    [[name, "-h"] for name in cli._COMMANDS]
+    + [[group, sub, "-h"] for group, subs in GROUPS.items() for sub in subs]
+    + [[], ["-h"], ["frobnicate"], ["fusion", "frobnicate"], ["fusion"],
+       ["fhl", "--b", "2", "--r", "2"],
+       ["fhl", "--d", "x", "--b", "2", "--r", "2"],
+       ["degrees", "tangent", "x"], ["sdhl-search", "-", "--max-steps", "q"],
+       ["lex-sort", "-", "--bogus"], ["hl-check", "a.json", "b.json"],
+       ["fhl", "--d", "1", "--b", "2", "--r", "2", "--mode", "randomized"],
+       ["fusion", "run", "in.json", "--max-steps", "5", "--transcript", "t"],
+       ["degrees", "table", "4", "--table"], ["polarized", "almost-all"]])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "(empty)")
+def test_a_one_command_parser_parses_like_the_full_one(argv, capsys):
+    # help, usage errors and parsed fields: the other commands are only
+    # listed, so nothing a run can see depends on them
+    full = _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == full
+    assert full[1] or full[2] or full[3]
 
 
 def test_seed_flag_recorded(tmp_path, capsys):
