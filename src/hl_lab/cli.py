@@ -32,6 +32,7 @@ from .errors import (
     HLError,
     IncompatibleConditionsError,
     InvalidInputError,
+    json_integer,
 )
 from .polarized import (
     almost_all_homogenize,
@@ -160,14 +161,28 @@ def _reports_from(doc, spaces) -> tuple[SubtreeReport, ...]:
                  for j, r in enumerate(entries))
 
 
+def _integer(doc, field, default=None):
+    """``doc[field]``, or ``default`` when given and the field is absent."""
+    value = doc[field] if default is None else doc.get(field, default)
+    return json_integer(value, f"field {field!r}")
+
+
+def _optional_integer(doc, field):
+    """``doc[field]``, or ``None`` when the field is absent or null."""
+    return None if doc.get(field) is None else _integer(doc, field)
+
+
+def _integers(doc, field):
+    """``doc[field]``, a list of integers."""
+    return [json_integer(i, f"each entry of field {field!r}") for i in doc[field]]
+
+
 def _search_code(outcome) -> int:
     """0 when the search succeeded, 3 when its cap stopped it, 1 otherwise."""
     return 0 if outcome.success else (3 if outcome.capped else 1)
 
 
 def _write_transcript(path, events) -> None:
-    if path is None or events is None:
-        return
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -223,10 +238,8 @@ def _cmd_fusion_run(args, doc):
     spaces = _spaces_from(doc)
     members = [coloring_from_json(c, spaces) for c in doc.get("colorings", [])]
     family = ColoringFamily(members, spaces=spaces)
-    events = [] if args.transcript else None
-    outcome = fuse(family, h=doc.get("h"), budget=args.steps,
-                   transcript=events)
-    _write_transcript(args.transcript, events)
+    outcome = fuse(family, h=_optional_integer(doc, "h"), budget=args.steps,
+                   transcript=args.events)
     return outcome.to_json(), _search_code(outcome)
 
 
@@ -242,27 +255,28 @@ def _cmd_fusion_check(args, doc):
 def _cmd_dim_induct(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    events = [] if args.transcript else None
-    outcome = dimension_induction(coloring, h=doc.get("h"),
-                                  budget=args.steps, transcript=events)
-    _write_transcript(args.transcript, events)
+    outcome = dimension_induction(coloring, h=_optional_integer(doc, "h"),
+                                  budget=args.steps, transcript=args.events)
     return outcome.to_json(), _search_code(outcome)
 
 
 def _cmd_polarized_search(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    events = [] if args.transcript else None
-    outcome = polarized_search(coloring, int(doc.get("depth", 3)),
-                               budget=args.steps, transcript=events)
-    _write_transcript(args.transcript, events)
+    outcome = polarized_search(coloring, _integer(doc, "depth", 3),
+                               budget=args.steps, transcript=args.events)
     return outcome.to_json(), _search_code(outcome)
 
 
 def _cmd_polarized_verify_lb(args, doc):
     spaces = _spaces_from(doc)
     reports = _reports_from(doc, spaces)
-    result = verify_lower_bound(reports, int(doc["d"]))
+    d = _integer(doc, "d")
+    if d < 1:
+        raise InvalidInputError(f"dimension must be positive, got {d}")
+    if len(reports) != d + 1:
+        raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(reports)}")
+    result = verify_lower_bound(reports)
     return result.to_json(), 0 if result.realizes_all else 1
 
 
@@ -271,7 +285,7 @@ def _cmd_almost_all(args, doc):
     coloring = coloring_from_json(doc["coloring"], spaces)
     epsilon = Fraction(doc.get("epsilon", "1/10"))
     report = almost_all_homogenize(coloring, epsilon=epsilon,
-                                   h=doc.get("h"), budget=args.steps)
+                                   h=_optional_integer(doc, "h"), budget=args.steps)
     return report.to_json(), _search_code(report)
 
 
@@ -294,18 +308,20 @@ def _cmd_cond_glb(args, doc):
 
 def _cmd_cond_copy(args, doc):
     condition = Condition.from_json(doc["condition"])
-    moved = copying_action(condition, doc["w0"], doc["w1"])
+    moved = copying_action(condition, _integers(doc, "w0"), _integers(doc, "w1"))
     return moved.to_json(), 0
 
 
 def _cmd_cond_restrict(args, doc):
     condition = Condition.from_json(doc["condition"])
-    return restrict_condition(condition, doc["indices"]).to_json(), 0
+    return restrict_condition(condition, _integers(doc, "indices")).to_json(), 0
 
 
 def _cmd_wmap_build(args, doc):
-    raw = {tuple(entry["u"]): tuple(entry["W"]) for entry in doc["raw"]}
-    wmap = build_w_map(doc["E"], raw, int(doc["d"]), stride=doc.get("stride"))
+    raw = {tuple(_integers(entry, "u")): tuple(_integers(entry, "W"))
+           for entry in doc["raw"]}
+    wmap = build_w_map(_integers(doc, "E"), raw, _integer(doc, "d"),
+                       stride=_optional_integer(doc, "stride"))
     return wmap.to_json(), 0
 
 
@@ -316,8 +332,9 @@ def _cmd_wmap_verify(args, doc):
 
 
 def _cmd_delta_system(args, doc):
-    outcome = delta_system([set(m) for m in doc["family"]], int(doc["target"]),
-                           budget=args.steps)
+    family = [{json_integer(i, "each entry of a 'family' member") for i in m}
+              for m in doc["family"]]
+    outcome = delta_system(family, _integer(doc, "target"), budget=args.steps)
     return outcome.to_json(), 0 if outcome.success else 1
 
 
@@ -462,7 +479,12 @@ def dispatch(argv=None) -> int:
         steps = getattr(args, "max_steps", None)
         # one budget per run; ``args.budget`` is fhl's own --budget flag
         args.steps = StepBudget() if steps is None else StepBudget(steps)
+        # one transcript per run, written once the handler returns
+        transcript = getattr(args, "transcript", None)
+        args.events = [] if transcript else None
         document, code = args.handler(args, doc_in)
+        if transcript:
+            _write_transcript(transcript, args.events)
     except IncompatibleConditionsError as bad:
         document = {"error": str(bad), "index": bad.index,
                     "coordinate": bad.coordinate}

@@ -23,6 +23,7 @@ from .errors import (
     IncompatibleConditionsError,
     InvalidInputError,
     PreconditionError,
+    json_integer,
 )
 from .search import BudgetExhausted, StepBudget
 
@@ -84,7 +85,8 @@ class Condition:
             raise InvalidInputError("a condition must be an object whose 'assign' "
                                     "is an object")
         assign = {int(k): tuple(v) for k, v in assign.items()}
-        support = set(int(i) for i in doc.get("support", assign.keys()))
+        support = {json_integer(i, "each entry of condition field 'support'")
+                   for i in doc.get("support", assign)}
         if support != set(assign):
             raise InvalidInputError("support does not match assignment keys")
         return cls(assign)
@@ -319,8 +321,14 @@ class WMap:
 
     @classmethod
     def from_json(cls, doc) -> "WMap":
-        mapping = {tuple(e["u"]): tuple(e["W"]) for e in doc["entries"]}
-        return cls(doc["E"], doc["d"], mapping)
+        def integers(values, field):
+            return tuple(json_integer(i, f"each entry of wmap field {field!r}")
+                         for i in values)
+
+        mapping = {integers(e["u"], "u"): integers(e["W"], "W")
+                   for e in doc["entries"]}
+        return cls(integers(doc["E"], "E"), json_integer(doc["d"], "wmap field 'd'"),
+                   mapping)
 
 
 def _check_raw_map(ground, raw, degree):

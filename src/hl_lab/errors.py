@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the integer reader of
+every input document.
 
 The CLI maps these onto exit codes: bad or malformed input exits 2,
 "searched and not found / invalid" exits 1, exhausted budgets exit 3.
@@ -44,6 +45,18 @@ class IncompatibleConditionsError(HLError):
             message
             or f"conditions are incompatible at index {index}, coordinate {coordinate}"
         )
+
+
+def json_integer(value, what: str) -> int:
+    """``value`` when it is a JSON integer: not a bool, a float or a string.
+
+    Documents carry counts, heights, levels, indices and colors this way;
+    anything else is refused, never truncated by ``int()``.  ``what`` names
+    the value in the message.
+    """
+    if type(value) is not int:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class CapExceededError(HLError):

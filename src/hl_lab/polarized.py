@@ -138,21 +138,21 @@ class LowerBoundReport:
                                     for k, v in sorted(self.combos_per_type.items())}}
 
 
-def verify_lower_bound(reports, d: int) -> LowerBoundReport:
+def verify_lower_bound(reports) -> LowerBoundReport:
     """Check that distinct-height tuples of the product realize every type.
 
-    Works on height combinations: a type is realized as soon as some
-    strictly ordered choice of one occupied level per factor sorts by
-    that permutation, which is what forces the full ``(d+1)!`` colors
-    under the height-permutation coloring.  The picks of each type are
+    The product of ``d + 1`` reports has dimension ``d``.  Works on
+    height combinations: a type is realized as soon as some strictly
+    ordered choice of one occupied level per factor sorts by that
+    permutation, which is what forces the full ``(d+1)!`` colors under
+    the height-permutation coloring.  The picks of each type are
     counted, not listed: walking the occupied heights upward, ``ways[v]``
     counts the increasing picks for the permutation's first coordinates
     that end at height ``v``.
     """
+    d = len(reports) - 1
     if d < 1:
         raise InvalidInputError(f"dimension must be positive, got {d}")
-    if len(reports) != d + 1:
-        raise InvalidInputError(f"need {d + 1} factor subtrees, got {len(reports)}")
     for idx, report in enumerate(reports):
         if report.height < d + 1:
             raise PreconditionError(

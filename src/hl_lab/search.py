@@ -53,8 +53,15 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     slot's candidate list is filtered against the empty assignment first;
     an empty filtered list fails the whole call immediately, which keeps
     independent-slot instances from backtracking exponentially.
+
+    The search position is one iterator per open slot over its filtered
+    candidates: advancing pulls the top iterator's next choice, and
+    backtracking drops it and unassigns the slot below, whose iterator
+    resumes past its choice.  So ``partial`` holds the earlier slots in
+    slot order and never ``slot`` itself.  Each inspected candidate, in
+    the prefilter and in the search, spends one step.
     """
-    filtered = {}
+    filtered = []
     for slot in slots:
         keep = []
         for choice in candidates[slot]:
@@ -63,38 +70,27 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
                 keep.append(choice)
         if not keep:
             return None
-        filtered[slot] = tuple(keep)
+        filtered.append(keep)
     if not slots:
         return {}
     assignment: dict = {}
-    pointers = [0] * len(slots)
-    depth = 0
-    while True:
-        slot = slots[depth]
-        options = filtered[slot]
-        idx = pointers[depth]
-        advanced = False
-        while idx < len(options):
-            choice = options[idx]
+    open_slots = [iter(filtered[0])]
+    while open_slots:
+        slot = slots[len(open_slots) - 1]
+        for choice in open_slots[-1]:
             budget.spend()
             if consistent(assignment, slot, choice):
                 assignment[slot] = choice
-                pointers[depth] = idx + 1
-                advanced = True
+                if len(open_slots) == len(slots):
+                    return dict(assignment)
+                open_slots.append(iter(filtered[len(open_slots)]))
                 break
-            idx += 1
-        if advanced:
-            if depth + 1 == len(slots):
-                return dict(assignment)
-            depth += 1
-            pointers[depth] = 0
-            continue
-        # exhausted this slot: backtrack
-        pointers[depth] = 0
-        depth -= 1
-        if depth < 0:
-            return None
-        del assignment[slots[depth]]
+        else:
+            # this slot is exhausted: back to the one below, past its choice
+            open_slots.pop()
+            if assignment:
+                assignment.popitem()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +191,7 @@ def typed_consistent(value, at, fixed, pinned):
 
     def consistent(partial, slot, choice):
         merged: dict = {}
-        for node in [n for s, n in partial.items() if s != slot] + [choice]:
+        for node in [*partial.values(), choice]:
             table = rows.get(node, _UNSEEN)
             if table is _UNSEEN:
                 table = rows[node] = row(node)

@@ -29,7 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidInputError, OutOfRangeError, UnknownNodeError
+from .errors import (
+    InvalidInputError,
+    OutOfRangeError,
+    UnknownNodeError,
+    json_integer,
+)
 from .trees import TreeSpace, node_key, sort_nodes
 
 
@@ -54,7 +59,9 @@ class SubtreeReport:
         nodes = tuple(doc["nodes"])
         if not all(isinstance(node, str) for node in nodes):
             raise InvalidInputError("subtree nodes must be strings")
-        return cls(space=space, nodes=nodes, level_set=tuple(doc["level_set"]))
+        levels = tuple(json_integer(a, "each entry of subtree field 'level_set'")
+                       for a in doc["level_set"])
+        return cls(space=space, nodes=nodes, level_set=levels)
 
     def to_json(self) -> dict:
         return {"nodes": list(self.nodes), "level_set": list(self.level_set)}

@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, json_integer
 from .search import (
     BudgetExhausted,
     StepBudget,
@@ -195,8 +195,9 @@ class TailConeCertificate:
                         for r, s in zip(doc["reports"], spaces))
         if not all(isinstance(t, dict) for t in doc["tables"]):
             raise InvalidInputError("certificate tables must be objects")
-        tables = tuple({tuple(k.split(",")): int(v) for k, v in t.items()}
-                       for t in doc["tables"])
+        what = "each color of a certificate table"
+        tables = tuple({tuple(k.split(",")): json_integer(v, what)
+                        for k, v in t.items()} for t in doc["tables"])
         return cls(reports=reports, tables=tables)
 
 

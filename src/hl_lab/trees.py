@@ -31,6 +31,7 @@ from .errors import (
     OutOfRangeError,
     UnknownNodeError,
     UnsupportedAlphabetError,
+    json_integer,
 )
 
 # wire format uses one character per digit: the ASCII digits below the branching
@@ -154,7 +155,8 @@ class TreeSpace:
         if "nodes" in doc:
             return cls.explicit(doc["nodes"])
         try:
-            return cls.uniform(int(doc["branching"]), int(doc["height"]))
+            return cls.uniform(*(json_integer(doc[key], f"tree field {key!r}")
+                                 for key in ("branching", "height")))
         except KeyError as missing:
             raise InvalidInputError(f"tree document lacks key {missing}") from None
 

@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, json_integer
 from .search import (
     BudgetExhausted,
     StepBudget,
@@ -310,10 +310,7 @@ def _integer(doc, field, default=None):
     The value must be a JSON integer: not a bool, a float or a string.
     """
     value = doc[field] if default is None else doc.get(field, default)
-    if type(value) is not int:
-        raise InvalidInputError(f"coloring field {field!r} must be an integer, "
-                                f"got {value!r}")
-    return value
+    return json_integer(value, f"coloring field {field!r}")
 
 
 def coloring_from_json(doc, spaces) -> Coloring:

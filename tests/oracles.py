@@ -445,8 +445,8 @@ def sample_colors(rng, r, size):
 # Kept verbatim as references: ``sdhl_search`` and ``check_dshl_witness``
 # each built their cones, slots and candidate pools themselves, and the
 # first read the color off the assignment with ``_selection_color``.  They
-# call the library's kernel and assignment search, so they are compared on
-# results and steps, not re-derived.  The one edit: the kernel is imported
+# call the library's kernel and the pointer-based assignment search below,
+# so they are compared on results and steps, not re-derived.  The one edit: the kernel is imported
 # as ``kernel_cross_consistent``, since ``cross_consistent`` here names the
 # older fusion predicate above.  ``sdhl_prime_search``, the free-level
 # search the library no longer has, stays as the reference producer of
@@ -463,8 +463,70 @@ from hl_lab.search import (  # noqa: E402
     BudgetExhausted,
     StepBudget,
     cross_consistent as kernel_cross_consistent,
-    prefiltered_assignment,
 )
+
+
+# Kept verbatim as the reference for the library's assignment search, which
+# now keeps its place in one iterator per open slot: this one keeps it in
+# ``pointers``, ``depth`` and ``advanced``.  Both must return the same
+# assignment and spend the same steps on every call.
+def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
+    """Depth-first search for the first full slot assignment, product order.
+
+    ``slots`` is an ordered list of slot ids, ``candidates[slot]`` an
+    ordered sequence of choices, and ``consistent(partial, slot, choice)``
+    a predicate over the partial assignment built so far.  The first
+    assignment found is the minimum in lexicographic product order (slots
+    major to minor), which is what makes emitted witnesses canonical.
+    Returns ``None`` when the space is exhausted without a solution.
+
+    Requires a monotone predicate: a choice rejected against the empty
+    partial assignment stays rejected against every larger one.  Each
+    slot's candidate list is filtered against the empty assignment first;
+    an empty filtered list fails the whole call immediately, which keeps
+    independent-slot instances from backtracking exponentially.
+    """
+    filtered = {}
+    for slot in slots:
+        keep = []
+        for choice in candidates[slot]:
+            budget.spend()
+            if consistent({}, slot, choice):
+                keep.append(choice)
+        if not keep:
+            return None
+        filtered[slot] = tuple(keep)
+    if not slots:
+        return {}
+    assignment: dict = {}
+    pointers = [0] * len(slots)
+    depth = 0
+    while True:
+        slot = slots[depth]
+        options = filtered[slot]
+        idx = pointers[depth]
+        advanced = False
+        while idx < len(options):
+            choice = options[idx]
+            budget.spend()
+            if consistent(assignment, slot, choice):
+                assignment[slot] = choice
+                pointers[depth] = idx + 1
+                advanced = True
+                break
+            idx += 1
+        if advanced:
+            if depth + 1 == len(slots):
+                return dict(assignment)
+            depth += 1
+            pointers[depth] = 0
+            continue
+        # exhausted this slot: backtrack
+        pointers[depth] = 0
+        depth -= 1
+        if depth < 0:
+            return None
+        del assignment[slots[depth]]
 
 
 @dataclass(frozen=True)

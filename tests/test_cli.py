@@ -277,6 +277,102 @@ def test_truncated_level_parity_documents_exit_two(tmp_path, capsys, params,
                                 f"got {bad!r}")
 
 
+LEVEL_PARITY = {"kind": "named", "name": "level-parity", "params": {}}
+SUBTREE = {"nodes": ["", "0", "1"], "level_set": [0, 1]}
+RAW = [{"u": [], "W": []}] + [{"u": [i], "W": [i]} for i in range(4)]
+WMAP = {"E": [0, 1], "d": 1,
+        "entries": [{"u": [], "W": []}, {"u": [0], "W": [0]}, {"u": [1], "W": [1]}]}
+CONDITION = {"support": [0], "assign": {"0": ["0"]}}
+
+
+def _wmap_entry(field, v):
+    entries = [dict(e) for e in WMAP["entries"]]
+    entries[2][field] = [v]
+    return {"wmap": {**WMAP, "entries": entries}}
+
+
+# (field, argv, the document with the field set to a value, what the error names)
+DOCUMENT_INTEGERS = [
+    ("branching", ["sdhl-search"], lambda v: {
+        "spaces": [{"branching": v, "height": 4}], "coloring": LEVEL_PARITY},
+     "tree field 'branching'"),
+    ("height", ["sdhl-search"], lambda v: {
+        "spaces": [{"branching": 2, "height": v}], "coloring": LEVEL_PARITY},
+     "tree field 'height'"),
+    ("level_set", ["validate-subtree"], lambda v: {
+        "space": SPACE4, "nodes": ["", "0", "1"], "level_set": [0, v]},
+     "each entry of subtree field 'level_set'"),
+    ("fusion h", ["fusion", "run"], lambda v: {
+        "spaces": TWO_SPACES, "colorings": [LEVEL_PARITY], "h": v}, "field 'h'"),
+    ("dim-induct h", ["dim-induct"], lambda v: {
+        "spaces": TWO_SPACES, "coloring": {
+            "kind": "named", "name": "seeded-random", "params": {"colors": 2}},
+        "h": v}, "field 'h'"),
+    ("almost-all h", ["polarized", "almost-all"], lambda v: {
+        "spaces": TWO_SPACES, "coloring": {
+            "kind": "named", "name": "seeded-random", "params": {"colors": 2}},
+        "h": v}, "field 'h'"),
+    ("depth", ["polarized", "search"], lambda v: {
+        "spaces": TWO_SPACES, "coloring": {"kind": "named",
+                                           "name": "height-permutation"},
+        "depth": v}, "field 'depth'"),
+    ("verify-lb d", ["polarized", "verify-lb"], lambda v: {
+        "spaces": [{"branching": 2, "height": 3}] * 2,
+        "reports": [SUBTREE] * 2, "d": v}, "field 'd'"),
+    ("wmap build d", ["wmap", "build"], lambda v: {
+        "E": [0, 1, 2, 3], "d": v, "raw": RAW}, "field 'd'"),
+    ("stride", ["wmap", "build"], lambda v: {
+        "E": [0, 1, 2, 3], "d": 1, "raw": RAW, "stride": v}, "field 'stride'"),
+    ("wmap build E", ["wmap", "build"], lambda v: {
+        "E": [0, 1, 2, v], "d": 1, "raw": RAW}, "each entry of field 'E'"),
+    ("wmap build u", ["wmap", "build"], lambda v: {
+        "E": [0, 1, 2, 3], "d": 1, "raw": RAW + [{"u": [v], "W": [1]}]},
+     "each entry of field 'u'"),
+    ("wmap build W", ["wmap", "build"], lambda v: {
+        "E": [0, 1, 2, 3], "d": 1, "raw": RAW + [{"u": [1], "W": [v]}]},
+     "each entry of field 'W'"),
+    ("wmap verify d", ["wmap", "verify"], lambda v: {"wmap": {**WMAP, "d": v}},
+     "wmap field 'd'"),
+    ("wmap verify E", ["wmap", "verify"], lambda v: {"wmap": {**WMAP, "E": [0, v]}},
+     "each entry of wmap field 'E'"),
+    ("wmap verify u", ["wmap", "verify"], lambda v: _wmap_entry("u", v),
+     "each entry of wmap field 'u'"),
+    ("wmap verify W", ["wmap", "verify"], lambda v: _wmap_entry("W", v),
+     "each entry of wmap field 'W'"),
+    ("target", ["delta-system"], lambda v: {
+        "family": [[1, 2], [1, 3], [1, 4]], "target": v}, "field 'target'"),
+    ("family", ["delta-system"], lambda v: {
+        "family": [[1, 2], [v, 2], [1, 4]], "target": 2},
+     "each entry of a 'family' member"),
+    ("support", ["cond", "glb"], lambda v: {
+        "conditions": [{"support": [v], "assign": {"1": ["0"]}}]},
+     "each entry of condition field 'support'"),
+    ("w0", ["cond", "copy"], lambda v: {
+        "condition": CONDITION, "w0": [0, v], "w1": [1, 3]},
+     "each entry of field 'w0'"),
+    ("w1", ["cond", "copy"], lambda v: {
+        "condition": CONDITION, "w0": [0, 2], "w1": [v, 3]},
+     "each entry of field 'w1'"),
+    ("indices", ["cond", "restrict"], lambda v: {
+        "condition": CONDITION, "indices": [v]}, "each entry of field 'indices'"),
+    ("table color", ["fusion", "check"], lambda v: {
+        "spaces": [SPACE4], "colorings": [LEVEL_PARITY],
+        "certificate": {"reports": [SUBTREE], "tables": [{"0": v}]}},
+     "each color of a certificate table"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+@pytest.mark.parametrize("argv, doc, what", [case[1:] for case in DOCUMENT_INTEGERS],
+                         ids=[case[0] for case in DOCUMENT_INTEGERS])
+def test_integers_of_every_document_must_be_json_integers(tmp_path, capsys, bad,
+                                                          argv, doc, what):
+    # once truncated by int() (2.9 read as 2, true as 1) or refused later
+    # by whatever the truncated or mistyped value broke
+    code, error = _exit_and_error(tmp_path, capsys, argv, doc(bad))
+    assert (code, error) == (2, f"{what} must be an integer, got {bad!r}")
+
+
 @pytest.mark.parametrize("name", ["constant", "level-parity", "antichain-split",
                                   "height-permutation", "seeded-random", "expr"])
 def test_non_object_coloring_params_exit_two(tmp_path, capsys, name):
@@ -435,6 +531,18 @@ def test_verify_lb_refuses_a_dimension_below_one(tmp_path, doc, capsys):
     assert "dimension must be positive" in out["error"]
     jsonschema.validate(out, schema("error"))
     assert manifest["outcome"] == 2
+
+
+@pytest.mark.parametrize("d, factors", [(2, 2), (1, 3)])
+def test_verify_lb_checks_its_dimension_against_the_reports(tmp_path, capsys, d,
+                                                            factors):
+    # the library reads the dimension off the reports; the document's d
+    # must agree with them
+    space = {"branching": 2, "height": 3}
+    report = {"nodes": ["", "0", "1", "00", "01", "10", "11"], "level_set": [0, 1, 2]}
+    code, error = _exit_and_error(tmp_path, capsys, ["polarized", "verify-lb"], {
+        "spaces": [space] * factors, "reports": [report] * factors, "d": d})
+    assert (code, error) == (2, f"need {d + 1} factor subtrees, got {factors}")
 
 
 def test_expr_comprehension_reads_the_coloring_names(tmp_path, capsys):
@@ -778,3 +886,60 @@ def test_transcript_file_is_jsonl(tmp_path, capsys):
     for line in lines:
         event = json.loads(line)
         assert "event" in event
+
+
+SEEDED_11 = {"kind": "named", "name": "seeded-random",
+             "params": {"colors": 2, "seed": 11}}
+HEIGHT_PERMUTATION = {"kind": "named", "name": "height-permutation",
+                      "params": {"dimension": 1}}
+FUSION_RUN = {"spaces": [SPACE4] * 2, "h": 3, "colorings": [
+    {"kind": "named", "name": "level-parity", "params": {"modulus": m}}
+    for m in (2, 3)]}
+CAPPED_FUSION_RUN = {"spaces": [{"branching": 2, "height": 6}] * 2, "h": 3,
+                     "colorings": [{"kind": "named", "name": "seeded-random",
+                                    "params": {"colors": 2, "seed": 5}}] * 2}
+DIM_INDUCT = {"spaces": [{"branching": 2, "height": 11}] * 2,
+              "coloring": SEEDED_11, "h": 4}
+
+
+@pytest.mark.parametrize("argv, doc, code, sha256", [
+    (["fusion", "run"], FUSION_RUN, 0,
+     "87124048fe5a6834c33cb3f696132a739f57195c498fc87091933bd7d5fa4891"),
+    (["fusion", "run", "--max-steps", "40"], CAPPED_FUSION_RUN, 3,
+     "d60ca75c72e95c307986d3212018ae7a8ac59fbc7f2f028a74641b4b3f2b07a8"),
+    (["dim-induct", "--max-steps", "400000"], DIM_INDUCT, 0,
+     "ccbbda96a14554d7c409e45d9b2c6fa72019af3386a95b77e380b2f2460201b5"),
+    (["dim-induct", "--max-steps", "1000"], DIM_INDUCT, 3,
+     "02f7bda448ad2ac8800692842e1bb31a479e121ec843feabe529eabc38ab57e5"),
+    (["polarized", "search"], {"spaces": [{"branching": 2, "height": 8}] * 2,
+                               "coloring": HEIGHT_PERMUTATION, "depth": 1}, 0,
+     "3b0732e0157ebdf19972338c94174fb1316d8de3034e280f4407e441e1c93b79"),
+    (["polarized", "search", "--max-steps", "60"], {
+        "spaces": [{"branching": 2, "height": 8}] * 2,
+        "coloring": HEIGHT_PERMUTATION, "depth": 2}, 3,
+     "d6606e477719c0ed6270b574f9cfcedb89410ebdb3d5b7c591dee083118db1f0"),
+])
+def test_a_run_that_returns_writes_its_transcript(tmp_path, capsys, argv, doc,
+                                                  code, sha256):
+    # dispatch writes the file once the handler returns, a capped run's too;
+    # the digests are those of the files each handler once wrote itself
+    log = tmp_path / "events.jsonl"
+    got, _, _ = run_json([*argv, write_doc(tmp_path, "in.json", doc),
+                          "--transcript", str(log)], capsys)
+    assert got == code
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["fusion", "run"], {**FUSION_RUN, "h": 1.5}),
+    (["dim-induct"], {"spaces": DIM_INDUCT["spaces"]}),
+    (["polarized", "search"], {"spaces": [SPACE4] * 2,
+                               "coloring": HEIGHT_PERMUTATION, "depth": 0}),
+])
+def test_a_run_refused_before_its_search_writes_no_transcript(tmp_path, capsys,
+                                                              argv, doc):
+    log = tmp_path / "events.jsonl"
+    code, _, _ = run_json([*argv, write_doc(tmp_path, "in.json", doc),
+                           "--transcript", str(log)], capsys)
+    assert code == 2
+    assert not log.exists()

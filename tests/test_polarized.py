@@ -117,7 +117,7 @@ def test_height_permutation_coloring_values():
 def test_full_products_realize_every_type():
     space = TreeSpace(2, 5)
     full = SubtreeReport(space, all_nodes(5), (0, 1, 2, 3, 4))
-    report = verify_lower_bound((full, full), 1)
+    report = verify_lower_bound((full, full))
     assert report.realizes_all
     assert report.total_types == 2
     assert report.combos_per_type == {0: 10, 1: 10}
@@ -127,7 +127,7 @@ def test_disjoint_level_ranges_miss_a_type():
     space = TreeSpace(2, 4)
     low = next(iter(enumerate_strong_subtrees(space, (0, 1))))
     high = next(iter(enumerate_strong_subtrees(space, (2, 3))))
-    report = verify_lower_bound((low, high), 1)
+    report = verify_lower_bound((low, high))
     assert not report.realizes_all
     assert report.missing == (1,)  # no pick ever has the second factor lower
 
@@ -137,17 +137,18 @@ def test_lower_bound_needs_spread_and_arity():
     single = SubtreeReport(space, ("",), (0,))
     full = SubtreeReport(space, all_nodes(4), (0, 1, 2, 3))
     with pytest.raises(PreconditionError):
-        verify_lower_bound((single, full), 1)
-    with pytest.raises(InvalidInputError):
-        verify_lower_bound((full,), 1)
+        verify_lower_bound((single, full))
+    # one factor is dimension 0
+    with pytest.raises(InvalidInputError, match="dimension must be positive, got 0"):
+        verify_lower_bound((full,))
 
 
 @pytest.mark.parametrize("d", [0, -1])
 def test_lower_bound_needs_a_positive_dimension(d):
     space = TreeSpace(2, 4)
     full = SubtreeReport(space, all_nodes(4), (0, 1, 2, 3))
-    with pytest.raises(InvalidInputError, match="dimension must be positive"):
-        verify_lower_bound((full,) * (d + 1), d)
+    with pytest.raises(InvalidInputError, match=f"dimension must be positive, got {d}"):
+        verify_lower_bound((full,) * (d + 1))
 
 
 def _factor_level_sets(rng, kind, d, count):
@@ -167,11 +168,19 @@ def _factor_level_sets(rng, kind, d, count):
     return [sorted(rng.sample(range(2 * count), count)) for _ in factors]
 
 
-def _lower_bound_outcome(fn, reports, d):
+def _lower_bound_outcome(fn, *args):
     try:
-        return ("ok", fn(reports, d))
+        return ("ok", fn(*args))
     except InvalidInputError as err:
         return ("raised", type(err), str(err))
+
+
+def _same_lower_bound(reports):
+    """The library reads the dimension off the reports; the oracle is told it."""
+    got = _lower_bound_outcome(verify_lower_bound, reports)
+    assert got == _lower_bound_outcome(oracles.verify_lower_bound, reports,
+                                       len(reports) - 1)
+    return got
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -189,17 +198,19 @@ def test_lower_bound_chain_count_matches_the_per_pick_oracle(d, kind):
         else:
             reports = [SubtreeReport(space, random_strong_subtree(rng, levels),
                                      levels) for levels in level_sets]
-        got = _lower_bound_outcome(verify_lower_bound, reports, d)
-        assert got == _lower_bound_outcome(oracles.verify_lower_bound, reports, d)
-        outcomes.add(got[1].realizes_all)
+        outcomes.add(_same_lower_bound(reports)[1].realizes_all)
     if kind in ("shared", "disjoint"):
         assert outcomes == {kind == "shared"}
-    # too few levels in one factor, and one factor too few or too many
+    # too few levels in one factor, in d + 1 and in d + 2 factors
     short = SubtreeReport(space, random_strong_subtree(rng, range(d)), range(d))
-    for bad in (reports[:-1] + [short], reports[:-1], reports + [short]):
-        got = _lower_bound_outcome(verify_lower_bound, bad, d)
-        assert got[0] == "raised"
-        assert got == _lower_bound_outcome(oracles.verify_lower_bound, bad, d)
+    for bad in (reports[:-1] + [short], reports + [short]):
+        assert _same_lower_bound(bad)[0] == "raised"
+    # one factor fewer is a product of dimension d - 1, which must be positive
+    if d > 1:
+        _same_lower_bound(reports[:-1])
+    else:
+        with pytest.raises(InvalidInputError, match="must be positive, got 0"):
+            verify_lower_bound(reports[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package's public surface: export list and entry-point signatures."""
 
 import inspect
+import math
 
 import pytest
 
@@ -111,3 +112,23 @@ def test_a_colorings_arity_is_its_number_of_spaces():
         assert hl_lab.Coloring(2, (space,) * k, lambda tup: 0).arity == k
     with pytest.raises(hl_lab.InvalidInputError, match="arity must be positive, got 0"):
         hl_lab.Coloring(2, (), lambda tup: 0)
+
+
+def test_a_products_dimension_is_its_number_of_factors_less_one():
+    # only the entry points whose dimension is the question itself take d;
+    # verify_lower_bound reads it off its reports
+    takes_d = set()
+    for name in hl_lab.__all__:
+        entry = getattr(hl_lab, name)
+        if inspect.isfunction(entry) or (
+                inspect.isclass(entry) and not issubclass(entry, Exception)):
+            if "d" in inspect.signature(entry).parameters:
+                takes_d.add(name)
+    assert takes_d == {"finite_hl_number", "FiniteHLReport", "devlin_lower_bound"}
+    assert list(inspect.signature(hl_lab.verify_lower_bound).parameters) == ["reports"]
+    space = hl_lab.TreeSpace(2, 4)
+    full = hl_lab.SubtreeReport(space, [n for a in range(4) for n in space.level(a)],
+                                range(4))
+    for factors in (2, 3, 4):
+        report = hl_lab.verify_lower_bound((full,) * factors)
+        assert report.realizes_all and report.total_types == math.factorial(factors)
