@@ -177,6 +177,16 @@ def _integers(doc, field):
     return [json_integer(i, f"each entry of field {field!r}") for i in doc[field]]
 
 
+def _epsilon(value) -> Fraction:
+    """An exception budget: a JSON integer or a string ``Fraction`` reads
+    exactly; not a bool, a float or a negative value."""
+    epsilon = Fraction(value) if type(value) is int or isinstance(value, str) else None
+    if epsilon is None or epsilon < 0:
+        raise InvalidInputError(f"field 'epsilon' must be a non-negative integer "
+                                f"or fraction string, got {value!r}")
+    return epsilon
+
+
 def _search_code(outcome) -> int:
     """0 when the search succeeded, 3 when its cap stopped it, 1 otherwise."""
     return 0 if outcome.success else (3 if outcome.capped else 1)
@@ -193,7 +203,9 @@ def _write_transcript(path, events) -> None:
 
 
 def _cmd_lex_sort(args, doc):
-    nodes = tuple(str(n) for n in doc["nodes"])
+    nodes = doc["nodes"]
+    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        raise InvalidInputError("field 'nodes' must be a list of node strings")
     if "space" in doc:
         space = TreeSpace.from_json(doc["space"])
         for node in nodes:
@@ -283,7 +295,7 @@ def _cmd_polarized_verify_lb(args, doc):
 def _cmd_almost_all(args, doc):
     spaces = _spaces_from(doc)
     coloring = coloring_from_json(doc["coloring"], spaces)
-    epsilon = Fraction(doc.get("epsilon", "1/10"))
+    epsilon = _epsilon(doc.get("epsilon", "1/10"))
     report = almost_all_homogenize(coloring, epsilon=epsilon,
                                    h=_optional_integer(doc, "h"), budget=args.steps)
     return report.to_json(), _search_code(report)

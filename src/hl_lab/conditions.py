@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -84,12 +85,24 @@ class Condition:
         if not isinstance(assign, dict):
             raise InvalidInputError("a condition must be an object whose 'assign' "
                                     "is an object")
-        assign = {int(k): tuple(v) for k, v in assign.items()}
+        assign = dict(_entry(k, v) for k, v in assign.items())
         support = {json_integer(i, "each entry of condition field 'support'")
                    for i in doc.get("support", assign)}
         if support != set(assign):
             raise InvalidInputError("support does not match assignment keys")
         return cls(assign)
+
+
+def _entry(key: str, nodes) -> tuple[int, tuple[str, ...]]:
+    """One ``assign`` entry of a document: a canonical decimal key (``"0"``,
+    or ASCII digits with no leading zero) and a list of node strings."""
+    if not re.fullmatch("0|[1-9][0-9]*", key):
+        raise InvalidInputError(f"condition key {key!r} must be a canonical "
+                                f"decimal index")
+    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        raise InvalidInputError(f"condition entry {key!r} must be a list of "
+                                f"node strings, got {nodes!r}")
+    return int(key), tuple(nodes)
 
 
 def restrict_condition(p: Condition, indices) -> Condition:

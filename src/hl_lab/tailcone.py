@@ -60,8 +60,8 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     canonically least choice vector accepted by the predicate
     ``stage_factory(stage, level_set, layers)`` wins.  The factory is
     called once per level tried.  ``on_stage`` runs after every committed
-    stage (including the root stage) so callers can record tables the
-    later stages constrain.
+    stage above the root (stage 1 on; the root stage commits nothing to
+    record) so callers can record tables the later stages constrain.
     """
     d = len(views)
     if len(roots) != d:
@@ -75,8 +75,6 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         raise InvalidInputError(f"height goal must be positive, got {height_goal}")
     level_set = [root_levels.pop()]
     layers = [[(roots[j],) for j in range(d)]]
-    if on_stage is not None:
-        on_stage(0, level_set, layers)
     while len(level_set) < height_goal:
         alpha = len(level_set) - 1
         if level_set[alpha] + 1 >= height:
@@ -307,7 +305,7 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
 
     def on_stage(stage, level_set, layers):
         idx = stage - 1
-        if 0 <= idx < m:
+        if idx < m:
             for tup in itertools.product(*(layers[stage][j] for j in range(d))):
                 tables[idx][tup] = family[idx].evaluate(tup)
 
@@ -448,8 +446,6 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
         return consistent
 
     def on_stage(stage, level_set, layers):
-        if stage == 0:
-            return
         base_pools = [
             tuple((node, lvl) for lvl in range(stage) for node in layers[lvl][k])
             for k in base_list

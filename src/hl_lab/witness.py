@@ -5,10 +5,10 @@ trees.  A :class:`Coloring` maps ``d``-tuples of nodes to colors, either
 on level sequences only (all coordinates at one height) or on the full
 product.  The checkers and searches cover:
 
-* somewhere-dense witnesses at the successor level (base ``t``, a
-  monochromatic level matrix dominating every node one level above the
-  base);
-* the free-level witness form (checker only; ``dim-induct`` produces it);
+* somewhere-dense witnesses (base ``t``, a monochromatic matrix
+  dominating every node at a density level above the base); the search
+  finds one at the successor level, on one matrix level, and
+  ``dim-induct`` builds one at a free level;
 * the dense-set variant (a monochromatic dominating matrix at every
   level above the base);
 * monochromatic strong subtrees;
@@ -372,41 +372,6 @@ def coloring_from_json(doc, spaces) -> Coloring:
 # successor-level witnesses
 
 
-@dataclass(frozen=True)
-class SDHLWitness:
-    """Base level sequence, monochromatic level matrix, color.
-
-    The matrix dominates every tuple one level above the base: for each
-    coordinate ``j`` and each node ``u`` directly above ``base[j]``, some
-    matrix member extends ``u``.
-    """
-
-    base: tuple[str, ...]
-    matrix: tuple[tuple[str, ...], ...]
-    color: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "matrix",
-                          tuple(sort_nodes(col) for col in self.matrix))
-
-    @property
-    def density_level(self) -> int:
-        return len(self.base[0]) + 1
-
-    def to_json(self) -> dict:
-        return {"base": list(self.base),
-                "matrix": [list(col) for col in self.matrix],
-                "color": self.color,
-                "density_level": self.density_level}
-
-    @classmethod
-    def from_json(cls, doc) -> "SDHLWitness":
-        return cls(base=tuple(doc["base"]),
-                   matrix=tuple(tuple(col) for col in doc["matrix"]),
-                   color=int(doc["color"]))
-
-
 def _undominated(views, base, matrix, level):
     """Violations: tuples at ``level`` above ``base`` no matrix member extends."""
     cones = [views[j].extensions(base[j], level) for j in range(len(base))]
@@ -416,10 +381,13 @@ def _undominated(views, base, matrix, level):
                        for member in itertools.product(*matrix))]
 
 
-def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
-    """Verify density and monochromaticity literally, by quantifier scan.
+def check_sdhl_witness(witness: SomewhereDenseWitness,
+                       coloring: Coloring) -> ValidationResult:
+    """Verify a successor-level witness literally, by quantifier scan.
 
-    Density and color are the free-level clauses at level ``ht + 1``.
+    The base is a level sequence at some view level ``ht``, the density
+    level is ``ht + 1`` and the matrix sits on one level; density and color
+    are then the free-level clauses.
     """
     views = coloring.spaces
     base, matrix, color = witness.base, witness.matrix, witness.color
@@ -439,6 +407,10 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationRe
             f"base height {ht} leaves no successor level inside the truncation"
         )
         return ValidationResult(False, tuple(violations))
+    if witness.density_level != ht + 1:
+        violations.append(f"density level {witness.density_level} is not the "
+                          f"successor level {ht + 1} of the base")
+        return ValidationResult(False, tuple(violations))
 
     member_levels = {views[j].level_of(m) for j, col in enumerate(matrix) for m in col}
     if len(member_levels) > 1:
@@ -450,8 +422,7 @@ def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationRe
         violations.append(
             f"matrix level {min(member_levels)} is below the density level {ht + 1}"
         )
-    violations.extend(check_somewhere_dense_witness(
-        SomewhereDenseWitness(base, matrix, ht + 1, color), coloring).violations)
+    violations.extend(check_somewhere_dense_witness(witness, coloring).violations)
     return ValidationResult(not violations, tuple(violations))
 
 
@@ -519,7 +490,7 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
                 if matrix is not None:
                     # the matrix is monochromatic: any member tuple gives its color
                     color = coloring.evaluate(tuple(col[0] for col in matrix))
-                    return SDHLWitness(base=base, matrix=matrix, color=color)
+                    return SomewhereDenseWitness(base, matrix, ht + 1, color)
     except BudgetExhausted:
         raise CapExceededError(budget.cap,
                                "successor-level witness scan exceeded its budget")
@@ -648,8 +619,9 @@ def check_hl_strong_subtree(reports, coloring: Coloring) -> ValidationResult:
 class SomewhereDenseWitness:
     """Base tuple, dominating matrix, free density level, color.
 
-    Unlike the successor-level witness the matrix members may sit at
-    mixed levels at or above the density level.
+    The matrix members may sit at mixed levels at or above the density
+    level; ``sdhl_search``'s witnesses put them on one level and the
+    density level one above the base's view level.
     """
 
     base: tuple[str, ...]
@@ -672,8 +644,14 @@ class SomewhereDenseWitness:
     def from_json(cls, doc) -> "SomewhereDenseWitness":
         return cls(base=tuple(doc["base"]),
                    matrix=tuple(tuple(col) for col in doc["matrix"]),
-                   density_level=int(doc["density_level"]),
-                   color=int(doc["color"]))
+                   density_level=json_integer(doc["density_level"],
+                                              "witness field 'density_level'"),
+                   color=json_integer(doc["color"], "witness field 'color'"))
+
+
+# ``sdhl_search``'s witnesses are free-level ones; the benchmark's verifier
+# (perfbench/verify.py) still imports the class by its former name.
+SDHLWitness = SomewhereDenseWitness
 
 
 def check_somewhere_dense_witness(witness: SomewhereDenseWitness,

@@ -548,7 +548,6 @@ class Caps:
 from hl_lab.trees import sort_nodes  # noqa: E402
 from hl_lab.witness import (  # noqa: E402
     DenseSetCheck,
-    SDHLWitness,
     SomewhereDenseWitness,
 )
 
@@ -601,7 +600,7 @@ def sdhl_search(coloring: Coloring, trees=None, caps: Caps | None = None):
                             sort_nodes(found[(j, u)] for u in cones[j])
                             for j in range(len(base)))
                         color = _selection_color(coloring, found, slots, len(base))
-                        return SDHLWitness(base=base, matrix=matrix, color=color)
+                        return SomewhereDenseWitness(base, matrix, ht + 1, color)
     except BudgetExhausted:
         raise CapExceededError(caps.max_steps,
                                "successor-level witness scan exceeded its budget")
@@ -1107,7 +1106,8 @@ from hl_lab.trees import node_key  # noqa: E402
 from hl_lab.witness import _undominated  # noqa: E402
 
 
-def check_sdhl_witness(witness: SDHLWitness, coloring: Coloring) -> ValidationResult:
+def check_sdhl_witness(witness: SomewhereDenseWitness,
+                       coloring: Coloring) -> ValidationResult:
     """Verify density and monochromaticity literally, by quantifier scan."""
     views = coloring.spaces
     base, matrix, color = witness.base, witness.matrix, witness.color

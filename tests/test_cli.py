@@ -417,6 +417,62 @@ def test_lex_sort_checks_a_lone_node_alphabet(tmp_path, capsys):
                      "got digit '2'")
 
 
+@pytest.mark.parametrize("nodes", [[1, 10, 0], ["0", 1], "0110", {"0": "1"}])
+def test_lex_sort_nodes_must_be_a_list_of_strings(tmp_path, capsys, nodes):
+    # once stringified: [1, 10, 0] sorted as ["0", "10", "1"], and the
+    # string "0110" as its characters
+    code, error = _exit_and_error(tmp_path, capsys, ["lex-sort"], {"nodes": nodes})
+    assert (code, error) == (2, "field 'nodes' must be a list of node strings")
+
+
+@pytest.mark.parametrize("key", ["1_0", " 01 ", "01", "+1", "-1", "", "١"])
+def test_condition_keys_are_canonical_decimals(tmp_path, capsys, key):
+    # int() once read "1_0" as index 10 and " 01 " as index 1
+    code, error = _exit_and_error(tmp_path, capsys, ["cond", "glb"], {
+        "conditions": [{"assign": {key: ["0"]}}]})
+    assert (code, error) == (
+        2, f"condition key {key!r} must be a canonical decimal index")
+
+
+@pytest.mark.parametrize("nodes", ["01", [0, 1], ["0", None], {"0": "1"}, 0])
+def test_condition_entries_are_lists_of_node_strings(tmp_path, capsys, nodes):
+    # tuple() once split the string "01" into the nodes "0" and "1"
+    code, error = _exit_and_error(tmp_path, capsys, ["cond", "restrict"], {
+        "condition": {"assign": {"1": nodes}}, "indices": [1]})
+    assert (code, error) == (
+        2, f"condition entry '1' must be a list of node strings, got {nodes!r}")
+
+
+def test_condition_keys_zero_and_multidigit_are_read(tmp_path, capsys):
+    path = write_doc(tmp_path, "in.json", {"conditions": [
+        {"assign": {"0": ["0"], "10": ["1"]}}, {"assign": {"10": ["10"]}}]})
+    code, doc, _ = run_json(["cond", "glb", path], capsys)
+    assert (code, doc) == (0, {"support": [0, 10],
+                               "assign": {"0": ["0"], "10": ["10"]}})
+
+
+ALMOST_ALL = {"spaces": [{"branching": 2, "height": 6}] * 2,
+              "coloring": {"kind": "named", "name": "height-permutation"}}
+
+
+@pytest.mark.parametrize("epsilon", [True, 0.1, None, [1], -1, "-1/2"])
+def test_epsilon_is_a_fraction_string_or_an_integer(tmp_path, capsys, epsilon):
+    # true once ran as "1", 0.1 as its binary expansion, and -1 exited 1
+    code, error = _exit_and_error(tmp_path, capsys, ["polarized", "almost-all"],
+                                  {**ALMOST_ALL, "epsilon": epsilon})
+    assert (code, error) == (2, f"field 'epsilon' must be a non-negative integer "
+                                f"or fraction string, got {epsilon!r}")
+
+
+@pytest.mark.parametrize("epsilon, read", [(0, "0"), (1, "1"), ("1/20", "1/20"),
+                                           ("0.25", "1/4")])
+def test_epsilon_reads_integers_and_fraction_strings(tmp_path, capsys, epsilon,
+                                                     read):
+    path = write_doc(tmp_path, "in.json", {**ALMOST_ALL, "epsilon": epsilon})
+    code, doc, _ = run_json(["polarized", "almost-all", path], capsys)
+    assert code == 0 and doc["epsilon"] == read
+
+
 # ---------------------------------------------------------------------------
 # subcommand documents against their schemas
 

@@ -23,7 +23,6 @@ from hl_lab.errors import CapExceededError
 from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
-    SomewhereDenseWitness,
     check_dshl_witness,
     check_somewhere_dense_witness,
     constant_coloring,
@@ -129,7 +128,7 @@ def test_sdhl_prime_search_matches_oracle(case):
 
     Every witness ``oracles.sdhl_prime_search`` finds passes
     ``check_somewhere_dense_witness``, and so does every ``sdhl_search``
-    witness read at its density level.  Where ``sdhl_search`` finds a
+    witness as returned.  Where ``sdhl_search`` finds a
     witness, the free-level search finds one too.
     """
     d, h, short, domain, caps = case
@@ -143,8 +142,7 @@ def test_sdhl_prime_search_matches_oracle(case):
         w = _or_capped(lambda: sdhl_search(
             col, budget=StepBudget(caps) if caps else None))
         if w not in (None, "capped"):
-            as_free = SomewhereDenseWitness(w.base, w.matrix, w.density_level, w.color)
-            assert check_somewhere_dense_witness(as_free, col).valid
+            assert check_somewhere_dense_witness(w, col).valid
             if caps is None:
                 assert free is not None
     assert found or caps is not None

@@ -1,7 +1,10 @@
 """The package's public surface: export list and entry-point signatures."""
 
+import ast
+import importlib
 import inspect
 import math
+import pathlib
 
 import pytest
 
@@ -36,6 +39,41 @@ def test_deleted_entry_points_stay_gone():
                  "DefaultLargenessOracle", "BuildOutcome",
                  "OracleContradictionError", "views"):
         assert not hasattr(hl_lab, name), name
+
+
+def test_one_witness_type_serves_both_dense_statements():
+    # sdhl_search returns the free-level witness at the base's level plus one
+    assert "SDHLWitness" not in hl_lab.__all__
+    witness = hl_lab.sdhl_search(hl_lab.level_parity_coloring((hl_lab.TreeSpace(2, 3),)))
+    assert type(witness) is hl_lab.SomewhereDenseWitness
+
+
+def _benchmark_imports():
+    """``(file, module, names)`` for every library import in the benchmark's
+    scripts, function-local ones included; ``names`` is empty for a plain
+    ``import hl_lab.<module>``."""
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    for path in sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "hl_lab":
+                yield path.name, node.module, [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                yield from ((path.name, alias.name, []) for alias in node.names
+                            if alias.name.split(".")[0] == "hl_lab")
+
+
+def test_the_benchmark_imports_resolve():
+    # the benchmark scripts stay fixed while the library changes; the
+    # tracer's targets are left out, since it skips names that are gone
+    imports = list(_benchmark_imports())
+    assert {module for _, module, _ in imports} >= {"hl_lab.cli", "hl_lab.witness"}
+    for script, module, names in imports:
+        imported = importlib.import_module(module)
+        for name in names:
+            assert hasattr(imported, name), f"{script}: {module}.{name}"
+    # perfbench/verify.py reads sdhl-search witnesses by the former name
+    assert hl_lab.witness.SDHLWitness is hl_lab.witness.SomewhereDenseWitness
 
 
 def test_deleted_tree_helpers_stay_gone():

@@ -8,10 +8,9 @@ import pytest
 from hl_lab import witness
 from hl_lab.errors import CapExceededError, InvalidInputError
 from hl_lab.search import StepBudget
-from hl_lab.subtrees import SubtreeReport
+from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
-    SDHLWitness,
     SomewhereDenseWitness,
     antichain_split_coloring,
     check_dshl_witness,
@@ -232,30 +231,59 @@ def test_parity_witness_checks_out():
     space = TreeSpace(2, 4)
     col = level_parity_coloring((space,))
     w = sdhl_search(col)
-    assert w == SDHLWitness(base=("",), matrix=(("0", "1"),), color=1)
-    assert w.density_level == 1
+    assert w == SomewhereDenseWitness(("",), (("0", "1"),), 1, 1)
     assert check_sdhl_witness(w, col).valid
+
+
+def _successor(base, matrix, color):
+    """The witness at ``len(base[0]) + 1``: the base's successor level in a
+    ``TreeSpace``."""
+    return SomewhereDenseWitness(base, matrix, len(base[0]) + 1, color)
 
 
 def test_witness_mutations_fail_the_checker():
     space = TreeSpace(2, 4)
     col = level_parity_coloring((space,))
     w = sdhl_search(col)
-    wrong_color = SDHLWitness(w.base, w.matrix, (w.color + 1) % col.colors)
+    wrong_color = _successor(w.base, w.matrix, (w.color + 1) % col.colors)
     res = check_sdhl_witness(wrong_color, col)
     assert not res.valid and any("color" in v for v in res.violations)
     # drop a matrix member: some successor cone loses its dominator
-    starved = SDHLWitness(w.base, (w.matrix[0][:1],), w.color)
+    starved = _successor(w.base, (w.matrix[0][:1],), w.color)
     res = check_sdhl_witness(starved, col)
     assert not res.valid and any("not dominated" in v for v in res.violations)
-    crooked = SDHLWitness(("0",), w.matrix, w.color)
+    crooked = _successor(("0",), w.matrix, w.color)
     assert check_sdhl_witness(crooked, col).valid is False
+
+
+def test_checker_requires_the_successor_density_level():
+    col = level_parity_coloring((TreeSpace(2, 4),))
+    w = sdhl_search(col)
+    for level in (0, w.density_level + 1, 9):
+        res = check_sdhl_witness(
+            SomewhereDenseWitness(w.base, w.matrix, level, w.color), col)
+        assert not res.valid
+        assert res.violations == (f"density level {level} is not the "
+                                  f"successor level 1 of the base",)
+
+
+def test_search_in_a_subtree_reports_the_subtree_level():
+    # the subtree's level 1 is ambient level 2; the successor density level
+    # is subtree level 2, not the ambient length plus one
+    report = next(enumerate_strong_subtrees(TreeSpace(2, 5), (0, 2, 4)))
+    table = {"": 0, "00": 0, "10": 1, "0000": 0, "0010": 0, "1000": 1, "1010": 1}
+    col = table_coloring((report,), 2, {(n,): c for n, c in table.items()},
+                         domain="full")
+    w = sdhl_search(col)
+    assert w.base == ("00",) and w.density_level == 2
+    assert check_sdhl_witness(w, col).valid
+    assert check_somewhere_dense_witness(w, col).valid
 
 
 def test_matrix_on_several_levels_is_reported_not_raised():
     # the color scan evaluated ("0", "00"), and the level-domain coloring
     # raised on the mixed heights before any violation came back
-    w = SDHLWitness(("", ""), (("0", "1"), ("00", "01", "10", "11")), 1)
+    w = _successor(("", ""), (("0", "1"), ("00", "01", "10", "11")), 1)
     res = check_sdhl_witness(w, level_parity_coloring([TreeSpace(2, 4)] * 2))
     assert not res.valid
     assert res.violations[0] == ("matrix members sit on several levels [1, 2]; "
@@ -269,16 +297,16 @@ def _sdhl_mutations(w, space):
 
     yield w
     for color in (w.color + 1, -1):
-        yield SDHLWitness(w.base, w.matrix, color)
+        yield _successor(w.base, w.matrix, color)
     for j, col in enumerate(w.matrix):
-        yield SDHLWitness(w.base, with_col(j, col[1:]), w.color)
-        yield SDHLWitness(w.base, with_col(j, col[:-1]), w.color)
-        yield SDHLWitness(w.base, with_col(j, [m + "0" for m in col]), w.color)
-        yield SDHLWitness(w.base, with_col(j, [m[:-1] for m in col]), w.color)
+        yield _successor(w.base, with_col(j, col[1:]), w.color)
+        yield _successor(w.base, with_col(j, col[:-1]), w.color)
+        yield _successor(w.base, with_col(j, [m + "0" for m in col]), w.color)
+        yield _successor(w.base, with_col(j, [m[:-1] for m in col]), w.color)
         for other in space.level(len(w.base[j])) + space.level(len(w.base[j]) + 1):
             base = w.base[:j] + (other,) + w.base[j + 1:]
-            yield SDHLWitness(base, w.matrix, w.color)
-    yield SDHLWitness(w.base, tuple(col[1:] + col[:1] for col in w.matrix), w.color)
+            yield _successor(base, w.matrix, w.color)
+    yield _successor(w.base, tuple(col[1:] + col[:1] for col in w.matrix), w.color)
 
 
 def test_checker_matches_the_raising_checker_wherever_it_answered():
@@ -310,8 +338,16 @@ def test_checker_matches_the_raising_checker_wherever_it_answered():
 
 
 def test_witness_json_round_trip():
-    w = SDHLWitness(base=("0", "1"), matrix=(("00", "01"), ("10", "11")), color=2)
-    assert SDHLWitness.from_json(w.to_json()) == w
+    w = _successor(("0", "1"), (("00", "01"), ("10", "11")), 2)
+    assert SomewhereDenseWitness.from_json(w.to_json()) == w
+
+
+@pytest.mark.parametrize("field", ["density_level", "color"])
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+def test_witness_json_integers_are_strict(field, bad):
+    doc = dict(_successor(("0",), (("00", "01"),), 1).to_json(), **{field: bad})
+    with pytest.raises(InvalidInputError, match=f"witness field '{field}'"):
+        SomewhereDenseWitness.from_json(doc)
 
 
 def test_search_agrees_with_scan_oracle_on_all_unary_colorings():
