@@ -329,14 +329,14 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
-        agree: dict = {}  # (stage, coordinate) -> kernel predicate
+        agree: dict = {}  # (stage, coordinate) -> kernel filter
 
         def stage_factory(stage, level_set, layers):
             # Every pattern is pinned, so a choice is consistent exactly when
-            # its own row matches gamma.  A coordinate's predicate depends on
+            # its own row matches gamma.  A coordinate's filter depends on
             # the committed layers alone: it is built the first time one of
-            # its slots is tested and serves every level tried for the stage.
-            def consistent(partial, slot, choice):
+            # its slots opens and serves every level tried for the stage.
+            def consistent(partial, slot, choices):
                 key = (stage, slot[0])
                 check = agree.get(key)
                 if check is None:
@@ -344,7 +344,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                                    for node in layers[lvl][k]) for k in range(arity)]
                     check = agree[key] = typed_consistent(f.evaluate, slot[0],
                                                           fixed, gamma)
-                return check({}, slot, choice)
+                return check({}, slot, choices)
 
             return consistent
 
@@ -495,10 +495,12 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
         agree = typed_consistent(f.evaluate, tree,
                                  [sorted(picked[i].items()) for i in range(k)], gamma)
 
-        def consistent(partial, slot, choice):
-            if slot[1] == 1 and partial.get((slot[0], 0)) == choice:
-                return False
-            return agree(partial, slot, choice)
+        def consistent(partial, slot, choices):
+            if slot[1] == 1:
+                # a terminal's second child differs from its first
+                twin = partial.get((slot[0], 0))
+                choices = (choice for choice in choices if choice != twin)
+            return agree(partial, slot, choices)
 
         return consistent
 
@@ -528,7 +530,7 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
             for node in new_nodes:
                 picked[tree][node] = band
             # Pin the new tuples' types.  A type depends on bands alone and the
-            # predicate gave every new node the same value on it, so one tuple
+            # filter gave every new node the same value on it, so one tuple
             # through the first new node settles each type not yet pinned.
             others = [sorted(picked[i].items()) for i in range(k) if i != tree]
             for combo in itertools.product(*others):

@@ -41,50 +41,55 @@ class StepBudget:
 def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.
 
-    ``slots`` is an ordered list of slot ids, ``candidates[slot]`` an
-    ordered sequence of choices, and ``consistent(partial, slot, choice)``
-    a predicate over the partial assignment built so far.  The first
-    assignment found is the minimum in lexicographic product order (slots
-    major to minor), which is what makes emitted witnesses canonical.
-    Returns ``None`` when the space is exhausted without a solution.
+    ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
+    ordered sequence of choices.  ``consistent(partial, slot, choices)``
+    is a filter over the partial assignment built so far: it returns a
+    lazy iterator over the members of the iterator ``choices`` that are
+    consistent with ``partial``, in order.  The first assignment found is
+    the minimum in lexicographic product order (slots major to minor),
+    which is what makes emitted witnesses canonical.  Returns ``None``
+    when the space is exhausted without a solution.
 
-    Requires a monotone predicate: a choice rejected against the empty
+    Requires a monotone filter: a choice rejected against the empty
     partial assignment stays rejected against every larger one.  Each
     slot's candidate list is filtered against the empty assignment first;
     an empty filtered list fails the whole call immediately, which keeps
     independent-slot instances from backtracking exponentially.
 
-    The search position is one iterator per open slot over its filtered
-    candidates: advancing pulls the top iterator's next choice, and
-    backtracking drops it and unassigns the slot below, whose iterator
+    The search position is one filter per open slot over its filtered
+    candidates: advancing pulls the top filter's next choice, and
+    backtracking drops it and unassigns the slot below, whose filter
     resumes past its choice.  So ``partial`` holds the earlier slots in
-    slot order and never ``slot`` itself.  Each inspected candidate, in
-    the prefilter and in the search, spends one step.
+    slot order, never ``slot`` itself, and is the same whenever that
+    slot's filter runs: a filter may read it once.  Each candidate pulled
+    from ``choices``, in the prefilter and in the search, spends one step
+    before the filter sees it.
     """
+
+    def charged(choices):
+        for choice in choices:
+            budget.spend()
+            yield choice
+
     filtered = []
     for slot in slots:
-        keep = []
-        for choice in candidates[slot]:
-            budget.spend()
-            if consistent({}, slot, choice):
-                keep.append(choice)
+        keep = list(consistent({}, slot, charged(candidates[slot])))
         if not keep:
             return None
         filtered.append(keep)
     if not slots:
         return {}
     assignment: dict = {}
-    open_slots = [iter(filtered[0])]
+    open_slots = [consistent(assignment, slots[0], charged(filtered[0]))]
     while open_slots:
-        slot = slots[len(open_slots) - 1]
+        depth = len(open_slots)
         for choice in open_slots[-1]:
-            budget.spend()
-            if consistent(assignment, slot, choice):
-                assignment[slot] = choice
-                if len(open_slots) == len(slots):
-                    return dict(assignment)
-                open_slots.append(iter(filtered[len(open_slots)]))
-                break
+            assignment[slots[depth - 1]] = choice
+            if depth == len(slots):
+                return dict(assignment)
+            open_slots.append(consistent(assignment, slots[depth],
+                                         charged(filtered[depth])))
+            break
         else:
             # this slot is exhausted: back to the one below, past its choice
             open_slots.pop()
@@ -96,27 +101,29 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
 # ---------------------------------------------------------------------------
 # consistency kernel
 #
-# The staged searches hand ``prefiltered_assignment`` one predicate per
-# stage.  The predicates below build each coordinate's assigned nodes from
-# the partial assignment alone (after any nodes committed at earlier
-# stages), read in insertion order (which the assignment search keeps equal
-# to slot order), and memoize every tuple's value for the life of the
-# predicate: a tuple met again after backtracking costs one dict lookup.
-# Verdicts are exactly those of evaluating every tuple afresh, so step
-# counts and witnesses do not depend on the memo.
+# The staged searches hand ``prefiltered_assignment`` one filter per stage.
+# The filters below build each coordinate's assigned nodes from the partial
+# assignment alone (after any nodes committed at earlier stages), read in
+# insertion order (which the assignment search keeps equal to slot order),
+# once per call, and memoize every tuple's value for the life of the
+# filter: a tuple met again after backtracking costs one dict lookup.
+# Verdicts are exactly those of evaluating every tuple afresh, and each
+# choice's tuples are evaluated after its step is spent, in the order a
+# per-choice check would take, so step counts, evaluations and witnesses
+# do not depend on the memo or on the per-call set-up.
 
 _UNSEEN = object()
 
 
 def cross_consistent(arity, value, reference=None, fixed=None):
-    """Predicate: every completed tuple through the newest choice has one value.
+    """Filter: every completed tuple through the choice has one value.
 
     Slots are ``(coordinate, key)`` pairs.  A tuple takes one node per
-    coordinate from its pool, with the newest choice in its own
-    coordinate.  A coordinate's pool holds ``fixed[i]`` (when given: the
-    nodes of earlier, committed stages) followed by its assigned nodes;
-    until every other pool holds a node no tuple exists and every choice
-    is consistent.  Tuples among earlier choices were checked when their
+    coordinate from its pool, with the choice in its own coordinate.  A
+    coordinate's pool holds ``fixed[i]`` (when given: the nodes of
+    earlier, committed stages) followed by its assigned nodes; until
+    every other pool holds a node no tuple exists and every choice is
+    consistent.  Tuples among earlier choices were checked when their
     newest member was assigned.  Each tuple's ``value(tup)`` must equal
     ``reference``; when ``reference`` is ``None`` it is the value of the
     tuple of each pool's first node, the choice standing in for its own
@@ -125,37 +132,41 @@ def cross_consistent(arity, value, reference=None, fixed=None):
     memo: dict = {}
     heads = fixed if fixed is not None else [()] * arity
 
-    def consistent(partial, slot, choice):
+    def consistent(partial, slot, choices):
         pools = [list(head) for head in heads]
         for s, node in partial.items():
             pools[s[0]].append(node)
         j = slot[0]
         own = pools[j]
-        pools[j] = (choice,)
-        if not all(pools):
-            return True
+        if not all(pools[:j] + pools[j + 1:]):
+            yield from choices
+            return
+        rest = [(before, after)
+                for before in itertools.product(*pools[:j])
+                for after in itertools.product(*pools[j + 1:])]
         target = reference
-        if target is None:
-            anchor = [pool[0] for pool in pools]
-            if own:
-                anchor[j] = own[0]
-            anchor = tuple(anchor)
-            target = memo.get(anchor, _UNSEEN)
-            if target is _UNSEEN:
-                target = memo[anchor] = value(anchor)
-        for tup in itertools.product(*pools):
-            got = memo.get(tup, _UNSEEN)
-            if got is _UNSEEN:
-                got = memo[tup] = value(tup)
-            if got != target:
-                return False
-        return True
+        for choice in choices:
+            if reference is None:
+                before, after = rest[0]
+                anchor = before + (own[0] if own else choice,) + after
+                target = memo.get(anchor, _UNSEEN)
+                if target is _UNSEEN:
+                    target = memo[anchor] = value(anchor)
+            for before, after in rest:
+                tup = before + (choice,) + after
+                got = memo.get(tup, _UNSEEN)
+                if got is _UNSEEN:
+                    got = memo[tup] = value(tup)
+                if got != target:
+                    break
+            else:
+                yield choice
 
     return consistent
 
 
 def typed_consistent(value, at, fixed, pinned):
-    """Predicate: each tuple type keeps one value across all picked nodes.
+    """Filter: each tuple type keeps one value across all picked nodes.
 
     The nodes of the partial assignment and the choice sit at coordinate
     ``at``; every other coordinate ``i`` ranges over the ``(node, band)``
@@ -164,8 +175,9 @@ def typed_consistent(value, at, fixed, pinned):
     coordinates tie on a band have no type and are skipped.  The choice is
     consistent when, over every tuple through an assigned node or the
     choice, each type takes a single value, equal to ``pinned[type]``
-    where that is given.  Types are computed once per predicate, and each
-    node's row of (type, value) pairs once per node.
+    where that is given.  Types are computed once per filter, each node's
+    row of (type, value) pairs once per node, and the partial
+    assignment's rows are merged once per call, after the first pull.
     """
     pinned = dict(pinned)
     combos = []
@@ -189,17 +201,38 @@ def typed_consistent(value, at, fixed, pinned):
             table[pattern] = got
         return table
 
-    def consistent(partial, slot, choice):
+    def row_of(node):
+        table = rows.get(node, _UNSEEN)
+        if table is _UNSEEN:
+            table = rows[node] = row(node)
+        return table
+
+    def merge(nodes):
+        """The types' values over the nodes' rows, or None on a clash."""
         merged: dict = {}
-        for node in [*partial.values(), choice]:
-            table = rows.get(node, _UNSEEN)
-            if table is _UNSEEN:
-                table = rows[node] = row(node)
+        for node in nodes:
+            table = row_of(node)
             if table is None:
-                return False
+                return None
             for pattern, got in table.items():
                 if merged.setdefault(pattern, got) != got:
-                    return False
-        return True
+                    return None
+        return merged
+
+    def consistent(partial, slot, choices):
+        merged = _UNSEEN
+        for choice in choices:
+            if merged is _UNSEEN:
+                merged = merge(partial.values())
+            if merged is None:
+                continue
+            table = row_of(choice)
+            if table is None:
+                continue
+            for pattern, got in table.items():
+                if merged.get(pattern, got) != got:
+                    break
+            else:
+                yield choice
 
     return consistent

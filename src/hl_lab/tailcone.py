@@ -57,7 +57,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     ``SubtreeReport`` whose levels are its witnessing levels.  Each stage
     extends every successor of the previous layer to a common higher
     level: ``first_level`` scans candidate levels upward, and the first
-    canonically least choice vector accepted by the predicate
+    canonically least choice vector accepted by the filter
     ``stage_factory(stage, level_set, layers)`` wins.  The factory is
     called once per level tried.  ``on_stage`` runs after every committed
     stage above the root (stage 1 on; the root stage commits nothing to
@@ -291,7 +291,7 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
     def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
         if bind == 0:
-            return lambda partial, slot, choice: True
+            return lambda partial, slot, choices: choices
 
         def accept(tup):
             for beta in range(bind):
@@ -440,8 +440,8 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
 
         agree = cross_consistent(d, accept, True, fixed)
 
-        def consistent(partial, slot, choice):
-            return slot[0] in base_set or agree(partial, slot, choice)
+        def consistent(partial, slot, choices):
+            return choices if slot[0] in base_set else agree(partial, slot, choices)
 
         return consistent
 

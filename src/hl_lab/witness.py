@@ -434,7 +434,7 @@ def first_level(slots, levels, candidates_at, consistent_at, budget):
 
     ``levels`` are tried in order.  A level where some slot has no
     candidate in ``candidates_at(level)`` is skipped; otherwise one
-    predicate ``consistent_at(level)`` is built and
+    filter ``consistent_at(level)`` is built and
     ``prefiltered_assignment`` looks for the stage's assignment.  Returns
     ``(level, assignment)`` for the first level that has one, or ``None``.
     ``BudgetExhausted`` passes through to the caller.

@@ -445,8 +445,8 @@ def sample_colors(rng, r, size):
 # Kept verbatim as references: ``sdhl_search`` and ``check_dshl_witness``
 # each built their cones, slots and candidate pools themselves, and the
 # first read the color off the assignment with ``_selection_color``.  They
-# call the library's kernel and the pointer-based assignment search below,
-# so they are compared on results and steps, not re-derived.  The one edit: the kernel is imported
+# call the per-choice kernel and the pointer-based assignment search below,
+# so they are compared on results and steps, not re-derived.  The one edit: the kernel is called
 # as ``kernel_cross_consistent``, since ``cross_consistent`` here names the
 # older fusion predicate above.  ``sdhl_prime_search``, the free-level
 # search the library no longer has, stays as the reference producer of
@@ -459,11 +459,129 @@ def sample_colors(rng, r, size):
 from dataclasses import dataclass  # noqa: E402
 
 from hl_lab.errors import CapExceededError, InvalidInputError  # noqa: E402
-from hl_lab.search import (  # noqa: E402
-    BudgetExhausted,
-    StepBudget,
-    cross_consistent as kernel_cross_consistent,
-)
+from hl_lab.search import BudgetExhausted, StepBudget  # noqa: E402
+
+
+def as_filter(consistent):
+    """A per-choice predicate as a filter over a slot's candidate stream.
+
+    The library's assignment search asks ``consistent(partial, slot,
+    choices)`` once per slot opening for a lazy iterator over the
+    admissible choices; this asks the predicate once per pulled choice,
+    right after the search has charged its step.
+    """
+
+    def filtered(partial, slot, choices):
+        return (choice for choice in choices if consistent(partial, slot, choice))
+
+    return filtered
+
+
+# Kept verbatim as the reference for the library's consistency kernel, which
+# now filters a slot's candidate stream once per slot opening: these
+# predicates answered one choice per call and rebuilt every coordinate's
+# pool from ``partial`` each time.  The one edit: they are named
+# ``kernel_cross_consistent`` and ``kernel_typed_consistent``, since
+# ``cross_consistent`` here names the older fusion predicate above.
+
+_UNSEEN = object()
+
+
+def kernel_cross_consistent(arity, value, reference=None, fixed=None):
+    """Predicate: every completed tuple through the newest choice has one value.
+
+    Slots are ``(coordinate, key)`` pairs.  A tuple takes one node per
+    coordinate from its pool, with the newest choice in its own
+    coordinate.  A coordinate's pool holds ``fixed[i]`` (when given: the
+    nodes of earlier, committed stages) followed by its assigned nodes;
+    until every other pool holds a node no tuple exists and every choice
+    is consistent.  Tuples among earlier choices were checked when their
+    newest member was assigned.  Each tuple's ``value(tup)`` must equal
+    ``reference``; when ``reference`` is ``None`` it is the value of the
+    tuple of each pool's first node, the choice standing in for its own
+    coordinate when that pool is still empty.
+    """
+    memo: dict = {}
+    heads = fixed if fixed is not None else [()] * arity
+
+    def consistent(partial, slot, choice):
+        pools = [list(head) for head in heads]
+        for s, node in partial.items():
+            pools[s[0]].append(node)
+        j = slot[0]
+        own = pools[j]
+        pools[j] = (choice,)
+        if not all(pools):
+            return True
+        target = reference
+        if target is None:
+            anchor = [pool[0] for pool in pools]
+            if own:
+                anchor[j] = own[0]
+            anchor = tuple(anchor)
+            target = memo.get(anchor, _UNSEEN)
+            if target is _UNSEEN:
+                target = memo[anchor] = value(anchor)
+        for tup in itertools.product(*pools):
+            got = memo.get(tup, _UNSEEN)
+            if got is _UNSEEN:
+                got = memo[tup] = value(tup)
+            if got != target:
+                return False
+        return True
+
+    return consistent
+
+
+def kernel_typed_consistent(value, at, fixed, pinned):
+    """Predicate: each tuple type keeps one value across all picked nodes.
+
+    The nodes of the partial assignment and the choice sit at coordinate
+    ``at``; every other coordinate ``i`` ranges over the ``(node, band)``
+    pairs of ``fixed[i]``.  A tuple's type is its coordinates ordered by
+    band, the picked node counting as the highest band; tuples whose fixed
+    coordinates tie on a band have no type and are skipped.  The choice is
+    consistent when, over every tuple through an assigned node or the
+    choice, each type takes a single value, equal to ``pinned[type]``
+    where that is given.  Types are computed once per predicate, and each
+    node's row of (type, value) pairs once per node.
+    """
+    pinned = dict(pinned)
+    combos = []
+    for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
+        bands = [band for _, band in combo]
+        if len(set(bands)) < len(bands):
+            continue
+        bands.insert(at, float("inf"))
+        pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
+        nodes = tuple(node for node, _ in combo)
+        combos.append((nodes[:at], nodes[at:], pattern))
+    rows: dict = {}
+
+    def row(node):
+        """The value of each type on the node's tuples, or None on a clash."""
+        table: dict = {}
+        for before, after, pattern in combos:
+            got = value(before + (node,) + after)
+            if got != pinned.get(pattern, table.get(pattern, got)):
+                return None
+            table[pattern] = got
+        return table
+
+    def consistent(partial, slot, choice):
+        merged: dict = {}
+        for node in [*partial.values(), choice]:
+            table = rows.get(node, _UNSEEN)
+            if table is _UNSEEN:
+                table = rows[node] = row(node)
+            if table is None:
+                return False
+            for pattern, got in table.items():
+                if merged.setdefault(pattern, got) != got:
+                    return False
+        return True
+
+    return consistent
 
 
 # Kept verbatim as the reference for the library's assignment search, which

@@ -5,8 +5,9 @@ is rejected against every partial assignment, and a banned pair of choices
 is rejected once both are assigned.  The search must return what the
 reference in ``tests/oracles.py`` returns, spend the same steps, raise the
 same exception under a cap, and ask the predicate the same questions in
-the same order; uncapped, its answer is the first assignment in product
-order that the predicate accepts slot by slot.
+the same order (the library search asks it through ``oracles.as_filter``,
+one question per pulled candidate); uncapped, its answer is the first
+assignment in product order that the predicate accepts slot by slot.
 """
 
 import itertools
@@ -72,17 +73,23 @@ def _brute_force(instance):
     return None
 
 
+def _filtered(slots, candidates, consistent, budget):
+    """The library search, asking the per-choice predicate through a filter."""
+    return prefiltered_assignment(slots, candidates, oracles.as_filter(consistent),
+                                  budget)
+
+
 def test_search_matches_the_pointer_search_and_brute_force():
     rng = random.Random("prefiltered-assignment")
     outcomes = set()
     for _ in range(500):
         instance = _instance(rng)
         want = _run(oracles.prefiltered_assignment, instance, LARGE)
-        assert _run(prefiltered_assignment, instance, LARGE) == want
+        assert _run(_filtered, instance, LARGE) == want
         assert want[0] == _brute_force(instance)
         # a cap at or above the steps taken never runs out; below, it must
         cap = rng.randint(1, want[1] + 1)
-        capped = _run(prefiltered_assignment, instance, cap)
+        capped = _run(_filtered, instance, cap)
         assert capped == _run(oracles.prefiltered_assignment, instance, cap)
         assert (capped[0] == want[0]) == (cap >= want[1])
         outcomes.add((want[0] is not None, cap >= want[1]))

@@ -54,7 +54,8 @@ def _same(monkeypatch, cap, new, old):
 
     def watched(slots, candidates, consistent, budget):
         seen.append(budget)
-        return prefiltered_assignment(slots, candidates, consistent, budget)
+        return prefiltered_assignment(slots, candidates, oracles.as_filter(consistent),
+                                      budget)
 
     with monkeypatch.context() as patch:
         patch.setattr(oracles, "prefiltered_assignment", watched)

@@ -4,7 +4,8 @@ Every staged search reaches ``prefiltered_assignment`` through one stage
 step, ``witness.first_level``, so the harness watches that one binding.
 Each box is run twice: once as it stands, and once with each kernel
 predicate swapped for the old predicate kept in ``oracles``, built from
-the same arguments and the slots the stage step hands the search.  The
+the same arguments and the slots the stage step hands the search, and
+handed to the search as a filter through ``oracles.as_filter``.  The
 partial tail-cone law and almost-all homogenization are swapped one level
 up, at their stage factories: the old predicates read the stage's layers
 and the search's state (the recorded table, the color vector), which the
@@ -84,8 +85,9 @@ def _old_partial(env, pending):
 
 def _old_almost_all(env, pending):
     perms = list(itertools.permutations(range(env["arity"])))
-    return lambda stage, level_set, layers: oracles.almost_all_consistent(
-        env["f"], env["arity"], perms, env["gamma"], stage, layers)
+    return lambda stage, level_set, layers: oracles.as_filter(
+        oracles.almost_all_consistent(env["f"], env["arity"], perms, env["gamma"],
+                                      stage, layers))
 
 
 # grow_shared_subtrees label -> old stage factory built from the new one's state
@@ -175,7 +177,7 @@ def _run(monkeypatch, run, old):
         def staged(slots, candidates, consistent, budget):
             assert len(pending) <= 1, "a predicate was built but never searched"
             if pending:
-                consistent = pending.pop()(slots)
+                consistent = oracles.as_filter(pending.pop()(slots))
             try:
                 found = prefiltered_assignment(slots, candidates, consistent, budget)
             except search.BudgetExhausted:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hl_lab
+import oracles
 from hl_lab.search import BudgetExhausted, StepBudget
 from hl_lab.witness import first_level
 
@@ -19,7 +20,7 @@ def _step(candidates, accept, budget):
 
     def consistent_at(level):
         built.append(level)
-        return lambda partial, slot, choice: accept(level, choice)
+        return oracles.as_filter(lambda partial, slot, choice: accept(level, choice))
 
     found = first_level(SLOTS, sorted(candidates), candidates.__getitem__,
                         consistent_at, budget)
