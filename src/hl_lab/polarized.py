@@ -333,10 +333,14 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
         def stage_factory(stage, level_set, layers):
             # Every pattern is pinned, so a choice is consistent exactly when
-            # its own row matches gamma.  A coordinate's filter depends on
-            # the committed layers alone: it is built the first time one of
-            # its slots opens and serves every level tried for the stage.
+            # its own row matches gamma, whatever the partial assignment: the
+            # verdict is taken once, against the empty one.  A coordinate's
+            # filter depends on the committed layers alone: it is built the
+            # first time one of its slots is filtered and serves every level
+            # tried for the stage.
             def consistent(partial, slot, choices):
+                if partial:
+                    return choices
                 key = (stage, slot[0])
                 check = agree.get(key)
                 if check is None:
@@ -496,9 +500,10 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
                                  [sorted(picked[i].items()) for i in range(k)], gamma)
 
         def consistent(partial, slot, choices):
-            if slot[1] == 1:
-                # a terminal's second child differs from its first
-                twin = partial.get((slot[0], 0))
+            if slot[1] == 1 and partial and next(reversed(partial)) == (slot[0], 0):
+                # a terminal's second child differs from its first, the
+                # newest pick
+                twin = partial[slot[0], 0]
                 choices = (choice for choice in choices if choice != twin)
             return agree(partial, slot, choices)
 

@@ -12,14 +12,18 @@ class BudgetExhausted(Exception):
     """Internal signal: a step budget ran out mid-scan."""
 
 
+_UNSEEN = object()
+
+
 @dataclass
 class StepBudget:
     """Counts work units; raises once the cap is crossed.
 
-    ``cap`` bounds the total number of steps (candidate inspections, in
-    the staged searches) that the searches handed this budget may take;
-    it must be at least 1.  One budget can serve several searches in
-    turn, and ``used`` tells the caller how much of it they spent.  The
+    ``cap`` bounds the total number of steps (candidates handed to a
+    consistency filter, in the staged searches) that the searches handed
+    this budget may take; it must be at least 1.  One budget can serve
+    several searches in turn, and ``used`` tells the caller how much of
+    it they spent.  The
     exception is internal; public entry points convert it into either a
     cap-exceeded error or a first-class failure report naming the stage
     that starved.
@@ -43,27 +47,35 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
 
     ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
     ordered sequence of choices.  ``consistent(partial, slot, choices)``
-    is a filter over the partial assignment built so far: it returns a
-    lazy iterator over the members of the iterator ``choices`` that are
-    consistent with ``partial``, in order.  The first assignment found is
-    the minimum in lexicographic product order (slots major to minor),
-    which is what makes emitted witnesses canonical.  Returns ``None``
-    when the space is exhausted without a solution.
+    is a filter over the partial assignment built so far: it returns an
+    iterator over the members of the iterator ``choices`` that are
+    consistent with ``partial``, in order, or ``choices`` itself when no
+    verdict can have changed.  The first assignment found is the minimum
+    in lexicographic product order (slots major to minor), which is what
+    makes emitted witnesses canonical.  Returns ``None`` when the space
+    is exhausted without a solution.
 
-    Requires a monotone filter: a choice rejected against the empty
-    partial assignment stays rejected against every larger one.  Each
-    slot's candidate list is filtered against the empty assignment first;
-    an empty filtered list fails the whole call immediately, which keeps
+    Requires a monotone filter: a choice rejected against a partial
+    assignment stays rejected against every larger one.  Each slot's
+    live candidates start as its candidates filtered against the empty
+    assignment; an empty list fails the whole call at once, which keeps
     independent-slot instances from backtracking exponentially.
 
-    The search position is one filter per open slot over its filtered
-    candidates: advancing pulls the top filter's next choice, and
-    backtracking drops it and unassigns the slot below, whose filter
-    resumes past its choice.  So ``partial`` holds the earlier slots in
-    slot order, never ``slot`` itself, and is the same whenever that
-    slot's filter runs: a filter may read it once.  Each candidate pulled
-    from ``choices``, in the prefilter and in the search, spends one step
-    before the filter sees it.
+    The search does forward checking (Haralick & Elliott 1980): after
+    each choice, every later slot's live candidates go through that
+    slot's filter again, and a slot left with none withdraws the choice
+    at once.  A trail keeps the lists that a choice's narrowing replaced,
+    and withdrawing the choice puts them back.  So ``partial`` holds a
+    prefix of the slots before ``slot``, in slot order, and every member
+    of ``choices`` was consistent with ``partial`` less its newest entry
+    (its last, in insertion order): a filter need only check what that
+    entry adds.
+
+    A step is one candidate pulled from ``choices``, spent before the
+    filter sees it.  A filter that hands back ``choices`` itself pulls
+    none, so it takes no step and its slot keeps its list.  Trying a live
+    choice takes no step: every withdrawn choice was paid for by the
+    steps of the narrowing that emptied a later slot.
     """
 
     def charged(choices):
@@ -71,30 +83,50 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
             budget.spend()
             yield choice
 
-    filtered = []
-    for slot in slots:
-        keep = list(consistent({}, slot, charged(candidates[slot])))
+    def narrowed(partial, index, live):
+        """The members of ``live`` that the filter of ``slots[index]`` keeps."""
+        choices = charged(live)
+        kept = consistent(partial, slots[index], choices)
+        return live if kept is choices else list(kept)
+
+    live = []
+    for index, slot in enumerate(slots):
+        keep = narrowed({}, index, list(candidates[slot]))
         if not keep:
             return None
-        filtered.append(keep)
+        live.append(keep)
     if not slots:
         return {}
     assignment: dict = {}
-    open_slots = [consistent(assignment, slots[0], charged(filtered[0]))]
+    trail = []  # (slot index, the live list a narrowing replaced)
+    marks = []  # the trail's length before each assigned slot's narrowing
+    open_slots = [iter(live[0])]
     while open_slots:
-        depth = len(open_slots)
-        for choice in open_slots[-1]:
-            assignment[slots[depth - 1]] = choice
-            if depth == len(slots):
-                return dict(assignment)
-            open_slots.append(consistent(assignment, slots[depth],
-                                         charged(filtered[depth])))
-            break
-        else:
-            # this slot is exhausted: back to the one below, past its choice
+        depth = len(open_slots) - 1
+        if len(assignment) > depth:
+            # back at this slot: withdraw its choice and what that narrowed
+            assignment.popitem()
+            mark = marks.pop()
+            while len(trail) > mark:
+                index, kept = trail.pop()
+                live[index] = kept
+        choice = next(open_slots[-1], _UNSEEN)
+        if choice is _UNSEEN:
             open_slots.pop()
-            if assignment:
-                assignment.popitem()
+            continue
+        assignment[slots[depth]] = choice
+        if depth + 1 == len(slots):
+            return dict(assignment)
+        marks.append(len(trail))
+        for index in range(depth + 1, len(slots)):
+            kept = narrowed(assignment, index, live[index])
+            if len(kept) < len(live[index]):
+                trail.append((index, live[index]))
+                live[index] = kept
+                if not kept:
+                    break
+        else:
+            open_slots.append(iter(live[depth + 1]))
     return None
 
 
@@ -102,17 +134,14 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
 # consistency kernel
 #
 # The staged searches hand ``prefiltered_assignment`` one filter per stage.
-# The filters below build each coordinate's assigned nodes from the partial
-# assignment alone (after any nodes committed at earlier stages), read in
-# insertion order (which the assignment search keeps equal to slot order),
-# once per call, and memoize every tuple's value for the life of the
-# filter: a tuple met again after backtracking costs one dict lookup.
-# Verdicts are exactly those of evaluating every tuple afresh, and each
-# choice's tuples are evaluated after its step is spent, in the order a
-# per-choice check would take, so step counts, evaluations and witnesses
-# do not depend on the memo or on the per-call set-up.
-
-_UNSEEN = object()
+# Every choice a filter is asked about was consistent with the partial
+# assignment less its newest entry, so each filter checks only what that
+# entry adds, and hands ``choices`` back untouched when the entry cannot
+# change a verdict.  The filters build each coordinate's assigned nodes
+# from the partial assignment alone (after any nodes committed at earlier
+# stages), read in insertion order (which the assignment search keeps
+# equal to slot order), and memoize every tuple's value for the life of
+# the filter: a tuple met again after backtracking costs one dict lookup.
 
 
 def cross_consistent(arity, value, reference=None, fixed=None):
@@ -123,44 +152,77 @@ def cross_consistent(arity, value, reference=None, fixed=None):
     coordinate's pool holds ``fixed[i]`` (when given: the nodes of
     earlier, committed stages) followed by its assigned nodes; until
     every other pool holds a node no tuple exists and every choice is
-    consistent.  Tuples among earlier choices were checked when their
-    newest member was assigned.  Each tuple's ``value(tup)`` must equal
-    ``reference``; when ``reference`` is ``None`` it is the value of the
+    consistent.  Each tuple's ``value(tup)`` must equal ``reference``;
+    when ``reference`` is ``None`` it is the value of the anchor, the
     tuple of each pool's first node, the choice standing in for its own
-    coordinate when that pool is still empty.
+    coordinate while that pool is empty.
+
+    Against the empty assignment the filter checks every tuple through
+    the choice; otherwise only the tuples through the newest node and
+    the choice.  No tuple holds both when the newest node sits in the
+    choice's own pool, but when it is the first there it becomes the
+    anchor's node: the choice's own anchor must then have its value.
     """
     memo: dict = {}
     heads = fixed if fixed is not None else [()] * arity
+    # the forward-checking search asks about every later slot after each
+    # choice: one plan per coordinate serves them all
+    last = [None, {}]  # the partial assignment last read, as items; its plans
 
-    def consistent(partial, slot, choices):
+    def val(tup):
+        got = memo.get(tup, _UNSEEN)
+        if got is _UNSEEN:
+            got = memo[tup] = value(tup)
+        return got
+
+    def plan(items, j):
+        """What a choice at coordinate ``j`` is checked on, or ``None``."""
         pools = [list(head) for head in heads]
-        for s, node in partial.items():
-            pools[s[0]].append(node)
-        j = slot[0]
+        for (i, _), node in items:
+            pools[i].append(node)
         own = pools[j]
         if not all(pools[:j] + pools[j + 1:]):
-            yield from choices
-            return
-        rest = [(before, after)
-                for before in itertools.product(*pools[:j])
-                for after in itertools.product(*pools[j + 1:])]
+            return None
+        firsts = [pool[0] if pool else None for pool in pools]
+        before, after = tuple(firsts[:j]), tuple(firsts[j + 1:])
+        if items:
+            (k, _), newest = items[-1]
+            if k == j:
+                if reference is not None or len(own) > 1:
+                    return None  # no tuple holds both, and the target stays
+                # the newest node is the first in the choice's pool
+                return before, after, own, [(before, after)]
+            pools[k] = (newest,)
+        rest = [(b, a) for b in itertools.product(*pools[:j])
+                for a in itertools.product(*pools[j + 1:])]
+        return before, after, own, rest
+
+    def agreeing(choices, before, after, own, rest):
         target = reference
+        if target is None and own:
+            target = val(before + (own[0],) + after)
         for choice in choices:
-            if reference is None:
-                before, after = rest[0]
-                anchor = before + (own[0] if own else choice,) + after
-                target = memo.get(anchor, _UNSEEN)
-                if target is _UNSEEN:
-                    target = memo[anchor] = value(anchor)
-            for before, after in rest:
-                tup = before + (choice,) + after
-                got = memo.get(tup, _UNSEEN)
-                if got is _UNSEEN:
-                    got = memo[tup] = value(tup)
-                if got != target:
+            want = target
+            if want is None:
+                want = val(before + (choice,) + after)
+            for b, a in rest:
+                if val(b + (choice,) + a) != want:
                     break
             else:
                 yield choice
+
+    def consistent(partial, slot, choices):
+        items = tuple(partial.items())
+        if items != last[0]:
+            last[:] = items, {}
+        plans = last[1]
+        j = slot[0]
+        checks = plans.get(j, _UNSEEN)
+        if checks is _UNSEEN:
+            checks = plans[j] = plan(items, j)
+        if checks is None:
+            return choices
+        return agreeing(choices, *checks)
 
     return consistent
 
@@ -175,9 +237,10 @@ def typed_consistent(value, at, fixed, pinned):
     coordinates tie on a band have no type and are skipped.  The choice is
     consistent when, over every tuple through an assigned node or the
     choice, each type takes a single value, equal to ``pinned[type]``
-    where that is given.  Types are computed once per filter, each node's
-    row of (type, value) pairs once per node, and the partial
-    assignment's rows are merged once per call, after the first pull.
+    where that is given.  Types are computed once per filter, and each
+    node's row of (type, value) pairs once per node.  Against the empty
+    assignment the filter checks the choice's own row; otherwise it
+    compares that row with the newest node's on the types not pinned.
     """
     pinned = dict(pinned)
     combos = []
@@ -193,46 +256,29 @@ def typed_consistent(value, at, fixed, pinned):
 
     def row(node):
         """The value of each type on the node's tuples, or None on a clash."""
-        table: dict = {}
+        table = rows.get(node, _UNSEEN)
+        if table is not _UNSEEN:
+            return table
+        table = {}
         for before, after, pattern in combos:
             got = value(before + (node,) + after)
             if got != pinned.get(pattern, table.get(pattern, got)):
-                return None
+                table = None
+                break
             table[pattern] = got
+        rows[node] = table
         return table
-
-    def row_of(node):
-        table = rows.get(node, _UNSEEN)
-        if table is _UNSEEN:
-            table = rows[node] = row(node)
-        return table
-
-    def merge(nodes):
-        """The types' values over the nodes' rows, or None on a clash."""
-        merged: dict = {}
-        for node in nodes:
-            table = row_of(node)
-            if table is None:
-                return None
-            for pattern, got in table.items():
-                if merged.setdefault(pattern, got) != got:
-                    return None
-        return merged
 
     def consistent(partial, slot, choices):
-        merged = _UNSEEN
-        for choice in choices:
-            if merged is _UNSEEN:
-                merged = merge(partial.values())
-            if merged is None:
-                continue
-            table = row_of(choice)
-            if table is None:
-                continue
-            for pattern, got in table.items():
-                if merged.get(pattern, got) != got:
-                    break
-            else:
-                yield choice
+        if not partial:
+            return (choice for choice in choices if row(choice) is not None)
+        # every live choice's row already agrees with the pinned types
+        newest = [(pattern, got)
+                  for pattern, got in row(next(reversed(partial.values()))).items()
+                  if pattern not in pinned]
+        if not newest:
+            return choices
+        return (choice for choice in choices
+                if all(row(choice).get(pattern, got) == got for pattern, got in newest))
 
     return consistent

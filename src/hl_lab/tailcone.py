@@ -441,7 +441,12 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
         agree = cross_consistent(d, accept, True, fixed)
 
         def consistent(partial, slot, choices):
-            return choices if slot[0] in base_set else agree(partial, slot, choices)
+            # a tuple through a base node new at this stage holds the law
+            # vacuously: only complement choices after complement nodes
+            # are checked
+            if slot[0] in base_set or (partial and next(reversed(partial))[0] in base_set):
+                return choices
+            return agree(partial, slot, choices)
 
         return consistent
 

@@ -477,6 +477,89 @@ def as_filter(consistent):
     return filtered
 
 
+# The library search does forward checking, so it takes other steps than the
+# pointer search below: after each choice it re-filters every later slot's
+# live candidates, and it never tries a choice that a later slot's filter
+# rules out.  The two are compared call by call on their results and on
+# this relation: the choices the library search tries are a subsequence of
+# the candidates the pointer search asks its predicate about once its
+# prefilter is done.  A choice is written as the partial assignment it
+# makes, ``tuple(partial.items())`` with the choice as its last item.
+
+
+def watch_tries(search, calls):
+    """The assignment search ``search``, logging ``(result, tried)`` per call.
+
+    After a choice at slot ``i`` the library search asks the filter of
+    slot ``i + 1`` first, with the choice newest in ``partial``; a choice
+    at the last slot is the result.  A call that runs out of budget logs
+    ``"exhausted"`` as its result.
+    """
+
+    def watched(slots, candidates, consistent, budget):
+        tried = []
+
+        def logged(partial, slot, choices):
+            if partial and slot == slots[len(partial)]:
+                tried.append(tuple(partial.items()))
+            return consistent(partial, slot, choices)
+
+        try:
+            found = search(slots, candidates, logged, budget)
+        except BudgetExhausted:
+            calls.append(("exhausted", tried))
+            raise
+        if found:
+            tried.append(tuple(found.items()))
+        calls.append((found, tried))
+        return found
+
+    return watched
+
+
+def watch_asks(search, calls):
+    """The pointer search ``search``, logging ``(result, asked)`` per call.
+
+    ``asked`` holds the questions put to the per-choice predicate after
+    the prefilter, which asks about every candidate of every slot first.
+    """
+
+    def watched(slots, candidates, consistent, budget):
+        asked = []
+
+        def logged(partial, slot, choice):
+            asked.append(tuple(partial.items()) + ((slot, choice),))
+            return consistent(partial, slot, choice)
+
+        try:
+            found = search(slots, candidates, logged, budget)
+        except BudgetExhausted:
+            calls.append(("exhausted", asked))
+            raise
+        del asked[:sum(len(candidates[slot]) for slot in slots)]
+        calls.append((found, asked))
+        return found
+
+    return watched
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(item == other for other in rest) for item in short)
+
+
+def assert_same_calls(tries, asks):
+    """Call by call: the same result, and every tried choice was asked about.
+
+    A call that ran out of budget on either side ends the comparison.
+    """
+    for (found, tried), (want, asked) in zip(tries, asks):
+        if "exhausted" in (found, want):
+            return
+        assert found == want
+        assert is_subsequence(tried, asked)
+
+
 # Kept verbatim as the reference for the library's consistency kernel, which
 # now filters a slot's candidate stream once per slot opening: these
 # predicates answered one choice per call and rebuilt every coordinate's

@@ -2,12 +2,15 @@
 
 Random instances with a monotone predicate: a banned (slot, choice) pair
 is rejected against every partial assignment, and a banned pair of choices
-is rejected once both are assigned.  The search must return what the
-reference in ``tests/oracles.py`` returns, spend the same steps, raise the
-same exception under a cap, and ask the predicate the same questions in
-the same order (the library search asks it through ``oracles.as_filter``,
-one question per pulled candidate); uncapped, its answer is the first
-assignment in product order that the predicate accepts slot by slot.
+is rejected once both are assigned.  The library search asks the predicate
+through ``oracles.as_filter``, one question per pulled candidate; it does
+forward checking, so it takes other steps than the pointer search kept in
+``tests/oracles.py``.  It must return what that search returns, and the
+choices it tries must be a subsequence of the candidates the pointer
+search asks about; uncapped, its answer is the first assignment in product
+order that the predicate accepts slot by slot.  Under a cap it must run
+out exactly when the cap is below the steps it takes uncapped, at the
+step that crosses the cap.
 """
 
 import itertools
@@ -34,9 +37,10 @@ def _instance(rng):
 
 def _predicate(slots, banned, clashes, asked):
     def consistent(partial, slot, choice):
-        # empty in the prefilter, else exactly the earlier slots in slot
-        # order: never the slot being tried
-        assert list(partial) in ([], slots[:slots.index(slot)])
+        # a prefix of the earlier slots, in slot order: never the slot
+        # being tried
+        assert list(partial) == slots[:len(partial)]
+        assert len(partial) <= slots.index(slot)
         asked.append((tuple(partial.items()), slot, choice))
         if (slot, choice) in banned:
             return False
@@ -47,15 +51,16 @@ def _predicate(slots, banned, clashes, asked):
 
 
 def _run(search, instance, cap):
+    """``(result, steps used, per-call log)`` of one search over ``instance``."""
     slots, candidates, banned, clashes = instance
-    asked = []
+    calls = []
     budget = StepBudget(cap)
     try:
-        got = search(slots, candidates, _predicate(slots, banned, clashes, asked),
-                     budget)
+        got = search(calls)(slots, candidates, _predicate(slots, banned, clashes, []),
+                            budget)
     except BudgetExhausted as exhausted:
         got = ("exhausted", str(exhausted))
-    return got, budget.used, asked
+    return got, budget.used, calls
 
 
 def _brute_force(instance):
@@ -73,10 +78,15 @@ def _brute_force(instance):
     return None
 
 
-def _filtered(slots, candidates, consistent, budget):
+def _library(calls):
     """The library search, asking the per-choice predicate through a filter."""
-    return prefiltered_assignment(slots, candidates, oracles.as_filter(consistent),
-                                  budget)
+    search = oracles.watch_tries(prefiltered_assignment, calls)
+    return lambda slots, candidates, consistent, budget: search(
+        slots, candidates, oracles.as_filter(consistent), budget)
+
+
+def _pointer(calls):
+    return oracles.watch_asks(oracles.prefiltered_assignment, calls)
 
 
 def test_search_matches_the_pointer_search_and_brute_force():
@@ -84,14 +94,30 @@ def test_search_matches_the_pointer_search_and_brute_force():
     outcomes = set()
     for _ in range(500):
         instance = _instance(rng)
-        want = _run(oracles.prefiltered_assignment, instance, LARGE)
-        assert _run(_filtered, instance, LARGE) == want
-        assert want[0] == _brute_force(instance)
-        # a cap at or above the steps taken never runs out; below, it must
-        cap = rng.randint(1, want[1] + 1)
-        capped = _run(_filtered, instance, cap)
-        assert capped == _run(oracles.prefiltered_assignment, instance, cap)
-        assert (capped[0] == want[0]) == (cap >= want[1])
-        outcomes.add((want[0] is not None, cap >= want[1]))
+        got, used, tries = _run(_library, instance, LARGE)
+        want, _, asks = _run(_pointer, instance, LARGE)
+        assert got == want == _brute_force(instance)
+        oracles.assert_same_calls(tries, asks)
+        # a cap at or above the steps taken never runs out; below, it must,
+        # and the step that crossed the cap is the last one spent
+        cap = rng.randint(1, used + 1)
+        capped, capped_used, _ = _run(_library, instance, cap)
+        assert (capped == got) == (cap >= used)
+        if cap < used:
+            assert capped[0] == "exhausted" and capped_used == cap + 1
+        outcomes.add((got is not None, cap >= used))
     # found and not found, each both within and beyond its cap
     assert outcomes == set(itertools.product((True, False), repeat=2))
+
+
+def test_a_slot_left_without_candidates_withdraws_the_choice_at_once():
+    # a=x rules out c's one candidate: no choice for b is tried under it
+    slots = ["a", "b", "c"]
+    candidates = {"a": ["x", "y"], "b": [1, 2, 3], "c": ["p"]}
+    clashes = {frozenset({("a", "x"), ("c", "p")})}
+    calls = []
+    found = _library(calls)(slots, candidates, _predicate(slots, set(), clashes, []),
+                            StepBudget(LARGE))
+    assert found == {"a": "y", "b": 1, "c": "p"}
+    assert calls == [(found, [(("a", "x"),), (("a", "y"),), (("a", "y"), ("b", 1)),
+                              (("a", "y"), ("b", 1), ("c", "p"))])]

@@ -2,16 +2,20 @@
 
 ``sdhl_search`` and ``check_dshl_witness`` each built their own cones,
 slots and candidate pools before they shared ``witness._dense_matrix``;
-the old bodies are kept verbatim in ``oracles``.  On a grid of small
-boxes (d <= 3, H <= 5, level and full domains, uncapped and capped) both
-must give the same result and spend the same steps: the ``StepBudget``
-handed to the library search and the one the reference search makes
-from its ``Caps`` end at the same ``used`` count.  In the "short"
-boxes the last factor is two levels lower than the others, so every scan
-stops at its height though the other factors go higher.  On the same
-grid, the free-level checker must accept every witness of the reference
-free-level search ``oracles.sdhl_prime_search`` and every ``sdhl_search``
-witness read at its density level.
+the old bodies are kept verbatim in ``oracles``, with the per-choice
+kernel and the pointer-based assignment search they called.  On a grid of
+small boxes (d <= 3, H <= 5, level and full domains, uncapped and capped)
+both must give the same result, and, call by call, their assignment
+searches must return the same result, the choices the library's
+forward-checking search tries being a subsequence of the candidates the
+pointer search asks about.  Forward checking takes other steps, so under
+a cap either side may run out first: the calls before that are compared,
+and a capped library run must have spent the cap and refused one more
+step.  In the "short" boxes the last factor is two levels lower than the
+others, so every scan stops at its height though the other factors go
+higher.  On the same grid, the free-level checker must accept every
+witness of the reference free-level search ``oracles.sdhl_prime_search``
+and every ``sdhl_search`` witness read at its density level.
 """
 
 import itertools
@@ -20,6 +24,7 @@ import pytest
 
 import oracles
 from hl_lab.errors import CapExceededError
+from hl_lab import witness
 from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
@@ -44,25 +49,25 @@ def _same(monkeypatch, cap, new, old):
     """Both agree; returns the steps the new version spent.
 
     ``new`` spends from a budget made here for this one run and read
-    afterwards.  The reference search makes its own budget from ``Caps``;
-    it hands that budget to every assignment search it runs, where it is
-    read.
+    afterwards.  The reference search makes its own budget from ``Caps``.
     """
     budget = StepBudget(cap) if cap else StepBudget()
-    got = (_result(lambda: new(budget)), budget.used)
-    seen = []
-
-    def watched(slots, candidates, consistent, budget):
-        seen.append(budget)
-        return prefiltered_assignment(slots, candidates, oracles.as_filter(consistent),
-                                      budget)
-
+    tries, asks = [], []
     with monkeypatch.context() as patch:
-        patch.setattr(oracles, "prefiltered_assignment", watched)
+        patch.setattr(witness, "prefiltered_assignment",
+                      oracles.watch_tries(prefiltered_assignment, tries))
+        patch.setattr(oracles, "prefiltered_assignment",
+                      oracles.watch_asks(oracles.prefiltered_assignment, asks))
+        got = _result(lambda: new(budget))
         want = _result(lambda: old(oracles.Caps(cap) if cap else None))
-    assert len({id(b) for b in seen}) <= 1
-    assert got == (want, seen[-1].used if seen else 0)
-    return got[1]
+    oracles.assert_same_calls(tries, asks)
+    capped = [result for result in (got, want)
+              if isinstance(result, tuple) and result[0] == "capped"]
+    if not capped:
+        assert got == want
+    if got in capped:
+        assert budget.used == cap + 1
+    return budget.used
 
 
 BOXES = list(itertools.product((1, 2, 3), (2, 3, 4, 5)))

@@ -33,7 +33,7 @@ def test_skips_a_level_where_a_slot_has_no_candidate():
                          lambda level, choice: True, budget)
     assert found == (1, {"a": "x", "b": "y"})
     assert built == [1]
-    assert budget.used == 4  # two prefilter steps, then two search steps
+    assert budget.used == 3  # two prefilter steps, then b's narrowing after a
 
 
 def test_returns_the_lowest_level_with_an_assignment():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hl_lab import tailcone
+from hl_lab import tailcone, witness
 from hl_lab.errors import InvalidInputError
-from hl_lab.search import StepBudget
+from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.subtrees import SubtreeReport
 from hl_lab.tailcone import (
     ColoringFamily,
@@ -312,58 +312,68 @@ def test_dimension_induction_honest_failure():
 
 def test_dimension_induction_cap_bounds_the_whole_run():
     # the tail-cone step, every branch search and the cone reassembly
-    # spend from the caller's one budget; with a budget each, this box
-    # succeeded under a cap of 1,000 after 1,139 steps
+    # spend from the caller's one budget: the run takes 527 steps, 424 of
+    # them in the tail-cone step, so a cap of 500 fits every phase but not
+    # the run
     space = TreeSpace(2, 11)
     col = seeded_hash_coloring((space, space), 2, seed=11)
     budget = StepBudget(400_000)
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success
     needed = budget.used
-    assert needed > 1000
-    budget = StepBudget(1000)
+    assert needed > 500
+    budget = StepBudget(500)
     out = dimension_induction(col, h=4, budget=budget)
     assert not out.success and out.capped
-    # the cap's 1,000 steps were spent; the step that crossed it was refused
-    assert budget.used == 1001
+    # the cap's 500 steps were spent; the step that crossed it was refused
+    assert budget.used == 501
     budget = StepBudget(needed)
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success and budget.used == needed
 
 
-def _both_tails(col, beta, gamma, s, tbar, height):
-    """The cone reassembly and its nested-loop oracle on one box, with steps."""
+def _both_tails(monkeypatch, col, beta, gamma, s, tbar, height):
+    """The cone reassembly and its nested-loop oracle on one box.
+
+    Their assignment searches must agree call by call: the same result,
+    and the choices the library's forward-checking search tries are a
+    subsequence of the candidates the oracle's pointer search asks about.
+    """
     tview, uviews = TreeSpace(2, height), [TreeSpace(2, height)]
-    out = []
-    for tail_fn in (tailcone._induction_tail, oracles._induction_tail):
-        budget = StepBudget(100_000)
-        out.append((tail_fn(col, tview, uviews, s, tbar, beta, gamma, budget),
-                    budget.used))
+    tries, asks = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(witness, "prefiltered_assignment",
+                      oracles.watch_tries(prefiltered_assignment, tries))
+        patch.setattr(oracles, "prefiltered_assignment",
+                      oracles.watch_asks(oracles.prefiltered_assignment, asks))
+        out = [tail_fn(col, tview, uviews, s, tbar, beta, gamma, StepBudget(100_000))
+               for tail_fn in (tailcone._induction_tail, oracles._induction_tail)]
+    assert len(tries) == len(asks)
+    oracles.assert_same_calls(tries, asks)
     return out
 
 
-def test_induction_tail_tries_each_level_s_primes_in_canonical_order():
+def test_induction_tail_tries_each_level_s_primes_in_canonical_order(monkeypatch):
     # only s' of height 3 or more take color 1: at chain level 3 the first
     # s' (the cone node itself) fails and both s' one level up pass, so the
     # first of them must be taken
     space = TreeSpace(2, 6)
     col = expr_coloring((space, space), 2, "1 if len(nodes[0]) > 2 else 0",
                         domain="full")
-    (tail, steps), (want, want_steps) = _both_tails(col, 0, 1, "0", ("",), 6)
-    assert tail == want and steps == want_steps
+    tail, want = _both_tails(monkeypatch, col, 0, 1, "0", ("",), 6)
+    assert tail == want
     assert tail[0] == ("000", "010")
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_induction_tail_matches_the_nested_loop_oracle(seed):
+def test_induction_tail_matches_the_nested_loop_oracle(monkeypatch, seed):
     space = TreeSpace(2, 7)
     col = seeded_hash_coloring((space, space), 2, seed=seed)
     found = 0
     for s in ("0", "1"):
         for gamma in (0, 1):
-            (tail, steps), (want, want_steps) = _both_tails(col, 0, gamma, s,
-                                                             ("",), 7)
-            assert tail == want and steps == want_steps, (s, gamma)
+            tail, want = _both_tails(monkeypatch, col, 0, gamma, s, ("",), 7)
+            assert tail == want, (s, gamma)
             found += tail is not None
     assert found
 

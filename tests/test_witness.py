@@ -386,13 +386,14 @@ def test_dense_set_search_on_parity():
 
 
 def test_dense_set_search_spends_one_budget():
-    # Before, every (base, color) check made its own budget: a cap of 4219
-    # spent 12,659 steps over 66 checks and still returned the answer.
+    # One budget covers every (base, color) check: the scan takes 1,258
+    # steps over 66 checks and no check more than 150, so a cap of 629 fits
+    # every check but not the scan.
     col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 3, seed=0, domain="level")
     assert dshl_search(col) == (("000", "000"), 2)
-    assert dshl_search(col, budget=StepBudget(8325)) == (("000", "000"), 2)
+    assert dshl_search(col, budget=StepBudget(1258)) == (("000", "000"), 2)
     with pytest.raises(CapExceededError):
-        dshl_search(col, budget=StepBudget(4219))
+        dshl_search(col, budget=StepBudget(629))
 
 
 def test_one_budget_serves_several_searches():
