@@ -310,6 +310,8 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     if f.domain != "full":
         raise InvalidInputError("strictly ordered tuples mix heights; a "
                                 "full-domain coloring is required")
+    if h is not None and h < 2:
+        raise InvalidInputError(f"need at least two subtree levels, got {h}")
     views = f.spaces
     arity = f.arity
     epsilon = Fraction(epsilon)
@@ -329,25 +331,23 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
-        agree: dict = {}  # (stage, coordinate) -> kernel filter
 
         def stage_factory(stage, level_set, layers):
             # Every pattern is pinned, so a choice is consistent exactly when
             # its own row matches gamma, whatever the partial assignment: the
             # verdict is taken once, against the empty one.  A coordinate's
-            # filter depends on the committed layers alone: it is built the
-            # first time one of its slots is filtered and serves every level
-            # tried for the stage.
+            # filter is built the first time one of its slots is filtered.
+            agree: dict = {}  # coordinate -> kernel filter
+
             def consistent(partial, slot, choices):
                 if partial:
                     return choices
-                key = (stage, slot[0])
-                check = agree.get(key)
+                check = agree.get(slot[0])
                 if check is None:
                     fixed = [tuple((node, lvl) for lvl in range(stage)
                                    for node in layers[lvl][k]) for k in range(arity)]
-                    check = agree[key] = typed_consistent(f.evaluate, slot[0],
-                                                          fixed, gamma)
+                    check = agree[slot[0]] = typed_consistent(f.evaluate, slot[0],
+                                                              fixed, gamma)
                 return check({}, slot, choices)
 
             return consistent
@@ -520,7 +520,7 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
                     slots, range(next_level, height),
                     lambda lam: {(p, c): views[tree].extensions(p, lam)
                                  for (p, c) in slots},
-                    lambda lam: pick_consistent(tree), budget)
+                    pick_consistent(tree), budget)
             except BudgetExhausted:
                 return PolarizedOutcome(
                     False, None, None, (),

@@ -50,7 +50,7 @@ class GrowOutcome:
 
 
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
-                         on_stage=None, transcript=None, label="grow"):
+                         *, label, on_stage=None, transcript=None):
     """Grow strong subtrees of the given trees over one shared level set.
 
     ``views`` holds one leveled tree per coordinate: a ``TreeSpace``, or a
@@ -59,7 +59,8 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     level: ``first_level`` scans candidate levels upward, and the first
     canonically least choice vector accepted by the filter
     ``stage_factory(stage, level_set, layers)`` wins.  The factory is
-    called once per level tried.  ``on_stage`` runs after every committed
+    called once per stage.  ``label`` names the search in failure
+    messages and transcript events.  ``on_stage`` runs after every committed
     stage above the root (stage 1 on; the root stage commits nothing to
     record) so callers can record tables the later stages constrain.
     """
@@ -91,12 +92,12 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
             return GrowOutcome(False, None,
                                f"{label}: a stage-{alpha} node does not split")
         slots = [(j, u) for j in range(d) for u in successors[j]]
+        consistent = stage_factory(alpha + 1, tuple(level_set), layers)
         try:
             picked = first_level(
                 slots, range(level_set[alpha] + 1, height),
                 lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
-                lambda chi: stage_factory(alpha + 1, tuple(level_set), layers),
-                budget)
+                consistent, budget)
         except BudgetExhausted:
             return GrowOutcome(False, None,
                                f"{label}: budget exhausted during stage {alpha + 1}",
@@ -189,6 +190,9 @@ class TailConeCertificate:
 
     @classmethod
     def from_json(cls, doc, spaces) -> "TailConeCertificate":
+        if len(doc["reports"]) != len(spaces):
+            raise InvalidInputError(f"certificate has {len(doc['reports'])} "
+                                    f"reports but {len(spaces)} spaces")
         reports = tuple(SubtreeReport.from_json(r, s)
                         for r, s in zip(doc["reports"], spaces))
         if not all(isinstance(t, dict) for t in doc["tables"]):
@@ -586,31 +590,28 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     cone_reps = [uviews[k].extensions(tbar[k], beta + 1) for k in range(d)]
     if any(not reps for reps in cone_reps):
         return None
-    slots = [(k, v) for k in range(d) for v in cone_reps[k]]
-    current = {(k, v): v for (k, v) in slots}
+    # coordinate 0 is the node s' above the cone, coordinate k + 1 chain k
+    chains = [(k + 1, v) for k in range(d) for v in cone_reps[k]]
+    current = {(k, v): v for (k, v) in chains}
     cursor = beta + 2
     s_primes = []
     u_height = min(v.height for v in uviews)
     for u in cones0:
-        # a level is a chain level xi with a node s' above u at or below it
+        # at chain level xi, s' is any node above u at or below xi
         found = first_level(
-            slots,
-            ((xi, sp) for xi in range(cursor, u_height)
-             for lam in range(beta + 2, xi + 1) for sp in tview.extensions(u, lam)),
-            lambda level: {(k, v): uviews[k].extensions(current[(k, v)], level[0])
-                           for (k, v) in slots},
-            lambda level: cross_consistent(
-                d, lambda tup: coloring.evaluate((level[1],) + tup), gamma),
-            budget)
+            [(0, u)] + chains, range(cursor, u_height),
+            lambda xi: {(0, u): [sp for lam in range(beta + 2, xi + 1)
+                                 for sp in tview.extensions(u, lam)],
+                        **{(k, v): uviews[k - 1].extensions(current[(k, v)], xi)
+                           for (k, v) in chains}},
+            cross_consistent(d + 1, coloring.evaluate, gamma), budget)
         if found is None:
             return None
-        (xi, sp), assignment = found
-        s_primes.append(sp)
-        current = dict(assignment)
-        cursor = xi
+        cursor, current = found
+        s_primes.append(current[(0, u)])
     matrix0 = tuple(sorted(s_primes, key=node_key))
     rest = tuple(
-        tuple(sorted({current[(k, v)] for v in cone_reps[k]}, key=node_key))
+        tuple(sorted({current[(k + 1, v)] for v in cone_reps[k]}, key=node_key))
         for k in range(d))
     return matrix0, rest
 

@@ -402,7 +402,7 @@ def check_sdhl_witness(witness: SomewhereDenseWitness,
         violations.append(f"base {base} is not a level sequence")
         return ValidationResult(False, tuple(violations))
     ht = base_levels.pop()
-    if ht + 1 >= views[0].height:
+    if ht + 1 >= min(v.height for v in views):
         violations.append(
             f"base height {ht} leaves no successor level inside the truncation"
         )
@@ -429,21 +429,21 @@ def check_sdhl_witness(witness: SomewhereDenseWitness,
 # The stage step sits here rather than in search.py because the benchmark
 # tracer (perfbench/tracer.py) times prefiltered_assignment where search
 # modules import it, and a call from inside search.py would go untraced.
-def first_level(slots, levels, candidates_at, consistent_at, budget):
+def first_level(slots, levels, candidates_at, consistent, budget):
     """The stage step of every staged search: the first level admitting a stage.
 
     ``levels`` are tried in order.  A level where some slot has no
-    candidate in ``candidates_at(level)`` is skipped; otherwise one
-    filter ``consistent_at(level)`` is built and
-    ``prefiltered_assignment`` looks for the stage's assignment.  Returns
-    ``(level, assignment)`` for the first level that has one, or ``None``.
-    ``BudgetExhausted`` passes through to the caller.
+    candidate in ``candidates_at(level)`` is skipped; otherwise
+    ``prefiltered_assignment`` looks for the stage's assignment with the
+    stage's one filter ``consistent``.  Returns ``(level, assignment)``
+    for the first level that has one, or ``None``.  ``BudgetExhausted``
+    passes through to the caller.
     """
     for level in levels:
         candidates = candidates_at(level)
         if any(not candidates[s] for s in slots):
             continue
-        found = prefiltered_assignment(slots, candidates, consistent_at(level), budget)
+        found = prefiltered_assignment(slots, candidates, consistent, budget)
         if found is not None:
             return level, found
     return None
@@ -463,7 +463,7 @@ def _dense_matrix(views, base, xi, value, reference, budget):
     found = first_level(
         slots, range(xi, min(v.height for v in views)),
         lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
-        lambda chi: cross_consistent(len(base), value, reference), budget)
+        cross_consistent(len(base), value, reference), budget)
     if found is None:
         return None
     return tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
@@ -677,7 +677,7 @@ def check_somewhere_dense_witness(witness: SomewhereDenseWitness,
             f"density level {xi} must exceed every base height (max {base_top})"
         )
         return ValidationResult(False, tuple(violations))
-    if xi >= views[0].height:
+    if xi >= min(v.height for v in views):
         violations.append(f"density level {xi} outside the truncation")
         return ValidationResult(False, tuple(violations))
     if any(not col for col in matrix):

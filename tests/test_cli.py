@@ -799,6 +799,35 @@ def test_more_reports_than_spaces_exits_two(tmp_path, argv, capsys):
     assert out == {"error": "document has 2 reports but 1 spaces"}
 
 
+def test_fusion_check_refuses_a_report_per_space_mismatch(tmp_path, capsys):
+    # three reports over two spaces were zipped down to two and accepted
+    report = {"nodes": ["", "0", "1"], "level_set": [0, 1]}
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 3}] * 2,
+        "colorings": [{"kind": "named", "name": "constant",
+                       "params": {"arity": 2, "colors": 2}}],
+        "certificate": {"reports": [report] * 3, "tables": [{"0,0": 0}]},
+    })
+    code, out, manifest = run_json(["fusion", "check", path], capsys)
+    assert code == 2 and manifest["outcome"] == 2
+    assert out == {"error": "certificate has 3 reports but 2 spaces"}
+
+
+@pytest.mark.parametrize("coloring", [
+    {"kind": "named", "name": "height-permutation", "params": {"dimension": 1}},
+    {"kind": "named", "name": "seeded-random",
+     "params": {"arity": 2, "colors": 2, "seed": 0, "domain": "full"}},
+], ids=["height-factored", "staged"])
+@pytest.mark.parametrize("h", [1, 0, -3])
+def test_almost_all_refuses_fewer_than_two_levels(tmp_path, capsys, coloring, h):
+    # once exit 1, "no root tuple and color vector admits the construction"
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 4}] * 2, "coloring": coloring, "h": h})
+    code, out, _ = run_json(["polarized", "almost-all", path], capsys)
+    assert code == 2
+    assert out == {"error": f"need at least two subtree levels, got {h}"}
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

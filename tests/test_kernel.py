@@ -3,10 +3,13 @@
 Every staged search reaches ``prefiltered_assignment`` through one stage
 step, ``witness.first_level``, so the harness watches that one binding.
 Each box is run twice: once as it stands, and once with each kernel
-predicate swapped for the old per-choice predicate kept in ``oracles``,
-built from the same arguments and the slots the stage step hands the
-search, and asked by the pointer-based search kept there, on a budget of
-its own that never runs out.  The partial tail-cone law and almost-all
+filter swapped for a stand-in.  A stage hands its one filter to every
+search the stage step makes, so the stand-in builds the old per-choice
+predicate kept in ``oracles`` afresh for each search, from the kernel's
+arguments and the slots the stage step hands the search; the pointer-based
+search kept there asks it, on a budget of its own that never runs out.
+Polarized search wraps its kernel filter, and the stand-in is found in
+the wrapper's closure.  The partial tail-cone law and almost-all
 homogenization are swapped one level up, at their stage factories: the
 old predicates read the stage's layers and the search's state (the
 recorded table, the color vector), which the factory's closure holds.
@@ -75,24 +78,41 @@ OLD = {witness: ("cross_consistent", _old_mono),
        polarized: ("typed_consistent", _old_pick)}
 
 
-def _old_partial(env, pending):
+class _StandIn:
+    """A kernel filter in the old run: ``build(slots)`` makes the old
+    predicate for one search over ``slots``.  It is not callable, so a
+    search handed one that the harness missed fails."""
+
+    def __init__(self, build):
+        self.build = build
+
+
+def _stand_in(consistent):
+    """The stand-in ``consistent`` is or wraps, or ``None``."""
+    if isinstance(consistent, _StandIn):
+        return consistent
+    held = [value for value in inspect.getclosurevars(consistent).nonlocals.values()
+            if isinstance(value, _StandIn)]
+    assert len(held) <= 1
+    return held[0] if held else None
+
+
+def _old_partial(env):
     def stage_factory(stage, level_set, layers):
-        pending.append(lambda slots: oracles.partial_consistent(
+        return _StandIn(lambda slots: oracles.partial_consistent(
             env["coloring"], env["views"], env["d"], env["base_set"],
             env["base_list"], env["comp_list"], env["table"], stage, level_set,
             layers, slots))
-        return pending  # stand-in; the old predicate replaces it at the seam
 
     return stage_factory
 
 
-def _old_almost_all(env, pending):
+def _old_almost_all(env):
     perms = list(itertools.permutations(range(env["arity"])))
 
     def stage_factory(stage, level_set, layers):
-        pending.append(lambda slots: oracles.almost_all_consistent(
+        return _StandIn(lambda slots: oracles.almost_all_consistent(
             env["f"], env["arity"], perms, env["gamma"], stage, layers))
-        return pending  # stand-in; the old predicate replaces it at the seam
 
     return stage_factory
 
@@ -177,7 +197,6 @@ def _run(monkeypatch, run, old, limit=None):
     """
     calls = []
     used = []
-    pending: list = []  # builders of old predicates, awaiting the seam's slots
     library = oracles.watch_tries(prefiltered_assignment, calls)
     pointer = oracles.watch_asks(oracles.prefiltered_assignment, calls)
     with monkeypatch.context() as patch:
@@ -188,26 +207,25 @@ def _run(monkeypatch, run, old, limit=None):
                 make_old = OLD_STAGES.get(kw.get("label"))
                 if make_old is not None:
                     env = inspect.getclosurevars(stage_factory).nonlocals
-                    stage_factory = make_old(env, pending)
+                    stage_factory = make_old(env)
                 return grow(views, roots, height_goal, stage_factory, budget, **kw)
 
             # polarized imports the engine by name; patch both bindings
             for module in (tailcone, polarized):
                 patch.setattr(module, "grow_shared_subtrees", old_grow)
             for module, (kernel, make_old) in OLD.items():
-                def deferred(*args, make_old=make_old):
-                    pending.append(lambda slots: make_old(slots, *args))
-                    return pending  # stand-in; the old predicate replaces it
-                patch.setattr(module, kernel, deferred)
+                def stand_in(*args, make_old=make_old):
+                    return _StandIn(lambda slots: make_old(slots, *args))
+                patch.setattr(module, kernel, stand_in)
 
         def staged(slots, candidates, consistent, budget):
-            assert len(pending) <= 1, "a predicate was built but never searched"
             if old:
                 if len(calls) == limit:
                     raise _Enough
                 budget = StepBudget(UNCAPPED)
-                if pending:
-                    return pointer(slots, candidates, pending.pop()(slots), budget)
+                held = _stand_in(consistent)
+                if held is not None:
+                    return pointer(slots, candidates, held.build(slots), budget)
             try:
                 return library(slots, candidates, consistent, budget)
             finally:
@@ -366,7 +384,7 @@ def test_memo_is_scoped_to_one_predicate():
     candidates = {(0, "0"): ("00", "01"), (1, "0"): ("00", "01")}
     for _ in range(2):
         found = first_level(slots, [0], lambda level: candidates,
-                            lambda level: cross_consistent(2, value), StepBudget(100))
+                            cross_consistent(2, value), StepBudget(100))
         assert found == (0, {(0, "0"): "00", (1, "0"): "00"})
     # the choice for (0, "0") narrows the live candidates of (1, "0")
     assert seen == [("00", "00"), ("00", "01")] * 2

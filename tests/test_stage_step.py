@@ -14,50 +14,60 @@ from hl_lab.witness import first_level
 SLOTS = ["a", "b"]
 
 
-def _step(candidates, accept, budget):
-    """``first_level`` over the levels of ``candidates``; logs each predicate built."""
-    built = []
+def _step(pools, accept, budget):
+    """``first_level`` over the levels of ``pools`` with one filter.
 
-    def consistent_at(level):
-        built.append(level)
-        return oracles.as_filter(lambda partial, slot, choice: accept(level, choice))
+    A choice is a ``(level, name)`` pair, so the filter reads its level
+    from the choice; returns what ``first_level`` found and the levels the
+    filter was asked at, in order.
+    """
+    asked = []
 
+    def consistent(partial, slot, choice):
+        level, name = choice
+        if level not in asked:
+            asked.append(level)
+        return accept(level, name)
+
+    candidates = {level: {slot: tuple((level, name) for name in names)
+                          for slot, names in pool.items()}
+                  for level, pool in pools.items()}
     found = first_level(SLOTS, sorted(candidates), candidates.__getitem__,
-                        consistent_at, budget)
-    return found, built
+                        oracles.as_filter(consistent), budget)
+    return found, asked
 
 
 def test_skips_a_level_where_a_slot_has_no_candidate():
     budget = StepBudget(100)
-    found, built = _step({0: {"a": ("x",), "b": ()}, 1: {"a": ("x",), "b": ("y",)}},
-                         lambda level, choice: True, budget)
-    assert found == (1, {"a": "x", "b": "y"})
-    assert built == [1]
+    found, asked = _step({0: {"a": ("x",), "b": ()}, 1: {"a": ("x",), "b": ("y",)}},
+                         lambda level, name: True, budget)
+    assert found == (1, {"a": (1, "x"), "b": (1, "y")})
+    assert asked == [1]
     assert budget.used == 3  # two prefilter steps, then b's narrowing after a
 
 
 def test_returns_the_lowest_level_with_an_assignment():
     pools = {"a": ("x", "z"), "b": ("y",)}
-    found, built = _step({0: pools, 1: pools, 2: pools},
-                         lambda level, choice: level > 0 and choice != "x",
+    found, asked = _step({0: pools, 1: pools, 2: pools},
+                         lambda level, name: level > 0 and name != "x",
                          StepBudget(100))
-    assert found == (1, {"a": "z", "b": "y"})
-    assert built == [0, 1]
+    assert found == (1, {"a": (1, "z"), "b": (1, "y")})
+    assert asked == [0, 1]
 
 
 def test_returns_none_when_no_level_has_an_assignment():
     pools = {"a": ("x",), "b": ("y",)}
-    found, built = _step({0: pools, 1: {"a": (), "b": ("y",)}, 2: pools},
-                         lambda level, choice: choice != "y", StepBudget(100))
+    found, asked = _step({0: pools, 1: {"a": (), "b": ("y",)}, 2: pools},
+                         lambda level, name: name != "y", StepBudget(100))
     assert found is None
-    assert built == [0, 2]
+    assert asked == [0, 2]
 
 
 def test_budget_exhaustion_passes_through():
     # level 0 spends two steps rejecting slot a; the budget runs out at level 1
     pools = {"a": ("x", "z"), "b": ("y",)}
     with pytest.raises(BudgetExhausted):
-        _step({0: pools, 1: pools}, lambda level, choice: False, StepBudget(3))
+        _step({0: pools, 1: pools}, lambda level, name: False, StepBudget(3))
 
 
 def prefiltered_callers(source):

@@ -332,24 +332,61 @@ def test_dimension_induction_cap_bounds_the_whole_run():
     assert out.success and budget.used == needed
 
 
+def _shifted(items):
+    """The oracle's chain slots ``(k, v)`` as the library's ``(k + 1, v)``."""
+    return tuple(((k + 1, v), node) for (k, v), node in items)
+
+
 def _both_tails(monkeypatch, col, beta, gamma, s, tbar, height):
     """The cone reassembly and its nested-loop oracle on one box.
 
-    Their assignment searches must agree call by call: the same result,
-    and the choices the library's forward-checking search tries are a
-    subsequence of the candidates the oracle's pointer search asks about.
+    The library makes one assignment search per chain level, with the
+    node s' above the cone as slot ``(0, u)``; the oracle makes one per
+    chain level and s', in the order of the library's candidates for
+    ``(0, u)``, on one candidate dict per chain level.  Per chain level
+    the library's search must return ``{(0, u): s'}`` plus the assignment
+    of the oracle's first successful search, or ``None`` when none
+    succeeds; and the choices the library tries must be a subsequence of
+    those the oracle's pointer searches ask about, each under its s'.
     """
     tview, uviews = TreeSpace(2, height), [TreeSpace(2, height)]
-    tries, asks = [], []
+    tries, asks, cones, levels = [], [], [], []
+    library = oracles.watch_tries(prefiltered_assignment, tries)
+    pointer = oracles.watch_asks(oracles.prefiltered_assignment, asks)
+
+    def library_search(slots, candidates, consistent, budget):
+        cones.append((slots[0], candidates[slots[0]]))
+        return library(slots, candidates, consistent, budget)
+
+    def oracle_search(slots, candidates, consistent, budget):
+        levels.append(candidates)
+        return pointer(slots, candidates, consistent, budget)
+
     with monkeypatch.context() as patch:
-        patch.setattr(witness, "prefiltered_assignment",
-                      oracles.watch_tries(prefiltered_assignment, tries))
-        patch.setattr(oracles, "prefiltered_assignment",
-                      oracles.watch_asks(oracles.prefiltered_assignment, asks))
+        patch.setattr(witness, "prefiltered_assignment", library_search)
+        patch.setattr(oracles, "prefiltered_assignment", oracle_search)
         out = [tail_fn(col, tview, uviews, s, tbar, beta, gamma, StepBudget(100_000))
                for tail_fn in (tailcone._induction_tail, oracles._induction_tail)]
-    assert len(tries) == len(asks)
-    oracles.assert_same_calls(tries, asks)
+    # the oracle's searches at one chain level share its candidate dict
+    per_level = []
+    for index, candidates in enumerate(levels):
+        if not index or candidates is not levels[index - 1]:
+            per_level.append([])
+        per_level[-1].append(asks[index])
+    assert len(tries) == len(per_level)
+    for (found, tried), (cone, s_primes), searches in zip(tries, cones, per_level):
+        assert len(searches) <= len(s_primes)
+        want, asked = None, []
+        for (got, questions), sp in zip(searches, s_primes):
+            assert want is None  # the oracle stops at its first success
+            asked.append(((cone, sp),))
+            asked.extend(((cone, sp),) + _shifted(q) for q in questions)
+            if got is not None:
+                want = {cone: sp, **dict(_shifted(got.items()))}
+        if want is None:
+            assert len(searches) == len(s_primes)
+        assert found == want
+        assert oracles.is_subsequence(tried, asked)
     return out
 
 

@@ -290,6 +290,19 @@ def test_matrix_on_several_levels_is_reported_not_raised():
                                  "a level matrix has a single one")
 
 
+def test_checkers_bound_the_density_level_by_the_lowest_factor():
+    # factor heights (5, 3): level 3 is inside the first factor only, and
+    # both checkers once read the first factor's height and raised
+    col = seeded_hash_coloring((TreeSpace(2, 5), TreeSpace(2, 3)), 2, seed=1,
+                               domain="full")
+    free = SomewhereDenseWitness(("", ""), (("000", "100"), ("000", "100")), 3, 0)
+    assert check_somewhere_dense_witness(free, col).violations == (
+        "density level 3 outside the truncation",)
+    successor = SomewhereDenseWitness(("00", "00"), (("000",), ("000",)), 3, 0)
+    assert check_sdhl_witness(successor, col).violations == (
+        "base height 2 leaves no successor level inside the truncation",)
+
+
 def _sdhl_mutations(w, space):
     """``w`` and corruptions of its color, base and matrix columns."""
     def with_col(j, col):
