@@ -328,29 +328,20 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     perms = list(itertools.permutations(range(arity)))
     height = min(v.height for v in views)
     h_max = min(h if h is not None else height, height)
+    if h_max < 2:
+        raise InvalidInputError(f"need at least two subtree levels, the lowest "
+                                f"factor has {height}")
 
     def attempt(h_goal, roots, gamma_vec):
         gamma = dict(zip(perms, gamma_vec))
 
         def stage_factory(stage, level_set, layers):
-            # Every pattern is pinned, so a choice is consistent exactly when
-            # its own row matches gamma, whatever the partial assignment: the
-            # verdict is taken once, against the empty one.  A coordinate's
-            # filter is built the first time one of its slots is filtered.
-            agree: dict = {}  # coordinate -> kernel filter
-
-            def consistent(partial, slot, choices):
-                if partial:
-                    return choices
-                check = agree.get(slot[0])
-                if check is None:
-                    fixed = [tuple((node, lvl) for lvl in range(stage)
-                                   for node in layers[lvl][k]) for k in range(arity)]
-                    check = agree[slot[0]] = typed_consistent(f.evaluate, slot[0],
-                                                              fixed, gamma)
-                return check({}, slot, choices)
-
-            return consistent
+            # every pattern is pinned, so a choice's verdict is its own row's,
+            # taken against the empty assignment
+            return typed_consistent(
+                f.evaluate, [tuple((node, lvl) for lvl in range(stage)
+                                   for node in layers[lvl][k]) for k in range(arity)],
+                gamma)
 
         outcome = grow_shared_subtrees(views, roots, h_goal, stage_factory,
                                        budget, label="almost-all")
@@ -495,32 +486,30 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
     gamma: dict = {}
     next_level = 0
 
-    def pick_consistent(tree):
-        agree = typed_consistent(f.evaluate, tree,
-                                 [sorted(picked[i].items()) for i in range(k)], gamma)
-
-        def consistent(partial, slot, choices):
-            if slot[1] == 1 and partial and next(reversed(partial)) == (slot[0], 0):
-                # a terminal's second child differs from its first, the
-                # newest pick
-                twin = partial[slot[0], 0]
-                choices = (choice for choice in choices if choice != twin)
-            return agree(partial, slot, choices)
-
-        return consistent
-
     band = 0
     for round_idx in range(depth + 1):
         # round 0 picks one node above each root, later rounds two per terminal
         children = (0,) if round_idx == 0 else (0, 1)
         for tree in range(k):
-            slots = [(p, c) for p in terminals[tree] for c in children]
+            slots = [(tree, p, c) for p in terminals[tree] for c in children]
+            agree = typed_consistent(f.evaluate,
+                                     [sorted(picked[i].items()) for i in range(k)], gamma)
+
+            def consistent(partial, slot, choices):
+                if slot[2] == 1 and partial and \
+                        next(reversed(partial)) == (tree, slot[1], 0):
+                    # a terminal's second child differs from its first, the
+                    # newest pick
+                    twin = partial[tree, slot[1], 0]
+                    choices = (choice for choice in choices if choice != twin)
+                return agree(partial, slot, choices)
+
             try:
                 found = first_level(
                     slots, range(next_level, height),
-                    lambda lam: {(p, c): views[tree].extensions(p, lam)
-                                 for (p, c) in slots},
-                    pick_consistent(tree), budget)
+                    lambda lam: {slot: views[tree].extensions(slot[1], lam)
+                                 for slot in slots},
+                    consistent, budget)
             except BudgetExhausted:
                 return PolarizedOutcome(
                     False, None, None, (),
@@ -534,18 +523,10 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
             new_nodes = sorted(set(assignment.values()), key=node_key)
             for node in new_nodes:
                 picked[tree][node] = band
-            # Pin the new tuples' types.  A type depends on bands alone and the
-            # filter gave every new node the same value on it, so one tuple
-            # through the first new node settles each type not yet pinned.
-            others = [sorted(picked[i].items()) for i in range(k) if i != tree]
-            for combo in itertools.product(*others):
-                bands = [b for _, b in combo]
-                bands.insert(tree, band)
-                pattern = tuple(sorted(range(k), key=bands.__getitem__))
-                if pattern not in gamma:
-                    tup = [node for node, _ in combo]
-                    tup.insert(tree, new_nodes[0])
-                    gamma[pattern] = f.evaluate(tuple(tup))
+            # Pin the new tuples' types.  Bands never tie across trees, and the
+            # filter gave every new node one value on each type, so the first
+            # new node's row holds every type of the band with its value.
+            gamma.update(agree.row(tree, new_nodes[0]))
             tree_levels[tree].append(lam)
             terminals[tree] = new_nodes
             next_level = lam + 1

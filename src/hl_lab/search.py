@@ -227,58 +227,68 @@ def cross_consistent(arity, value, reference=None, fixed=None):
     return consistent
 
 
-def typed_consistent(value, at, fixed, pinned):
+def typed_consistent(value, fixed, pinned):
     """Filter: each tuple type keeps one value across all picked nodes.
 
-    The nodes of the partial assignment and the choice sit at coordinate
-    ``at``; every other coordinate ``i`` ranges over the ``(node, band)``
-    pairs of ``fixed[i]``.  A tuple's type is its coordinates ordered by
-    band, the picked node counting as the highest band; tuples whose fixed
-    coordinates tie on a band have no type and are skipped.  The choice is
-    consistent when, over every tuple through an assigned node or the
-    choice, each type takes a single value, equal to ``pinned[type]``
-    where that is given.  Types are computed once per filter, and each
-    node's row of (type, value) pairs once per node.  Against the empty
+    Slots begin with their coordinate: a slot's node sits at coordinate
+    ``slot[0]``, and every other coordinate ``i`` ranges over the
+    ``(node, band)`` pairs of ``fixed[i]``.  A tuple's type is its
+    coordinates ordered by band, the picked node counting as the highest
+    band; tuples whose fixed coordinates tie on a band have no type and
+    are skipped.  The choice is consistent when, over every tuple through
+    an assigned node or the choice, each type takes a single value, equal
+    to ``pinned[type]`` where that is given.  A coordinate's types are
+    computed when it is first asked about, and a node's row of (type,
+    value) pairs once per coordinate; the filter's ``row(coordinate,
+    node)`` hands it back (``None`` on a clash).  Against the empty
     assignment the filter checks the choice's own row; otherwise it
     compares that row with the newest node's on the types not pinned.
     """
     pinned = dict(pinned)
-    combos = []
-    for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
-        bands = [band for _, band in combo]
-        if len(set(bands)) < len(bands):
-            continue
-        bands.insert(at, float("inf"))
-        pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
-        nodes = tuple(node for node, _ in combo)
-        combos.append((nodes[:at], nodes[at:], pattern))
+    combos: dict = {}  # coordinate -> its (nodes before, nodes after, type)
     rows: dict = {}
 
-    def row(node):
+    def typed(at):
+        found = []
+        for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
+            bands = [band for _, band in combo]
+            if len(set(bands)) < len(bands):
+                continue
+            bands.insert(at, float("inf"))
+            pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
+            nodes = tuple(node for node, _ in combo)
+            found.append((nodes[:at], nodes[at:], pattern))
+        return found
+
+    def row(at, node):
         """The value of each type on the node's tuples, or None on a clash."""
-        table = rows.get(node, _UNSEEN)
+        table = rows.get((at, node), _UNSEEN)
         if table is not _UNSEEN:
             return table
+        if at not in combos:
+            combos[at] = typed(at)
         table = {}
-        for before, after, pattern in combos:
+        for before, after, pattern in combos[at]:
             got = value(before + (node,) + after)
             if got != pinned.get(pattern, table.get(pattern, got)):
                 table = None
                 break
             table[pattern] = got
-        rows[node] = table
+        rows[at, node] = table
         return table
 
     def consistent(partial, slot, choices):
+        at = slot[0]
         if not partial:
-            return (choice for choice in choices if row(choice) is not None)
+            return (choice for choice in choices if row(at, choice) is not None)
         # every live choice's row already agrees with the pinned types
-        newest = [(pattern, got)
-                  for pattern, got in row(next(reversed(partial.values()))).items()
+        last, node = next(reversed(partial.items()))
+        newest = [(pattern, got) for pattern, got in row(last[0], node).items()
                   if pattern not in pinned]
         if not newest:
             return choices
         return (choice for choice in choices
-                if all(row(choice).get(pattern, got) == got for pattern, got in newest))
+                if all(row(at, choice).get(pattern, got) == got for pattern, got in newest))
 
+    consistent.row = row
     return consistent

@@ -828,6 +828,28 @@ def test_almost_all_refuses_fewer_than_two_levels(tmp_path, capsys, coloring, h)
     assert out == {"error": f"need at least two subtree levels, got {h}"}
 
 
+@pytest.mark.parametrize("heights,h", [((1, 1), None), ((5, 1), 3)])
+def test_almost_all_refuses_a_factor_below_two_levels(tmp_path, capsys, heights, h):
+    # once exit 1, "no root tuple and color vector admits the construction":
+    # the staged route's h is cut to the lowest factor height
+    doc = {"spaces": [{"branching": 2, "height": t} for t in heights],
+           "coloring": {"kind": "named", "name": "seeded-random",
+                        "params": {"colors": 2, "seed": 0}}}
+    if h is not None:
+        doc["h"] = h
+    code, out, _ = run_json(["polarized", "almost-all",
+                             write_doc(tmp_path, "in.json", doc)], capsys)
+    assert code == 2
+    assert out == {"error": "need at least two subtree levels, the lowest factor has 1"}
+    # the height-factored route measures the trees as they are: no
+    # strictly ordered tuple, so no violation
+    doc["coloring"] = {"kind": "named", "name": "height-permutation",
+                       "params": {"dimension": 1}}
+    code, out, _ = run_json(["polarized", "almost-all",
+                             write_doc(tmp_path, "in.json", doc)], capsys)
+    assert code == 0 and out["success"] and out["route"] == "height-factored"
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

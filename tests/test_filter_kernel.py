@@ -127,12 +127,12 @@ def _typed_box(rng):
         pinned = {pattern: rng.randrange(colors)
                   for pattern in itertools.permutations(range(k))
                   if rng.random() < 0.5}
-    slots = [(p, c) for p in range(rng.randint(1, 3)) for c in (0, 1)]
+    slots = [(at, p, c) for p in range(rng.randint(1, 3)) for c in (0, 1)]
     candidates = {slot: rng.sample([f"x{n}" for n in range(6)], rng.randint(1, 4))
                   for slot in slots}
     return {"slots": slots, "candidates": candidates, "colors": colors,
             "seed": rng.random(), "pinned": pinned,
-            "kernel": lambda value: typed_consistent(value, at, fixed, pinned),
+            "kernel": lambda value: typed_consistent(value, fixed, pinned),
             "old_kernel": lambda value: oracles.kernel_typed_consistent(
                 value, at, fixed, pinned)}
 
@@ -222,6 +222,6 @@ def test_a_filter_hands_back_what_the_newest_node_cannot_change():
     kept = cross({(0, "k"): "a1", (1, "j"): "b0"}, (1, "k"), stream)
     assert kept is not stream
     # a typed filter's newest node without typed tuples changes nothing
-    typed = typed_consistent(_value(events, 0, 2), 0, [(), ()], {})
+    typed = typed_consistent(_value(events, 0, 2), [(), ()], {})
     assert typed({(0, "k"): "x"}, (1, "k"), stream) is stream
     assert events == []

@@ -9,7 +9,8 @@ predicate kept in ``oracles`` afresh for each search, from the kernel's
 arguments and the slots the stage step hands the search; the pointer-based
 search kept there asks it, on a budget of its own that never runs out.
 Polarized search wraps its kernel filter, and the stand-in is found in
-the wrapper's closure.  The partial tail-cone law and almost-all
+the wrapper's closure; it also carries the real filter's ``row``, from
+which polarized search pins each band's types.  The partial tail-cone law and almost-all
 homogenization are swapped one level up, at their stage factories: the
 old predicates read the stage's layers and the search's state (the
 recorded table, the color vector), which the factory's closure holds.
@@ -66,10 +67,16 @@ def _old_cross(slots, arity, value, reference):
                                     lambda tup: value(tup) == reference)
 
 
-def _old_pick(slots, value, at, fixed, pinned):
+def _old_pick(slots, value, fixed, pinned):
+    """The old predicate, which keyed slots ``(p, c)`` and took the tree apart."""
     shim = types.SimpleNamespace(evaluate=value)
-    return oracles.pick_consistent(shim, len(fixed), [dict(f) for f in fixed],
-                                   pinned, slots, at)
+    old = oracles.pick_consistent(shim, len(fixed), [dict(f) for f in fixed], pinned,
+                                  [slot[1:] for slot in slots], slots[0][0])
+
+    def consistent(partial, slot, choice):
+        return old({key[1:]: node for key, node in partial.items()}, slot[1:], choice)
+
+    return consistent
 
 
 # module -> (kernel name it calls, old predicate built from the same arguments)
@@ -81,10 +88,12 @@ OLD = {witness: ("cross_consistent", _old_mono),
 class _StandIn:
     """A kernel filter in the old run: ``build(slots)`` makes the old
     predicate for one search over ``slots``.  It is not callable, so a
-    search handed one that the harness missed fails."""
+    search handed one that the harness missed fails.  ``row`` is the real
+    filter's, where it has one: polarized search pins its types from it."""
 
-    def __init__(self, build):
+    def __init__(self, build, row=None):
         self.build = build
+        self.row = row
 
 
 def _stand_in(consistent):
@@ -214,11 +223,14 @@ def _run(monkeypatch, run, old, limit=None):
             for module in (tailcone, polarized):
                 patch.setattr(module, "grow_shared_subtrees", old_grow)
             for module, (kernel, make_old) in OLD.items():
-                def stand_in(*args, make_old=make_old):
-                    return _StandIn(lambda slots: make_old(slots, *args))
+                def stand_in(*args, make_old=make_old, real=getattr(search, kernel)):
+                    return _StandIn(lambda slots: make_old(slots, *args),
+                                    getattr(real(*args), "row", None))
                 patch.setattr(module, kernel, stand_in)
 
         def staged(slots, candidates, consistent, budget):
+            # both kernel filters read a slot's coordinate from its head
+            assert all(isinstance(slot[0], int) for slot in slots)
             if old:
                 if len(calls) == limit:
                     raise _Enough

@@ -406,6 +406,29 @@ def test_random_box_stays_within_factorial_bound():
             assert validate_splitting_tree(report, 1).valid
 
 
+@pytest.mark.parametrize("make,depth", [
+    (lambda: height_permutation_coloring((TreeSpace(2, 8),) * 2), 3),
+    (lambda: height_permutation_coloring((TreeSpace(2, 10),) * 3), 2),
+    (lambda: seeded_hash_coloring((TreeSpace(2, 7),) * 2, 3, 1, domain="full"), 1),
+    (lambda: seeded_hash_coloring((TreeSpace(2, 11),) * 3, 2, 0, domain="full"), 1),
+    (lambda: random_table_coloring((TreeSpace(2, 7),) * 2, 3, seed=0,
+                                   domain="full"), 1),
+], ids=["type-k2", "type-k3", "hash-k2", "hash-k3", "table-k2"])
+def test_every_product_tuple_wears_its_types_pinned_color(make, depth):
+    f = make()
+    out = polarized_search(f, depth=depth)
+    assert out.success
+    worn = set()
+    for tup in itertools.product(*(report.nodes for report in out.reports)):
+        heights = [len(node) for node in tup]
+        assert len(set(heights)) == f.arity  # bands never tie across trees
+        pattern = tuple(sorted(range(f.arity), key=heights.__getitem__))
+        assert f.evaluate(tup) == out.gamma[pattern], tup
+        worn.add(pattern)
+    # every pinned type is some tuple's
+    assert worn == set(out.gamma)
+
+
 def test_search_emits_band_transcript():
     space = TreeSpace(2, 8)
     transcript: list = []

@@ -2,6 +2,8 @@
 
 import ast
 import itertools
+import random
+import zlib
 
 import pytest
 
@@ -11,6 +13,7 @@ from hl_lab.search import StepBudget
 from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
+    Coloring,
     SomewhereDenseWitness,
     antichain_split_coloring,
     check_dshl_witness,
@@ -446,6 +449,66 @@ def test_explicit_space_with_empty_top_levels_is_rejected():
     with pytest.raises(InvalidInputError, match="below the top level"):
         TreeSpace(2, 3, nodes=short)
     assert TreeSpace(2, 2, nodes=short) == TreeSpace.explicit(short)
+
+
+def _pruned_tree(rng, height):
+    """A random explicit binary tree whose every branch reaches the top."""
+    nodes, layer = [""], [""]
+    for _ in range(height - 1):
+        layer = [kid for node in layer
+                 for kid in ([node + digit for digit in "01" if rng.random() < 0.6]
+                             or [node + rng.choice("01")])]
+        nodes += layer
+    return TreeSpace.explicit(nodes)
+
+
+def _dense_set_box(rng):
+    """A coloring biased toward color 1 on views of one random kind."""
+    d = rng.randint(1, 3)
+    kind = rng.choice(["uniform", "explicit", "subtree"])
+    if kind == "uniform":
+        views = [TreeSpace(2, rng.randint(2, 4)) for _ in range(d)]
+    elif kind == "explicit":
+        views = [_pruned_tree(rng, rng.randint(2, 4)) for _ in range(d)]
+    else:
+        # one level set, so that level sequences are level-domain tuples
+        level_set = tuple(sorted(rng.sample(range(5), rng.randint(2, 3))))
+        views = [SubtreeReport(TreeSpace(2, 5),
+                               oracles.random_strong_subtree(rng, level_set), level_set)
+                 for _ in range(d)]
+    seed, rare = rng.random(), rng.choice([3, 8, 40, 10 ** 6])
+
+    def fn(tup):
+        return int(zlib.crc32(repr((seed, tup)).encode()) % rare != 0)
+
+    domain = rng.choice(["level", "full"])
+    return Coloring(2, views, fn, domain=domain), kind
+
+
+def test_a_dense_set_check_reads_the_top_level():
+    """A matrix dominating level eta + 1 also dominates level eta, so the
+    levels a dense-set check fails are a top segment, and on a finite
+    truncation the check passes exactly when every top-level tuple above
+    the base has its color."""
+    rng = random.Random("dense-set-top")
+    seen = set()
+    for _ in range(300):
+        col, kind = _dense_set_box(rng)
+        views = col.spaces
+        top = min(view.height for view in views) - 1
+        bases = [base for ht in range(top)
+                 for base in itertools.product(*(view.level(ht) for view in views))]
+        for base in rng.sample(bases, min(len(bases), 8)):
+            for color in range(col.colors):
+                res = check_dshl_witness(base, color, col)
+                failed = [int(line.rsplit(" ", 1)[1]) for line in res.violations]
+                assert failed == list(range(top + 1 - len(failed), top + 1))
+                tops = itertools.product(*(view.extensions(node, top)
+                                           for view, node in zip(views, base)))
+                assert res.valid == all(col.evaluate(tup) == color for tup in tops)
+                seen.add((kind, res.valid))
+    # each kind of view, passing and failing
+    assert len(seen) == 6
 
 
 def test_dense_set_asymmetry_flag():
