@@ -14,6 +14,7 @@ type, so at most ``(d+1)!`` colors survive on the product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -114,6 +115,7 @@ def height_permutation_coloring(spaces) -> Coloring:
         raise InvalidInputError(f"dimension must be positive, got {arity - 1}")
     colors = math.factorial(arity)
 
+    @functools.cache  # at most one entry per tuple of factor heights
     def height_value(heights):
         return permutation_rank(sorted(range(arity), key=heights.__getitem__))
 

@@ -58,11 +58,14 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     extends every successor of the previous layer to a common higher
     level: ``first_level`` scans candidate levels upward, and the first
     canonically least choice vector accepted by the filter
-    ``stage_factory(stage, level_set, layers)`` wins.  The factory is
-    called once per stage.  ``label`` names the search in failure
-    messages and transcript events.  ``on_stage`` runs after every committed
-    stage above the root (stage 1 on; the root stage commits nothing to
-    record) so callers can record tables the later stages constrain.
+    ``stage_factory(stage, level_set, layers)`` wins.  A stage scans only
+    the levels that leave one level below the view height for each later
+    stage: a higher level could only be committed for a later stage to
+    fail.  The factory is called once per stage.  ``label`` names the
+    search in failure messages and transcript events.  ``on_stage`` runs
+    after every committed stage above the root (stage 1 on; the root stage
+    commits nothing to record) so callers can record tables the later
+    stages constrain.
     """
     d = len(views)
     if len(roots) != d:
@@ -78,7 +81,9 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     layers = [[(roots[j],) for j in range(d)]]
     while len(level_set) < height_goal:
         alpha = len(level_set) - 1
-        if level_set[alpha] + 1 >= height:
+        # stage alpha + 1 leaves a level for each later stage
+        top = height - (height_goal - len(level_set) - 1)
+        if level_set[alpha] + 1 >= top:
             return GrowOutcome(False, None,
                                f"{label}: truncation exhausted before stage "
                                f"{alpha + 1}")
@@ -95,7 +100,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         consistent = stage_factory(alpha + 1, tuple(level_set), layers)
         try:
             picked = first_level(
-                slots, range(level_set[alpha] + 1, height),
+                slots, range(level_set[alpha] + 1, top),
                 lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
                 consistent, budget)
         except BudgetExhausted:

@@ -1613,3 +1613,77 @@ def check_tail_cone_dict_cuts(certificate: TailConeCertificate,
                         f"coloring {i} at {tup}: color {got}, table says {table[key]}"
                     )
     return ValidationResult(not violations, tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# the shared-level engine before its level scan was bounded
+
+from hl_lab.subtrees import SubtreeReport  # noqa: E402
+from hl_lab.tailcone import GrowOutcome  # noqa: E402
+from hl_lab.witness import first_level  # noqa: E402
+
+
+def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, budget,
+                                   *, label, on_stage=None, transcript=None):
+    """``tailcone.grow_shared_subtrees`` as it was when every stage scanned
+    every level up to the lowest view height, however many stages were
+    still to come: a stage could commit a level that left too few above
+    it, and the run then failed at a later stage."""
+    d = len(views)
+    if len(roots) != d:
+        raise InvalidInputError(f"need one root per tree: {d} trees, "
+                                f"{len(roots)} roots")
+    root_levels = {views[j].level_of(roots[j]) for j in range(d)}
+    if len(root_levels) != 1:
+        raise InvalidInputError("roots must sit at one common view level")
+    height = min(v.height for v in views)
+    if height_goal < 1:
+        raise InvalidInputError(f"height goal must be positive, got {height_goal}")
+    level_set = [root_levels.pop()]
+    layers = [[(roots[j],) for j in range(d)]]
+    while len(level_set) < height_goal:
+        alpha = len(level_set) - 1
+        if level_set[alpha] + 1 >= height:
+            return GrowOutcome(False, None,
+                               f"{label}: truncation exhausted before stage "
+                               f"{alpha + 1}")
+        successors = []
+        for j in range(d):
+            per = []
+            for node in layers[alpha][j]:
+                per.extend(views[j].extensions(node, level_set[alpha] + 1))
+            successors.append(tuple(per))
+        if any(not per for per in successors):
+            return GrowOutcome(False, None,
+                               f"{label}: a stage-{alpha} node does not split")
+        slots = [(j, u) for j in range(d) for u in successors[j]]
+        consistent = stage_factory(alpha + 1, tuple(level_set), layers)
+        try:
+            picked = first_level(
+                slots, range(level_set[alpha] + 1, height),
+                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                consistent, budget)
+        except BudgetExhausted:
+            return GrowOutcome(False, None,
+                               f"{label}: budget exhausted during stage {alpha + 1}",
+                               capped=True)
+        if picked is None:
+            return GrowOutcome(False, None,
+                               f"{label}: no admissible level for stage {alpha + 1}")
+        chi, assignment = picked
+        layer = [tuple(sorted((assignment[(j, u)] for u in successors[j]),
+                              key=node_key))
+                 for j in range(d)]
+        level_set.append(chi)
+        layers.append(layer)
+        if transcript is not None:
+            transcript.append({"event": f"{label}-stage", "stage": alpha + 1,
+                               "view_level": chi,
+                               "nodes": [list(layer[j]) for j in range(d)]})
+        if on_stage is not None:
+            on_stage(alpha + 1, level_set, layers)
+    return GrowOutcome(True, tuple(
+        SubtreeReport(space=views[j].ambient_space,
+                      nodes=tuple(n for layer in layers for n in layer[j]),
+                      level_set=tuple(views[j].ambient_level(xi) for xi in level_set))
+        for j in range(d)))

@@ -134,6 +134,8 @@ OLD_STAGES = {"partial": _old_partial, "almost-all": _old_almost_all}
 # search's; digests and call counts are as recorded before the staged
 # searches shared the stage step, except in four capped boxes (hl,
 # polarized, almost-all, dim-induct), whose 150 steps now run out elsewhere.
+# The capped hl box is on height 7 because on height 6 it settles in 117
+# steps, a stage scanning only levels that leave room for the later ones.
 PINNED = {
     "test_sdhl_search_matches_old_predicate[1-5-2-3]": ("5e6869a61c67dd3c", 3, 1),
     "test_sdhl_search_matches_old_predicate[2-4-2-1]": ("24d0996803ffeceb", 48, 3),
@@ -146,23 +148,23 @@ PINNED = {
     "test_fuse_matches_old_predicate[7-1-4-9]": ("885894d94c46aa94", 266, 6),
     "test_fuse_matches_old_predicate[7-2-3-5]": ("56981ba0369cbca1", 73, 4),
     "test_fuse_matches_old_predicate[7-2-4-1]": ("885894d94c46aa94", 468, 6),
-    "test_hl_search_matches_old_predicate[1]": ("f72098947bc7bbe8", 1718, 453),
+    "test_hl_search_matches_old_predicate[1]": ("f72098947bc7bbe8", 538, 130),
     "test_hl_search_matches_old_predicate[2]": ("d118336ecd63da17", 70, 5),
-    "test_hl_search_matches_old_predicate[3]": ("f72098947bc7bbe8", 1749, 453),
+    "test_hl_search_matches_old_predicate[3]": ("f72098947bc7bbe8", 508, 127),
     "test_dimension_induction_matches_old_predicates[10-19]": ("2d169bebd828928c", 310, 71),
     "test_dimension_induction_matches_old_predicates[11-11]": ("abc616fb9fb277a7", 527, 58),
     "test_dimension_induction_matches_old_predicates[11-6]": ("052fc7b1ca9c32af", 506, 59),
     "test_partial_law_matches_old_predicate[2-base0-6-4-2]": ("438e14f50ef04377", 18, 5),
     "test_partial_law_matches_old_predicate[2-base1-6-4-0]": ("514bfdbb47a959bb", 26, 5),
-    "test_partial_law_matches_old_predicate[2-base2-6-4-3]": ("f6593eb9f208d73d", 51, 5),
+    "test_partial_law_matches_old_predicate[2-base2-6-4-3]": ("bcaf9e58d711b6c3", 19, 4),
     "test_partial_law_matches_old_predicate[3-base3-5-3-1]": ("a0cfe1f7cc52e5c5", 21, 4),
     "test_partial_law_two_complement_coordinates[5-3-9-1]": ("6ec42572b8e273c3", 56, 3),
     "test_partial_law_two_complement_coordinates[5-3-9-2]": ("635e876e4ec4a067", 105, 4),
     "test_partial_law_two_complement_coordinates[6-3-7-0]": ("18bc940f2ab70f9d", 53, 3),
     "test_partial_law_two_complement_coordinates[6-4-9-1]": ("438e14f50ef04377", 59, 5),
-    "test_almost_all_matches_old_predicate[2-6-3-0]": ("a56bb92c55df5409", 3337, 791),
-    "test_almost_all_matches_old_predicate[2-6-3-3]": ("68abf7a48dd55f75", 3274, 791),
-    "test_almost_all_matches_old_predicate[2-7-3-1]": ("82a73b371f057e5a", 13290, 3178),
+    "test_almost_all_matches_old_predicate[2-6-3-0]": ("a56bb92c55df5409", 1407, 512),
+    "test_almost_all_matches_old_predicate[2-6-3-3]": ("68abf7a48dd55f75", 1426, 516),
+    "test_almost_all_matches_old_predicate[2-7-3-1]": ("82a73b371f057e5a", 5766, 2057),
     "test_almost_all_matches_old_predicate[3-4-3-0]": ("9ac2d74abc270150", 4198, 1217),
     "test_almost_all_matches_old_predicate[3-5-3-1]": ("9ac2d74abc270150", 34710, 9985),
     "test_polarized_type_coloring_matches_old_predicate[1-3-8]": ("8c4c59d762e9c86d", 171, 8),
@@ -179,7 +181,7 @@ PINNED = {
     "test_capped_outcome_matches_old_predicate[hl]": ("309bc4f6647ae26a", 151, 21),
     "test_capped_outcome_matches_old_predicate[polarized]": ("3461e84db03e825b", 151, 7),
     "test_capped_outcome_matches_old_predicate[partial]": ("3af2644814fdb5f9", 151, 5),
-    "test_capped_outcome_matches_old_predicate[almost-all]": ("fd042dcab7348dae", 151, 28),
+    "test_capped_outcome_matches_old_predicate[almost-all]": ("fd042dcab7348dae", 151, 30),
     "test_capped_outcome_matches_old_predicate[dim-induct]": ("78286aa970da3690", 151, 9),
 }
 
@@ -368,7 +370,7 @@ def test_polarized_random_coloring_matches_old_predicate(same, k, height, depth,
                                                     domain="level"), budget=budget),
     lambda budget: fuse(ColoringFamily([seeded_hash_coloring(_spaces(2, 7, 2), 2, s)
                                         for s in (3, 4)]), h=4, budget=budget),
-    lambda budget: hl_search(seeded_hash_coloring(_spaces(2, 6, 2), 2, 5), h=4,
+    lambda budget: hl_search(seeded_hash_coloring(_spaces(2, 7, 2), 2, 5), h=4,
                              budget=budget),
     lambda budget: polarized_search(
         height_permutation_coloring(_spaces(2, 10, 3)), depth=2, budget=budget),

@@ -272,18 +272,18 @@ def test_staged_route_stops_at_its_cap(k, height):
 
 
 def test_staged_measurement_spends_a_step_per_product_tuple():
-    # the construction ends at used 39,575 on two subtrees of 7 nodes, so
-    # measuring its 49 tuples needs a cap of 39,624
+    # the construction ends at used 7,727 on two subtrees of 7 nodes, so
+    # measuring its 49 tuples needs a cap of 7,776
     space = TreeSpace(2, 8)
     col = seeded_hash_coloring((space, space), 2, seed=42)
-    budget = StepBudget(39_623)
+    budget = StepBudget(7_775)
     rep = almost_all_homogenize(col, budget=budget)
     assert rep.capped and not rep.success and rep.reports is None
     assert rep.failure == "budget exhausted while measuring the construction"
-    budget = StepBudget(39_624)
+    budget = StepBudget(7_776)
     rep = almost_all_homogenize(col, budget=budget)
     assert rep.success and not rep.capped
-    assert budget.used == 39_624
+    assert budget.used == 7_776
 
 
 def _measured_reports(rng, space, k, kind):
