@@ -301,7 +301,8 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
     Height-determined colorings are measured directly over height
     combinations.  Otherwise a staged construction scans target heights
-    (deepest first), root tuples, and color vectors canonically, growing
+    (deepest first, down to the arity: below it no tuple is strictly
+    ordered), root tuples, and color vectors canonically, growing
     shared-level subtrees in which every strictly ordered tuple whose top
     node is new gets the pattern's color; a completed construction has
     zero violating tuples by construction and is re-measured exactly.
@@ -312,10 +313,12 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     if f.domain != "full":
         raise InvalidInputError("strictly ordered tuples mix heights; a "
                                 "full-domain coloring is required")
-    if h is not None and h < 2:
-        raise InvalidInputError(f"need at least two subtree levels, got {h}")
     views = f.spaces
     arity = f.arity
+    # a strictly ordered tuple has its nodes on ``arity`` distinct levels
+    least = "two" if arity == 2 else arity
+    if h is not None and h < arity:
+        raise InvalidInputError(f"need at least {least} subtree levels, got {h}")
     epsilon = Fraction(epsilon)
 
     if f.height_fn is not None:
@@ -330,8 +333,8 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     perms = list(itertools.permutations(range(arity)))
     height = min(v.height for v in views)
     h_max = min(h if h is not None else height, height)
-    if h_max < 2:
-        raise InvalidInputError(f"need at least two subtree levels, the lowest "
+    if h_max < arity:
+        raise InvalidInputError(f"need at least {least} subtree levels, the lowest "
                                 f"factor has {height}")
 
     def attempt(h_goal, roots, gamma_vec):
@@ -354,7 +357,7 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                                epsilon=epsilon, route="staged",
                                failure=failure, capped=True)
 
-    for h_goal in range(h_max, 1, -1):
+    for h_goal in range(h_max, arity - 1, -1):
         for rho in range(height - h_goal + 1):
             for roots in itertools.product(*(v.level(rho) for v in views)):
                 for gamma_vec in itertools.product(range(f.colors),

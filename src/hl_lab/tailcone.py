@@ -17,6 +17,7 @@ somewhere-dense witness over the constructed subtrees.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ class GrowOutcome:
 
 
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
-                         *, label, on_stage=None, transcript=None):
+                         *, label, transcript=None):
     """Grow strong subtrees of the given trees over one shared level set.
 
     ``views`` holds one leveled tree per coordinate: a ``TreeSpace``, or a
@@ -62,10 +63,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     the levels that leave one level below the view height for each later
     stage: a higher level could only be committed for a later stage to
     fail.  The factory is called once per stage.  ``label`` names the
-    search in failure messages and transcript events.  ``on_stage`` runs
-    after every committed stage above the root (stage 1 on; the root stage
-    commits nothing to record) so callers can record tables the later
-    stages constrain.
+    search in failure messages and transcript events.
     """
     d = len(views)
     if len(roots) != d:
@@ -120,8 +118,6 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
             transcript.append({"event": f"{label}-stage", "stage": alpha + 1,
                                "view_level": chi,
                                "nodes": [list(layer[j]) for j in range(d)]})
-        if on_stage is not None:
-            on_stage(alpha + 1, level_set, layers)
     return GrowOutcome(True, tuple(
         _view_report(views[j], [n for layer in layers for n in layer[j]], level_set)
         for j in range(d)))
@@ -277,10 +273,12 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
          transcript=None) -> FuseOutcome:
     """Build shared subtrees making every family member tail-cone determined.
 
-    Stage ``i + 1`` fixes table ``i`` freely on the new level products;
-    later stages must extend so that every already-recorded table keeps
-    its law.  Candidate levels are scanned upward, so the level set is
-    the canonically least one the construction can realize.
+    Stage ``i + 1`` leaves coloring ``i`` free on the new level products;
+    later stages must extend so that coloring ``i`` takes, on each tuple,
+    its own value at the tuple's restriction to subtree level ``i + 1``.
+    Candidate levels are scanned upward, so the level set is the
+    canonically least one the construction can realize.  Table ``i`` of
+    the certificate is read off the finished subtrees' level ``i + 1``.
     """
     budget = budget or StepBudget()
     views = family.spaces
@@ -295,7 +293,8 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
     if h > height:
         raise InvalidInputError(f"height goal {h} exceeds tree height {height}")
     d = family.arity
-    tables: list[dict] = [dict() for _ in range(m)]
+    # each coloring's value at a key, evaluated once per key
+    at_key = [functools.cache(member.evaluate) for member in family]
 
     def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
@@ -306,27 +305,23 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
             for beta in range(bind):
                 key = tuple(views[k].restrict(tup[k], level_set[beta + 1])
                             for k in range(d))
-                if family[beta].evaluate(tup) != tables[beta][key]:
+                if family[beta].evaluate(tup) != at_key[beta](key):
                     return False
             return True
 
         return cross_consistent(d, accept, True)
 
-    def on_stage(stage, level_set, layers):
-        idx = stage - 1
-        if idx < m:
-            for tup in itertools.product(*(layers[stage][j] for j in range(d))):
-                tables[idx][tup] = family[idx].evaluate(tup)
-
     outcome = grow_shared_subtrees(views, tuple(v.root for v in views), h,
-                                   stage_factory, budget, on_stage=on_stage,
+                                   stage_factory, budget,
                                    transcript=transcript, label="fuse")
     if not outcome.success:
         return FuseOutcome(False, None, failure=outcome.failure,
                            capped=outcome.capped)
-    certificate = TailConeCertificate(reports=outcome.reports,
-                                      tables=tuple(tables))
-    return FuseOutcome(True, certificate)
+    tables = tuple(
+        {key: at_key[i](key)
+         for key in itertools.product(*(r.level(i + 1) for r in outcome.reports))}
+        for i in range(m))
+    return FuseOutcome(True, TailConeCertificate(outcome.reports, tables))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +397,13 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
                            transcript=None) -> PartialOutcome:
     """Shared subtrees on which the coloring obeys the partial tail-cone law.
 
-    Base-coordinate extensions are never constrained at their own stage
-    (their tuples' table rows are recorded one stage later), so those
-    slots go canonically least.  Complement extensions must respect every
-    row already recorded.  The construction ends with a full direct check
-    of the law on the output.
+    A tuple whose complement nodes sit above its deepest base level
+    ``xi`` must take the coloring's value at the tuple with those nodes
+    cut to level ``xi + 1``.  Base-coordinate extensions are never
+    constrained at their own stage (the cut needs a level above them), so
+    those slots go canonically least.  The table is read off the finished
+    subtrees, and the construction ends with a full direct check of the
+    law on the output.
     """
     budget = budget or StepBudget()
     views = coloring.spaces
@@ -427,7 +424,7 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
         h = height
     if h < 2:
         raise InvalidInputError(f"need at least two subtree levels, got {h}")
-    table: dict = {}
+    at_key = functools.cache(coloring.evaluate)
 
     def stage_factory(stage, level_set, layers):
         fixed = [[node for lvl in range(stage) for node in layers[lvl][k]]
@@ -441,11 +438,10 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
             xi = max(lvls[k] for k in base_list)
             if xi + 1 >= stage or any(lvls[k] < xi + 1 for k in comp_list):
                 return True
-            t_key = tuple(tup[k] for k in base_list)
-            v_key = tuple(views[k].restrict(tup[k], level_set[xi + 1])
-                          for k in comp_list)
-            want = table.get((t_key, v_key))
-            return want is None or coloring.evaluate(tup) == want
+            cut = tuple(tup[k] if k in base_set
+                        else views[k].restrict(tup[k], level_set[xi + 1])
+                        for k in range(d))
+            return coloring.evaluate(tup) == at_key(cut)
 
         agree = cross_consistent(d, accept, True, fixed)
 
@@ -459,30 +455,24 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
 
         return consistent
 
-    def on_stage(stage, level_set, layers):
-        base_pools = [
-            tuple((node, lvl) for lvl in range(stage) for node in layers[lvl][k])
-            for k in base_list
-        ]
-        comp_pools = [layers[stage][k] for k in comp_list]
-        for bcombo in itertools.product(*base_pools):
-            if max(lvl for (_, lvl) in bcombo) != stage - 1:
-                continue
-            t_key = tuple(node for (node, _) in bcombo)
-            for vcombo in itertools.product(*comp_pools):
-                tup = [None] * d
-                for pos, k in enumerate(base_list):
-                    tup[k] = t_key[pos]
-                for pos, k in enumerate(comp_list):
-                    tup[k] = vcombo[pos]
-                table[(t_key, tuple(vcombo))] = coloring.evaluate(tuple(tup))
-
     outcome = grow_shared_subtrees(views, tuple(v.root for v in views), h,
-                                   stage_factory, budget, on_stage=on_stage,
+                                   stage_factory, budget,
                                    transcript=transcript, label="partial")
     if not outcome.success:
         return PartialOutcome(False, None, tuple(base_list), None, None,
                               failure=outcome.failure, capped=outcome.capped)
+    reports = outcome.reports
+    table: dict = {}
+    # a row per base tuple on levels 0 to h - 2 and complement tuple on
+    # level xi + 1, where xi is the base tuple's deepest level
+    for bcombo in itertools.product(*(
+            [(node, xi) for xi in range(h - 1) for node in reports[k].level(xi)]
+            for k in base_list)):
+        t_key = tuple(node for node, _ in bcombo)
+        xi = max(lvl for _, lvl in bcombo)
+        for v_key in itertools.product(*(reports[k].level(xi + 1) for k in comp_list)):
+            at = dict(zip(base_list, t_key)) | dict(zip(comp_list, v_key))
+            table[(t_key, v_key)] = at_key(tuple(at[k] for k in range(d)))
     check = check_partial_tailcone(outcome.reports, coloring, base_list, table)
     if not check.valid:
         return PartialOutcome(False, outcome.reports, tuple(base_list), table,
@@ -526,7 +516,8 @@ def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
     height = min(v.height for v in views)
     if h is None:
         h = height
-    for rho in range(height):
+    # a root above level height - h leaves too few levels to grow h
+    for rho in range(height - h + 1):
         for roots in itertools.product(*(v.level(rho) for v in views)):
             gamma = coloring.evaluate(roots)
 

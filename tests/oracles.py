@@ -1624,7 +1624,7 @@ from hl_lab.witness import first_level  # noqa: E402
 
 
 def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, budget,
-                                   *, label, on_stage=None, transcript=None):
+                                   *, label, transcript=None):
     """``tailcone.grow_shared_subtrees`` as it was when every stage scanned
     every level up to the lowest view height, however many stages were
     still to come: a stage could commit a level that left too few above
@@ -1680,10 +1680,319 @@ def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, bud
             transcript.append({"event": f"{label}-stage", "stage": alpha + 1,
                                "view_level": chi,
                                "nodes": [list(layer[j]) for j in range(d)]})
-        if on_stage is not None:
-            on_stage(alpha + 1, level_set, layers)
     return GrowOutcome(True, tuple(
         SubtreeReport(space=views[j].ambient_space,
                       nodes=tuple(n for layer in layers for n in layer[j]),
                       level_set=tuple(views[j].ambient_level(xi) for xi in level_set))
         for j in range(d)))
+
+
+# ---------------------------------------------------------------------------
+# the tail-cone constructions when they recorded their tables stage by stage
+#
+# Kept verbatim as references: the stage engine ran an ``on_stage`` hook
+# after every committed stage, ``fuse`` recorded table ``i`` there at stage
+# ``i + 1``, and ``apply_tailcone_partial`` recorded each row one stage
+# after its base tuple's deepest node; both stage filters read those
+# tables.  The one edit: the library's kernel is called as
+# ``library_cross_consistent``, since ``cross_consistent`` here names the
+# older fusion predicate above.  ``prefix_coloring``, beside them, is the
+# coloring on which the partial law's tests reach a constrained stage.
+
+import zlib  # noqa: E402
+
+from hl_lab.search import cross_consistent as library_cross_consistent  # noqa: E402
+from hl_lab.tailcone import (  # noqa: E402
+    FuseOutcome,
+    PartialOutcome,
+    _view_report,
+    check_partial_tailcone,
+)
+
+
+def prefix_coloring(spaces, seed, noise):
+    """Mostly a function of the base node and the other nodes cut one level
+    above it, so the partial law can hold, flipped on about 1/noise tuples."""
+
+    def fn(tup):
+        cut = len(tup[0]) + 1
+        key = ",".join((tup[0],) + tuple(x[:cut] for x in tup[1:]))
+        flip = zlib.crc32(f"{seed}:{','.join(tup)}".encode()) % noise == 0
+        return (zlib.crc32(f"{seed}|{key}".encode()) + flip) % 2
+
+    return Coloring(2, spaces, fn, domain="full")
+
+
+def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
+                         *, label, on_stage=None, transcript=None):
+    """Grow strong subtrees of the given trees over one shared level set.
+
+    ``views`` holds one leveled tree per coordinate: a ``TreeSpace``, or a
+    ``SubtreeReport`` whose levels are its witnessing levels.  Each stage
+    extends every successor of the previous layer to a common higher
+    level: ``first_level`` scans candidate levels upward, and the first
+    canonically least choice vector accepted by the filter
+    ``stage_factory(stage, level_set, layers)`` wins.  A stage scans only
+    the levels that leave one level below the view height for each later
+    stage: a higher level could only be committed for a later stage to
+    fail.  The factory is called once per stage.  ``label`` names the
+    search in failure messages and transcript events.  ``on_stage`` runs
+    after every committed stage above the root (stage 1 on; the root stage
+    commits nothing to record) so callers can record tables the later
+    stages constrain.
+    """
+    d = len(views)
+    if len(roots) != d:
+        raise InvalidInputError(f"need one root per tree: {d} trees, "
+                                f"{len(roots)} roots")
+    root_levels = {views[j].level_of(roots[j]) for j in range(d)}
+    if len(root_levels) != 1:
+        raise InvalidInputError("roots must sit at one common view level")
+    height = min(v.height for v in views)
+    if height_goal < 1:
+        raise InvalidInputError(f"height goal must be positive, got {height_goal}")
+    level_set = [root_levels.pop()]
+    layers = [[(roots[j],) for j in range(d)]]
+    while len(level_set) < height_goal:
+        alpha = len(level_set) - 1
+        # stage alpha + 1 leaves a level for each later stage
+        top = height - (height_goal - len(level_set) - 1)
+        if level_set[alpha] + 1 >= top:
+            return GrowOutcome(False, None,
+                               f"{label}: truncation exhausted before stage "
+                               f"{alpha + 1}")
+        successors = []
+        for j in range(d):
+            per = []
+            for node in layers[alpha][j]:
+                per.extend(views[j].extensions(node, level_set[alpha] + 1))
+            successors.append(tuple(per))
+        if any(not per for per in successors):
+            return GrowOutcome(False, None,
+                               f"{label}: a stage-{alpha} node does not split")
+        slots = [(j, u) for j in range(d) for u in successors[j]]
+        consistent = stage_factory(alpha + 1, tuple(level_set), layers)
+        try:
+            picked = first_level(
+                slots, range(level_set[alpha] + 1, top),
+                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                consistent, budget)
+        except BudgetExhausted:
+            return GrowOutcome(False, None,
+                               f"{label}: budget exhausted during stage {alpha + 1}",
+                               capped=True)
+        if picked is None:
+            return GrowOutcome(False, None,
+                               f"{label}: no admissible level for stage {alpha + 1}")
+        chi, assignment = picked
+        layer = [tuple(sorted((assignment[(j, u)] for u in successors[j]),
+                              key=node_key))
+                 for j in range(d)]
+        level_set.append(chi)
+        layers.append(layer)
+        if transcript is not None:
+            transcript.append({"event": f"{label}-stage", "stage": alpha + 1,
+                               "view_level": chi,
+                               "nodes": [list(layer[j]) for j in range(d)]})
+        if on_stage is not None:
+            on_stage(alpha + 1, level_set, layers)
+    return GrowOutcome(True, tuple(
+        _view_report(views[j], [n for layer in layers for n in layer[j]], level_set)
+        for j in range(d)))
+
+
+def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
+         transcript=None) -> FuseOutcome:
+    """Build shared subtrees making every family member tail-cone determined.
+
+    Stage ``i + 1`` fixes table ``i`` freely on the new level products;
+    later stages must extend so that every already-recorded table keeps
+    its law.  Candidate levels are scanned upward, so the level set is
+    the canonically least one the construction can realize.
+    """
+    budget = budget or StepBudget()
+    views = family.spaces
+    m = len(family)
+    height = min(v.height for v in views)
+    if h is None:
+        h = m + 1
+    if h < m + 1:
+        raise InvalidInputError(
+            f"{m} colorings need at least {m + 1} subtree levels, got {h}"
+        )
+    if h > height:
+        raise InvalidInputError(f"height goal {h} exceeds tree height {height}")
+    d = family.arity
+    tables: list[dict] = [dict() for _ in range(m)]
+
+    def stage_factory(stage, level_set, layers):
+        bind = min(stage - 1, m)
+        if bind == 0:
+            return lambda partial, slot, choices: choices
+
+        def accept(tup):
+            for beta in range(bind):
+                key = tuple(views[k].restrict(tup[k], level_set[beta + 1])
+                            for k in range(d))
+                if family[beta].evaluate(tup) != tables[beta][key]:
+                    return False
+            return True
+
+        return library_cross_consistent(d, accept, True)
+
+    def on_stage(stage, level_set, layers):
+        idx = stage - 1
+        if idx < m:
+            for tup in itertools.product(*(layers[stage][j] for j in range(d))):
+                tables[idx][tup] = family[idx].evaluate(tup)
+
+    outcome = grow_shared_subtrees(views, tuple(v.root for v in views), h,
+                                   stage_factory, budget, on_stage=on_stage,
+                                   transcript=transcript, label="fuse")
+    if not outcome.success:
+        return FuseOutcome(False, None, failure=outcome.failure,
+                           capped=outcome.capped)
+    certificate = TailConeCertificate(reports=outcome.reports,
+                                      tables=tuple(tables))
+    return FuseOutcome(True, certificate)
+
+
+def apply_tailcone_partial(coloring: Coloring, base_coords,
+                           h=None, budget: StepBudget | None = None,
+                           transcript=None) -> PartialOutcome:
+    """Shared subtrees on which the coloring obeys the partial tail-cone law.
+
+    Base-coordinate extensions are never constrained at their own stage
+    (their tuples' table rows are recorded one stage later), so those
+    slots go canonically least.  Complement extensions must respect every
+    row already recorded.  The construction ends with a full direct check
+    of the law on the output.
+    """
+    budget = budget or StepBudget()
+    views = coloring.spaces
+    d = coloring.arity
+    if coloring.domain != "full":
+        raise InvalidInputError("the partial law quantifies over mixed-height "
+                                "tuples; a full-domain coloring is required")
+    base_set = set(base_coords)
+    if not base_set or base_set >= set(range(d)) or not base_set <= set(range(d)):
+        raise InvalidInputError(
+            f"base coordinates must be a nonempty proper subset of range({d}), "
+            f"got {sorted(base_set)}"
+        )
+    base_list = sorted(base_set)
+    comp_list = [k for k in range(d) if k not in base_set]
+    height = min(v.height for v in views)
+    if h is None:
+        h = height
+    if h < 2:
+        raise InvalidInputError(f"need at least two subtree levels, got {h}")
+    table: dict = {}
+
+    def stage_factory(stage, level_set, layers):
+        fixed = [[node for lvl in range(stage) for node in layers[lvl][k]]
+                 for k in range(d)]
+        level_of = [{node: lvl for lvl in range(stage) for node in layers[lvl][k]}
+                    for k in range(d)]
+
+        def accept(tup):
+            # nodes outside the committed layers sit at this stage's level
+            lvls = [level_of[k].get(tup[k], stage) for k in range(d)]
+            xi = max(lvls[k] for k in base_list)
+            if xi + 1 >= stage or any(lvls[k] < xi + 1 for k in comp_list):
+                return True
+            t_key = tuple(tup[k] for k in base_list)
+            v_key = tuple(views[k].restrict(tup[k], level_set[xi + 1])
+                          for k in comp_list)
+            want = table.get((t_key, v_key))
+            return want is None or coloring.evaluate(tup) == want
+
+        agree = library_cross_consistent(d, accept, True, fixed)
+
+        def consistent(partial, slot, choices):
+            # a tuple through a base node new at this stage holds the law
+            # vacuously: only complement choices after complement nodes
+            # are checked
+            if slot[0] in base_set or (partial and next(reversed(partial))[0] in base_set):
+                return choices
+            return agree(partial, slot, choices)
+
+        return consistent
+
+    def on_stage(stage, level_set, layers):
+        base_pools = [
+            tuple((node, lvl) for lvl in range(stage) for node in layers[lvl][k])
+            for k in base_list
+        ]
+        comp_pools = [layers[stage][k] for k in comp_list]
+        for bcombo in itertools.product(*base_pools):
+            if max(lvl for (_, lvl) in bcombo) != stage - 1:
+                continue
+            t_key = tuple(node for (node, _) in bcombo)
+            for vcombo in itertools.product(*comp_pools):
+                tup = [None] * d
+                for pos, k in enumerate(base_list):
+                    tup[k] = t_key[pos]
+                for pos, k in enumerate(comp_list):
+                    tup[k] = vcombo[pos]
+                table[(t_key, tuple(vcombo))] = coloring.evaluate(tuple(tup))
+
+    outcome = grow_shared_subtrees(views, tuple(v.root for v in views), h,
+                                   stage_factory, budget, on_stage=on_stage,
+                                   transcript=transcript, label="partial")
+    if not outcome.success:
+        return PartialOutcome(False, None, tuple(base_list), None, None,
+                              failure=outcome.failure, capped=outcome.capped)
+    check = check_partial_tailcone(outcome.reports, coloring, base_list, table)
+    if not check.valid:
+        return PartialOutcome(False, outcome.reports, tuple(base_list), table,
+                              check, failure="constructed subtrees fail the "
+                              "partial determining law")
+    return PartialOutcome(True, outcome.reports, tuple(base_list), table, check)
+
+
+# ---------------------------------------------------------------------------
+# the monochromatic-product search before its root scan was bounded
+#
+# Kept verbatim as the reference: ``hl_search`` tried root tuples on every
+# level, though a root above level ``height - h`` leaves too few levels and
+# its grow fails before stage 1.  The edits: it is named
+# ``hl_search_every_level``, calls the engine above, and calls the
+# library's kernel as ``library_cross_consistent``.
+
+from hl_lab.tailcone import HLOutcome  # noqa: E402
+
+
+def hl_search_every_level(coloring: Coloring, h=None,
+                          budget: StepBudget | None = None,
+                          transcript=None) -> HLOutcome:
+    """Strong subtrees whose level products all get one color.
+
+    Root tuples are scanned canonically (root level, then product
+    order); the root tuple's own color is the target, so homogeneity
+    holds at every subtree level including the roots.
+    """
+    budget = budget or StepBudget()
+    views = coloring.spaces
+    d = coloring.arity
+    height = min(v.height for v in views)
+    if h is None:
+        h = height
+    for rho in range(height):
+        for roots in itertools.product(*(v.level(rho) for v in views)):
+            gamma = coloring.evaluate(roots)
+
+            def stage_factory(stage, level_set, layers):
+                return library_cross_consistent(d, coloring.evaluate, gamma)
+
+            outcome = grow_shared_subtrees(views, roots, h, stage_factory,
+                                           budget, transcript=transcript,
+                                           label="hl")
+            if outcome.success:
+                return HLOutcome(True, outcome.reports, gamma)
+            if outcome.capped:
+                return HLOutcome(False, None, None,
+                                 failure=outcome.failure, capped=True)
+    return HLOutcome(False, None, None,
+                     failure="no root tuple grows a monochromatic product "
+                             f"of height {h}")

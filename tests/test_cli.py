@@ -850,6 +850,41 @@ def test_almost_all_refuses_a_factor_below_two_levels(tmp_path, capsys, heights,
     assert code == 0 and out["success"] and out["route"] == "height-factored"
 
 
+def test_almost_all_at_k3_admits_no_vacuous_two_level_construction(tmp_path, capsys):
+    # once exit 0 with level set [0, 1]: on two levels no 3-tuple is
+    # strictly ordered, so every pattern's total was 0
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 5}] * 3, "h": 3,
+        "coloring": {"kind": "named", "name": "seeded-random",
+                     "params": {"colors": 2, "seed": 1}}})
+    code, out, _ = run_json(["polarized", "almost-all", path], capsys)
+    assert code == 1 and not out["success"] and out["patterns"] == []
+    assert out["failure"] == "no root tuple and color vector admits the construction"
+
+
+@pytest.mark.parametrize("coloring", [
+    {"kind": "named", "name": "height-permutation", "params": {"dimension": 2}},
+    {"kind": "named", "name": "seeded-random",
+     "params": {"arity": 3, "colors": 2, "seed": 0, "domain": "full"}},
+], ids=["height-factored", "staged"])
+def test_almost_all_refuses_fewer_levels_than_the_arity(tmp_path, capsys, coloring):
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": 4}] * 3, "coloring": coloring, "h": 2})
+    code, out, _ = run_json(["polarized", "almost-all", path], capsys)
+    assert code == 2
+    assert out == {"error": "need at least 3 subtree levels, got 2"}
+
+
+def test_almost_all_refuses_a_factor_below_the_arity(tmp_path, capsys):
+    doc = {"spaces": [{"branching": 2, "height": t} for t in (5, 2, 5)],
+           "coloring": {"kind": "named", "name": "seeded-random",
+                        "params": {"colors": 2, "seed": 0}}}
+    code, out, _ = run_json(["polarized", "almost-all",
+                             write_doc(tmp_path, "in.json", doc)], capsys)
+    assert code == 2
+    assert out == {"error": "need at least 3 subtree levels, the lowest factor has 2"}
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

@@ -13,7 +13,10 @@ the wrapper's closure; it also carries the real filter's ``row``, from
 which polarized search pins each band's types.  The partial tail-cone law and almost-all
 homogenization are swapped one level up, at their stage factories: the
 old predicates read the stage's layers and the search's state (the
-recorded table, the color vector), which the factory's closure holds.
+coloring and its base coordinates, the color vector), which the
+factory's closure holds.  The old partial predicate read a table the
+search recorded stage by stage; ``_LawTable`` answers its lookups from the
+coloring, which is what every recorded row held.
 Both runs must give the same outcome and, call by call, the same
 ``prefiltered_assignment`` result, and the choices the library search
 tries must be a subsequence of the candidates the pointer search asks
@@ -26,7 +29,6 @@ import inspect
 import itertools
 import json
 import types
-import zlib
 
 import pytest
 
@@ -48,7 +50,6 @@ from hl_lab.tailcone import (
 )
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
-    Coloring,
     dshl_search,
     first_level,
     random_table_coloring,
@@ -106,11 +107,24 @@ def _stand_in(consistent):
     return held[0] if held else None
 
 
+class _LawTable:
+    """The partial law's table as the old predicate read it: the row at
+    ``(t_key, v_key)`` is the coloring's value at the merged tuple."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def get(self, key):
+        env = self.env
+        at = dict(zip(env["base_list"], key[0])) | dict(zip(env["comp_list"], key[1]))
+        return env["coloring"].evaluate(tuple(at[k] for k in range(env["d"])))
+
+
 def _old_partial(env):
     def stage_factory(stage, level_set, layers):
         return _StandIn(lambda slots: oracles.partial_consistent(
             env["coloring"], env["views"], env["d"], env["base_set"],
-            env["base_list"], env["comp_list"], env["table"], stage, level_set,
+            env["base_list"], env["comp_list"], _LawTable(env), stage, level_set,
             layers, slots))
 
     return stage_factory
@@ -136,6 +150,8 @@ OLD_STAGES = {"partial": _old_partial, "almost-all": _old_almost_all}
 # polarized, almost-all, dim-induct), whose 150 steps now run out elsewhere.
 # The capped hl box is on height 7 because on height 6 it settles in 117
 # steps, a stage scanning only levels that leave room for the later ones.
+# The two k = 3 almost-all boxes admit no construction on three levels:
+# they once ended in a vacuous two-level success, and now fail.
 PINNED = {
     "test_sdhl_search_matches_old_predicate[1-5-2-3]": ("5e6869a61c67dd3c", 3, 1),
     "test_sdhl_search_matches_old_predicate[2-4-2-1]": ("24d0996803ffeceb", 48, 3),
@@ -165,8 +181,8 @@ PINNED = {
     "test_almost_all_matches_old_predicate[2-6-3-0]": ("a56bb92c55df5409", 1407, 512),
     "test_almost_all_matches_old_predicate[2-6-3-3]": ("68abf7a48dd55f75", 1426, 516),
     "test_almost_all_matches_old_predicate[2-7-3-1]": ("82a73b371f057e5a", 5766, 2057),
-    "test_almost_all_matches_old_predicate[3-4-3-0]": ("9ac2d74abc270150", 4198, 1217),
-    "test_almost_all_matches_old_predicate[3-5-3-1]": ("9ac2d74abc270150", 34710, 9985),
+    "test_almost_all_matches_old_predicate[3-4-3-0]": ("35458fec5da9e846", 4192, 1216),
+    "test_almost_all_matches_old_predicate[3-5-3-1]": ("35458fec5da9e846", 34704, 9984),
     "test_polarized_type_coloring_matches_old_predicate[1-3-8]": ("8c4c59d762e9c86d", 171, 8),
     "test_polarized_type_coloring_matches_old_predicate[1-4-10]": ("d8b5dd713a147a6a", 363, 10),
     "test_polarized_type_coloring_matches_old_predicate[2-2-10]": ("6090419adb2f2072", 255, 9),
@@ -315,19 +331,6 @@ def test_dimension_induction_matches_old_predicates(same, h, seed):
     same(lambda: dimension_induction(col, h=4))
 
 
-def _prefix_coloring(spaces, seed, noise):
-    """Mostly a function of the base node and the other nodes cut one level
-    above it, so the partial law can hold, flipped on about 1/noise tuples."""
-
-    def fn(tup):
-        cut = len(tup[0]) + 1
-        key = ",".join((tup[0],) + tuple(x[:cut] for x in tup[1:]))
-        flip = zlib.crc32(f"{seed}:{','.join(tup)}".encode()) % noise == 0
-        return (zlib.crc32(f"{seed}|{key}".encode()) + flip) % 2
-
-    return Coloring(2, spaces, fn, domain="full")
-
-
 @pytest.mark.parametrize("d,base,h,goal,seed", [(2, (0,), 6, 4, 2), (2, (1,), 6, 4, 0),
                                                 (2, (1,), 6, 4, 3), (3, (0, 2), 5, 3, 1)])
 def test_partial_law_matches_old_predicate(same, d, base, h, goal, seed):
@@ -338,7 +341,7 @@ def test_partial_law_matches_old_predicate(same, d, base, h, goal, seed):
 @pytest.mark.parametrize("h,goal,noise,seed", [(5, 3, 9, 1), (5, 3, 9, 2), (6, 3, 7, 0),
                                                (6, 4, 9, 1)])
 def test_partial_law_two_complement_coordinates(same, h, goal, noise, seed):
-    col = _prefix_coloring(_spaces(2, h, 3), seed, noise)
+    col = oracles.prefix_coloring(_spaces(2, h, 3), seed, noise)
     outcome, calls = same(lambda: apply_tailcone_partial(col, (0,), h=goal))
     assert sum(found is not None for found, _ in calls) >= 2  # a constrained stage
 
@@ -374,8 +377,8 @@ def test_polarized_random_coloring_matches_old_predicate(same, k, height, depth,
                              budget=budget),
     lambda budget: polarized_search(
         height_permutation_coloring(_spaces(2, 10, 3)), depth=2, budget=budget),
-    lambda budget: apply_tailcone_partial(_prefix_coloring(_spaces(2, 6, 3), 1, 5),
-                                          (0,), h=3, budget=budget),
+    lambda budget: apply_tailcone_partial(
+        oracles.prefix_coloring(_spaces(2, 6, 3), 1, 5), (0,), h=3, budget=budget),
     lambda budget: almost_all_homogenize(seeded_hash_coloring(_spaces(2, 6, 2), 2, 0),
                                          h=3, budget=budget),
     lambda budget: dimension_induction(seeded_hash_coloring(_spaces(2, 10, 2), 2, 19),

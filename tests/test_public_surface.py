@@ -170,3 +170,9 @@ def test_a_products_dimension_is_its_number_of_factors_less_one():
     for factors in (2, 3, 4):
         report = hl_lab.verify_lower_bound((full,) * factors)
         assert report.realizes_all and report.total_types == math.factorial(factors)
+
+
+def test_the_stage_engine_has_no_recording_hook():
+    # fuse and the partial law read their law from the coloring, so no
+    # caller records tables between stages
+    assert "on_stage" not in inspect.signature(hl_lab.grow_shared_subtrees).parameters

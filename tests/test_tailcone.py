@@ -1,6 +1,8 @@
 """Tail-cone fusion, partial determining laws, and dimension raising."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,6 +22,7 @@ from hl_lab.tailcone import (
 )
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
+    Coloring,
     check_hl_strong_subtree,
     check_somewhere_dense_witness,
     constant_coloring,
@@ -277,6 +280,41 @@ def test_hl_search_cap_is_an_outcome_not_an_error():
     assert not out.success and out.capped
 
 
+def _counting_grows(monkeypatch, module):
+    roots_tried = []
+    grow = module.grow_shared_subtrees
+
+    def counting(views, roots, *args, **kw):
+        roots_tried.append(roots)
+        return grow(views, roots, *args, **kw)
+
+    monkeypatch.setattr(module, "grow_shared_subtrees", counting)
+    return roots_tried
+
+
+def test_hl_search_grows_only_from_roots_with_room_for_h_levels(monkeypatch):
+    # no root tuple of this box grows a monochromatic product of height 4
+    col = seeded_hash_coloring((TreeSpace(2, 7),) * 2, 2, 1)
+    tried = _counting_grows(monkeypatch, tailcone)
+    old_tried = _counting_grows(monkeypatch, oracles)
+    budget, old_budget = StepBudget(10 ** 6), StepBudget(10 ** 6)
+    out = hl_search(col, h=4, budget=budget)
+    old = oracles.hl_search_every_level(col, h=4, budget=old_budget)
+    assert out.to_json() == old.to_json() and not out.success
+    assert budget.used == old_budget.used
+    # root levels 0-3 of the height-7 trees, against all seven levels
+    assert len(tried) == 1 + 4 + 16 + 64
+    assert len(old_tried) == sum(4 ** rho for rho in range(7))
+
+
+@pytest.mark.parametrize("h", [0, -2])
+def test_hl_search_leaves_a_height_below_one_to_the_engine(monkeypatch, h):
+    tried = _counting_grows(monkeypatch, tailcone)
+    with pytest.raises(InvalidInputError, match=f"height goal must be positive, got {h}"):
+        hl_search(seeded_hash_coloring((TreeSpace(2, 5),) * 2, 2, 1), h=h)
+    assert tried == [("", "")]
+
+
 # ---------------------------------------------------------------------------
 # dimension raising
 
@@ -421,3 +459,85 @@ def test_dimension_induction_guards():
         dimension_induction(constant_coloring((space,), 2))
     with pytest.raises(InvalidInputError):
         dimension_induction(level_parity_coloring((space, space)))
+
+
+# ---------------------------------------------------------------------------
+# the constructions against the references that recorded their tables
+#
+# ``oracles.fuse`` and ``oracles.apply_tailcone_partial`` record each table
+# row when its stage commits and filter later stages against the record.
+# The library reads the same rows off the coloring, so every outcome and
+# every step agrees, and it evaluates no more: a row is evaluated once,
+# and only when a filter reads it or the finished subtrees need it.
+
+
+def _evaluations(monkeypatch):
+    seen = []
+    evaluate = Coloring.evaluate
+
+    def counted(self, tup):
+        seen.append(tup)
+        return evaluate(self, tup)
+
+    monkeypatch.setattr(Coloring, "evaluate", counted)
+    return seen
+
+
+def _against_the_recording_reference(seen, run, reference, cap):
+    budget, old_budget = StepBudget(cap), StepBudget(cap)
+    seen.clear()
+    new = run(budget).to_json()
+    evaluations = len(seen)
+    old = reference(old_budget).to_json()
+    assert new == old
+    assert budget.used == old_budget.used
+    assert evaluations <= len(seen) - evaluations
+    return "capped" if new["capped"] else "success" if new["success"] else "failure"
+
+
+def _outcome_kinds(boxes, check):
+    kinds = Counter(check(*box) for box in boxes)
+    assert set(kinds) == {"success", "failure", "capped"}, kinds
+
+
+FUSE_BOXES = [(h, m, m + 1 + extra, seed, cap)
+              for h, m, extra, seed, cap in itertools.product(
+                  (5, 6, 7), (1, 2, 3), (0, 1), (0, 1), (10 ** 6, 60))
+              if m + 1 + extra <= h]
+
+
+def test_fuse_matches_the_recording_reference(monkeypatch):
+    seen = _evaluations(monkeypatch)
+
+    def check(h, m, goal, seed, cap):
+        spaces = (TreeSpace(2, h),) * 2
+        family = ColoringFamily([seeded_hash_coloring(spaces, 2, 10 * seed + i)
+                                 for i in range(m)])
+        return _against_the_recording_reference(
+            seen, lambda budget: fuse(family, h=goal, budget=budget),
+            lambda budget: oracles.fuse(family, h=goal, budget=budget), cap)
+
+    _outcome_kinds(FUSE_BOXES, check)
+
+
+PARTIAL_BOXES = [(d, base, h, goal, seed, noise, cap)
+                 for (d, base), noise in [((2, (0,)), None), ((2, (1,)), None),
+                                          ((3, (0,)), None), ((3, (0, 2)), None),
+                                          ((2, (0,)), 9), ((3, (0,)), 9)]
+                 for h, goal, seed, cap in itertools.product(
+                     (5, 6), (3, 4), (0, 1), (10 ** 6, 40))]
+
+
+def test_partial_law_matches_the_recording_reference(monkeypatch):
+    seen = _evaluations(monkeypatch)
+
+    def check(d, base, h, goal, seed, noise, cap):
+        spaces = (TreeSpace(2, h),) * d
+        col = (seeded_hash_coloring(spaces, 2, seed) if noise is None
+               else oracles.prefix_coloring(spaces, seed, noise))
+        return _against_the_recording_reference(
+            seen, lambda budget: apply_tailcone_partial(col, base, h=goal, budget=budget),
+            lambda budget: oracles.apply_tailcone_partial(col, base, h=goal,
+                                                          budget=budget), cap)
+
+    _outcome_kinds(PARTIAL_BOXES, check)
