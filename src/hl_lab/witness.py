@@ -78,8 +78,7 @@ class Coloring:
                         f"coloring is defined on level sequences only; "
                         f"got mixed heights in {tup}"
                     )
-        value = self._fn(tup)
-        return value
+        return self._fn(tup)
 
     __call__ = evaluate
 
@@ -317,8 +316,8 @@ def coloring_from_json(doc, spaces) -> Coloring:
     """Read a coloring over ``spaces``; a declared ``arity`` (or
     height-permutation's ``dimension`` plus one) must be ``len(spaces)``.
 
-    ``arity``, ``colors``, ``value``, ``modulus``, ``dimension`` and a
-    table entry's ``color`` must be JSON integers."""
+    ``arity``, ``colors``, ``value``, ``modulus``, ``dimension``, ``seed``
+    and a table entry's ``color`` must be JSON integers."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InvalidInputError("coloring document must be an object with 'kind'")
     kind, name, params = doc["kind"], doc.get("name"), doc.get("params", {})
@@ -360,7 +359,7 @@ def coloring_from_json(doc, spaces) -> Coloring:
         return height_permutation_coloring(spaces)
     if name == "seeded-random":
         return seeded_hash_coloring(spaces, _integer(params, "colors"),
-                                    params.get("seed", 0),
+                                    _integer(params, "seed", 0),
                                     domain=params.get("domain", "full"))
     if name == "expr":
         return expr_coloring(spaces, _integer(params, "colors"), params["source"],
@@ -449,27 +448,6 @@ def first_level(slots, levels, candidates_at, consistent, budget):
     return None
 
 
-def _dense_matrix(views, base, xi, value, reference, budget):
-    """Columns of the first monochromatic level matrix dominating level ``xi``.
-
-    The matrix has one member above each cone node (each node at level
-    ``xi`` above ``base``), all on one level at or above ``xi``, the first
-    that admits one.  Every matrix tuple's value must equal ``reference``,
-    or one common value when ``reference`` is ``None``.  Returns the
-    sorted columns, or ``None`` when no level admits a matrix.
-    """
-    cones = [views[j].extensions(base[j], xi) for j in range(len(base))]
-    slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-    found = first_level(
-        slots, range(xi, min(v.height for v in views)),
-        lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
-        cross_consistent(len(base), value, reference), budget)
-    if found is None:
-        return None
-    return tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
-                 for j in range(len(base)))
-
-
 def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
     """First somewhere-dense successor-level witness in canonical scan order.
 
@@ -485,9 +463,17 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
     try:
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
-                matrix = _dense_matrix(views, base, ht + 1, coloring.evaluate,
-                                       None, budget)
-                if matrix is not None:
+                # one member above each successor-cone node, on one level
+                cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
+                slots = [(j, u) for j in range(len(base)) for u in cones[j]]
+                found = first_level(
+                    slots, range(ht + 1, height),
+                    lambda chi: {(j, u): views[j].extensions(u, chi)
+                                 for (j, u) in slots},
+                    cross_consistent(len(base), coloring.evaluate), budget)
+                if found is not None:
+                    matrix = tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
+                                   for j in range(len(base)))
                     # the matrix is monochromatic: any member tuple gives its color
                     color = coloring.evaluate(tuple(col[0] for col in matrix))
                     return SomewhereDenseWitness(base, matrix, ht + 1, color)
@@ -512,34 +498,38 @@ class DenseSetCheck:
                 "violations": list(self.violations)}
 
 
-def _undense_levels(views, base, color, value, budget):
-    """Levels above ``base`` with no dominating matrix of ``color``, lazily."""
-    height = min(v.height for v in views)
-    for eta in range(views[0].level_of(base[0]) + 1, height):
-        if _dense_matrix(views, base, eta, value, color, budget) is None:
-            yield eta
+def _top_cone(views, base):
+    """The top-level tuples above ``base``, in product order."""
+    top = min(v.height for v in views) - 1
+    return itertools.product(*(v.extensions(node, top)
+                               for v, node in zip(views, base)))
 
 
-def check_dshl_witness(base, color, coloring: Coloring,
-                       budget: StepBudget | None = None) -> DenseSetCheck:
+def check_dshl_witness(base, color, coloring: Coloring) -> DenseSetCheck:
     """Dense-set check: a monochromatic dominating level matrix at every level.
 
     For each level ``eta`` above the base there must be a level matrix of
     the given color whose members dominate every tuple at level ``eta``
-    above the base.  ``asym_ok`` reports the root-base refinement: color 0
-    witnesses are expected to sit at the roots.
+    above the base.  On a finite truncation that holds exactly when every
+    top-level tuple above the base has the color: the top level's only
+    matrix is its whole cone, and a matrix dominating the top level
+    dominates every lower one.  So the check reads that cone, and names
+    each tuple of another color.  A base on the top level has no level
+    above it and passes.  ``asym_ok`` reports the root-base refinement:
+    color 0 witnesses are expected to sit at the roots.
     """
-    budget = budget or StepBudget()
     views = coloring.spaces
     base = tuple(base)
-    if len({views[j].level_of(base[j]) for j in range(len(base))}) != 1:
+    levels = {views[j].level_of(base[j]) for j in range(len(base))}
+    if len(levels) != 1:
         raise InvalidInputError(f"base {base} is not a level sequence")
-    try:
-        violations = [f"no dominating matrix of color {color} at level {eta}"
-                      for eta in _undense_levels(views, base, color,
-                                                 coloring.evaluate, budget)]
-    except BudgetExhausted:
-        raise CapExceededError(budget.cap, "dense-set check exceeded its budget")
+    violations = []
+    if levels.pop() < min(v.height for v in views) - 1:
+        for tup in _top_cone(views, base):
+            got = coloring.evaluate(tup)
+            if got != color:
+                violations.append(
+                    f"top-level tuple {tup} has color {got}, expected {color}")
     roots = tuple(v.level(0)[0] for v in views)
     asym_ok = (color != 0) or (base == roots)
     return DenseSetCheck(not violations, asym_ok, tuple(violations))
@@ -548,8 +538,10 @@ def check_dshl_witness(base, color, coloring: Coloring,
 def dshl_search(coloring: Coloring, budget: StepBudget | None = None):
     """First (base, color) passing the dense-set check, canonical order.
 
-    One step budget covers the whole scan.  A (base, color) pair is
-    dropped at its first level without a dominating matrix.
+    Each base's top-level cone is read once, one step per tuple spent
+    before the tuple is evaluated; the base is dropped at its second
+    color, and otherwise its one color passes.  One step budget covers
+    the whole scan.
     """
     budget = budget or StepBudget()
     views = coloring.spaces
@@ -557,11 +549,14 @@ def dshl_search(coloring: Coloring, budget: StepBudget | None = None):
     try:
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
-                for color in range(coloring.colors):
-                    undense = _undense_levels(views, base, color,
-                                              coloring.evaluate, budget)
-                    if next(undense, None) is None:
-                        return base, color
+                seen = set()
+                for tup in _top_cone(views, base):
+                    budget.spend()
+                    seen.add(coloring.evaluate(tup))
+                    if len(seen) > 1:
+                        break
+                else:
+                    return base, seen.pop()
     except BudgetExhausted:
         raise CapExceededError(budget.cap, "dense-set search exceeded its budget")
     return None

@@ -242,6 +242,7 @@ INTEGER_FIELDS = [
     ("dimension", lambda v: {"name": "height-permutation",
                              "params": {"dimension": v}}),
     ("colors", lambda v: {"name": "seeded-random", "params": {"colors": v}}),
+    ("seed", lambda v: {"name": "seeded-random", "params": {"colors": 2, "seed": v}}),
     ("colors", lambda v: {"name": "expr", "params": {"colors": v, "source": "0"}}),
     ("arity", lambda v: {"kind": "table", "arity": v, "colors": 2, "entries": []}),
     ("colors", lambda v: {"kind": "table", "arity": 1, "colors": v, "entries": []}),
@@ -260,6 +261,19 @@ def test_integer_fields_of_a_coloring_must_be_json_integers(tmp_path, capsys, ba
         "spaces": spaces, "coloring": {"kind": "named", **coloring(bad)}})
     assert (code, error) == (2, f"coloring field {field!r} must be an integer, "
                                 f"got {bad!r}")
+
+
+@pytest.mark.parametrize("seed, code", [
+    ([], 2), ("x", 2), (None, 2), ({}, 2), (1.5, 2), (-1, 0), (0, 0)])
+def test_a_seeded_random_seed_is_an_integer_of_any_sign(tmp_path, capsys, seed, code):
+    # every one of these once ran the search, the seed formatted into the hash
+    got, out, _ = run_json(["sdhl-search", write_doc(tmp_path, "in.json", {
+        "spaces": TWO_SPACES, "coloring": {
+            "kind": "named", "name": "seeded-random",
+            "params": {"colors": 2, "seed": seed}}})], capsys)
+    assert got == code
+    if code == 2:
+        assert out["error"] == f"coloring field 'seed' must be an integer, got {seed!r}"
 
 
 @pytest.mark.parametrize("params, field, bad", [
@@ -1051,9 +1065,10 @@ DIM_INDUCT = {"spaces": [{"branching": 2, "height": 11}] * 2,
      "d60ca75c72e95c307986d3212018ae7a8ac59fbc7f2f028a74641b4b3f2b07a8"),
     (["dim-induct", "--max-steps", "400000"], DIM_INDUCT, 0,
      "ccbbda96a14554d7c409e45d9b2c6fa72019af3386a95b77e380b2f2460201b5"),
-    # the run takes 527 steps; a cap of 500 ends it after the stage events
-    # of the frozen transcript
-    (["dim-induct", "--max-steps", "500"], DIM_INDUCT, 3,
+    # the run takes 473 steps, 424 of them in the tail-cone step; a cap of
+    # 450 ends it in the branch searches, after the stage events of the
+    # frozen transcript
+    (["dim-induct", "--max-steps", "450"], DIM_INDUCT, 3,
      "02f7bda448ad2ac8800692842e1bb31a479e121ec843feabe529eabc38ab57e5"),
     (["polarized", "search"], {"spaces": [{"branching": 2, "height": 8}] * 2,
                                "coloring": HEIGHT_PERMUTATION, "depth": 1}, 0,

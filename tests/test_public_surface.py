@@ -15,9 +15,9 @@ import hl_lab.tailcone
 import hl_lab.trees
 import hl_lab.witness
 
-SEARCHES = ("sdhl_search", "check_dshl_witness", "dshl_search", "fuse",
-            "apply_tailcone_partial", "hl_search", "dimension_induction",
-            "almost_all_homogenize", "polarized_search")
+SEARCHES = ("sdhl_search", "dshl_search", "fuse", "apply_tailcone_partial",
+            "hl_search", "dimension_induction", "almost_all_homogenize",
+            "polarized_search")
 
 
 def test_star_import_exports_exactly_all():
@@ -88,7 +88,7 @@ def test_deleted_tree_helpers_stay_gone():
 
 
 def test_searches_read_their_trees_from_the_coloring():
-    for name in ("check_sdhl_witness",) + SEARCHES:
+    for name in ("check_sdhl_witness", "check_dshl_witness") + SEARCHES:
         assert "trees" not in inspect.signature(getattr(hl_lab, name)).parameters, name
     # checks a witness inside the subtrees it was built in
     assert "trees" in inspect.signature(hl_lab.check_somewhere_dense_witness).parameters
@@ -117,7 +117,10 @@ def test_searches_spend_from_the_callers_budget():
     for name in SEARCHES + ("delta_system",):
         budget = inspect.signature(getattr(hl_lab, name)).parameters["budget"]
         assert budget.default is None, name
-    assert not hasattr(hl_lab.witness, "_dshl_search")
+    # the dense-set check reads the top-level cone: it searches nothing
+    assert "budget" not in inspect.signature(hl_lab.check_dshl_witness).parameters
+    for name in ("_dshl_search", "_dense_matrix", "_undense_levels"):
+        assert not hasattr(hl_lab.witness, name), name
     assert not hasattr(hl_lab.tailcone, "_apply_tailcone_partial")
     assert not hasattr(hl_lab.search, "first_assignment")
 

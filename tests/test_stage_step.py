@@ -1,5 +1,6 @@
 """The stage step every staged search takes, its place as the only caller of
-the assignment search, and the one place a run's step budget is made."""
+the assignment search, the checkers' distance from both, and the one place
+a run's step budget is made."""
 
 import ast
 from pathlib import Path
@@ -104,6 +105,71 @@ def test_first_level_is_the_only_caller_of_the_assignment_search():
     assert callers == [("witness.py", "first_level")]
 
 
+def call_graph(sources):
+    """Function name -> the names its body calls, over every source.
+
+    A call is named by its function or attribute name, and a nested
+    function's calls count as its enclosing top-level function's or
+    method's; functions of one name in several places share their calls.
+    """
+    graph = {}
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                graph.setdefault(child.name, set()).update(
+                    call.func.attr if isinstance(call.func, ast.Attribute)
+                    else getattr(call.func, "id", None)
+                    for call in ast.walk(child) if isinstance(call, ast.Call))
+            else:
+                visit(child)
+
+    for source in sources:
+        visit(ast.parse(source))
+    return graph
+
+
+def reached(graph, name):
+    """Every name a call path from ``name`` reaches, ``name`` included."""
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            todo.extend(graph.get(current, ()))
+    return seen
+
+
+def _constructs(name):
+    return name in ("first_level", "prefiltered_assignment") or (
+        name or "").endswith("_search")
+
+
+def test_call_paths_are_followed():
+    source = ("def check_a():\n    def inner():\n        return helper()\n"
+              "    return inner()\n"
+              "def helper():\n    return mod.first_level()\n"
+              "class C:\n    def verify_b(self):\n        return self.check_a()\n")
+    graph = call_graph([source])
+    assert {"helper", "first_level"} <= reached(graph, "check_a")
+    assert "first_level" in reached(graph, "verify_b")
+    assert not any(map(_constructs, reached(graph, "helper") - {"first_level"}))
+
+
+def test_no_checker_reaches_a_construction():
+    # a checker that ran the search kernel could agree with a search on a
+    # wrong answer, so construction and checking stay apart
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(Path(hl_lab.__file__).parent.glob("*.py"))]
+    graph = call_graph(sources)
+    checkers = [name for name in graph
+                if name.startswith(("check_", "validate_", "verify_"))]
+    assert {"check_dshl_witness", "check_sdhl_witness", "check_tail_cone",
+            "validate_strong_subtree", "verify_wmap_laws"} <= set(checkers)
+    assert {name: sorted(filter(_constructs, reached(graph, name)))
+            for name in checkers} == {name: [] for name in checkers}
+
+
 def _defaults_to_none(function, name):
     args = function.args
     positional = args.posonlyargs + args.args
@@ -164,6 +230,6 @@ def test_only_dispatch_makes_a_budget_a_search_does_not_get():
               for owner, default in budget_makers(path.read_text(encoding="utf-8"))]
     assert {m for m in makers if not m[2]} == {("cli.py", "dispatch", False)}
     assert {owner for _, owner, default in makers if default} == {
-        "sdhl_search", "check_dshl_witness", "dshl_search", "fuse",
+        "sdhl_search", "dshl_search", "fuse",
         "apply_tailcone_partial", "hl_search", "dimension_induction",
         "almost_all_homogenize", "polarized_search", "delta_system"}

@@ -350,8 +350,8 @@ def test_dimension_induction_honest_failure():
 
 def test_dimension_induction_cap_bounds_the_whole_run():
     # the tail-cone step, every branch search and the cone reassembly
-    # spend from the caller's one budget: the run takes 527 steps, 424 of
-    # them in the tail-cone step, so a cap of 500 fits every phase but not
+    # spend from the caller's one budget: the run takes 473 steps, 424 of
+    # them in the tail-cone step, so a cap of 450 fits every phase but not
     # the run
     space = TreeSpace(2, 11)
     col = seeded_hash_coloring((space, space), 2, seed=11)
@@ -359,12 +359,12 @@ def test_dimension_induction_cap_bounds_the_whole_run():
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success
     needed = budget.used
-    assert needed > 500
-    budget = StepBudget(500)
+    assert needed == 473
+    budget = StepBudget(450)
     out = dimension_induction(col, h=4, budget=budget)
     assert not out.success and out.capped
-    # the cap's 500 steps were spent; the step that crossed it was refused
-    assert budget.used == 501
+    # the cap's 450 steps were spent; the step that crossed it was refused
+    assert budget.used == 451
     budget = StepBudget(needed)
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success and budget.used == needed

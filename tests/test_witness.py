@@ -50,6 +50,13 @@ def test_constant_and_parity_values():
     assert [split((n,)) for n in ("", "0", "011", "1", "100")] == [0, 0, 0, 1, 1]
 
 
+def test_a_domain_is_level_or_full():
+    # the one place a domain is checked; a document's domain reaches it
+    with pytest.raises(InvalidInputError,
+                       match="domain must be 'level' or 'full', got 'x'"):
+        seeded_hash_coloring((TreeSpace(2, 3),), 2, 0, domain="x")
+
+
 def test_level_domain_is_enforced():
     space = TreeSpace(2, 4)
     par = level_parity_coloring((space, space))
@@ -402,14 +409,14 @@ def test_dense_set_search_on_parity():
 
 
 def test_dense_set_search_spends_one_budget():
-    # One budget covers every (base, color) check: the scan takes 1,258
-    # steps over 66 checks and no check more than 150, so a cap of 629 fits
-    # every check but not the scan.
+    # One budget covers every base's read of its top-level cone: the scan
+    # reads 58 tuples over 22 bases and no base more than 4, so a cap of
+    # 29 fits every base's read but not the scan.
     col = seeded_hash_coloring((TreeSpace(2, 5),) * 2, 3, seed=0, domain="level")
     assert dshl_search(col) == (("000", "000"), 2)
-    assert dshl_search(col, budget=StepBudget(1258)) == (("000", "000"), 2)
+    assert dshl_search(col, budget=StepBudget(58)) == (("000", "000"), 2)
     with pytest.raises(CapExceededError):
-        dshl_search(col, budget=StepBudget(629))
+        dshl_search(col, budget=StepBudget(29))
 
 
 def test_one_budget_serves_several_searches():
@@ -485,30 +492,66 @@ def _dense_set_box(rng):
     return Coloring(2, views, fn, domain=domain), kind
 
 
+def _bases(views):
+    """The level sequences below the views' top level, canonically ordered."""
+    top = min(view.height for view in views) - 1
+    return [base for ht in range(top)
+            for base in itertools.product(*(view.level(ht) for view in views))]
+
+
 def test_a_dense_set_check_reads_the_top_level():
     """A matrix dominating level eta + 1 also dominates level eta, so the
-    levels a dense-set check fails are a top segment, and on a finite
-    truncation the check passes exactly when every top-level tuple above
-    the base has its color."""
+    levels the reference check fails are a top segment, and on a finite
+    truncation a base passes exactly when every top-level tuple above it
+    has the color.  The library reads that cone: its verdict is the
+    reference's, and it names each top-level tuple of another color."""
     rng = random.Random("dense-set-top")
     seen = set()
     for _ in range(300):
         col, kind = _dense_set_box(rng)
         views = col.spaces
         top = min(view.height for view in views) - 1
-        bases = [base for ht in range(top)
-                 for base in itertools.product(*(view.level(ht) for view in views))]
+        bases = _bases(views)
         for base in rng.sample(bases, min(len(bases), 8)):
             for color in range(col.colors):
-                res = check_dshl_witness(base, color, col)
-                failed = [int(line.rsplit(" ", 1)[1]) for line in res.violations]
+                want = oracles.check_dshl_witness(base, color, col)
+                failed = [int(line.rsplit(" ", 1)[1]) for line in want.violations]
                 assert failed == list(range(top + 1 - len(failed), top + 1))
-                tops = itertools.product(*(view.extensions(node, top)
+                res = check_dshl_witness(base, color, col)
+                assert (res.valid, res.asym_ok) == (want.valid, want.asym_ok)
+                cone = itertools.product(*(view.extensions(node, top)
                                            for view, node in zip(views, base)))
-                assert res.valid == all(col.evaluate(tup) == color for tup in tops)
+                assert res.violations == tuple(
+                    f"top-level tuple {tup} has color {got}, expected {color}"
+                    for tup in cone if (got := col.evaluate(tup)) != color)
                 seen.add((kind, res.valid))
+        # a base on the top level has no level above it
+        top_base = tuple(view.level(top)[-1] for view in views)
+        assert all(check_dshl_witness(top_base, color, col).valid
+                   for color in range(col.colors))
     # each kind of view, passing and failing
     assert len(seen) == 6
+
+
+def test_dense_set_search_returns_the_first_pair_the_reference_passes():
+    """``dshl_search`` answers with the first (base, color) in canonical
+    order that the reference check passes, and a cap one step below the
+    steps it spends ends it."""
+    rng = random.Random("dense-set-search")
+    found = 0
+    for _ in range(60):
+        col, _kind = _dense_set_box(rng)
+        want = next(((base, color) for base in _bases(col.spaces)
+                     for color in range(col.colors)
+                     if oracles.check_dshl_witness(base, color, col).valid), None)
+        budget = StepBudget()
+        assert dshl_search(col, budget=budget) == want
+        assert dshl_search(col, budget=StepBudget(budget.used)) == want
+        if budget.used > 1:
+            with pytest.raises(CapExceededError):
+                dshl_search(col, budget=StepBudget(budget.used - 1))
+        found += want is not None
+    assert 0 < found < 60
 
 
 def test_dense_set_asymmetry_flag():
