@@ -461,6 +461,32 @@ class PolarizedOutcome:
                 "capped": self.capped}
 
 
+def _twin_rule(agree):
+    """The filter ``agree`` with a terminal's two children kept apart.
+
+    Slots are ``(tree, terminal, child)``, a terminal's children next to
+    each other.  After a terminal's first child is picked, its node leaves
+    the second child's live candidates at no step, and ``agree`` narrows
+    what is left.
+    """
+
+    def consistent(partial, later, spend):
+        if partial:
+            (tree, terminal, _), twin = next(reversed(partial.items()))
+            slot, live = later[0]
+            if slot == (tree, terminal, 1) and twin in live:
+                live = [choice for choice in live if choice != twin]
+                if not live:
+                    return [(slot, live)]
+                found = agree(partial, [(slot, live)] + later[1:], spend)
+                if not found or found[0][0] != slot:
+                    found.insert(0, (slot, live))
+                return found
+        return agree(partial, later, spend)
+
+    return consistent
+
+
 def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
                      transcript=None) -> PolarizedOutcome:
     """Round-robin growth of one splitting tree per factor, colors by type.
@@ -499,15 +525,7 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
             slots = [(tree, p, c) for p in terminals[tree] for c in children]
             agree = typed_consistent(f.evaluate,
                                      [sorted(picked[i].items()) for i in range(k)], gamma)
-
-            def consistent(partial, slot, choices):
-                if slot[2] == 1 and partial and \
-                        next(reversed(partial)) == (tree, slot[1], 0):
-                    # a terminal's second child differs from its first, the
-                    # newest pick
-                    twin = partial[tree, slot[1], 0]
-                    choices = (choice for choice in choices if choice != twin)
-                return agree(partial, slot, choices)
+            consistent = _twin_rule(agree)
 
             try:
                 found = first_level(

@@ -19,8 +19,8 @@ _UNSEEN = object()
 class StepBudget:
     """Counts work units; raises once the cap is crossed.
 
-    ``cap`` bounds the total number of steps (candidates handed to a
-    consistency filter, in the staged searches) that the searches handed
+    ``cap`` bounds the total number of steps (candidates a consistency
+    filter checks, in the staged searches) that the searches handed
     this budget may take; it must be at least 1.  One budget can serve
     several searches in turn, and ``used`` tells the caller how much of
     it they spent.  The
@@ -46,61 +46,59 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.
 
     ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
-    ordered sequence of choices.  ``consistent(partial, slot, choices)``
-    is a filter over the partial assignment built so far: it returns an
-    iterator over the members of the iterator ``choices`` that are
-    consistent with ``partial``, in order, or ``choices`` itself when no
-    verdict can have changed.  The first assignment found is the minimum
-    in lexicographic product order (slots major to minor), which is what
-    makes emitted witnesses canonical.  Returns ``None`` when the space
-    is exhausted without a solution.
+    ordered sequence of choices.  ``consistent(partial, later, spend)``
+    is the stage's filter, called once against the empty assignment and
+    once after each choice.  ``later`` lists ``(slot, live)`` pairs, the
+    slots after the newest entry of the partial assignment ``partial``
+    (every slot, against the empty assignment) with their live
+    candidates.  The filter returns ``(slot, kept)`` pairs, in slot
+    order, for the slots whose live candidates it narrowed: ``kept`` are
+    the members of ``live`` that are consistent with ``partial``, in
+    order.  It stops at the first slot it empties.  The first assignment
+    found is the minimum in lexicographic product order (slots major to
+    minor), which is what makes emitted witnesses canonical.  Returns
+    ``None`` when the space is exhausted without a solution.
 
     Requires a monotone filter: a choice rejected against a partial
     assignment stays rejected against every larger one.  Each slot's
     live candidates start as its candidates filtered against the empty
-    assignment; an empty list fails the whole call at once, which keeps
-    independent-slot instances from backtracking exponentially.
+    assignment; a slot left with none fails the whole call at once, which
+    keeps independent-slot instances from backtracking exponentially.
 
     The search does forward checking (Haralick & Elliott 1980): after
-    each choice, every later slot's live candidates go through that
-    slot's filter again, and a slot left with none withdraws the choice
-    at once.  A trail keeps the lists that a choice's narrowing replaced,
-    and withdrawing the choice puts them back.  So ``partial`` holds a
-    prefix of the slots before ``slot``, in slot order, and every member
-    of ``choices`` was consistent with ``partial`` less its newest entry
-    (its last, in insertion order): a filter need only check what that
-    entry adds.
+    each choice the filter narrows every later slot's live candidates,
+    and a slot left with none withdraws the choice at once.  A trail
+    keeps the lists that a choice's narrowing replaced, and withdrawing
+    the choice puts them back.  So ``partial`` holds a prefix of the
+    slots, in slot order, and every member of a ``live`` list was
+    consistent with ``partial`` less its newest entry (its last, in
+    insertion order): a filter need only check what that entry adds.
 
-    A step is one candidate pulled from ``choices``, spent before the
-    filter sees it.  A filter that hands back ``choices`` itself pulls
-    none, so it takes no step and its slot keeps its list.  Trying a live
-    choice takes no step: every withdrawn choice was paid for by the
-    steps of the narrowing that emptied a later slot.
+    A step is one live candidate that a filter re-checks: the filter
+    calls ``spend()`` before it reads the candidate.  A slot whose
+    verdicts the newest entry cannot change takes no step and keeps its
+    list, and trying a live choice takes no step: every withdrawn choice
+    was paid for by the steps of the narrowing that emptied a later slot.
     """
-
-    def charged(choices):
-        for choice in choices:
-            budget.spend()
-            yield choice
-
-    def narrowed(partial, index, live):
-        """The members of ``live`` that the filter of ``slots[index]`` keeps."""
-        choices = charged(live)
-        kept = consistent(partial, slots[index], choices)
-        return live if kept is choices else list(kept)
-
-    live = []
-    for index, slot in enumerate(slots):
-        keep = narrowed({}, index, list(candidates[slot]))
-        if not keep:
+    # a slot without candidates ends the search once the slots before it
+    # are narrowed
+    live = {}
+    for slot in slots:
+        if not candidates[slot]:
+            break
+        live[slot] = candidates[slot]
+    for slot, kept in consistent({}, list(live.items()), budget.spend):
+        if not kept:
             return None
-        live.append(keep)
+        live[slot] = kept
+    if len(live) < len(slots):
+        return None
     if not slots:
         return {}
     assignment: dict = {}
-    trail = []  # (slot index, the live list a narrowing replaced)
+    trail = []  # (slot, the live list a narrowing replaced)
     marks = []  # the trail's length before each assigned slot's narrowing
-    open_slots = [iter(live[0])]
+    open_slots = [iter(live[slots[0]])]
     while open_slots:
         depth = len(open_slots) - 1
         if len(assignment) > depth:
@@ -108,8 +106,8 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
             assignment.popitem()
             mark = marks.pop()
             while len(trail) > mark:
-                index, kept = trail.pop()
-                live[index] = kept
+                slot, kept = trail.pop()
+                live[slot] = kept
         choice = next(open_slots[-1], _UNSEEN)
         if choice is _UNSEEN:
             open_slots.pop()
@@ -118,15 +116,13 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
         if depth + 1 == len(slots):
             return dict(assignment)
         marks.append(len(trail))
-        for index in range(depth + 1, len(slots)):
-            kept = narrowed(assignment, index, live[index])
-            if len(kept) < len(live[index]):
-                trail.append((index, live[index]))
-                live[index] = kept
-                if not kept:
-                    break
-        else:
-            open_slots.append(iter(live[depth + 1]))
+        later = [(slot, live[slot]) for slot in slots[depth + 1:]]
+        narrowed = consistent(assignment, later, budget.spend)
+        for slot, kept in narrowed:
+            trail.append((slot, live[slot]))
+            live[slot] = kept
+        if not narrowed or narrowed[-1][1]:
+            open_slots.append(iter(live[slots[depth + 1]]))
     return None
 
 
@@ -134,14 +130,14 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
 # consistency kernel
 #
 # The staged searches hand ``prefiltered_assignment`` one filter per stage.
-# Every choice a filter is asked about was consistent with the partial
+# Every live candidate a filter is handed was consistent with the partial
 # assignment less its newest entry, so each filter checks only what that
-# entry adds, and hands ``choices`` back untouched when the entry cannot
-# change a verdict.  The filters build each coordinate's assigned nodes
-# from the partial assignment alone (after any nodes committed at earlier
-# stages), read in insertion order (which the assignment search keeps
-# equal to slot order), and memoize every tuple's value for the life of
-# the filter: a tuple met again after backtracking costs one dict lookup.
+# entry adds, and skips a slot whose verdicts the entry cannot change.  The
+# filters build each coordinate's assigned nodes from the partial
+# assignment alone (after any nodes committed at earlier stages), read in
+# insertion order (which the assignment search keeps equal to slot order),
+# and memoize every tuple's value for the life of the filter: a tuple met
+# again after backtracking costs one dict lookup.
 
 
 def cross_consistent(arity, value, reference=None, fixed=None):
@@ -162,12 +158,10 @@ def cross_consistent(arity, value, reference=None, fixed=None):
     the choice.  No tuple holds both when the newest node sits in the
     choice's own pool, but when it is the first there it becomes the
     anchor's node: the choice's own anchor must then have its value.
+    Each call builds the pools once and one plan per coordinate.
     """
     memo: dict = {}
     heads = fixed if fixed is not None else [()] * arity
-    # the forward-checking search asks about every later slot after each
-    # choice: one plan per coordinate serves them all
-    last = [None, {}]  # the partial assignment last read, as items; its plans
 
     def val(tup):
         got = memo.get(tup, _UNSEEN)
@@ -175,54 +169,63 @@ def cross_consistent(arity, value, reference=None, fixed=None):
             got = memo[tup] = value(tup)
         return got
 
-    def plan(items, j):
+    def plan(pools, newest, j):
         """What a choice at coordinate ``j`` is checked on, or ``None``."""
-        pools = [list(head) for head in heads]
-        for (i, _), node in items:
-            pools[i].append(node)
         own = pools[j]
         if not all(pools[:j] + pools[j + 1:]):
             return None
         firsts = [pool[0] if pool else None for pool in pools]
         before, after = tuple(firsts[:j]), tuple(firsts[j + 1:])
-        if items:
-            (k, _), newest = items[-1]
+        rest = None
+        if newest is not None:
+            (k, _), node = newest
             if k == j:
                 if reference is not None or len(own) > 1:
                     return None  # no tuple holds both, and the target stays
                 # the newest node is the first in the choice's pool
-                return before, after, own, [(before, after)]
-            pools[k] = (newest,)
-        rest = [(b, a) for b in itertools.product(*pools[:j])
-                for a in itertools.product(*pools[j + 1:])]
-        return before, after, own, rest
-
-    def agreeing(choices, before, after, own, rest):
+                rest = [(before, after)]
+            else:
+                pools = pools[:k] + [(node,)] + pools[k + 1:]
+        if rest is None:
+            rest = [(b, a) for b in itertools.product(*pools[:j])
+                    for a in itertools.product(*pools[j + 1:])]
         target = reference
         if target is None and own:
             target = val(before + (own[0],) + after)
-        for choice in choices:
-            want = target
-            if want is None:
-                want = val(before + (choice,) + after)
-            for b, a in rest:
-                if val(b + (choice,) + a) != want:
-                    break
-            else:
-                yield choice
+        return before, after, target, rest
 
-    def consistent(partial, slot, choices):
-        items = tuple(partial.items())
-        if items != last[0]:
-            last[:] = items, {}
-        plans = last[1]
-        j = slot[0]
-        checks = plans.get(j, _UNSEEN)
-        if checks is _UNSEEN:
-            checks = plans[j] = plan(items, j)
-        if checks is None:
-            return choices
-        return agreeing(choices, *checks)
+    def consistent(partial, later, spend):
+        pools = [list(head) for head in heads]
+        for (i, _), node in partial.items():
+            pools[i].append(node)
+        if pools.count([]) > 1:
+            return []  # no tuple through any choice is complete yet
+        newest = next(reversed(partial.items()), None)
+        plans: dict = {}
+        narrowed = []
+        for slot, live in later:
+            j = slot[0]
+            if j not in plans:
+                plans[j] = plan(pools, newest, j)
+            if plans[j] is None:
+                continue
+            before, after, target, rest = plans[j]
+            kept = []
+            for choice in live:
+                spend()
+                want = target
+                if want is None:
+                    want = val(before + (choice,) + after)
+                for b, a in rest:
+                    if val(b + (choice,) + a) != want:
+                        break
+                else:
+                    kept.append(choice)
+            if len(kept) < len(live):
+                narrowed.append((slot, kept))
+                if not kept:
+                    break
+        return narrowed
 
     return consistent
 
@@ -241,8 +244,9 @@ def typed_consistent(value, fixed, pinned):
     computed when it is first asked about, and a node's row of (type,
     value) pairs once per coordinate; the filter's ``row(coordinate,
     node)`` hands it back (``None`` on a clash).  Against the empty
-    assignment the filter checks the choice's own row; otherwise it
-    compares that row with the newest node's on the types not pinned.
+    assignment the filter checks each choice's own row; otherwise it
+    compares that row with the newest node's on the types not pinned,
+    and changes nothing when there are none.
     """
     pinned = dict(pinned)
     combos: dict = {}  # coordinate -> its (nodes before, nodes after, type)
@@ -277,18 +281,30 @@ def typed_consistent(value, fixed, pinned):
         rows[at, node] = table
         return table
 
-    def consistent(partial, slot, choices):
-        at = slot[0]
-        if not partial:
-            return (choice for choice in choices if row(at, choice) is not None)
-        # every live choice's row already agrees with the pinned types
-        last, node = next(reversed(partial.items()))
-        newest = [(pattern, got) for pattern, got in row(last[0], node).items()
-                  if pattern not in pinned]
-        if not newest:
-            return choices
-        return (choice for choice in choices
-                if all(row(at, choice).get(pattern, got) == got for pattern, got in newest))
+    def consistent(partial, later, spend):
+        newest = []
+        if partial:
+            # every live choice's row already agrees with the pinned types
+            last, node = next(reversed(partial.items()))
+            newest = [(pattern, got) for pattern, got in row(last[0], node).items()
+                      if pattern not in pinned]
+            if not newest:
+                return []
+
+        narrowed = []
+        for slot, live in later:
+            kept = []
+            for choice in live:
+                spend()
+                table = row(slot[0], choice)
+                if table is not None and (not newest or all(
+                        table.get(pattern, got) == got for pattern, got in newest)):
+                    kept.append(choice)
+            if len(kept) < len(live):
+                narrowed.append((slot, kept))
+                if not kept:
+                    break
+        return narrowed
 
     consistent.row = row
     return consistent

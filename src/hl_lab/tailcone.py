@@ -299,7 +299,7 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
     def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
         if bind == 0:
-            return lambda partial, slot, choices: choices
+            return lambda partial, later, spend: []
 
         def accept(tup):
             for beta in range(bind):
@@ -445,13 +445,14 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
 
         agree = cross_consistent(d, accept, True, fixed)
 
-        def consistent(partial, slot, choices):
+        def consistent(partial, later, spend):
             # a tuple through a base node new at this stage holds the law
             # vacuously: only complement choices after complement nodes
             # are checked
-            if slot[0] in base_set or (partial and next(reversed(partial))[0] in base_set):
-                return choices
-            return agree(partial, slot, choices)
+            if partial and next(reversed(partial))[0] in base_set:
+                return []
+            return agree(partial, [(slot, live) for slot, live in later
+                                   if slot[0] not in base_set], spend)
 
         return consistent
 

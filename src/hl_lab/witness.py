@@ -460,6 +460,8 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
     budget = budget or StepBudget()
     views = coloring.spaces
     height = min(v.height for v in views)
+    # the filter reads no base, so its memo of coloring values serves them all
+    consistent = cross_consistent(len(views), coloring.evaluate)
     try:
         for ht in range(height - 1):
             for base in itertools.product(*(v.level(ht) for v in views)):
@@ -470,7 +472,7 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
                     slots, range(ht + 1, height),
                     lambda chi: {(j, u): views[j].extensions(u, chi)
                                  for (j, u) in slots},
-                    cross_consistent(len(base), coloring.evaluate), budget)
+                    consistent, budget)
                 if found is not None:
                     matrix = tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
                                    for j in range(len(base)))

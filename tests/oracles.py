@@ -463,22 +463,33 @@ from hl_lab.search import BudgetExhausted, StepBudget  # noqa: E402
 
 
 def as_filter(consistent):
-    """A per-choice predicate as a filter over a slot's candidate stream.
+    """A per-choice predicate as a filter over the later slots' candidates.
 
-    The library's assignment search asks ``consistent(partial, slot,
-    choices)`` once per slot opening for a lazy iterator over the
-    admissible choices; this asks the predicate once per pulled choice,
-    right after the search has charged its step.
+    The library's assignment search asks ``consistent(partial, later,
+    spend)`` once per choice to narrow the live candidates of every later
+    slot; this asks the predicate once per live candidate, right after
+    spending its step, and stops at the first slot it empties.
     """
 
-    def filtered(partial, slot, choices):
-        return (choice for choice in choices if consistent(partial, slot, choice))
+    def filtered(partial, later, spend):
+        narrowed = []
+        for slot, live in later:
+            kept = []
+            for choice in live:
+                spend()
+                if consistent(partial, slot, choice):
+                    kept.append(choice)
+            if len(kept) < len(live):
+                narrowed.append((slot, kept))
+                if not kept:
+                    break
+        return narrowed
 
     return filtered
 
 
 # The library search does forward checking, so it takes other steps than the
-# pointer search below: after each choice it re-filters every later slot's
+# pointer search below: after each choice it narrows every later slot's
 # live candidates, and it never tries a choice that a later slot's filter
 # rules out.  The two are compared call by call on their results and on
 # this relation: the choices the library search tries are a subsequence of
@@ -490,19 +501,19 @@ def as_filter(consistent):
 def watch_tries(search, calls):
     """The assignment search ``search``, logging ``(result, tried)`` per call.
 
-    After a choice at slot ``i`` the library search asks the filter of
-    slot ``i + 1`` first, with the choice newest in ``partial``; a choice
-    at the last slot is the result.  A call that runs out of budget logs
+    The library search calls its filter once after each choice, with the
+    choice newest in ``partial``, except after a choice at the last slot,
+    which is the result.  A call that runs out of budget logs
     ``"exhausted"`` as its result.
     """
 
     def watched(slots, candidates, consistent, budget):
         tried = []
 
-        def logged(partial, slot, choices):
-            if partial and slot == slots[len(partial)]:
+        def logged(partial, later, spend):
+            if partial:
                 tried.append(tuple(partial.items()))
-            return consistent(partial, slot, choices)
+            return consistent(partial, later, spend)
 
         try:
             found = search(slots, candidates, logged, budget)
@@ -663,6 +674,272 @@ def kernel_typed_consistent(value, at, fixed, pinned):
                 if merged.setdefault(pattern, got) != got:
                     return False
         return True
+
+    return consistent
+
+
+# Kept verbatim as the reference for the library's assignment search and
+# consistency kernel, whose filter is now called once per choice and
+# narrows every later slot in that one call: this search called a stage's
+# filter once per later slot after every choice, and each filter answered
+# with a lazy iterator over the slot's charged candidate stream.  The two
+# must return the same assignment and spend the same steps, in the same
+# order among the coloring evaluations, on every call.  The edits: they
+# are named ``per_slot_assignment``, ``per_slot_cross_consistent`` and
+# ``per_slot_typed_consistent``, and polarized search's twin rule, which
+# wrapped the typed filter inline, is ``per_slot_twin_rule``.
+
+
+def per_slot_assignment(slots, candidates, consistent, budget: StepBudget):
+    """Depth-first search for the first full slot assignment, product order.
+
+    ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
+    ordered sequence of choices.  ``consistent(partial, slot, choices)``
+    is a filter over the partial assignment built so far: it returns an
+    iterator over the members of the iterator ``choices`` that are
+    consistent with ``partial``, in order, or ``choices`` itself when no
+    verdict can have changed.  The first assignment found is the minimum
+    in lexicographic product order (slots major to minor), which is what
+    makes emitted witnesses canonical.  Returns ``None`` when the space
+    is exhausted without a solution.
+
+    Requires a monotone filter: a choice rejected against a partial
+    assignment stays rejected against every larger one.  Each slot's
+    live candidates start as its candidates filtered against the empty
+    assignment; an empty list fails the whole call at once, which keeps
+    independent-slot instances from backtracking exponentially.
+
+    The search does forward checking (Haralick & Elliott 1980): after
+    each choice, every later slot's live candidates go through that
+    slot's filter again, and a slot left with none withdraws the choice
+    at once.  A trail keeps the lists that a choice's narrowing replaced,
+    and withdrawing the choice puts them back.  So ``partial`` holds a
+    prefix of the slots before ``slot``, in slot order, and every member
+    of ``choices`` was consistent with ``partial`` less its newest entry
+    (its last, in insertion order): a filter need only check what that
+    entry adds.
+
+    A step is one candidate pulled from ``choices``, spent before the
+    filter sees it.  A filter that hands back ``choices`` itself pulls
+    none, so it takes no step and its slot keeps its list.  Trying a live
+    choice takes no step: every withdrawn choice was paid for by the
+    steps of the narrowing that emptied a later slot.
+    """
+
+    def charged(choices):
+        for choice in choices:
+            budget.spend()
+            yield choice
+
+    def narrowed(partial, index, live):
+        """The members of ``live`` that the filter of ``slots[index]`` keeps."""
+        choices = charged(live)
+        kept = consistent(partial, slots[index], choices)
+        return live if kept is choices else list(kept)
+
+    live = []
+    for index, slot in enumerate(slots):
+        keep = narrowed({}, index, list(candidates[slot]))
+        if not keep:
+            return None
+        live.append(keep)
+    if not slots:
+        return {}
+    assignment: dict = {}
+    trail = []  # (slot index, the live list a narrowing replaced)
+    marks = []  # the trail's length before each assigned slot's narrowing
+    open_slots = [iter(live[0])]
+    while open_slots:
+        depth = len(open_slots) - 1
+        if len(assignment) > depth:
+            # back at this slot: withdraw its choice and what that narrowed
+            assignment.popitem()
+            mark = marks.pop()
+            while len(trail) > mark:
+                index, kept = trail.pop()
+                live[index] = kept
+        choice = next(open_slots[-1], _UNSEEN)
+        if choice is _UNSEEN:
+            open_slots.pop()
+            continue
+        assignment[slots[depth]] = choice
+        if depth + 1 == len(slots):
+            return dict(assignment)
+        marks.append(len(trail))
+        for index in range(depth + 1, len(slots)):
+            kept = narrowed(assignment, index, live[index])
+            if len(kept) < len(live[index]):
+                trail.append((index, live[index]))
+                live[index] = kept
+                if not kept:
+                    break
+        else:
+            open_slots.append(iter(live[depth + 1]))
+    return None
+
+
+def per_slot_cross_consistent(arity, value, reference=None, fixed=None):
+    """Filter: every completed tuple through the choice has one value.
+
+    Slots are ``(coordinate, key)`` pairs.  A tuple takes one node per
+    coordinate from its pool, with the choice in its own coordinate.  A
+    coordinate's pool holds ``fixed[i]`` (when given: the nodes of
+    earlier, committed stages) followed by its assigned nodes; until
+    every other pool holds a node no tuple exists and every choice is
+    consistent.  Each tuple's ``value(tup)`` must equal ``reference``;
+    when ``reference`` is ``None`` it is the value of the anchor, the
+    tuple of each pool's first node, the choice standing in for its own
+    coordinate while that pool is empty.
+
+    Against the empty assignment the filter checks every tuple through
+    the choice; otherwise only the tuples through the newest node and
+    the choice.  No tuple holds both when the newest node sits in the
+    choice's own pool, but when it is the first there it becomes the
+    anchor's node: the choice's own anchor must then have its value.
+    """
+    memo: dict = {}
+    heads = fixed if fixed is not None else [()] * arity
+    # the forward-checking search asks about every later slot after each
+    # choice: one plan per coordinate serves them all
+    last = [None, {}]  # the partial assignment last read, as items; its plans
+
+    def val(tup):
+        got = memo.get(tup, _UNSEEN)
+        if got is _UNSEEN:
+            got = memo[tup] = value(tup)
+        return got
+
+    def plan(items, j):
+        """What a choice at coordinate ``j`` is checked on, or ``None``."""
+        pools = [list(head) for head in heads]
+        for (i, _), node in items:
+            pools[i].append(node)
+        own = pools[j]
+        if not all(pools[:j] + pools[j + 1:]):
+            return None
+        firsts = [pool[0] if pool else None for pool in pools]
+        before, after = tuple(firsts[:j]), tuple(firsts[j + 1:])
+        if items:
+            (k, _), newest = items[-1]
+            if k == j:
+                if reference is not None or len(own) > 1:
+                    return None  # no tuple holds both, and the target stays
+                # the newest node is the first in the choice's pool
+                return before, after, own, [(before, after)]
+            pools[k] = (newest,)
+        rest = [(b, a) for b in itertools.product(*pools[:j])
+                for a in itertools.product(*pools[j + 1:])]
+        return before, after, own, rest
+
+    def agreeing(choices, before, after, own, rest):
+        target = reference
+        if target is None and own:
+            target = val(before + (own[0],) + after)
+        for choice in choices:
+            want = target
+            if want is None:
+                want = val(before + (choice,) + after)
+            for b, a in rest:
+                if val(b + (choice,) + a) != want:
+                    break
+            else:
+                yield choice
+
+    def consistent(partial, slot, choices):
+        items = tuple(partial.items())
+        if items != last[0]:
+            last[:] = items, {}
+        plans = last[1]
+        j = slot[0]
+        checks = plans.get(j, _UNSEEN)
+        if checks is _UNSEEN:
+            checks = plans[j] = plan(items, j)
+        if checks is None:
+            return choices
+        return agreeing(choices, *checks)
+
+    return consistent
+
+
+def per_slot_typed_consistent(value, fixed, pinned):
+    """Filter: each tuple type keeps one value across all picked nodes.
+
+    Slots begin with their coordinate: a slot's node sits at coordinate
+    ``slot[0]``, and every other coordinate ``i`` ranges over the
+    ``(node, band)`` pairs of ``fixed[i]``.  A tuple's type is its
+    coordinates ordered by band, the picked node counting as the highest
+    band; tuples whose fixed coordinates tie on a band have no type and
+    are skipped.  The choice is consistent when, over every tuple through
+    an assigned node or the choice, each type takes a single value, equal
+    to ``pinned[type]`` where that is given.  A coordinate's types are
+    computed when it is first asked about, and a node's row of (type,
+    value) pairs once per coordinate; the filter's ``row(coordinate,
+    node)`` hands it back (``None`` on a clash).  Against the empty
+    assignment the filter checks the choice's own row; otherwise it
+    compares that row with the newest node's on the types not pinned.
+    """
+    pinned = dict(pinned)
+    combos: dict = {}  # coordinate -> its (nodes before, nodes after, type)
+    rows: dict = {}
+
+    def typed(at):
+        found = []
+        for combo in itertools.product(*(fixed[i] for i in range(len(fixed)) if i != at)):
+            bands = [band for _, band in combo]
+            if len(set(bands)) < len(bands):
+                continue
+            bands.insert(at, float("inf"))
+            pattern = tuple(sorted(range(len(fixed)), key=bands.__getitem__))
+            nodes = tuple(node for node, _ in combo)
+            found.append((nodes[:at], nodes[at:], pattern))
+        return found
+
+    def row(at, node):
+        """The value of each type on the node's tuples, or None on a clash."""
+        table = rows.get((at, node), _UNSEEN)
+        if table is not _UNSEEN:
+            return table
+        if at not in combos:
+            combos[at] = typed(at)
+        table = {}
+        for before, after, pattern in combos[at]:
+            got = value(before + (node,) + after)
+            if got != pinned.get(pattern, table.get(pattern, got)):
+                table = None
+                break
+            table[pattern] = got
+        rows[at, node] = table
+        return table
+
+    def consistent(partial, slot, choices):
+        at = slot[0]
+        if not partial:
+            return (choice for choice in choices if row(at, choice) is not None)
+        # every live choice's row already agrees with the pinned types
+        last, node = next(reversed(partial.items()))
+        newest = [(pattern, got) for pattern, got in row(last[0], node).items()
+                  if pattern not in pinned]
+        if not newest:
+            return choices
+        return (choice for choice in choices
+                if all(row(at, choice).get(pattern, got) == got for pattern, got in newest))
+
+    consistent.row = row
+    return consistent
+
+
+def per_slot_twin_rule(agree, tree):
+    """Polarized search's filter for the slots of ``tree``: ``agree`` with
+    a terminal's second child kept apart from its first."""
+
+    def consistent(partial, slot, choices):
+        if slot[2] == 1 and partial and \
+                next(reversed(partial)) == (tree, slot[1], 0):
+            # a terminal's second child differs from its first, the
+            # newest pick
+            twin = partial[tree, slot[1], 0]
+            choices = (choice for choice in choices if choice != twin)
+        return agree(partial, slot, choices)
 
     return consistent
 
@@ -1694,9 +1971,11 @@ def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, bud
 # after every committed stage, ``fuse`` recorded table ``i`` there at stage
 # ``i + 1``, and ``apply_tailcone_partial`` recorded each row one stage
 # after its base tuple's deepest node; both stage filters read those
-# tables.  The one edit: the library's kernel is called as
+# tables.  The edits: the library's kernel is called as
 # ``library_cross_consistent``, since ``cross_consistent`` here names the
-# older fusion predicate above.  ``prefix_coloring``, beside them, is the
+# older fusion predicate above, and the two filters written here (fuse's
+# root stage and the partial law's wrapper) take the library's filter
+# protocol, one call per choice.  ``prefix_coloring``, beside them, is the
 # coloring on which the partial law's tests reach a constrained stage.
 
 import zlib  # noqa: E402
@@ -1828,7 +2107,7 @@ def fuse(family: ColoringFamily, h=None, budget: StepBudget | None = None,
     def stage_factory(stage, level_set, layers):
         bind = min(stage - 1, m)
         if bind == 0:
-            return lambda partial, slot, choices: choices
+            return lambda partial, later, spend: []
 
         def accept(tup):
             for beta in range(bind):
@@ -1909,13 +2188,14 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
 
         agree = library_cross_consistent(d, accept, True, fixed)
 
-        def consistent(partial, slot, choices):
+        def consistent(partial, later, spend):
             # a tuple through a base node new at this stage holds the law
             # vacuously: only complement choices after complement nodes
             # are checked
-            if slot[0] in base_set or (partial and next(reversed(partial))[0] in base_set):
-                return choices
-            return agree(partial, slot, choices)
+            if partial and next(reversed(partial))[0] in base_set:
+                return []
+            return agree(partial, [(slot, live) for slot, live in later
+                                   if slot[0] not in base_set], spend)
 
         return consistent
 

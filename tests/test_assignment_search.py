@@ -3,9 +3,9 @@
 Random instances with a monotone predicate: a banned (slot, choice) pair
 is rejected against every partial assignment, and a banned pair of choices
 is rejected once both are assigned.  The library search asks the predicate
-through ``oracles.as_filter``, one question per pulled candidate; it does
-forward checking, so it takes other steps than the pointer search kept in
-``tests/oracles.py``.  It must return what that search returns, and the
+through ``oracles.as_filter``, one question per live candidate it re-checks;
+it does forward checking, so it takes other steps than the pointer search
+kept in ``tests/oracles.py``.  It must return what that search returns, and the
 choices it tries must be a subsequence of the candidates the pointer
 search asks about; uncapped, its answer is the first assignment in product
 order that the predicate accepts slot by slot.  Under a cap it must run

@@ -73,7 +73,7 @@ def test_bounded_scan_matches_the_unbounded_engine(monkeypatch, name, h, goal, s
 
 
 def _accepting(stage, level_set, layers):
-    return lambda partial, slot, choices: choices
+    return lambda partial, later, spend: []
 
 
 def test_roots_too_high_fail_before_stage_one_at_no_cost():
@@ -105,13 +105,11 @@ def test_a_stage_fails_where_its_only_level_is_above_the_bound():
     scanned = set()
 
     def stage_factory(stage, level_set, layers):
-        def consistent(partial, slot, choices):
-            for node in choices:
-                scanned.add(len(node))
-                if len(node) == 5:
-                    yield node
+        def consistent(partial, slot, node):
+            scanned.add(len(node))
+            return len(node) == 5
 
-        return consistent
+        return oracles.as_filter(consistent)
 
     budget = StepBudget(10 ** 6)
     outcome = grow_shared_subtrees(views, ("", ""), 3, stage_factory, budget,
