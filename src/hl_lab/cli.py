@@ -179,8 +179,14 @@ def _integers(doc, field):
 
 def _epsilon(value) -> Fraction:
     """An exception budget: a JSON integer or a string ``Fraction`` reads
-    exactly; not a bool, a float or a negative value."""
-    epsilon = Fraction(value) if type(value) is int or isinstance(value, str) else None
+    exactly; not a bool, a float, a negative value or a string that
+    ``Fraction`` refuses (``"x"``, ``"1/0"``)."""
+    epsilon = None
+    if type(value) is int or isinstance(value, str):
+        try:
+            epsilon = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     if epsilon is None or epsilon < 0:
         raise InvalidInputError(f"field 'epsilon' must be a non-negative integer "
                                 f"or fraction string, got {value!r}")

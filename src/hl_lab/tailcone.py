@@ -29,7 +29,7 @@ from .search import (
     cross_consistent,
 )
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
-from .trees import node_key
+from .trees import node_key, sort_nodes
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
@@ -77,45 +77,37 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         raise InvalidInputError(f"height goal must be positive, got {height_goal}")
     level_set = [root_levels.pop()]
     layers = [[(roots[j],) for j in range(d)]]
-    while len(level_set) < height_goal:
-        alpha = len(level_set) - 1
-        # stage alpha + 1 leaves a level for each later stage
-        top = height - (height_goal - len(level_set) - 1)
-        if level_set[alpha] + 1 >= top:
+    for stage in range(1, height_goal):
+        # this stage leaves a level for each later stage
+        top = height - (height_goal - stage - 1)
+        if level_set[-1] + 1 >= top:
             return GrowOutcome(False, None,
-                               f"{label}: truncation exhausted before stage "
-                               f"{alpha + 1}")
-        successors = []
-        for j in range(d):
-            per = []
-            for node in layers[alpha][j]:
-                per.extend(views[j].extensions(node, level_set[alpha] + 1))
-            successors.append(tuple(per))
-        if any(not per for per in successors):
+                               f"{label}: truncation exhausted before stage {stage}")
+        slots = [(j, u) for j in range(d) for node in layers[-1][j]
+                 for u in views[j].extensions(node, level_set[-1] + 1)]
+        if len({j for j, _ in slots}) < d:
             return GrowOutcome(False, None,
-                               f"{label}: a stage-{alpha} node does not split")
-        slots = [(j, u) for j in range(d) for u in successors[j]]
-        consistent = stage_factory(alpha + 1, tuple(level_set), layers)
+                               f"{label}: a stage-{stage - 1} node does not split")
+        consistent = stage_factory(stage, tuple(level_set), layers)
         try:
             picked = first_level(
-                slots, range(level_set[alpha] + 1, top),
+                slots, range(level_set[-1] + 1, top),
                 lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
                 consistent, budget)
         except BudgetExhausted:
             return GrowOutcome(False, None,
-                               f"{label}: budget exhausted during stage {alpha + 1}",
+                               f"{label}: budget exhausted during stage {stage}",
                                capped=True)
         if picked is None:
             return GrowOutcome(False, None,
-                               f"{label}: no admissible level for stage {alpha + 1}")
+                               f"{label}: no admissible level for stage {stage}")
         chi, assignment = picked
-        layer = [tuple(sorted((assignment[(j, u)] for u in successors[j]),
-                              key=node_key))
+        layer = [sort_nodes(node for (k, _), node in assignment.items() if k == j)
                  for j in range(d)]
         level_set.append(chi)
         layers.append(layer)
         if transcript is not None:
-            transcript.append({"event": f"{label}-stage", "stage": alpha + 1,
+            transcript.append({"event": f"{label}-stage", "stage": stage,
                                "view_level": chi,
                                "nodes": [list(layer[j]) for j in range(d)]})
     return GrowOutcome(True, tuple(
@@ -424,6 +416,8 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
         h = height
     if h < 2:
         raise InvalidInputError(f"need at least two subtree levels, got {h}")
+    if h > height:
+        raise InvalidInputError(f"height goal {h} exceeds tree height {height}")
     at_key = functools.cache(coloring.evaluate)
 
     def stage_factory(stage, level_set, layers):

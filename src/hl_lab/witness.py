@@ -34,7 +34,11 @@ from .search import (
     cross_consistent,
     prefiltered_assignment,
 )
-from .subtrees import ValidationResult, validate_strong_subtree
+from .subtrees import (
+    ValidationResult,
+    enumerate_strong_subtrees,
+    validate_strong_subtree,
+)
 from .trees import TreeSpace, sort_nodes
 
 # ---------------------------------------------------------------------------
@@ -452,36 +456,33 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
     """First somewhere-dense successor-level witness in canonical scan order.
 
     Scan order: base height, base (coordinatewise canonical), matrix
-    level, matrix (one member per successor cone, product order).  A
-    monochromatic dense matrix exists iff one with exactly one member per
-    cone does, so the scan is complete.  Returns ``None`` when the whole
-    truncation admits no witness.
+    level, matrix (one member per successor cone, product order).  Each
+    base's matrix is the top of a two-level ``grow_shared_subtrees``
+    growth from the base: with it the base is a strong subtree on levels
+    ``(ht, chi)`` in every factor.  A monochromatic dense matrix exists
+    iff one with exactly one member per cone does, so the scan is
+    complete.  Returns ``None`` when the whole truncation admits no
+    witness.
     """
+    from .tailcone import grow_shared_subtrees
+
     budget = budget or StepBudget()
     views = coloring.spaces
     height = min(v.height for v in views)
     # the filter reads no base, so its memo of coloring values serves them all
     consistent = cross_consistent(len(views), coloring.evaluate)
-    try:
-        for ht in range(height - 1):
-            for base in itertools.product(*(v.level(ht) for v in views)):
-                # one member above each successor-cone node, on one level
-                cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
-                slots = [(j, u) for j in range(len(base)) for u in cones[j]]
-                found = first_level(
-                    slots, range(ht + 1, height),
-                    lambda chi: {(j, u): views[j].extensions(u, chi)
-                                 for (j, u) in slots},
-                    consistent, budget)
-                if found is not None:
-                    matrix = tuple(sort_nodes(found[1][(j, u)] for u in cones[j])
-                                   for j in range(len(base)))
-                    # the matrix is monochromatic: any member tuple gives its color
-                    color = coloring.evaluate(tuple(col[0] for col in matrix))
-                    return SomewhereDenseWitness(base, matrix, ht + 1, color)
-    except BudgetExhausted:
-        raise CapExceededError(budget.cap,
-                               "successor-level witness scan exceeded its budget")
+    for ht in range(height - 1):
+        for base in itertools.product(*(v.level(ht) for v in views)):
+            grown = grow_shared_subtrees(views, base, 2, lambda *_: consistent,
+                                         budget, label="sdhl")
+            if grown.capped:
+                raise CapExceededError(
+                    budget.cap, "successor-level witness scan exceeded its budget")
+            if grown.success:
+                matrix = tuple(r.level(1) for r in grown.reports)
+                # the matrix is monochromatic: any member tuple gives its color
+                color = coloring.evaluate(tuple(col[0] for col in matrix))
+                return SomewhereDenseWitness(base, matrix, ht + 1, color)
     return None
 
 
@@ -742,27 +743,22 @@ _MAX_GROUP_MEMBERS = 1 << 20
 def _witness_groups(d, b, n):
     """Minimal witness candidates as index groups over the level domain.
 
-    The level domain excludes height-0 tuples: no witness ever evaluates
-    them, so their colors are irrelevant to witness existence.
+    A candidate's base and matrix form, in each coordinate, a strong
+    subtree on levels ``(ht, eta)``; a group is the product of one such
+    subtree's top level per coordinate.  The level domain excludes
+    height-0 tuples: no witness ever evaluates them, so their colors are
+    irrelevant to witness existence.
     """
-    views = [TreeSpace.uniform(b, n)] * d
+    space = TreeSpace.uniform(b, n)
     domain = [tup for xi in range(1, n)
-              for tup in itertools.product(*(v.level(xi) for v in views))]
+              for tup in itertools.product(space.level(xi), repeat=d)]
     index = {tup: i for i, tup in enumerate(domain)}
     groups = []
     for ht in range(n - 1):
-        for base in itertools.product(*(v.level(ht) for v in views)):
-            cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
-            for eta in range(ht + 1, n):
-                per_cone = [[views[j].extensions(u, eta) for u in cones[j]]
-                            for j in range(d)]
-                coord_selections = [
-                    list(itertools.product(*percoord)) for percoord in per_cone
-                ]
-                for pick in itertools.product(*coord_selections):
-                    cols = [sort_nodes(chosen) for chosen in pick]
-                    members = list(itertools.product(*cols))
-                    groups.append(tuple(index[m] for m in members))
+        for eta in range(ht + 1, n):
+            tops = [r.level(1) for r in enumerate_strong_subtrees(space, (ht, eta))]
+            for cols in itertools.product(tops, repeat=d):
+                groups.append(tuple(index[m] for m in itertools.product(*cols)))
     return domain, groups
 
 

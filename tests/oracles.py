@@ -2276,3 +2276,38 @@ def hl_search_every_level(coloring: Coloring, h=None,
     return HLOutcome(False, None, None,
                      failure="no root tuple grows a monochromatic product "
                              f"of height {h}")
+
+
+# ---------------------------------------------------------------------------
+# finite-HL witness groups, one base and one per-cone product at a time
+#
+# Kept verbatim as the reference for ``witness._witness_groups``, which
+# reads each coordinate's choices off ``enumerate_strong_subtrees``
+# instead.  The two list the same groups in different orders.
+
+
+def _witness_groups(d, b, n):
+    """Minimal witness candidates as index groups over the level domain.
+
+    The level domain excludes height-0 tuples: no witness ever evaluates
+    them, so their colors are irrelevant to witness existence.
+    """
+    views = [TreeSpace.uniform(b, n)] * d
+    domain = [tup for xi in range(1, n)
+              for tup in itertools.product(*(v.level(xi) for v in views))]
+    index = {tup: i for i, tup in enumerate(domain)}
+    groups = []
+    for ht in range(n - 1):
+        for base in itertools.product(*(v.level(ht) for v in views)):
+            cones = [views[j].extensions(base[j], ht + 1) for j in range(len(base))]
+            for eta in range(ht + 1, n):
+                per_cone = [[views[j].extensions(u, eta) for u in cones[j]]
+                            for j in range(d)]
+                coord_selections = [
+                    list(itertools.product(*percoord)) for percoord in per_cone
+                ]
+                for pick in itertools.product(*coord_selections):
+                    cols = [sort_nodes(chosen) for chosen in pick]
+                    members = list(itertools.product(*cols))
+                    groups.append(tuple(index[m] for m in members))
+    return domain, groups

@@ -469,9 +469,10 @@ ALMOST_ALL = {"spaces": [{"branching": 2, "height": 6}] * 2,
               "coloring": {"kind": "named", "name": "height-permutation"}}
 
 
-@pytest.mark.parametrize("epsilon", [True, 0.1, None, [1], -1, "-1/2"])
+@pytest.mark.parametrize("epsilon", [True, 0.1, None, [1], -1, "-1/2", "1/0", "x"])
 def test_epsilon_is_a_fraction_string_or_an_integer(tmp_path, capsys, epsilon):
-    # true once ran as "1", 0.1 as its binary expansion, and -1 exited 1
+    # true once ran as "1", 0.1 as its binary expansion, -1 exited 1, "1/0"
+    # escaped dispatch and "x" answered with a bare ValueError
     code, error = _exit_and_error(tmp_path, capsys, ["polarized", "almost-all"],
                                   {**ALMOST_ALL, "epsilon": epsilon})
     assert (code, error) == (2, f"field 'epsilon' must be a non-negative integer "
@@ -560,6 +561,18 @@ def test_dim_induct_document(tmp_path, capsys):
     assert code == 0
     assert doc["success"] is True and doc["witness"] is not None
     jsonschema.validate(doc, schema("dim-induct"))
+
+
+def test_dim_induct_refuses_a_height_goal_above_the_trees(tmp_path, capsys):
+    # once exit 1, "tail-cone step failed: partial: truncation exhausted
+    # before stage 1"; fusion run refused the same h with this exit 2
+    doc = {"spaces": [{"branching": 2, "height": 4}] * 2,
+           "coloring": {"kind": "named", "name": "seeded-random",
+                        "params": {"colors": 2, "seed": 11}},
+           "h": 9}
+    for argv in (["dim-induct"], ["fusion", "run"]):
+        code, error = _exit_and_error(tmp_path, capsys, argv, doc)
+        assert (code, error) == (2, "height goal 9 exceeds tree height 4")
 
 
 def test_polarized_search_document(tmp_path, capsys):

@@ -301,6 +301,23 @@ def test_group_count_has_a_closed_form(d, b, n):
     assert _witness_group_count(d, b, n) == len(_witness_groups(d, b, n)[1])
 
 
+def _heights_under_the_member_bound(d, b):
+    n = 2
+    while _witness_group_count(d, b, n) * b ** d <= witness._MAX_GROUP_MEMBERS:
+        yield n
+        n += 1
+
+
+@pytest.mark.parametrize("d,b,n", [(d, b, n) for d in (1, 2, 3) for b in (2, 3)
+                                   for n in _heights_under_the_member_bound(d, b)])
+def test_groups_are_the_per_cone_groups(d, b, n):
+    domain, groups = _witness_groups(d, b, n)
+    old_domain, old_groups = oracles._witness_groups(d, b, n)
+    assert domain == old_domain
+    assert sorted(groups) == sorted(old_groups)
+    assert len(groups) == _witness_group_count(d, b, n)
+
+
 def _refuse_building(d, b, n):
     raise AssertionError(f"groups built at height {n}")
 

@@ -156,6 +156,16 @@ def test_call_paths_are_followed():
     assert not any(map(_constructs, reached(graph, "helper") - {"first_level"}))
 
 
+def test_the_stage_step_serves_three_stage_loops():
+    # sdhl's matrix is a two-level growth of the stage engine, so it takes
+    # no stage step of its own
+    callers = {name for name, calls in call_graph(
+        path.read_text(encoding="utf-8")
+        for path in Path(hl_lab.__file__).parent.glob("*.py")).items()
+        if "first_level" in calls}
+    assert callers == {"grow_shared_subtrees", "polarized_search", "_induction_tail"}
+
+
 def test_no_checker_reaches_a_construction():
     # a checker that ran the search kernel could agree with a search on a
     # wrong answer, so construction and checking stay apart

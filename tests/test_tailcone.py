@@ -253,6 +253,18 @@ def test_partial_parameter_guards():
         apply_tailcone_partial(level_parity_coloring((space, space)), (0,))
 
 
+@pytest.mark.parametrize("heights,h", [((4, 4), 9), ((4, 4), 5), ((6, 4), 5)])
+def test_partial_refuses_a_height_goal_above_the_lowest_tree(heights, h):
+    # once an outcome "partial: truncation exhausted before stage 1", which
+    # dim-induct reported as a failed construction
+    col = seeded_hash_coloring(tuple(TreeSpace(2, t) for t in heights), 2, seed=0)
+    with pytest.raises(InvalidInputError,
+                       match=f"^height goal {h} exceeds tree height 4$"):
+        apply_tailcone_partial(col, (0,), h=h)
+    # the lowest height itself is tried, not refused
+    assert apply_tailcone_partial(col, (0,), h=4).failure.endswith("for stage 2")
+
+
 # ---------------------------------------------------------------------------
 # monochromatic level products
 

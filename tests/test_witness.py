@@ -10,7 +10,11 @@ import pytest
 from hl_lab import witness
 from hl_lab.errors import CapExceededError, InvalidInputError
 from hl_lab.search import StepBudget
-from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees
+from hl_lab.subtrees import (
+    SubtreeReport,
+    enumerate_strong_subtrees,
+    validate_strong_subtree,
+)
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
     Coloring,
@@ -531,6 +535,24 @@ def test_a_dense_set_check_reads_the_top_level():
                    for color in range(col.colors))
     # each kind of view, passing and failing
     assert len(seen) == 6
+
+
+def test_an_sdhl_witness_is_a_strong_subtree_in_every_factor():
+    """The base with its matrix is, in each factor's ambient tree, a strong
+    subtree on the base's and the matrix's ambient levels."""
+    rng = random.Random("sdhl-strong-subtree")
+    seen = set()
+    for _ in range(80):
+        col, kind = _dense_set_box(rng)
+        w = sdhl_search(col)
+        if w is None:
+            continue
+        for view, node, column in zip(col.spaces, w.base, w.matrix):
+            report = SubtreeReport(view.ambient_space, (node,) + column,
+                                   (len(node), len(column[0])))
+            assert validate_strong_subtree(report).valid, (kind, w)
+        seen.add(kind)
+    assert seen == {"uniform", "explicit", "subtree"}
 
 
 def test_dense_set_search_returns_the_first_pair_the_reference_passes():
