@@ -35,7 +35,7 @@ from .errors import (
     UnknownNodeError,
     json_integer,
 )
-from .trees import TreeSpace, node_key, sort_nodes
+from .trees import TreeSpace, sort_nodes
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,25 @@ def validate_strong_subtree(report: SubtreeReport) -> ValidationResult:
     return ValidationResult(not violations, tuple(violations))
 
 
+def _strong_node_sets(space: TreeSpace, levels):
+    """Yield each strong subtree on ``levels`` as one canonical node tuple,
+    grown layer by layer: one extension per ambient successor of each
+    layer node, in product order; the sorted layers concatenate canonically.
+    """
+    def grow(nodes, layer, targets):
+        if not targets:
+            yield nodes
+            return
+        slots = [space.extensions(succ, targets[0])
+                 for node in layer for succ in space.extensions(node, len(node) + 1)]
+        for pick in itertools.product(*slots):
+            nxt = sort_nodes(pick)
+            yield from grow(nodes + nxt, nxt, targets[1:])
+
+    for root in space.level(levels[0]):
+        yield from grow((root,), (root,), levels[1:])
+
+
 def enumerate_strong_subtrees(space: TreeSpace, level_set):
     """Yield every strong subtree with the given witnessing level set.
 
@@ -221,30 +240,8 @@ def enumerate_strong_subtrees(space: TreeSpace, level_set):
     """
     levels = tuple(int(a) for a in level_set)
     _check_level_set(levels, space)
-
-    def grow(stage_nodes, xi):
-        # stage_nodes: chosen nodes at subtree level xi, canonically sorted
-        if xi + 1 == len(levels):
-            yield [list(stage_nodes)]
-            return
-        target = levels[xi + 1]
-        # one choice of extension per ambient successor of each chosen node
-        slots = []
-        for node in stage_nodes:
-            for succ in space.extensions(node, len(node) + 1):
-                choices = space.extensions(succ, target)
-                if not choices:
-                    return
-                slots.append(choices)
-        for pick in itertools.product(*slots):
-            next_nodes = sort_nodes(pick)
-            for rest in grow(next_nodes, xi + 1):
-                yield [list(stage_nodes)] + rest
-
-    for root in space.level(levels[0]):
-        for layers in grow((root,), 0):
-            nodes = [n for layer in layers for n in layer]
-            yield SubtreeReport(space=space, nodes=tuple(nodes), level_set=levels)
+    for nodes in _strong_node_sets(space, levels):
+        yield SubtreeReport(space=space, nodes=nodes, level_set=levels)
 
 
 def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
@@ -270,15 +267,14 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
         level = report.level(report.level_set.index(ambient_level))
         return tuple(n for n in level if n.startswith(above))
 
-    first = target[0]
-    if first == report.level_set[0]:
+    if target[0] == report.level_set[0]:
         root = report.root
     else:
-        root = min(members_at(first, ""), key=node_key)
+        root = members_at(target[0], "")[0]
 
     chosen = [root]
     current = [root]
-    for nxt in target[target.index(first) + 1:]:
+    for nxt in target[1:]:
         stage = []
         for node in current:
             for succ in space.extensions(node, len(node) + 1):
@@ -288,7 +284,7 @@ def trim(report: SubtreeReport, level_subset) -> SubtreeReport:
                         f"subtree has no extension of {succ!r} at level {nxt}; "
                         f"is the report a valid strong subtree?"
                     )
-                stage.append(min(candidates, key=node_key))
+                stage.append(candidates[0])
         stage = sort_nodes(stage)
         chosen.extend(stage)
         current = stage

@@ -579,8 +579,6 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     d = len(uviews)
     cones0 = tview.extensions(s, beta + 2)
     cone_reps = [uviews[k].extensions(tbar[k], beta + 1) for k in range(d)]
-    if any(not reps for reps in cone_reps):
-        return None
     # coordinate 0 is the node s' above the cone, coordinate k + 1 chain k
     chains = [(k + 1, v) for k in range(d) for v in cone_reps[k]]
     current = {(k, v): v for (k, v) in chains}

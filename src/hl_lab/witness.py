@@ -36,7 +36,7 @@ from .search import (
 )
 from .subtrees import (
     ValidationResult,
-    enumerate_strong_subtrees,
+    _strong_node_sets,
     validate_strong_subtree,
 )
 from .trees import TreeSpace, sort_nodes
@@ -756,7 +756,7 @@ def _witness_groups(d, b, n):
     groups = []
     for ht in range(n - 1):
         for eta in range(ht + 1, n):
-            tops = [r.level(1) for r in enumerate_strong_subtrees(space, (ht, eta))]
+            tops = [nodes[1:] for nodes in _strong_node_sets(space, (ht, eta))]
             for cols in itertools.product(tops, repeat=d):
                 groups.append(tuple(index[m] for m in itertools.product(*cols)))
     return domain, groups

@@ -2282,8 +2282,9 @@ def hl_search_every_level(coloring: Coloring, h=None,
 # finite-HL witness groups, one base and one per-cone product at a time
 #
 # Kept verbatim as the reference for ``witness._witness_groups``, which
-# reads each coordinate's choices off ``enumerate_strong_subtrees``
-# instead.  The two list the same groups in different orders.
+# reads each coordinate's choices off the strong subtrees of
+# ``subtrees._strong_node_sets`` instead.  The two list the same groups
+# in different orders.
 
 
 def _witness_groups(d, b, n):
@@ -2310,4 +2311,72 @@ def _witness_groups(d, b, n):
                     cols = [sort_nodes(chosen) for chosen in pick]
                     members = list(itertools.product(*cols))
                     groups.append(tuple(index[m] for m in members))
+    return domain, groups
+
+
+# ---------------------------------------------------------------------------
+# strong subtrees as a list of layers, wrapped in reports
+#
+# Kept verbatim as the reference for ``subtrees.enumerate_strong_subtrees``
+# and ``witness._witness_groups``, which now read one layer generator
+# that yields node tuples.  Both must keep this order.  The groups
+# function is renamed here, as ``_witness_groups`` above is the per-cone
+# reference.
+
+from hl_lab.subtrees import _check_level_set  # noqa: E402
+
+
+def enumerate_strong_subtrees(space: TreeSpace, level_set):
+    """Yield every strong subtree with the given witnessing level set.
+
+    Deterministic order: roots scan canonically, then extension choices
+    scan in canonical node order, successor by successor.
+    """
+    levels = tuple(int(a) for a in level_set)
+    _check_level_set(levels, space)
+
+    def grow(stage_nodes, xi):
+        # stage_nodes: chosen nodes at subtree level xi, canonically sorted
+        if xi + 1 == len(levels):
+            yield [list(stage_nodes)]
+            return
+        target = levels[xi + 1]
+        # one choice of extension per ambient successor of each chosen node
+        slots = []
+        for node in stage_nodes:
+            for succ in space.extensions(node, len(node) + 1):
+                choices = space.extensions(succ, target)
+                if not choices:
+                    return
+                slots.append(choices)
+        for pick in itertools.product(*slots):
+            next_nodes = sort_nodes(pick)
+            for rest in grow(next_nodes, xi + 1):
+                yield [list(stage_nodes)] + rest
+
+    for root in space.level(levels[0]):
+        for layers in grow((root,), 0):
+            nodes = [n for layer in layers for n in layer]
+            yield SubtreeReport(space=space, nodes=tuple(nodes), level_set=levels)
+
+
+def _witness_groups_from_reports(d, b, n):
+    """Minimal witness candidates as index groups over the level domain.
+
+    A candidate's base and matrix form, in each coordinate, a strong
+    subtree on levels ``(ht, eta)``; a group is the product of one such
+    subtree's top level per coordinate.  The level domain excludes
+    height-0 tuples: no witness ever evaluates them, so their colors are
+    irrelevant to witness existence.
+    """
+    space = TreeSpace.uniform(b, n)
+    domain = [tup for xi in range(1, n)
+              for tup in itertools.product(space.level(xi), repeat=d)]
+    index = {tup: i for i, tup in enumerate(domain)}
+    groups = []
+    for ht in range(n - 1):
+        for eta in range(ht + 1, n):
+            tops = [r.level(1) for r in enumerate_strong_subtrees(space, (ht, eta))]
+            for cols in itertools.product(tops, repeat=d):
+                groups.append(tuple(index[m] for m in itertools.product(*cols)))
     return domain, groups

@@ -68,6 +68,28 @@ def test_invalid_subtree_exits_one(tmp_path, capsys):
     jsonschema.validate(doc, schema("validation"))
 
 
+@pytest.mark.parametrize("nodes, level_set, violation", [
+    (["0", "00", "01", "100"], [1, 2, 3], "node '100' does not extend the root '0'"),
+    (["", "0", "100"], [0, 1, 3],
+     "node '100' lacks its predecessor at witnessing level 1"),
+])
+def test_subtree_off_the_root_or_its_chain_exits_one(tmp_path, capsys, nodes,
+                                                     level_set, violation):
+    path = write_doc(tmp_path, "in.json", {
+        "space": SPACE4, "nodes": nodes, "level_set": level_set})
+    code, doc, _ = run_json(["validate-subtree", path], capsys)
+    assert code == 1
+    assert violation in doc["violations"]
+    jsonschema.validate(doc, schema("validation"))
+
+
+def test_explicit_space_that_is_not_well_pruned_exits_two(tmp_path, capsys):
+    code, error = _exit_and_error(tmp_path, capsys, ["validate-subtree"], {
+        "space": {"nodes": ["", "0", "1", "00"]}, "nodes": [""], "level_set": [0]})
+    assert (code, error) == (2, "explicit node set is not well pruned: "
+                                "'1' has no successor")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         dispatch(["frobnicate"])
@@ -502,6 +524,20 @@ def test_sdhl_search_found_document(tmp_path, capsys):
     assert code == 0
     assert doc["found"] is True
     assert doc["witness"]["base"] == [""]
+    jsonschema.validate(doc, schema("sdhl-search"))
+
+
+def test_sdhl_search_not_found_document(tmp_path, capsys):
+    # the root's two successors differ in color, so no matrix is monochromatic
+    path = write_doc(tmp_path, "in.json", {
+        "space": {"branching": 2, "height": 2},
+        "coloring": {"kind": "table", "arity": 1, "colors": 2, "entries": [
+            {"tuple": [""], "color": 0}, {"tuple": ["0"], "color": 0},
+            {"tuple": ["1"], "color": 1}]},
+    })
+    code, doc, manifest = run_json(["sdhl-search", path], capsys)
+    assert (code, manifest["outcome"]) == (1, 1)
+    assert doc == {"found": False, "witness": None}
     jsonschema.validate(doc, schema("sdhl-search"))
 
 

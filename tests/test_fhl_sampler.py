@@ -318,6 +318,13 @@ def test_groups_are_the_per_cone_groups(d, b, n):
     assert len(groups) == _witness_group_count(d, b, n)
 
 
+@pytest.mark.parametrize("d,b,n", [(d, b, n) for d in (1, 2, 3) for b in (2, 3)
+                                   for n in _heights_under_the_member_bound(d, b)])
+def test_groups_keep_the_order_of_the_report_reading(d, b, n):
+    # the layer generator lists the groups the reports did, in their order
+    assert _witness_groups(d, b, n) == oracles._witness_groups_from_reports(d, b, n)
+
+
 def _refuse_building(d, b, n):
     raise AssertionError(f"groups built at height {n}")
 

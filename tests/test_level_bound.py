@@ -16,6 +16,7 @@ import oracles
 from hl_lab import polarized, tailcone
 from hl_lab.polarized import almost_all_homogenize
 from hl_lab.search import StepBudget, cross_consistent
+from hl_lab.subtrees import SubtreeReport
 from hl_lab.tailcone import (
     ColoringFamily,
     apply_tailcone_partial,
@@ -96,6 +97,24 @@ def test_roots_too_high_fail_before_stage_one_at_no_cost():
                                    label="t")
     assert outcome.success
     assert all(r.level_set == (2, 3, 4) for r in outcome.reports)
+
+
+def test_a_node_without_a_successor_in_its_view_fails_before_the_factory():
+    # a report's view has no level-1 node above its root, so the root has
+    # no slot and stage 1 cannot split it
+    view = SubtreeReport(TreeSpace(2, 4), ("", "000"), (0, 2, 3))
+    calls = []
+
+    def stage_factory(stage, level_set, layers):
+        calls.append(stage)
+        return _accepting(stage, level_set, layers)
+
+    budget = StepBudget(1000)
+    outcome = grow_shared_subtrees((view,), ("",), 2, stage_factory, budget,
+                                   label="t")
+    assert not outcome.success and not outcome.capped
+    assert outcome.failure == "t: a stage-0 node does not split"
+    assert budget.used == 0 and calls == []
 
 
 def test_a_stage_fails_where_its_only_level_is_above_the_bound():

@@ -15,6 +15,7 @@ from hl_lab.subtrees import (
 )
 from hl_lab.trees import TreeSpace
 
+import oracles
 from oracles import all_nodes, strong_subtrees_by_scan
 
 
@@ -41,6 +42,12 @@ def test_clause_failures_are_named():
     # two roots
     res = validate_strong_subtree(SubtreeReport(space, ("0", "1"), (1,)))
     assert not res.valid
+    # a node off the root, and one whose chain skips a witnessing level
+    space = TreeSpace(2, 4)
+    res = validate_strong_subtree(SubtreeReport(space, ("0", "00", "01", "100"), (1, 2, 3)))
+    assert "node '100' does not extend the root '0'" in res.violations
+    res = validate_strong_subtree(SubtreeReport(space, ("", "0", "100"), (0, 1, 3)))
+    assert "node '100' lacks its predecessor at witnessing level 1" in res.violations
 
 
 def test_single_node_is_a_subtree():
@@ -63,6 +70,22 @@ def test_enumerator_agrees_with_subset_scan_everywhere():
             for nodes in ours:
                 report = SubtreeReport(space, nodes, level_set)
                 assert validate_strong_subtree(report).valid
+
+
+# branching 3 at "10", 2 at "", "0", "00", 1 at "1", "01"
+NON_UNIFORM = TreeSpace.explicit(["", "0", "1", "00", "01", "10", "000", "001",
+                                  "010", "100", "101", "102"])
+
+
+@pytest.mark.parametrize("space", [TreeSpace(2, 5), TreeSpace(3, 4), NON_UNIFORM],
+                         ids=["b2", "b3", "explicit"])
+def test_enumeration_matches_the_layer_list_reference(space):
+    # the same reports in the same order, on every level set of length 1-4
+    for size in range(1, 5):
+        for level_set in itertools.combinations(range(space.height), size):
+            ours = list(enumerate_strong_subtrees(space, level_set))
+            assert ours == list(oracles.enumerate_strong_subtrees(space, level_set))
+            assert ours, level_set
 
 
 def test_enumeration_counts_frozen():

@@ -125,6 +125,28 @@ def test_explicit_space_round_trip():
     assert TreeSpace.from_json(doc) == space
 
 
+@pytest.mark.parametrize("nodes, message", [
+    (["0", "1"], "explicit node set must contain the root"),
+    (["", "0", "11"], "explicit node set is not prefix closed: '11' lacks its parent"),
+    (["", "0", "1", "00"], "explicit node set is not well pruned: '1' has no successor"),
+    ([], "explicit node set may not be empty"),
+])
+def test_explicit_node_sets_are_refused(nodes, message):
+    for build in (TreeSpace.explicit, lambda ns: TreeSpace.from_json({"nodes": ns})):
+        with pytest.raises(InvalidInputError) as info:
+            build(nodes)
+        assert str(info.value) == message
+
+
+def test_the_constructor_refuses_duplicate_and_out_of_range_nodes():
+    # ``explicit`` drops duplicates and sizes the height to fit its nodes
+    with pytest.raises(InvalidInputError, match="^explicit node set contains duplicates$"):
+        TreeSpace(2, 2, nodes=("", "0", "0", "1"))
+    with pytest.raises(OutOfRangeError) as info:
+        TreeSpace(2, 2, nodes=("", "0", "1", "00"))
+    assert str(info.value) == "node '00' has height 2 outside truncation 2"
+
+
 def test_uniform_space_json_round_trip():
     space = TreeSpace(2, 5)
     doc = space.to_json()
