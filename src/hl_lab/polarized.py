@@ -30,7 +30,7 @@ from .search import (
 from .subtrees import SubtreeReport, ValidationResult
 from .tailcone import _view_report, grow_shared_subtrees
 from .trees import node_key
-from .witness import Coloring, first_level
+from .witness import Coloring, _level_domain, first_level
 
 # ---------------------------------------------------------------------------
 # degree numerics
@@ -358,29 +358,28 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                                failure=failure, capped=True)
 
     for h_goal in range(h_max, arity - 1, -1):
-        for rho in range(height - h_goal + 1):
-            for roots in itertools.product(*(v.level(rho) for v in views)):
-                for gamma_vec in itertools.product(range(f.colors),
-                                                   repeat=len(perms)):
-                    outcome, gamma = attempt(h_goal, roots, gamma_vec)
-                    if outcome.capped:
-                        return capped("budget exhausted during the staged scan")
-                    if outcome.success:
-                        # one step per tuple of the product the measurement walks
-                        try:
-                            budget.spend(math.prod(len(r.nodes)
-                                                   for r in outcome.reports))
-                        except BudgetExhausted:
-                            return capped("budget exhausted while measuring "
-                                          "the construction")
-                        patterns = _measure_patterns(f, outcome.reports, gamma)
-                        ok = all(p.fraction <= epsilon for p in patterns)
-                        return AlmostAllReport(
-                            success=ok, reports=outcome.reports,
-                            patterns=patterns, epsilon=epsilon,
-                            route="staged",
-                            failure="" if ok else
-                            "construction exceeds the exception budget")
+        for roots in _level_domain(views, h_goal):
+            for gamma_vec in itertools.product(range(f.colors),
+                                               repeat=len(perms)):
+                outcome, gamma = attempt(h_goal, roots, gamma_vec)
+                if outcome.capped:
+                    return capped("budget exhausted during the staged scan")
+                if outcome.success:
+                    # one step per tuple of the product the measurement walks
+                    try:
+                        budget.spend(math.prod(len(r.nodes)
+                                               for r in outcome.reports))
+                    except BudgetExhausted:
+                        return capped("budget exhausted while measuring "
+                                      "the construction")
+                    patterns = _measure_patterns(f, outcome.reports, gamma)
+                    ok = all(p.fraction <= epsilon for p in patterns)
+                    return AlmostAllReport(
+                        success=ok, reports=outcome.reports,
+                        patterns=patterns, epsilon=epsilon,
+                        route="staged",
+                        failure="" if ok else
+                        "construction exceeds the exception budget")
     return AlmostAllReport(
         success=False, reports=None, patterns=(), epsilon=epsilon,
         route="staged",
@@ -510,6 +509,10 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
     views = f.spaces
     k = f.arity
     height = min(v.height for v in views)
+    # every band takes a level of its own, one band per tree per round
+    if (depth + 1) * k > height:
+        raise InvalidInputError(f"depth {depth} needs {(depth + 1) * k} levels "
+                                f"across {k} trees, the lowest has {height}")
 
     picked: list[dict] = [dict() for _ in range(k)]  # node -> band
     tree_levels: list[list[int]] = [[] for _ in range(k)]

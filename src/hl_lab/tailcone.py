@@ -33,6 +33,7 @@ from .trees import node_key, sort_nodes
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
+    _level_domain,
     check_somewhere_dense_witness,
     dshl_search,
     first_level,
@@ -508,25 +509,23 @@ def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
     budget = budget or StepBudget()
     views = coloring.spaces
     d = coloring.arity
-    height = min(v.height for v in views)
     if h is None:
-        h = height
+        h = min(v.height for v in views)
     # a root above level height - h leaves too few levels to grow h
-    for rho in range(height - h + 1):
-        for roots in itertools.product(*(v.level(rho) for v in views)):
-            gamma = coloring.evaluate(roots)
+    for roots in _level_domain(views, h):
+        gamma = coloring.evaluate(roots)
 
-            def stage_factory(stage, level_set, layers):
-                return cross_consistent(d, coloring.evaluate, gamma)
+        def stage_factory(stage, level_set, layers):
+            return cross_consistent(d, coloring.evaluate, gamma)
 
-            outcome = grow_shared_subtrees(views, roots, h, stage_factory,
-                                           budget, transcript=transcript,
-                                           label="hl")
-            if outcome.success:
-                return HLOutcome(True, outcome.reports, gamma)
-            if outcome.capped:
-                return HLOutcome(False, None, None,
-                                 failure=outcome.failure, capped=True)
+        outcome = grow_shared_subtrees(views, roots, h, stage_factory,
+                                       budget, transcript=transcript,
+                                       label="hl")
+        if outcome.success:
+            return HLOutcome(True, outcome.reports, gamma)
+        if outcome.capped:
+            return HLOutcome(False, None, None,
+                             failure=outcome.failure, capped=True)
     return HLOutcome(False, None, None,
                      failure="no root tuple grows a monochromatic product "
                              f"of height {h}")

@@ -103,10 +103,13 @@ class Coloring:
         return self._fn
 
 
-def _level_domain(spaces):
-    """All level sequences of the factor product, canonically ordered."""
+def _level_domain(spaces, room=1):
+    """The level sequences of the factor product on levels 0 through the
+    lowest height less ``room``, canonically ordered: by level, then in
+    product order.  Every search scans its bases or roots in this order.
+    """
     top = min(s.height for s in spaces)
-    for xi in range(top):
+    for xi in range(top - room + 1):
         yield from itertools.product(*(s.level(xi) for s in spaces))
 
 
@@ -132,11 +135,6 @@ def table_coloring(spaces, colors, entries, *, domain="level") -> Coloring:
     for tup in wanted:
         if tup not in table:
             raise InvalidInputError(f"table is not total: missing {tup}")
-    return _table_coloring(spaces, colors, table, domain)
-
-
-def _table_coloring(spaces, colors, table, domain):
-    """A table coloring over an already-checked ``table``."""
 
     def fn(tup):
         try:
@@ -293,20 +291,6 @@ def expr_coloring(spaces, colors, source, *, domain="level") -> Coloring:
     return Coloring(colors, spaces, fn, domain=domain)
 
 
-def random_table_coloring(spaces, colors, seed, *, domain="level") -> Coloring:
-    """Explicit random table drawn with a seeded generator (for small boxes).
-
-    The colors are those of one ``rng.randrange(colors)`` per tuple in
-    domain order, drawn in bulk by ``_color_sampler``.
-    """
-    if colors < 1:
-        raise InvalidInputError(f"color count must be positive, got {colors}")
-    wanted = list(_level_domain(spaces) if domain == "level" else _full_domain(spaces))
-    draw = _color_sampler(random.Random(seed), colors)
-    return _table_coloring(spaces, colors,
-                           dict(zip(wanted, draw(len(wanted)))), domain)
-
-
 def _integer(doc, field, default=None):
     """``doc[field]``, or ``default`` when given and the field is absent.
 
@@ -435,18 +419,16 @@ def check_sdhl_witness(witness: SomewhereDenseWitness,
 def first_level(slots, levels, candidates_at, consistent, budget):
     """The stage step of every staged search: the first level admitting a stage.
 
-    ``levels`` are tried in order.  A level where some slot has no
-    candidate in ``candidates_at(level)`` is skipped; otherwise
-    ``prefiltered_assignment`` looks for the stage's assignment with the
-    stage's one filter ``consistent``.  Returns ``(level, assignment)``
-    for the first level that has one, or ``None``.  ``BudgetExhausted``
-    passes through to the caller.
+    ``levels`` are tried in order.  At each, ``prefiltered_assignment``
+    looks for the stage's assignment among the candidates
+    ``candidates_at(level)`` with the stage's one filter ``consistent``;
+    a slot without candidates ends the level there.  Returns
+    ``(level, assignment)`` for the first level that has one, or
+    ``None``.  ``BudgetExhausted`` passes through to the caller.
     """
     for level in levels:
-        candidates = candidates_at(level)
-        if any(not candidates[s] for s in slots):
-            continue
-        found = prefiltered_assignment(slots, candidates, consistent, budget)
+        found = prefiltered_assignment(slots, candidates_at(level), consistent,
+                                       budget)
         if found is not None:
             return level, found
     return None
@@ -468,21 +450,20 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
 
     budget = budget or StepBudget()
     views = coloring.spaces
-    height = min(v.height for v in views)
     # the filter reads no base, so its memo of coloring values serves them all
     consistent = cross_consistent(len(views), coloring.evaluate)
-    for ht in range(height - 1):
-        for base in itertools.product(*(v.level(ht) for v in views)):
-            grown = grow_shared_subtrees(views, base, 2, lambda *_: consistent,
-                                         budget, label="sdhl")
-            if grown.capped:
-                raise CapExceededError(
-                    budget.cap, "successor-level witness scan exceeded its budget")
-            if grown.success:
-                matrix = tuple(r.level(1) for r in grown.reports)
-                # the matrix is monochromatic: any member tuple gives its color
-                color = coloring.evaluate(tuple(col[0] for col in matrix))
-                return SomewhereDenseWitness(base, matrix, ht + 1, color)
+    for base in _level_domain(views, 2):
+        grown = grow_shared_subtrees(views, base, 2, lambda *_: consistent,
+                                     budget, label="sdhl")
+        if grown.capped:
+            raise CapExceededError(
+                budget.cap, "successor-level witness scan exceeded its budget")
+        if grown.success:
+            matrix = tuple(r.level(1) for r in grown.reports)
+            # the matrix is monochromatic: any member tuple gives its color
+            color = coloring.evaluate(tuple(col[0] for col in matrix))
+            return SomewhereDenseWitness(base, matrix,
+                                         views[0].level_of(base[0]) + 1, color)
     return None
 
 
@@ -548,18 +529,16 @@ def dshl_search(coloring: Coloring, budget: StepBudget | None = None):
     """
     budget = budget or StepBudget()
     views = coloring.spaces
-    height = min(v.height for v in views)
     try:
-        for ht in range(height - 1):
-            for base in itertools.product(*(v.level(ht) for v in views)):
-                seen = set()
-                for tup in _top_cone(views, base):
-                    budget.spend()
-                    seen.add(coloring.evaluate(tup))
-                    if len(seen) > 1:
-                        break
-                else:
-                    return base, seen.pop()
+        for base in _level_domain(views, 2):
+            seen = set()
+            for tup in _top_cone(views, base):
+                budget.spend()
+                seen.add(coloring.evaluate(tup))
+                if len(seen) > 1:
+                    break
+            else:
+                return base, seen.pop()
     except BudgetExhausted:
         raise CapExceededError(budget.cap, "dense-set search exceeded its budget")
     return None
@@ -750,8 +729,8 @@ def _witness_groups(d, b, n):
     irrelevant to witness existence.
     """
     space = TreeSpace.uniform(b, n)
-    domain = [tup for xi in range(1, n)
-              for tup in itertools.product(space.level(xi), repeat=d)]
+    # the root tuple is the domain's first sequence
+    domain = list(_level_domain((space,) * d))[1:]
     index = {tup: i for i, tup in enumerate(domain)}
     groups = []
     for ht in range(n - 1):

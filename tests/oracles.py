@@ -1736,6 +1736,42 @@ def _coloring_from_assignment(d, b, n, domain, assignment):
 
 
 # ---------------------------------------------------------------------------
+# random tables
+#
+# ``random_table_coloring`` left the library: no command reads it, and its
+# table of every tuple is drawn up front, outside any step budget.  Its
+# colors are those it drew there, so every digest pinned on it holds.
+
+from hl_lab.witness import _color_sampler, _full_domain, _level_domain  # noqa: E402
+
+
+def random_table_coloring(spaces, colors, seed, *, domain="level") -> Coloring:
+    """Explicit random table drawn with a seeded generator (for small boxes).
+
+    The colors are those of one ``rng.randrange(colors)`` per tuple in
+    domain order, drawn in bulk by ``_color_sampler``.
+    """
+    if colors < 1:
+        raise InvalidInputError(f"color count must be positive, got {colors}")
+    wanted = list(_level_domain(spaces) if domain == "level" else _full_domain(spaces))
+    draw = _color_sampler(random.Random(seed), colors)
+    return lookup_coloring(spaces, colors, dict(zip(wanted, draw(len(wanted)))),
+                           domain)
+
+
+def lookup_coloring(spaces, colors, table, domain="level") -> Coloring:
+    """The coloring ``table_coloring`` builds, minus its totality check."""
+
+    def fn(tup):
+        try:
+            return table[tuple(tup)]
+        except KeyError:
+            raise InvalidInputError(f"tuple {tup} outside the table domain") from None
+
+    return Coloring(colors, spaces, fn, domain=domain)
+
+
+# ---------------------------------------------------------------------------
 # the almost-all measurements before they tallied each pick once
 #
 # Kept verbatim as references: ``_measure_patterns`` and

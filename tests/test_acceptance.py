@@ -47,7 +47,6 @@ from hl_lab.witness import (
     check_somewhere_dense_witness,
     coloring_from_json,
     finite_hl_number,
-    random_table_coloring,
     sdhl_search,
     seeded_hash_coloring,
     table_coloring,
@@ -57,6 +56,7 @@ from oracles import (
     all_nodes,
     alternating_count,
     make_raw_map,
+    random_table_coloring,
     sdhl_exists_by_scan,
     strong_subtrees_by_scan,
     wmap_image_table,

@@ -1105,6 +1105,9 @@ CAPPED_FUSION_RUN = {"spaces": [{"branching": 2, "height": 6}] * 2, "h": 3,
                                     "params": {"colors": 2, "seed": 5}}] * 2}
 DIM_INDUCT = {"spaces": [{"branching": 2, "height": 11}] * 2,
               "coloring": SEEDED_11, "h": 4}
+# (depth + 1) * k = 14 bands of one level each, on trees of 12 levels
+POLARIZED_TOO_DEEP = {"spaces": [{"branching": 2, "height": 12}] * 2,
+                      "coloring": {**HEIGHT_PERMUTATION, "params": {}}, "depth": 6}
 
 
 @pytest.mark.parametrize("argv, doc, code, sha256", [
@@ -1145,6 +1148,7 @@ def test_a_run_that_returns_writes_its_transcript(tmp_path, capsys, argv, doc,
     (["dim-induct"], {"spaces": DIM_INDUCT["spaces"]}),
     (["polarized", "search"], {"spaces": [SPACE4] * 2,
                                "coloring": HEIGHT_PERMUTATION, "depth": 0}),
+    (["polarized", "search"], POLARIZED_TOO_DEEP),
 ])
 def test_a_run_refused_before_its_search_writes_no_transcript(tmp_path, capsys,
                                                               argv, doc):
@@ -1153,3 +1157,74 @@ def test_a_run_refused_before_its_search_writes_no_transcript(tmp_path, capsys,
                            "--transcript", str(log)], capsys)
     assert code == 2
     assert not log.exists()
+
+
+# ---------------------------------------------------------------------------
+# answers each command gives on one document
+
+
+SPACE3 = {"branching": 2, "height": 3}
+CONSTANT = {"kind": "named", "name": "constant", "params": {"colors": 2}}
+
+
+@pytest.mark.parametrize("argv, doc, error", [
+    (["lex-sort"], {"space": SPACE3, "nodes": ["2"]}, "node '2' outside the space"),
+    (["sdhl-search"], {"spaces": TWO_SPACES,
+                       "coloring": {"kind": "named", "name": "antichain-split"}},
+     "antichain-split is a unary coloring"),
+    (["sdhl-search"], {"spaces": [SPACE4], "coloring": {
+        "kind": "named", "name": "level-parity", "params": {"modulus": 0}}},
+     "modulus must be positive, got 0"),
+    (["polarized", "search"], {"spaces": TWO_SPACES, "coloring": LEVEL_PARITY,
+                               "depth": 1},
+     "cross-tree tuples mix heights; a full-domain coloring is required"),
+    (["polarized", "search"], {"spaces": [SPACE4], "coloring": CONSTANT, "depth": 1},
+     "the construction needs at least two factors"),
+    # once exit 1, "no viable band for round 6, tree 0", as if the search
+    # had failed on trees tall enough
+    (["polarized", "search"], POLARIZED_TOO_DEEP,
+     "depth 6 needs 14 levels across 2 trees, the lowest has 12"),
+    (["wmap", "verify"], {"wmap": {**WMAP, "entries": [
+        {"u": [], "W": []}, {"u": [0], "W": [1]}, {"u": [1], "W": [1]}]}},
+     "containment fails: {0} not within its image {1}"),
+    (["fusion", "check"], {"spaces": TWO_SPACES, "colorings": [LEVEL_PARITY],
+                           "certificate": {"reports": [SUBTREE, {
+                               "nodes": ["", "00", "10"], "level_set": [0, 2]}],
+                               "tables": [{"0,0": 0}]}},
+     "certificate subtrees must share one level set"),
+], ids=["lex-sort", "antichain-split", "modulus", "polarized level domain",
+        "polarized one factor", "polarized depth", "wmap containment",
+        "fusion level sets"])
+def test_a_refused_document_exits_two_naming_its_fault(tmp_path, capsys, argv,
+                                                       doc, error):
+    assert _exit_and_error(tmp_path, capsys, argv, doc) == (2, error)
+
+
+def test_antichain_split_finds_its_witness_below_the_root(tmp_path, capsys):
+    # the root's two cones take colors 0 and 1, so no base is the root
+    code, doc, _ = run_json(["sdhl-search", write_doc(tmp_path, "in.json", {
+        "spaces": [SPACE3],
+        "coloring": {"kind": "named", "name": "antichain-split"}})], capsys)
+    assert code == 0
+    assert doc["witness"]["base"] == ["0"]
+    assert doc["witness"]["matrix"] == [["00", "01"]]
+
+
+def test_fusion_check_needs_a_subtree_level_per_coloring(tmp_path, capsys):
+    code, doc, _ = run_json(["fusion", "check", write_doc(tmp_path, "in.json", {
+        "spaces": TWO_SPACES, "colorings": [LEVEL_PARITY] * 2,
+        "certificate": {"reports": [SUBTREE] * 2,
+                        "tables": [{"0,0": 0}] * 2}})], capsys)
+    assert code == 1
+    assert doc == {"valid": False,
+                   "violations": ["2 colorings need subtree height 3, got 2"]}
+
+
+@pytest.mark.parametrize("steps", [462, 472])
+def test_dim_induct_capped_while_reassembling_its_cones(tmp_path, capsys, steps):
+    # the run takes 473 steps; its last eleven go to the cone reassembly
+    code, doc, _ = run_json(["dim-induct", write_doc(tmp_path, "in.json", DIM_INDUCT),
+                             "--max-steps", str(steps)], capsys)
+    assert code == 3
+    assert doc["capped"] is True
+    assert doc["failure"] == "budget exhausted during cone reassembly"

@@ -30,7 +30,6 @@ from hl_lab.witness import (
     _witness_groups,
     coloring_from_json,
     finite_hl_number,
-    random_table_coloring,
 )
 
 
@@ -408,7 +407,7 @@ def test_oversized_tree_is_refused_with_the_partial(mode):
 @pytest.mark.parametrize("domain", ["level", "full"])
 def test_random_table_draws_the_randrange_stream(r, domain):
     spaces = (TreeSpace(2, 4), TreeSpace(3, 3))
-    col = random_table_coloring(spaces, r, seed=r, domain=domain)
+    col = oracles.random_table_coloring(spaces, r, seed=r, domain=domain)
     rng = random.Random(r)
     tuples = list(witness._level_domain(spaces) if domain == "level"
                   else witness._full_domain(spaces))
@@ -442,4 +441,4 @@ def test_counterexample_table_is_the_old_coloring_document(d, r):
 @pytest.mark.parametrize("colors", [0, -2])
 def test_random_table_refuses_an_empty_palette(colors):
     with pytest.raises(InvalidInputError):
-        random_table_coloring((TreeSpace(2, 2),), colors, seed=0)
+        oracles.random_table_coloring((TreeSpace(2, 2),), colors, seed=0)

@@ -37,7 +37,7 @@ import pytest
 
 import oracles
 from hl_lab import polarized, search, tailcone, witness
-from hl_lab.errors import CapExceededError
+from hl_lab.errors import CapExceededError, InvalidInputError
 from hl_lab.polarized import (
     almost_all_homogenize,
     height_permutation_coloring,
@@ -54,7 +54,6 @@ from hl_lab.tailcone import (
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
     first_level,
-    random_table_coloring,
     sdhl_search,
     seeded_hash_coloring,
 )
@@ -159,7 +158,9 @@ OLD_STAGES = {"partial": _old_partial, "almost-all": _old_almost_all}
 # call, where each once searched a matrix per level.
 # The six uncapped polarized boxes keep their digests and calls with fewer
 # steps: the twin rule drops a terminal's first child from its second
-# child's candidates without a step.
+# child's candidates without a step.  The k = 3 random box stands on
+# height 6: on height 5 its depth needs more levels than the trees have,
+# which polarized search refuses before its first band.
 PINNED = {
     "test_sdhl_search_matches_old_predicate[1-5-2-3]": ("5e6869a61c67dd3c", 3, 1),
     "test_sdhl_search_matches_old_predicate[2-4-2-1]": ("24d0996803ffeceb", 48, 3),
@@ -197,8 +198,8 @@ PINNED = {
         ("8d054a53ef0d8581", 106, 7),
     "test_polarized_random_coloring_matches_old_predicate[2-7-2-4]":
         ("334f1b72244193c0", 125, 7),
-    "test_polarized_random_coloring_matches_old_predicate[3-5-1-2]":
-        ("334f1b72244193c0", 52, 5),
+    "test_polarized_random_coloring_matches_old_predicate[3-6-1-2]":
+        ("520e16bf445b2e72", 60, 6),
     "test_capped_outcome_matches_old_predicate[sdhl]": ("8da9bbfd0a7b224a", 151, 3),
     "test_capped_outcome_matches_old_predicate[fuse]": ("db722498f4b0e969", 151, 4),
     "test_capped_outcome_matches_old_predicate[hl]": ("309bc4f6647ae26a", 151, 21),
@@ -363,11 +364,20 @@ def test_polarized_type_coloring_matches_old_predicate(same, dim, depth, height)
 
 
 @pytest.mark.parametrize("k,height,depth,seed", [(2, 7, 1, 0), (2, 7, 2, 4),
-                                                 (3, 5, 1, 2)])
+                                                 (3, 6, 1, 2)])
 def test_polarized_random_coloring_matches_old_predicate(same, k, height, depth,
                                                          seed):
-    col = random_table_coloring(_spaces(2, height, k), 3, seed, domain="full")
+    col = oracles.random_table_coloring(_spaces(2, height, k), 3, seed, domain="full")
     same(lambda: polarized_search(col, depth=depth))
+
+
+def test_polarized_refuses_the_box_its_depth_outgrows():
+    # depth 1 needs 6 levels across 3 trees; this box once ran to "no
+    # viable band for round 1, tree 2"
+    col = oracles.random_table_coloring(_spaces(2, 5, 3), 3, 2, domain="full")
+    with pytest.raises(InvalidInputError, match="^depth 1 needs 6 levels across "
+                                                "3 trees, the lowest has 5$"):
+        polarized_search(col, depth=1)
 
 
 @pytest.mark.parametrize("run", [

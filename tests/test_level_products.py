@@ -8,7 +8,7 @@ import pytest
 from hl_lab import witness
 from hl_lab.errors import InvalidInputError
 from hl_lab.search import StepBudget
-from hl_lab.subtrees import SubtreeReport
+from hl_lab.subtrees import SubtreeReport, enumerate_strong_subtrees
 from hl_lab.tailcone import (
     ColoringFamily,
     TailConeCertificate,
@@ -87,6 +87,39 @@ def test_a_product_of_the_wrong_arity_falls_back_to_evaluate():
 
 
 # ---------------------------------------------------------------------------
+# the level sequences every search scans
+
+
+def _scan_by_hand(views, room):
+    """Level sequences on levels 0 .. lowest height - ``room``, built
+    coordinate by coordinate: by level, then in product order."""
+    out = []
+    for xi in range(min(v.height for v in views) - room + 1):
+        tuples = [()]
+        for view in views:
+            tuples = [tup + (node,) for tup in tuples for node in view.level(xi)]
+        out += tuples
+    return out
+
+
+_REPORT = list(enumerate_strong_subtrees(TreeSpace(2, 6), (1, 2, 4, 5)))[7]
+
+
+@pytest.mark.parametrize("views", [
+    (TreeSpace(2, 4),), (TreeSpace(2, 4), TreeSpace(3, 3)),
+    (_REPORT,), (_REPORT, _REPORT),
+    (TreeSpace(3, 5), _REPORT, TreeSpace(2, 4))],
+    ids=["tree", "trees", "report", "reports", "mixed"])
+def test_level_domain_is_the_hand_written_scan(views):
+    lowest = min(v.height for v in views)
+    assert list(witness._level_domain(views)) == _scan_by_hand(views, 1)
+    for room in range(1, lowest + 2):
+        assert list(witness._level_domain(views, room)) == _scan_by_hand(views, room)
+    # a room above the lowest height leaves no level at all
+    assert list(witness._level_domain(views, lowest + 1)) == []
+
+
+# ---------------------------------------------------------------------------
 # check_hl_strong_subtree against the per-tuple checker
 
 
@@ -104,14 +137,14 @@ def _hl_colorings(rng, spaces, reports):
               for tup in itertools.product(*(r.level(xi) for r in reports))]
     for tup in inside:
         table[tup] = reference
-    yield witness._table_coloring(spaces, colors, table, "level")
+    yield oracles.lookup_coloring(spaces, colors, table)
     flipped = dict(table)
     for tup in rng.sample(inside, 2):
         flipped[tup] = (reference + 1) % colors
-    yield witness._table_coloring(spaces, colors, flipped, "level")
+    yield oracles.lookup_coloring(spaces, colors, flipped)
     missing = dict(flipped)
     del missing[rng.choice(inside)]
-    yield witness._table_coloring(spaces, colors, missing, "level")
+    yield oracles.lookup_coloring(spaces, colors, missing)
     yield level_parity_coloring(spaces, 2)
     yield seeded_hash_coloring(spaces, 2, seed=rng.randrange(10 ** 6))
     # raises on the tuples ending in one node

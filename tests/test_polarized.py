@@ -26,12 +26,16 @@ from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
     Coloring,
     constant_coloring,
-    random_table_coloring,
     seeded_hash_coloring,
 )
 
 import oracles
-from oracles import all_nodes, alternating_count, random_strong_subtree
+from oracles import (
+    all_nodes,
+    alternating_count,
+    random_strong_subtree,
+    random_table_coloring,
+)
 
 
 # ---------------------------------------------------------------------------

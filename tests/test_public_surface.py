@@ -34,11 +34,13 @@ def test_every_exported_name_resolves_once():
 
 
 def test_deleted_entry_points_stay_gone():
-    # views: the adapter module; no library module imports it
+    # views: the adapter module; no library module imports it.
+    # random_table_coloring: a test helper in oracles now
     for name in ("sdhl_prime_search", "build_monochromatic_subtree",
                  "DefaultLargenessOracle", "BuildOutcome",
-                 "OracleContradictionError", "views"):
+                 "OracleContradictionError", "views", "random_table_coloring"):
         assert not hasattr(hl_lab, name), name
+    assert not hasattr(hl_lab.witness, "random_table_coloring")
 
 
 def test_one_witness_type_serves_both_dense_statements():

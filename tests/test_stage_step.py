@@ -38,13 +38,15 @@ def _step(pools, accept, budget):
     return found, asked
 
 
-def test_skips_a_level_where_a_slot_has_no_candidate():
+def test_the_kernel_ends_a_level_where_a_slot_has_no_candidate():
     budget = StepBudget(100)
     found, asked = _step({0: {"a": ("x",), "b": ()}, 1: {"a": ("x",), "b": ("y",)}},
                          lambda level, name: True, budget)
     assert found == (1, {"a": (1, "x"), "b": (1, "y")})
-    assert asked == [1]
-    assert budget.used == 3  # two prefilter steps, then b's narrowing after a
+    assert asked == [0, 1]
+    # level 0 prefilters slot a and stops at the empty slot b; level 1
+    # takes two prefilter steps, then b's narrowing after a
+    assert budget.used == 4
 
 
 def test_returns_the_lowest_level_with_an_assignment():

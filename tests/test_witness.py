@@ -30,14 +30,13 @@ from hl_lab.witness import (
     expr_coloring,
     finite_hl_number,
     level_parity_coloring,
-    random_table_coloring,
     sdhl_search,
     seeded_hash_coloring,
     table_coloring,
 )
 
 import oracles
-from oracles import all_nodes, sdhl_exists_by_scan
+from oracles import all_nodes, random_table_coloring, sdhl_exists_by_scan
 
 
 # ---------------------------------------------------------------------------
