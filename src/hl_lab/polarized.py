@@ -29,7 +29,7 @@ from .search import (
 )
 from .subtrees import SubtreeReport, ValidationResult
 from .tailcone import _view_report, grow_shared_subtrees
-from .trees import node_key
+from .trees import ConeMemo, node_key
 from .witness import Coloring, _level_domain, first_level
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,45 @@ def _measure_height_factored(f, views):
     return tuple(out)
 
 
+class _ReadPins(dict):
+    """A color vector that records, in ``read``, each pin ``get`` hands out."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = {}
+
+    def get(self, pattern, default=None):
+        got = self.read[pattern] = super().get(pattern, default)
+        return got
+
+
+def _unrefuted(n, colors, nogoods):
+    """The vectors of ``range(colors)`` ** ``n`` in product order that no
+    nogood refutes, tested against the nogoods recorded when reached.
+
+    A nogood lists ``(position, color)`` pairs and refutes the vectors
+    that agree with it there.  So a refuted vector's whole block, the
+    vectors sharing its entries up to the nogood's last position, is
+    skipped at once.
+    """
+    vec = [0] * n
+    while True:
+        hit = next((nogood for nogood in nogoods
+                    if all(vec[i] == color for i, color in nogood)), None)
+        if hit is None:
+            yield tuple(vec)
+            last = n - 1
+        else:
+            last = max((i for i, _ in hit), default=-1)
+        # the next vector past the block that shares vec[:last + 1]
+        while last >= 0 and vec[last] == colors - 1:
+            last -= 1
+        if last < 0:
+            return
+        vec[last] += 1
+        vec[last + 1:] = [0] * (n - last - 1)
+
+
 def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                           h=None, budget: StepBudget | None = None) -> AlmostAllReport:
     """Shrink to subtrees on which each height-order pattern is near-constant.
@@ -306,6 +345,9 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     shared-level subtrees in which every strictly ordered tuple whose top
     node is new gets the pattern's color; a completed construction has
     zero violating tuples by construction and is re-measured exactly.
+    A vector is skipped, at no step, when a failed attempt on the same
+    target height and roots read only pins on which the vector agrees
+    (a nogood): its attempt would fail alike.
     """
     budget = budget or StepBudget()
     if f.arity < 2:
@@ -331,26 +373,27 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
             failure="" if ok else "height tallies exceed the exception budget")
 
     perms = list(itertools.permutations(range(arity)))
+    position = {pattern: i for i, pattern in enumerate(perms)}
     height = min(v.height for v in views)
     h_max = min(h if h is not None else height, height)
     if h_max < arity:
         raise InvalidInputError(f"need at least {least} subtree levels, the lowest "
                                 f"factor has {height}")
+    # the attempts share their cones and their coloring values
+    cones = [ConeMemo(v) for v in views]
+    value = functools.cache(f.evaluate)
 
-    def attempt(h_goal, roots, gamma_vec):
-        gamma = dict(zip(perms, gamma_vec))
-
+    def attempt(h_goal, roots, gamma):
         def stage_factory(stage, level_set, layers):
             # every pattern is pinned, so a choice's verdict is its own row's,
             # taken against the empty assignment
             return typed_consistent(
-                f.evaluate, [tuple((node, lvl) for lvl in range(stage)
-                                   for node in layers[lvl][k]) for k in range(arity)],
+                value, [tuple((node, lvl) for lvl in range(stage)
+                              for node in layers[lvl][k]) for k in range(arity)],
                 gamma)
 
-        outcome = grow_shared_subtrees(views, roots, h_goal, stage_factory,
-                                       budget, label="almost-all")
-        return outcome, gamma
+        return grow_shared_subtrees(cones, roots, h_goal, stage_factory,
+                                    budget, label="almost-all")
 
     def capped(failure):
         return AlmostAllReport(success=False, reports=None, patterns=(),
@@ -359,9 +402,12 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
     for h_goal in range(h_max, arity - 1, -1):
         for roots in _level_domain(views, h_goal):
-            for gamma_vec in itertools.product(range(f.colors),
-                                               repeat=len(perms)):
-                outcome, gamma = attempt(h_goal, roots, gamma_vec)
+            # an attempt reads its vector only through the filter's
+            # pinned.get, so each failure leaves the pins it read
+            nogoods: list = []
+            for gamma_vec in _unrefuted(len(perms), f.colors, nogoods):
+                gamma = _ReadPins(zip(perms, gamma_vec))
+                outcome = attempt(h_goal, roots, gamma)
                 if outcome.capped:
                     return capped("budget exhausted during the staged scan")
                 if outcome.success:
@@ -380,6 +426,8 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
                         route="staged",
                         failure="" if ok else
                         "construction exceeds the exception budget")
+                nogoods.append([(position[pattern], color)
+                                for pattern, color in gamma.read.items()])
     return AlmostAllReport(
         success=False, reports=None, patterns=(), epsilon=epsilon,
         route="staged",

@@ -42,16 +42,31 @@ class StepBudget:
             raise BudgetExhausted(f"budget of {self.cap} steps exhausted")
 
 
+class Candidates(dict):
+    """Each slot's candidates, built by ``build(slot)`` at its first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, slot):
+        got = self[slot] = self.build(slot)
+        return got
+
+
 def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.
 
     ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
     ordered sequence of choices.  ``consistent(partial, later, spend)``
     is the stage's filter, called once against the empty assignment and
-    once after each choice.  ``later`` lists ``(slot, live)`` pairs, the
+    once after each choice.  ``later`` holds ``(slot, live)`` pairs, the
     slots after the newest entry of the partial assignment ``partial``
-    (every slot, against the empty assignment) with their live
-    candidates.  The filter returns ``(slot, kept)`` pairs, in slot
+    with their live candidates.  Against the empty assignment it holds
+    every slot, and is an iterator that looks a slot's candidates up only
+    when the filter reaches it: a lazy ``candidates`` mapping
+    (:class:`Candidates`) then builds no slot after the first one the
+    filter empties.  The filter returns ``(slot, kept)`` pairs, in slot
     order, for the slots whose live candidates it narrowed: ``kept`` are
     the members of ``live`` that are consistent with ``partial``, in
     order.  It stops at the first slot it empties.  The first assignment
@@ -64,6 +79,7 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     live candidates start as its candidates filtered against the empty
     assignment; a slot left with none fails the whole call at once, which
     keeps independent-slot instances from backtracking exponentially.
+    Slots the filter did not reach are looked up after it returns.
 
     The search does forward checking (Haralick & Elliott 1980): after
     each choice the filter narrows every later slot's live candidates,
@@ -80,17 +96,24 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     list, and trying a live choice takes no step: every withdrawn choice
     was paid for by the steps of the narrowing that emptied a later slot.
     """
-    # a slot without candidates ends the search once the slots before it
-    # are narrowed
     live = {}
-    for slot in slots:
-        if not candidates[slot]:
-            break
-        live[slot] = candidates[slot]
-    for slot, kept in consistent({}, list(live.items()), budget.spend):
+
+    def opened():
+        # a slot without candidates ends the search once the slots before
+        # it are narrowed
+        for slot in slots:
+            if not candidates[slot]:
+                return
+            live[slot] = candidates[slot]
+            yield slot, live[slot]
+
+    later = opened()
+    for slot, kept in consistent({}, later, budget.spend):
         if not kept:
             return None
         live[slot] = kept
+    for _ in later:
+        pass  # open the slots the prefilter did not reach
     if len(live) < len(slots):
         return None
     if not slots:
@@ -240,7 +263,9 @@ def typed_consistent(value, fixed, pinned):
     band; tuples whose fixed coordinates tie on a band have no type and
     are skipped.  The choice is consistent when, over every tuple through
     an assigned node or the choice, each type takes a single value, equal
-    to ``pinned[type]`` where that is given.  A coordinate's types are
+    to ``pinned[type]`` where that is given.  The filter keeps ``pinned``
+    as given, so it must not change while the filter is in use, and reads
+    a pinned value only through ``pinned.get``.  A coordinate's types are
     computed when it is first asked about, and a node's row of (type,
     value) pairs once per coordinate; the filter's ``row(coordinate,
     node)`` hands it back (``None`` on a clash).  Against the empty
@@ -248,7 +273,6 @@ def typed_consistent(value, fixed, pinned):
     compares that row with the newest node's on the types not pinned,
     and changes nothing when there are none.
     """
-    pinned = dict(pinned)
     combos: dict = {}  # coordinate -> its (nodes before, nodes after, type)
     rows: dict = {}
 

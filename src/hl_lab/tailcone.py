@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InvalidInputError, json_integer
 from .search import (
     BudgetExhausted,
+    Candidates,
     StepBudget,
     cross_consistent,
 )
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
-from .trees import node_key, sort_nodes
+from .trees import ConeMemo, node_key, sort_nodes
 from .witness import (
     Coloring,
     SomewhereDenseWitness,
@@ -51,6 +52,12 @@ class GrowOutcome:
     capped: bool = False
 
 
+@functools.cache
+def _failed(label, why, stage, capped=False):
+    """A failed growth; frozen, so one serves every search that fails alike."""
+    return GrowOutcome(False, None, f"{label}: {why.format(stage)}", capped=capped)
+
+
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
                          *, label, transcript=None):
     """Grow strong subtrees of the given trees over one shared level set.
@@ -60,7 +67,8 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
     extends every successor of the previous layer to a common higher
     level: ``first_level`` scans candidate levels upward, and the first
     canonically least choice vector accepted by the filter
-    ``stage_factory(stage, level_set, layers)`` wins.  A stage scans only
+    ``stage_factory(stage, level_set, layers)`` wins.  A slot's candidates
+    are built when the filter first reaches the slot.  A stage scans only
     the levels that leave one level below the view height for each later
     stage: a higher level could only be committed for a later stage to
     fail.  The factory is called once per stage.  ``label`` names the
@@ -82,26 +90,22 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         # this stage leaves a level for each later stage
         top = height - (height_goal - stage - 1)
         if level_set[-1] + 1 >= top:
-            return GrowOutcome(False, None,
-                               f"{label}: truncation exhausted before stage {stage}")
+            return _failed(label, "truncation exhausted before stage {}", stage)
         slots = [(j, u) for j in range(d) for node in layers[-1][j]
                  for u in views[j].extensions(node, level_set[-1] + 1)]
         if len({j for j, _ in slots}) < d:
-            return GrowOutcome(False, None,
-                               f"{label}: a stage-{stage - 1} node does not split")
+            return _failed(label, "a stage-{} node does not split", stage - 1)
         consistent = stage_factory(stage, tuple(level_set), layers)
         try:
             picked = first_level(
                 slots, range(level_set[-1] + 1, top),
-                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                lambda chi: Candidates(lambda slot: views[slot[0]].extensions(
+                    slot[1], chi)),
                 consistent, budget)
         except BudgetExhausted:
-            return GrowOutcome(False, None,
-                               f"{label}: budget exhausted during stage {stage}",
-                               capped=True)
+            return _failed(label, "budget exhausted during stage {}", stage, True)
         if picked is None:
-            return GrowOutcome(False, None,
-                               f"{label}: no admissible level for stage {stage}")
+            return _failed(label, "no admissible level for stage {}", stage)
         chi, assignment = picked
         layer = [sort_nodes(node for (k, _), node in assignment.items() if k == j)
                  for j in range(d)]
@@ -446,8 +450,8 @@ def apply_tailcone_partial(coloring: Coloring, base_coords,
             # are checked
             if partial and next(reversed(partial))[0] in base_set:
                 return []
-            return agree(partial, [(slot, live) for slot, live in later
-                                   if slot[0] not in base_set], spend)
+            return agree(partial, ((slot, live) for slot, live in later
+                                   if slot[0] not in base_set), spend)
 
         return consistent
 
@@ -511,6 +515,8 @@ def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
     d = coloring.arity
     if h is None:
         h = min(v.height for v in views)
+    # the roots share their cones
+    cones = [ConeMemo(v) for v in views]
     # a root above level height - h leaves too few levels to grow h
     for roots in _level_domain(views, h):
         gamma = coloring.evaluate(roots)
@@ -518,7 +524,7 @@ def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
         def stage_factory(stage, level_set, layers):
             return cross_consistent(d, coloring.evaluate, gamma)
 
-        outcome = grow_shared_subtrees(views, roots, h, stage_factory,
+        outcome = grow_shared_subtrees(cones, roots, h, stage_factory,
                                        budget, transcript=transcript,
                                        label="hl")
         if outcome.success:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .errors import (
     InvalidInputError,
@@ -237,6 +237,25 @@ class TreeSpace:
             return tuple(node + suffix
                          for suffix in _uniform_level(self.branching, alpha - len(node)))
         return tuple(n for n in self._levels[alpha] if n.startswith(node))
+
+
+class ConeMemo:
+    """A leveled tree whose ``extensions`` and ``level_of`` answers are memoized.
+
+    Every other query is the wrapped view's.  A search that asks for the
+    same cones again, across its bases or attempts, wraps its factors for
+    one run.  A memo on every space would not pay: the checkers ask for
+    each cone about once.
+    """
+
+    def __init__(self, view):
+        self.view = view
+        self.height = view.height
+        self.extensions = cache(view.extensions)
+        self.level_of = cache(view.level_of)
+
+    def __getattr__(self, name):
+        return getattr(self.view, name)
 
 
 def restrict(seq, xi: int, space: TreeSpace) -> tuple[str, ...]:

@@ -39,7 +39,7 @@ from .subtrees import (
     _strong_node_sets,
     validate_strong_subtree,
 )
-from .trees import TreeSpace, sort_nodes
+from .trees import ConeMemo, TreeSpace, sort_nodes
 
 # ---------------------------------------------------------------------------
 # colorings
@@ -450,10 +450,12 @@ def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):
 
     budget = budget or StepBudget()
     views = coloring.spaces
-    # the filter reads no base, so its memo of coloring values serves them all
+    # the filter reads no base, so its memo of coloring values serves them
+    # all, and the bases share their cones
     consistent = cross_consistent(len(views), coloring.evaluate)
+    cones = [ConeMemo(v) for v in views]
     for base in _level_domain(views, 2):
-        grown = grow_shared_subtrees(views, base, 2, lambda *_: consistent,
+        grown = grow_shared_subtrees(cones, base, 2, lambda *_: consistent,
                                      budget, label="sdhl")
         if grown.capped:
             raise CapExceededError(

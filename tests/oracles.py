@@ -2416,3 +2416,78 @@ def _witness_groups_from_reports(d, b, n):
             for cols in itertools.product(tops, repeat=d):
                 groups.append(tuple(index[m] for m in itertools.product(*cols)))
     return domain, groups
+
+
+# ---------------------------------------------------------------------------
+# almost-all homogenization before it skipped refuted color vectors
+#
+# Kept as the reference for the nogood skip: the staged scan tried every
+# color vector of every root tuple, regrowing the construction from scratch
+# for each.  Only the staged route is kept; the edits: the checks of the
+# arguments and the height-factored route are left out, and the attempt is
+# a function of its own.
+
+from hl_lab.polarized import (  # noqa: E402
+    AlmostAllReport,
+    _measure_patterns as library_measure_patterns,
+)
+from hl_lab.search import typed_consistent  # noqa: E402
+from hl_lab.tailcone import grow_shared_subtrees as library_grow  # noqa: E402
+
+
+def almost_all_attempt(f, h_goal, roots, gamma, budget):
+    """One attempt of the staged scan: the construction on ``roots`` to
+    ``h_goal`` levels with the color vector ``gamma`` (pattern -> color)."""
+
+    def stage_factory(stage, level_set, layers):
+        return typed_consistent(
+            f.evaluate, [tuple((node, lvl) for lvl in range(stage)
+                               for node in layers[lvl][k]) for k in range(f.arity)],
+            gamma)
+
+    return library_grow(f.spaces, roots, h_goal, stage_factory, budget,
+                        label="almost-all")
+
+
+def almost_all_every_vector(f, epsilon=Fraction(1, 10), h=None, budget=None):
+    """``almost_all_homogenize``'s staged route, every color vector tried."""
+    budget = budget or StepBudget()
+    views = f.spaces
+    arity = f.arity
+    epsilon = Fraction(epsilon)
+    perms = list(itertools.permutations(range(arity)))
+    height = min(v.height for v in views)
+    h_max = min(h if h is not None else height, height)
+
+    def capped(failure):
+        return AlmostAllReport(success=False, reports=None, patterns=(),
+                               epsilon=epsilon, route="staged",
+                               failure=failure, capped=True)
+
+    for h_goal in range(h_max, arity - 1, -1):
+        for roots in _level_domain(views, h_goal):
+            for gamma_vec in itertools.product(range(f.colors),
+                                               repeat=len(perms)):
+                gamma = dict(zip(perms, gamma_vec))
+                outcome = almost_all_attempt(f, h_goal, roots, gamma, budget)
+                if outcome.capped:
+                    return capped("budget exhausted during the staged scan")
+                if outcome.success:
+                    try:
+                        budget.spend(math.prod(len(r.nodes)
+                                               for r in outcome.reports))
+                    except BudgetExhausted:
+                        return capped("budget exhausted while measuring "
+                                      "the construction")
+                    patterns = library_measure_patterns(f, outcome.reports, gamma)
+                    ok = all(p.fraction <= epsilon for p in patterns)
+                    return AlmostAllReport(
+                        success=ok, reports=outcome.reports,
+                        patterns=patterns, epsilon=epsilon,
+                        route="staged",
+                        failure="" if ok else
+                        "construction exceeds the exception budget")
+    return AlmostAllReport(
+        success=False, reports=None, patterns=(), epsilon=epsilon,
+        route="staged",
+        failure="no root tuple and color vector admits the construction")

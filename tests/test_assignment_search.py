@@ -16,7 +16,13 @@ step that crosses the cap.
 import itertools
 import random
 
-from hl_lab.search import BudgetExhausted, StepBudget, prefiltered_assignment
+from hl_lab.search import (
+    BudgetExhausted,
+    Candidates,
+    StepBudget,
+    cross_consistent,
+    prefiltered_assignment,
+)
 
 import oracles
 
@@ -121,3 +127,41 @@ def test_a_slot_left_without_candidates_withdraws_the_choice_at_once():
     assert found == {"a": "y", "b": 1, "c": "p"}
     assert calls == [(found, [(("a", "x"),), (("a", "y"),), (("a", "y"), ("b", 1)),
                               (("a", "y"), ("b", 1), ("c", "p"))])]
+
+
+def _counting(pools, built):
+    """Lazy candidates over ``pools``, logging each slot as it is built."""
+
+    def build(slot):
+        built.append(slot)
+        return pools[slot]
+
+    return Candidates(build)
+
+
+def test_no_slot_after_the_first_emptied_one_is_built():
+    pools = {"a": (1, 2), "b": (3, 4), "c": (5,), "d": (6,)}
+    built = []
+    found = prefiltered_assignment(
+        list(pools), _counting(pools, built),
+        oracles.as_filter(lambda partial, slot, choice: slot != "b"),
+        StepBudget(LARGE))
+    assert found is None
+    assert built == ["a", "b"]
+
+
+def test_a_prefilter_that_reads_no_slot_leaves_every_slot_open():
+    # with three coordinates and no node assigned, no tuple is complete:
+    # the kernel filter returns without reading ``later``
+    filtered = cross_consistent(3, lambda tup: 0)
+    assert filtered({}, iter(()), StepBudget(LARGE).spend) == []
+    pools = {(0, "x"): ("0",), (1, "x"): ("1",), (2, "x"): ("00", "01")}
+    built = []
+    found = prefiltered_assignment(list(pools), _counting(pools, built), filtered,
+                                   StepBudget(LARGE))
+    assert found == {(0, "x"): "0", (1, "x"): "1", (2, "x"): "00"}
+    assert built == list(pools)
+    # and a slot without candidates still ends the search
+    pools[(2, "x")] = ()
+    assert prefiltered_assignment(list(pools), _counting(pools, []), filtered,
+                                  StepBudget(LARGE)) is None

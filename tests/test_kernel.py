@@ -20,6 +20,10 @@ coloring and its base coordinates, the color vector), which the
 factory's closure holds.  The old partial predicate read a table the
 search recorded stage by stage; ``_LawTable`` answers its lookups from the
 coloring, which is what every recorded row held.
+Almost-all skips a color vector that an earlier failure refutes, keyed by
+the pins the kernel filter read; the old predicate reads other pins, so
+the old run replays the vectors the library run tried.  The skip itself
+is checked against the exhaustive scan in ``test_polarized``.
 Both runs must give the same outcome and, call by call, the same
 ``prefiltered_assignment`` result, and the choices the library search
 tries must be a subsequence of the candidates the pointer search asks
@@ -133,10 +137,12 @@ def _old_partial(env):
 
 def _old_almost_all(env):
     perms = list(itertools.permutations(range(env["arity"])))
+    # the factory reads the run's memo of the coloring's values
+    f = types.SimpleNamespace(evaluate=env["value"])
 
     def stage_factory(stage, level_set, layers):
         return _StandIn(lambda slots: oracles.almost_all_consistent(
-            env["f"], env["arity"], perms, env["gamma"], stage, layers))
+            f, env["arity"], perms, env["gamma"], stage, layers))
 
     return stage_factory
 
@@ -152,7 +158,10 @@ OLD_STAGES = {"partial": _old_partial, "almost-all": _old_almost_all}
 # The capped hl box is on height 7 because on height 6 it settles in 117
 # steps, a stage scanning only levels that leave room for the later ones.
 # The two k = 3 almost-all boxes admit no construction on three levels:
-# they once ended in a vacuous two-level success, and now fail.
+# they once ended in a vacuous two-level success, and now fail.  The five
+# uncapped almost-all boxes keep their digests with fewer steps and calls
+# since almost-all skips the color vectors a failed attempt refutes; the
+# capped box runs out before its first skip.
 # The three uncapped dim-induct boxes keep their digests with fewer steps
 # and calls: their branch votes read top-level cones and make no staged
 # call, where each once searched a matrix per level.
@@ -186,11 +195,11 @@ PINNED = {
     "test_partial_law_two_complement_coordinates[5-3-9-2]": ("635e876e4ec4a067", 105, 4),
     "test_partial_law_two_complement_coordinates[6-3-7-0]": ("18bc940f2ab70f9d", 53, 3),
     "test_partial_law_two_complement_coordinates[6-4-9-1]": ("438e14f50ef04377", 59, 5),
-    "test_almost_all_matches_old_predicate[2-6-3-0]": ("a56bb92c55df5409", 1407, 512),
-    "test_almost_all_matches_old_predicate[2-6-3-3]": ("68abf7a48dd55f75", 1426, 516),
-    "test_almost_all_matches_old_predicate[2-7-3-1]": ("82a73b371f057e5a", 5766, 2057),
-    "test_almost_all_matches_old_predicate[3-4-3-0]": ("35458fec5da9e846", 4192, 1216),
-    "test_almost_all_matches_old_predicate[3-5-3-1]": ("35458fec5da9e846", 34704, 9984),
+    "test_almost_all_matches_old_predicate[2-6-3-0]": ("a56bb92c55df5409", 1230, 391),
+    "test_almost_all_matches_old_predicate[2-6-3-3]": ("68abf7a48dd55f75", 1266, 403),
+    "test_almost_all_matches_old_predicate[2-7-3-1]": ("82a73b371f057e5a", 5100, 1590),
+    "test_almost_all_matches_old_predicate[3-4-3-0]": ("35458fec5da9e846", 176, 51),
+    "test_almost_all_matches_old_predicate[3-5-3-1]": ("35458fec5da9e846", 1448, 415),
     "test_polarized_type_coloring_matches_old_predicate[1-3-8]": ("8c4c59d762e9c86d", 118, 8),
     "test_polarized_type_coloring_matches_old_predicate[1-4-10]": ("d8b5dd713a147a6a", 246, 10),
     "test_polarized_type_coloring_matches_old_predicate[2-2-10]": ("6090419adb2f2072", 218, 9),
@@ -221,21 +230,40 @@ class _Enough(Exception):
     """Raised by the old run at the staged call it need not make."""
 
 
-def _run(monkeypatch, run, old, limit=None):
+def _logged_walk(walks):
+    """``polarized._unrefuted``, logging each walk's vectors in ``walks``."""
+    walk = polarized._unrefuted
+
+    def logged(*args):
+        walks.append([])
+        for vec in walk(*args):
+            walks[-1].append(vec)
+            yield vec
+
+    return logged
+
+
+def _run(monkeypatch, run, old, walks, limit=None):
     """Outcome of ``run()``, the log of every staged call, and steps used.
 
     Each staged call logs ``(result, tried)`` in the library search
     (``oracles.watch_tries``) and ``(result, asked)`` in the pointer search
     (``oracles.watch_asks``).  A call with no old predicate, the root stage
-    of ``fuse``, runs the library search in both runs.  The old run stops
-    before staged call ``limit + 1``, with outcome ``"stopped"``.
+    of ``fuse``, runs the library search in both runs.  The library run
+    logs almost-all's vector walks in ``walks``, and the old run replays
+    them.  The old run stops before staged call ``limit + 1``, with
+    outcome ``"stopped"``.
     """
     calls = []
     used = []
     library = oracles.watch_tries(prefiltered_assignment, calls)
     pointer = oracles.watch_asks(oracles.prefiltered_assignment, calls)
     with monkeypatch.context() as patch:
-        if old:
+        if not old:
+            patch.setattr(polarized, "_unrefuted", _logged_walk(walks))
+        else:
+            replay = iter(walks)
+            patch.setattr(polarized, "_unrefuted", lambda *_: iter(next(replay)))
             grow = tailcone.grow_shared_subtrees
 
             def old_grow(views, roots, height_goal, stage_factory, budget, **kw):
@@ -286,11 +314,12 @@ def same(monkeypatch, request):
     """Run a box both ways; both must match each other and the pinned record."""
 
     def check(run):
-        outcome, calls, used = _run(monkeypatch, run, old=False)
+        walks = []
+        outcome, calls, used = _run(monkeypatch, run, False, walks)
         assert calls, "the box never reached a staged search"
         capped = calls[-1][0] == "exhausted"
         # the call that ran out of budget may take the old run far longer
-        want, old_calls, _ = _run(monkeypatch, run, old=True,
+        want, old_calls, _ = _run(monkeypatch, run, True, walks,
                                   limit=len(calls) - capped)
         oracles.assert_same_calls(calls, old_calls)
         if not capped:

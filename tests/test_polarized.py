@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hl_lab import polarized
 from hl_lab.errors import InvalidInputError, PreconditionError
 from hl_lab.polarized import (
     _measure_height_factored,
@@ -276,18 +277,98 @@ def test_staged_route_stops_at_its_cap(k, height):
 
 
 def test_staged_measurement_spends_a_step_per_product_tuple():
-    # the construction ends at used 7,727 on two subtrees of 7 nodes, so
-    # measuring its 49 tuples needs a cap of 7,776
+    # the construction ends at used 6,838 on two subtrees of 7 nodes, so
+    # measuring its 49 tuples needs a cap of 6,887
     space = TreeSpace(2, 8)
     col = seeded_hash_coloring((space, space), 2, seed=42)
-    budget = StepBudget(7_775)
+    budget = StepBudget(6_886)
     rep = almost_all_homogenize(col, budget=budget)
     assert rep.capped and not rep.success and rep.reports is None
     assert rep.failure == "budget exhausted while measuring the construction"
-    budget = StepBudget(7_776)
+    budget = StepBudget(6_887)
     rep = almost_all_homogenize(col, budget=budget)
     assert rep.success and not rep.capped
-    assert budget.used == 7_776
+    assert budget.used == 6_887
+
+
+def _every_vector_and_skip(col, h, cap):
+    """Reports and steps of the exhaustive scan and the library's, at ``cap``."""
+    runs = []
+    for scan in (oracles.almost_all_every_vector, almost_all_homogenize):
+        budget = StepBudget(cap)
+        runs.append((scan(col, h=h, budget=budget).to_json(), budget.used))
+    return runs
+
+
+@pytest.mark.parametrize("k,height,h,colors,seed", [
+    (2, 6, 3, 2, 0), (2, 6, 3, 2, 3), (2, 6, 4, 2, 1), (2, 7, 3, 2, 1),
+    (2, 6, 3, 3, 2), (2, 5, 3, 3, 4), (3, 4, 3, 2, 0), (3, 4, 3, 2, 2),
+    (3, 5, 3, 2, 1), (3, 5, 3, 2, 4)])
+def test_skipping_refuted_vectors_matches_the_exhaustive_scan(k, height, h, colors,
+                                                              seed):
+    col = seeded_hash_coloring((TreeSpace(2, height),) * k, colors, seed)
+    (want, every_used), (got, used) = _every_vector_and_skip(col, h, 10 ** 7)
+    assert got == want and not got["capped"]
+    assert used <= every_used
+    # Capped: where the exhaustive scan settles, the skip settles alike;
+    # where the skip runs out, so does the exhaustive scan.
+    for cap in sorted({1, used // 2, used - 1, used, (used + every_used) // 2}):
+        (want_at, every_at), (got_at, used_at) = _every_vector_and_skip(
+            col, h, max(cap, 1))
+        assert used_at <= every_at
+        if not want_at["capped"]:
+            assert got_at == want_at
+        if got_at["capped"]:
+            assert want_at["capped"] and got_at["reports"] is None
+        else:
+            assert got_at == want
+
+
+@pytest.mark.parametrize("k,height,h,colors,seed", [
+    (2, 6, 3, 2, 0), (2, 6, 3, 3, 2), (3, 4, 3, 2, 0)])
+def test_a_failure_recurs_on_every_vector_agreeing_on_the_pins_it_read(
+        monkeypatch, k, height, h, colors, seed):
+    # Each failed attempt, rerun with every pin it did not read changed,
+    # must fail alike, at the same steps: its nogood refutes that vector.
+    col = seeded_hash_coloring((TreeSpace(2, height),) * k, colors, seed)
+    perms = list(itertools.permutations(range(k)))
+    attempts, failed = [], []
+    grow, walk = polarized.grow_shared_subtrees, polarized._unrefuted
+
+    def logged_grow(views, roots, h_goal, *args, **kwargs):
+        attempts.append((h_goal, roots))
+        return grow(views, roots, h_goal, *args, **kwargs)
+
+    def logged_walk(n, r, nogoods):
+        for vec in walk(n, r, nogoods):
+            yield vec
+            # the attempt on vec failed: its nogood is the newest
+            failed.append((attempts[-1], vec, dict(nogoods[-1])))
+
+    monkeypatch.setattr(polarized, "grow_shared_subtrees", logged_grow)
+    monkeypatch.setattr(polarized, "_unrefuted", logged_walk)
+    almost_all_homogenize(col, h=h)
+    assert any(len(read) < len(perms) for _, _, read in failed)
+    for (h_goal, roots), vec, read in failed:
+        changed = [read.get(i, (color + 1) % colors) for i, color in enumerate(vec)]
+        runs = []
+        for each in (vec, changed):
+            budget = StepBudget(10 ** 7)
+            outcome = oracles.almost_all_attempt(col, h_goal, roots,
+                                                 dict(zip(perms, each)), budget)
+            runs.append((outcome, budget.used))
+        assert runs[0] == runs[1] and not runs[0][0].success
+
+
+def test_a_four_factor_box_settles_within_a_fixed_cap():
+    # 2 ** 24 color vectors per root tuple: the exhaustive scan tries them
+    # all, while the nogoods settle the box in 34 attempts
+    col = seeded_hash_coloring((TreeSpace(2, 5),) * 4, 2, 1)
+    budget = StepBudget(1_000)
+    rep = almost_all_homogenize(col, h=4, budget=budget)
+    assert not rep.capped and not rep.success
+    assert rep.failure == "no root tuple and color vector admits the construction"
+    assert budget.used == 854
 
 
 def _measured_reports(rng, space, k, kind):
