@@ -28,9 +28,9 @@ from .search import (
     typed_consistent,
 )
 from .subtrees import SubtreeReport, ValidationResult
-from .tailcone import _view_report, grow_shared_subtrees
+from .tailcone import _view_report, first_level, grow_shared_subtrees
 from .trees import ConeMemo, node_key
-from .witness import Coloring, _level_domain, first_level
+from .witness import Coloring, _level_domain
 
 # ---------------------------------------------------------------------------
 # degree numerics
@@ -237,9 +237,14 @@ class AlmostAllReport:
                 "capped": self.capped}
 
 
-def _full_report(view) -> SubtreeReport:
-    levels = range(view.height)
-    return _view_report(view, (n for xi in levels for n in view.level(xi)), levels)
+def _full_report(view, budget) -> SubtreeReport:
+    """The whole view, one step per node, each level paid once it is listed."""
+    nodes = []
+    for xi in range(view.height):
+        level = view.level(xi)
+        budget.spend(len(level))
+        nodes.extend(level)
+    return _view_report(view, nodes, range(view.height))
 
 
 def _tally_types(pools, color):
@@ -339,12 +344,14 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
     """Shrink to subtrees on which each height-order pattern is near-constant.
 
     Height-determined colorings are measured directly over height
-    combinations.  Otherwise a staged construction scans target heights
-    (deepest first, down to the arity: below it no tuple is strictly
-    ordered), root tuples, and color vectors canonically, growing
-    shared-level subtrees in which every strictly ordered tuple whose top
-    node is new gets the pattern's color; a completed construction has
-    zero violating tuples by construction and is re-measured exactly.
+    combinations, once the whole trees, which the report returns, are
+    listed at one step per node.  Otherwise a staged construction scans
+    target heights (deepest first, down to the arity: below it no tuple
+    is strictly ordered), root tuples, and color vectors canonically,
+    growing shared-level subtrees in which every strictly ordered tuple
+    whose top node is new gets the pattern's color; a completed
+    construction has zero violating tuples by construction and is
+    re-measured exactly.
     A vector is skipped, at no step, when a failed attempt on the same
     target height and roots read only pins on which the vector agrees
     (a nogood): its attempt would fail alike.
@@ -363,12 +370,21 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
         raise InvalidInputError(f"need at least {least} subtree levels, got {h}")
     epsilon = Fraction(epsilon)
 
+    def capped(failure, route="staged"):
+        return AlmostAllReport(success=False, reports=None, patterns=(),
+                               epsilon=epsilon, route=route,
+                               failure=failure, capped=True)
+
     if f.height_fn is not None:
+        try:
+            reports = tuple(_full_report(v, budget) for v in views)
+        except BudgetExhausted:
+            return capped("budget exhausted while listing the trees",
+                          route="height-factored")
         patterns = _measure_height_factored(f, views)
         ok = all(p.fraction <= epsilon for p in patterns)
         return AlmostAllReport(
-            success=ok,
-            reports=tuple(_full_report(v) for v in views),
+            success=ok, reports=reports,
             patterns=patterns, epsilon=epsilon, route="height-factored",
             failure="" if ok else "height tallies exceed the exception budget")
 
@@ -394,11 +410,6 @@ def almost_all_homogenize(f: Coloring, epsilon=Fraction(1, 10),
 
         return grow_shared_subtrees(cones, roots, h_goal, stage_factory,
                                     budget, label="almost-all")
-
-    def capped(failure):
-        return AlmostAllReport(success=False, reports=None, patterns=(),
-                               epsilon=epsilon, route="staged",
-                               failure=failure, capped=True)
 
     for h_goal in range(h_max, arity - 1, -1):
         for roots in _level_domain(views, h_goal):
@@ -581,8 +592,7 @@ def polarized_search(f: Coloring, depth: int, budget: StepBudget | None = None,
             try:
                 found = first_level(
                     slots, range(next_level, height),
-                    lambda lam: {slot: views[tree].extensions(slot[1], lam)
-                                 for slot in slots},
+                    lambda slot, lam: views[tree].extensions(slot[1], lam),
                     consistent, budget)
             except BudgetExhausted:
                 return PolarizedOutcome(

@@ -42,44 +42,33 @@ class StepBudget:
             raise BudgetExhausted(f"budget of {self.cap} steps exhausted")
 
 
-class Candidates(dict):
-    """Each slot's candidates, built by ``build(slot)`` at its first lookup."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, slot):
-        got = self[slot] = self.build(slot)
-        return got
-
-
 def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
     """Depth-first search for the first full slot assignment, product order.
 
-    ``slots`` is an ordered list of slot ids and ``candidates[slot]`` an
+    ``slots`` is an ordered list of slot ids and ``candidates(slot)`` an
     ordered sequence of choices.  ``consistent(partial, later, spend)``
     is the stage's filter, called once against the empty assignment and
     once after each choice.  ``later`` holds ``(slot, live)`` pairs, the
     slots after the newest entry of the partial assignment ``partial``
     with their live candidates.  Against the empty assignment it holds
-    every slot, and is an iterator that looks a slot's candidates up only
-    when the filter reaches it: a lazy ``candidates`` mapping
-    (:class:`Candidates`) then builds no slot after the first one the
-    filter empties.  The filter returns ``(slot, kept)`` pairs, in slot
-    order, for the slots whose live candidates it narrowed: ``kept`` are
-    the members of ``live`` that are consistent with ``partial``, in
-    order.  It stops at the first slot it empties.  The first assignment
-    found is the minimum in lexicographic product order (slots major to
-    minor), which is what makes emitted witnesses canonical.  Returns
-    ``None`` when the space is exhausted without a solution.
+    every slot, and is an iterator that calls ``candidates(slot)`` only
+    when the filter reaches the slot: no slot after the first one the
+    filter empties is built.  The filter returns ``(slot, kept)`` pairs,
+    in slot order, for the slots whose live candidates it narrowed:
+    ``kept`` are the members of ``live`` that are consistent with
+    ``partial``, in order.  It stops at the first slot it empties.  The
+    first assignment found is the minimum in lexicographic product order
+    (slots major to minor), which is what makes emitted witnesses
+    canonical.  Returns ``None`` when the space is exhausted without a
+    solution.
 
     Requires a monotone filter: a choice rejected against a partial
     assignment stays rejected against every larger one.  Each slot's
     live candidates start as its candidates filtered against the empty
     assignment; a slot left with none fails the whole call at once, which
     keeps independent-slot instances from backtracking exponentially.
-    Slots the filter did not reach are looked up after it returns.
+    Slots the filter did not reach are built after it returns; each
+    slot's candidates are built at most once.
 
     The search does forward checking (Haralick & Elliott 1980): after
     each choice the filter narrows every later slot's live candidates,
@@ -102,10 +91,11 @@ def prefiltered_assignment(slots, candidates, consistent, budget: StepBudget):
         # a slot without candidates ends the search once the slots before
         # it are narrowed
         for slot in slots:
-            if not candidates[slot]:
+            got = candidates(slot)
+            if not got:
                 return
-            live[slot] = candidates[slot]
-            yield slot, live[slot]
+            live[slot] = got
+            yield slot, got
 
     later = opened()
     for slot, kept in consistent({}, later, budget.spend):

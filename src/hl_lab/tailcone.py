@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InvalidInputError, json_integer
 from .search import (
     BudgetExhausted,
-    Candidates,
     StepBudget,
     cross_consistent,
+    prefiltered_assignment,
 )
 from .subtrees import SubtreeReport, ValidationResult, trim, validate_strong_subtree
 from .trees import ConeMemo, node_key, sort_nodes
@@ -37,7 +37,6 @@ from .witness import (
     _level_domain,
     check_somewhere_dense_witness,
     dshl_search,
-    first_level,
 )
 
 # ---------------------------------------------------------------------------
@@ -56,6 +55,26 @@ class GrowOutcome:
 def _failed(label, why, stage, capped=False):
     """A failed growth; frozen, so one serves every search that fails alike."""
     return GrowOutcome(False, None, f"{label}: {why.format(stage)}", capped=capped)
+
+
+# here, not in search.py: the benchmark tracer misses calls made inside search.py
+def first_level(slots, levels, candidates, consistent, budget):
+    """The stage step of every staged search: the first level admitting a stage.
+
+    ``levels`` are tried in order.  At each level ``prefiltered_assignment``
+    looks for the stage's assignment with the stage's one filter
+    ``consistent``, building a slot's candidates ``candidates(slot,
+    level)`` when the filter first reaches the slot; a slot without
+    candidates ends the level there.  Returns ``(level, assignment)`` for
+    the first level that has one, or ``None``.  ``BudgetExhausted``
+    passes through to the caller.
+    """
+    for level in levels:
+        found = prefiltered_assignment(
+            slots, lambda slot: candidates(slot, level), consistent, budget)
+        if found is not None:
+            return level, found
+    return None
 
 
 def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
@@ -99,8 +118,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         try:
             picked = first_level(
                 slots, range(level_set[-1] + 1, top),
-                lambda chi: Candidates(lambda slot: views[slot[0]].extensions(
-                    slot[1], chi)),
+                lambda slot, chi: views[slot[0]].extensions(slot[1], chi),
                 consistent, budget)
         except BudgetExhausted:
             return _failed(label, "budget exhausted during stage {}", stage, True)
@@ -502,8 +520,8 @@ class HLOutcome:
                 "capped": self.capped}
 
 
-def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
-              transcript=None) -> HLOutcome:
+def hl_search(coloring: Coloring, h=None,
+              budget: StepBudget | None = None) -> HLOutcome:
     """Strong subtrees whose level products all get one color.
 
     Root tuples are scanned canonically (root level, then product
@@ -525,8 +543,7 @@ def hl_search(coloring: Coloring, h=None, budget: StepBudget | None = None,
             return cross_consistent(d, coloring.evaluate, gamma)
 
         outcome = grow_shared_subtrees(cones, roots, h, stage_factory,
-                                       budget, transcript=transcript,
-                                       label="hl")
+                                       budget, label="hl")
         if outcome.success:
             return HLOutcome(True, outcome.reports, gamma)
         if outcome.capped:
@@ -590,15 +607,18 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
     cursor = beta + 2
     s_primes = []
     u_height = min(v.height for v in uviews)
+
+    def candidates(slot, xi):
+        k, u = slot
+        if k == 0:
+            # at chain level xi, s' is any node above u at or below xi
+            return [sp for lam in range(beta + 2, xi + 1)
+                    for sp in tview.extensions(u, lam)]
+        return uviews[k - 1].extensions(current[slot], xi)
+
     for u in cones0:
-        # at chain level xi, s' is any node above u at or below xi
-        found = first_level(
-            [(0, u)] + chains, range(cursor, u_height),
-            lambda xi: {(0, u): [sp for lam in range(beta + 2, xi + 1)
-                                 for sp in tview.extensions(u, lam)],
-                        **{(k, v): uviews[k - 1].extensions(current[(k, v)], xi)
-                           for (k, v) in chains}},
-            cross_consistent(d + 1, coloring.evaluate, gamma), budget)
+        found = first_level([(0, u)] + chains, range(cursor, u_height), candidates,
+                            cross_consistent(d + 1, coloring.evaluate, gamma), budget)
         if found is None:
             return None
         cursor, current = found

@@ -28,12 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InvalidInputError, json_integer
-from .search import (
-    BudgetExhausted,
-    StepBudget,
-    cross_consistent,
-    prefiltered_assignment,
-)
+from .search import BudgetExhausted, StepBudget, cross_consistent
 from .subtrees import (
     ValidationResult,
     _strong_node_sets,
@@ -411,27 +406,6 @@ def check_sdhl_witness(witness: SomewhereDenseWitness,
         )
     violations.extend(check_somewhere_dense_witness(witness, coloring).violations)
     return ValidationResult(not violations, tuple(violations))
-
-
-# The stage step sits here rather than in search.py because the benchmark
-# tracer (perfbench/tracer.py) times prefiltered_assignment where search
-# modules import it, and a call from inside search.py would go untraced.
-def first_level(slots, levels, candidates_at, consistent, budget):
-    """The stage step of every staged search: the first level admitting a stage.
-
-    ``levels`` are tried in order.  At each, ``prefiltered_assignment``
-    looks for the stage's assignment among the candidates
-    ``candidates_at(level)`` with the stage's one filter ``consistent``;
-    a slot without candidates ends the level there.  Returns
-    ``(level, assignment)`` for the first level that has one, or
-    ``None``.  ``BudgetExhausted`` passes through to the caller.
-    """
-    for level in levels:
-        found = prefiltered_assignment(slots, candidates_at(level), consistent,
-                                       budget)
-        if found is not None:
-            return level, found
-    return None
 
 
 def sdhl_search(coloring: Coloring, budget: StepBudget | None = None):

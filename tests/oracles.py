@@ -501,10 +501,11 @@ def as_filter(consistent):
 def watch_tries(search, calls):
     """The assignment search ``search``, logging ``(result, tried)`` per call.
 
-    The library search calls its filter once after each choice, with the
-    choice newest in ``partial``, except after a choice at the last slot,
-    which is the result.  A call that runs out of budget logs
-    ``"exhausted"`` as its result.
+    Like the library search, it takes a function building each slot's
+    candidates.  The library search calls its filter once after each
+    choice, with the choice newest in ``partial``, except after a choice
+    at the last slot, which is the result.  A call that runs out of
+    budget logs ``"exhausted"`` as its result.
     """
 
     def watched(slots, candidates, consistent, budget):
@@ -531,6 +532,7 @@ def watch_tries(search, calls):
 def watch_asks(search, calls):
     """The pointer search ``search``, logging ``(result, asked)`` per call.
 
+    Like the pointer search, it takes each slot's candidates as a mapping.
     ``asked`` holds the questions put to the per-choice predicate after
     the prefilter, which asks about every candidate of every slot first.
     """
@@ -1932,8 +1934,7 @@ def check_tail_cone_dict_cuts(certificate: TailConeCertificate,
 # the shared-level engine before its level scan was bounded
 
 from hl_lab.subtrees import SubtreeReport  # noqa: E402
-from hl_lab.tailcone import GrowOutcome  # noqa: E402
-from hl_lab.witness import first_level  # noqa: E402
+from hl_lab.tailcone import GrowOutcome, first_level  # noqa: E402
 
 
 def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, budget,
@@ -1974,7 +1975,7 @@ def grow_shared_subtrees_to_height(views, roots, height_goal, stage_factory, bud
         try:
             picked = first_level(
                 slots, range(level_set[alpha] + 1, height),
-                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                lambda slot, chi: views[slot[0]].extensions(slot[1], chi),
                 consistent, budget)
         except BudgetExhausted:
             return GrowOutcome(False, None,
@@ -2090,7 +2091,7 @@ def grow_shared_subtrees(views, roots, height_goal, stage_factory, budget,
         try:
             picked = first_level(
                 slots, range(level_set[alpha] + 1, top),
-                lambda chi: {(j, u): views[j].extensions(u, chi) for (j, u) in slots},
+                lambda slot, chi: views[slot[0]].extensions(slot[1], chi),
                 consistent, budget)
         except BudgetExhausted:
             return GrowOutcome(False, None,

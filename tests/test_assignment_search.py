@@ -18,7 +18,6 @@ import random
 
 from hl_lab.search import (
     BudgetExhausted,
-    Candidates,
     StepBudget,
     cross_consistent,
     prefiltered_assignment,
@@ -88,7 +87,7 @@ def _library(calls):
     """The library search, asking the per-choice predicate through a filter."""
     search = oracles.watch_tries(prefiltered_assignment, calls)
     return lambda slots, candidates, consistent, budget: search(
-        slots, candidates, oracles.as_filter(consistent), budget)
+        slots, candidates.__getitem__, oracles.as_filter(consistent), budget)
 
 
 def _pointer(calls):
@@ -130,13 +129,13 @@ def test_a_slot_left_without_candidates_withdraws_the_choice_at_once():
 
 
 def _counting(pools, built):
-    """Lazy candidates over ``pools``, logging each slot as it is built."""
+    """Each slot's candidates in ``pools``, logging each slot as it is built."""
 
     def build(slot):
         built.append(slot)
         return pools[slot]
 
-    return Candidates(build)
+    return build
 
 
 def test_no_slot_after_the_first_emptied_one_is_built():

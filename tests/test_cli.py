@@ -913,6 +913,27 @@ def test_almost_all_refuses_a_factor_below_two_levels(tmp_path, capsys, heights,
     assert code == 0 and out["success"] and out["route"] == "height-factored"
 
 
+@pytest.mark.parametrize("height,max_steps,code", [
+    (18, "1", 3), (6, "125", 3), (6, "126", 0)])
+def test_almost_all_height_factored_route_stops_at_its_cap(tmp_path, capsys,
+                                                           height, max_steps, code):
+    # once every run exited 0: under --max-steps 1 two height-18 trees
+    # printed all of their 524,286 nodes.  Two height-6 trees list 126.
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [{"branching": 2, "height": height}] * 2,
+        "coloring": {"kind": "named", "name": "height-permutation",
+                     "params": {"dimension": 1}}})
+    got, out, manifest = run_json(["polarized", "almost-all", path,
+                                   "--max-steps", max_steps], capsys)
+    assert got == manifest["outcome"] == code
+    assert out["route"] == "height-factored" and out["capped"] == (code == 3)
+    if code == 3:
+        assert out["reports"] is None and out["patterns"] == []
+        assert out["failure"] == "budget exhausted while listing the trees"
+    else:
+        assert out["success"] and [len(r["nodes"]) for r in out["reports"]] == [63, 63]
+
+
 def test_almost_all_at_k3_admits_no_vacuous_two_level_construction(tmp_path, capsys):
     # once exit 0 with level set [0, 1]: on two levels no 3-tuple is
     # strictly ordered, so every pattern's total was 0

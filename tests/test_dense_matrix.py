@@ -28,7 +28,7 @@ import pytest
 
 import oracles
 from hl_lab.errors import CapExceededError
-from hl_lab import witness
+from hl_lab import tailcone
 from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.trees import TreeSpace
 from hl_lab.witness import (
@@ -58,7 +58,7 @@ def _same(monkeypatch, cap, new, old):
     budget = StepBudget(cap) if cap else StepBudget()
     tries, asks = [], []
     with monkeypatch.context() as patch:
-        patch.setattr(witness, "prefiltered_assignment",
+        patch.setattr(tailcone, "prefiltered_assignment",
                       oracles.watch_tries(prefiltered_assignment, tries))
         patch.setattr(oracles, "prefiltered_assignment",
                       oracles.watch_asks(oracles.prefiltered_assignment, asks))

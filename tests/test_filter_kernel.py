@@ -84,8 +84,12 @@ def _run(box, kind, cap=LARGE, poisoned=None):
     search = {"library": oracles.watch_tries(prefiltered_assignment, calls),
               "per_slot": oracles.per_slot_assignment,
               "pointer": oracles.watch_asks(oracles.prefiltered_assignment, calls)}[kind]
+    candidates = box["candidates"]
+    if kind == "library":
+        # the library search calls for each slot's candidates
+        candidates = candidates.__getitem__
     try:
-        outcome = search(box["slots"], box["candidates"], box[kind](value), budget)
+        outcome = search(box["slots"], candidates, box[kind](value), budget)
     except (BudgetExhausted, _Fault) as stopped:
         outcome = (type(stopped).__name__, str(stopped))
     return outcome, events, budget.used, calls
@@ -275,7 +279,7 @@ def test_a_traced_filter_sees_one_call_per_choice():
 
         want, _, used, _ = _run(box, "library")
         budget = StepBudget(LARGE)
-        got = prefiltered_assignment(box["slots"], box["candidates"],
+        got = prefiltered_assignment(box["slots"], box["candidates"].__getitem__,
                                      budget=budget, consistent=traced(box["library"](value)))
         assert (got, budget.used) == (want, used)
         # the filters' work runs inside their calls

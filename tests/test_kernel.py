@@ -1,7 +1,7 @@
 """The shared consistency kernel against the per-search predicates it replaced.
 
 Every staged search reaches ``prefiltered_assignment`` through one stage
-step, ``witness.first_level``, so the harness watches that one binding.
+step, ``tailcone.first_level``, so the harness watches that one binding.
 The dense-set search is not among them: it reads each base's top-level
 cone, so in dimension induction only the tail-cone step and the cone
 reassembly make staged calls.
@@ -52,15 +52,12 @@ from hl_lab.tailcone import (
     ColoringFamily,
     apply_tailcone_partial,
     dimension_induction,
+    first_level,
     fuse,
     hl_search,
 )
 from hl_lab.trees import TreeSpace
-from hl_lab.witness import (
-    first_level,
-    sdhl_search,
-    seeded_hash_coloring,
-)
+from hl_lab.witness import sdhl_search, seeded_hash_coloring
 
 
 def _old_mono(slots, arity, value, reference=None):
@@ -291,13 +288,14 @@ def _run(monkeypatch, run, old, walks, limit=None):
                 budget = StepBudget(UNCAPPED)
                 held = _stand_in(consistent)
                 if held is not None:
-                    return pointer(slots, candidates, held.build(slots), budget)
+                    return pointer(slots, {slot: candidates(slot) for slot in slots},
+                                   held.build(slots), budget)
             try:
                 return library(slots, candidates, consistent, budget)
             finally:
                 used.append(budget.used)
 
-        patch.setattr(witness, "prefiltered_assignment", staged)
+        patch.setattr(tailcone, "prefiltered_assignment", staged)
         try:
             outcome = run()
         except CapExceededError as capped:
@@ -441,7 +439,7 @@ def test_memo_is_scoped_to_one_predicate():
     slots = [(0, "0"), (1, "0")]
     candidates = {(0, "0"): ("00", "01"), (1, "0"): ("00", "01")}
     for _ in range(2):
-        found = first_level(slots, [0], lambda level: candidates,
+        found = first_level(slots, [0], lambda slot, level: candidates[slot],
                             cross_consistent(2, value), StepBudget(100))
         assert found == (0, {(0, "0"): "00", (1, "0"): "00"})
     # the choice for (0, "0") narrows the live candidates of (1, "0")

@@ -236,6 +236,26 @@ def test_type_coloring_homogenizes_exactly():
     assert by_pattern[(1, 0)].color == 1 and by_pattern[(1, 0)].violations == 0
 
 
+def test_the_height_factored_route_spends_one_step_per_listed_node():
+    # once it listed every node of both trees at no step, whatever the cap
+    space = TreeSpace(2, 6)  # 63 nodes
+    f = height_permutation_coloring((space, space))
+    budget = StepBudget()
+    rep = almost_all_homogenize(f, budget=budget)
+    assert rep.success and sum(len(r.nodes) for r in rep.reports) == 126
+    assert budget.used == 126
+    assert almost_all_homogenize(f, budget=StepBudget(126)).success
+    # a level is listed before it is paid for: the second tree's levels
+    # 0-4 bring the count to 94, and its level 5 (32 nodes) crosses 100
+    budget = StepBudget(100)
+    rep = almost_all_homogenize(f, budget=budget)
+    assert budget.used == 126
+    assert rep.to_json() == {
+        "success": False, "reports": None, "patterns": [], "epsilon": "1/10",
+        "max_fraction": "0", "route": "height-factored",
+        "failure": "budget exhausted while listing the trees", "capped": True}
+
+
 def test_first_coordinate_parity_fails_untrimmed():
     space = TreeSpace(2, 5)
     rep = almost_all_homogenize(_first_coordinate_parity((space, space)))

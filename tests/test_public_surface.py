@@ -181,3 +181,15 @@ def test_the_stage_engine_has_no_recording_hook():
     # fuse and the partial law read their law from the coloring, so no
     # caller records tables between stages
     assert "on_stage" not in inspect.signature(hl_lab.grow_shared_subtrees).parameters
+
+
+def test_no_transcript_where_no_subcommand_writes_one():
+    # hl_search backs no subcommand, so it has no transcript to append to
+    assert "transcript" not in inspect.signature(hl_lab.hl_search).parameters
+
+
+def test_the_stage_step_sits_beside_its_engine():
+    # every stage hands the stage step one per-slot rule, so the kernel
+    # needs no lazy mapping
+    assert not hasattr(hl_lab.witness, "first_level")
+    assert not hasattr(hl_lab.search, "Candidates")

@@ -10,7 +10,7 @@ import pytest
 import hl_lab
 import oracles
 from hl_lab.search import BudgetExhausted, StepBudget
-from hl_lab.witness import first_level
+from hl_lab.tailcone import first_level
 
 SLOTS = ["a", "b"]
 
@@ -33,7 +33,8 @@ def _step(pools, accept, budget):
     candidates = {level: {slot: tuple((level, name) for name in names)
                           for slot, names in pool.items()}
                   for level, pool in pools.items()}
-    found = first_level(SLOTS, sorted(candidates), candidates.__getitem__,
+    found = first_level(SLOTS, sorted(candidates),
+                        lambda slot, level: candidates[level][slot],
                         oracles.as_filter(consistent), budget)
     return found, asked
 
@@ -73,6 +74,24 @@ def test_budget_exhaustion_passes_through():
         _step({0: pools, 1: pools}, lambda level, name: False, StepBudget(3))
 
 
+def test_a_level_builds_no_slot_after_the_one_its_prefilter_empties():
+    # the engine's stages, the polarized bands and the reassembly cones
+    # hand the stage step a per-slot rule, which the kernel calls when it
+    # reaches the slot: at level 0 the prefilter empties b, so c is not built
+    asked = []
+
+    def candidates(slot, level):
+        asked.append((slot, level))
+        return tuple((level, name) for name in "xy")
+
+    found = first_level(
+        ["a", "b", "c"], [0, 1], candidates,
+        oracles.as_filter(lambda partial, slot, choice: choice[0] or slot != "b"),
+        StepBudget(100))
+    assert found == (1, {"a": (1, "x"), "b": (1, "x"), "c": (1, "x")})
+    assert asked == [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("c", 1)]
+
+
 def prefiltered_callers(source):
     """Names of the functions whose bodies call ``prefiltered_assignment``."""
     callers = []
@@ -104,7 +123,7 @@ def test_first_level_is_the_only_caller_of_the_assignment_search():
     callers = [(path.name, owner)
                for path in sorted(Path(hl_lab.__file__).parent.glob("*.py"))
                for owner in prefiltered_callers(path.read_text(encoding="utf-8"))]
-    assert callers == [("witness.py", "first_level")]
+    assert callers == [("tailcone.py", "first_level")]
 
 
 def call_graph(sources):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from hl_lab import tailcone, witness
+from hl_lab import tailcone
 from hl_lab.errors import InvalidInputError
 from hl_lab.search import StepBudget, prefiltered_assignment
 from hl_lab.subtrees import SubtreeReport
@@ -405,7 +405,7 @@ def _both_tails(monkeypatch, col, beta, gamma, s, tbar, height):
     pointer = oracles.watch_asks(oracles.prefiltered_assignment, asks)
 
     def library_search(slots, candidates, consistent, budget):
-        cones.append((slots[0], candidates[slots[0]]))
+        cones.append((slots[0], candidates(slots[0])))
         return library(slots, candidates, consistent, budget)
 
     def oracle_search(slots, candidates, consistent, budget):
@@ -413,7 +413,7 @@ def _both_tails(monkeypatch, col, beta, gamma, s, tbar, height):
         return pointer(slots, candidates, consistent, budget)
 
     with monkeypatch.context() as patch:
-        patch.setattr(witness, "prefiltered_assignment", library_search)
+        patch.setattr(tailcone, "prefiltered_assignment", library_search)
         patch.setattr(oracles, "prefiltered_assignment", oracle_search)
         out = [tail_fn(col, tview, uviews, s, tbar, beta, gamma, StepBudget(100_000))
                for tail_fn in (tailcone._induction_tail, oracles._induction_tail)]
