@@ -145,12 +145,13 @@ def verify_lower_bound(reports) -> LowerBoundReport:
 
     The product of ``d + 1`` reports has dimension ``d``.  Works on
     height combinations: a type is realized as soon as some strictly
-    ordered choice of one occupied level per factor sorts by that
-    permutation, which is what forces the full ``(d+1)!`` colors under
-    the height-permutation coloring.  The picks of each type are
-    counted, not listed: walking the occupied heights upward, ``ways[v]``
-    counts the increasing picks for the permutation's first coordinates
-    that end at height ``v``.
+    ordered choice of one occupied level per factor (a height some node
+    of its report sits on, counted once) sorts by that permutation,
+    which is what forces the full ``(d+1)!`` colors under the
+    height-permutation coloring.  The picks of each type are counted,
+    not listed: walking the occupied heights upward, ``ways[v]`` counts
+    the increasing picks for the permutation's first coordinates that
+    end at height ``v``.
     """
     d = len(reports) - 1
     if d < 1:
@@ -161,8 +162,7 @@ def verify_lower_bound(reports) -> LowerBoundReport:
                 f"insufficient spread: factor {idx} has {report.height} levels, "
                 f"need at least {d + 1}"
             )
-    counts = [Counter(report.ambient_level(xi) for xi in range(report.height))
-              for report in reports]
+    counts = [Counter(set(map(len, report.nodes))) for report in reports]
     occupied = sorted(set().union(*counts))
     combos = {}
     # permutations come in lexicographic order, so their index is their rank

@@ -538,11 +538,8 @@ def hl_search(coloring: Coloring, h=None,
     # a root above level height - h leaves too few levels to grow h
     for roots in _level_domain(views, h):
         gamma = coloring.evaluate(roots)
-
-        def stage_factory(stage, level_set, layers):
-            return cross_consistent(d, coloring.evaluate, gamma)
-
-        outcome = grow_shared_subtrees(cones, roots, h, stage_factory,
+        consistent = cross_consistent(d, coloring.evaluate, gamma)
+        outcome = grow_shared_subtrees(cones, roots, h, lambda *_: consistent,
                                        budget, label="hl")
         if outcome.success:
             return HLOutcome(True, outcome.reports, gamma)
@@ -581,22 +578,15 @@ class InductionOutcome:
                 "capped": self.capped}
 
 
-def _branches(view):
-    chains = [(view.root,)]
-    for xi in range(1, view.height):
-        chains = [chain + (ext,) for chain in chains
-                  for ext in view.extensions(chain[-1], xi)]
-    return chains
-
-
-def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
+def _induction_tail(tview, uviews, s, tbar, beta, consistent, budget):
     """Per-cone staged extension producing the final witness matrices.
 
     Cones above ``s`` are handled one at a time: each gets a node above
     it together with a fresh layer of the per-cone chains over the other
-    coordinates, every cross product colored ``gamma``.  Chains are
-    nested, so the last layer restricts into every earlier one; that
-    makes the last layer a single matrix working for all chosen nodes.
+    coordinates, every cross product accepted by ``consistent``, the
+    vote's one filter.  Chains are nested, so the last layer restricts
+    into every earlier one; that makes the last layer a single matrix
+    working for all chosen nodes.
     """
     d = len(uviews)
     cones0 = tview.extensions(s, beta + 2)
@@ -618,7 +608,7 @@ def _induction_tail(coloring, tview, uviews, s, tbar, beta, gamma, budget):
 
     for u in cones0:
         found = first_level([(0, u)] + chains, range(cursor, u_height), candidates,
-                            cross_consistent(d + 1, coloring.evaluate, gamma), budget)
+                            consistent, budget)
         if found is None:
             return None
         cursor, current = found
@@ -639,7 +629,8 @@ def dimension_induction(coloring: Coloring, h=None,
     tail-cone law; trim the remaining coordinates one level so the law
     aligns their levels with coordinate 0; color the trimmed product
     along each branch of coordinate 0 and run the dense-set search
-    there; take the most voted base and color; then reassemble cones
+    there, once for all the branches through one node one level below
+    the top; take the most voted base and color; then reassemble cones
     above a node one level past the base into a mixed-height matrix.
     The result is validated by the somewhere-dense checker over the
     constructed subtrees before it is returned.  One step budget covers
@@ -661,11 +652,14 @@ def dimension_induction(coloring: Coloring, h=None,
     uviews = [trim(r, level_set[1:]) for r in reports[1:]]
 
     votes: Counter = Counter()
-    for chain in _branches(tview):
+    # the dense-set search reads only the trimmed factors' top level, where
+    # a branch's coloring reads the branch's node one below tview's top:
+    # every branch through that node votes alike, so it votes once per branch
+    top = tview.height - 2
+    for node in tview.level(top):
 
-        def branch_fn(tup, chain=chain):
-            zeta = uviews[0].level_of(tup[0])
-            return coloring.evaluate((chain[zeta],) + tuple(tup))
+        def branch_fn(tup, node=node):
+            return coloring.evaluate((node,) + tuple(tup))
 
         branch_coloring = Coloring(coloring.colors, uviews, branch_fn,
                                    domain="level")
@@ -682,7 +676,7 @@ def dimension_induction(coloring: Coloring, h=None,
             # the reassembly needs chain room: matrices live at trimmed
             # levels in [beta + 2, height - 2]
             if beta + 4 <= tview.height:
-                votes[(beta, base, color)] += 1
+                votes[(beta, base, color)] += len(tview.extensions(node, top + 1))
     if transcript is not None:
         transcript.append({"event": "induct-votes",
                            "votes": [{"base_level": b, "base": list(t),
@@ -695,10 +689,11 @@ def dimension_induction(coloring: Coloring, h=None,
             failure="no branch admits a dense-set witness")
 
     for (beta, tbar, gamma), _count in ordered:
+        consistent = cross_consistent(len(uviews) + 1, coloring.evaluate, gamma)
         for s in tview.level(beta + 1):
             try:
-                tail = _induction_tail(coloring, tview, uviews, s, tbar, beta,
-                                       gamma, budget)
+                tail = _induction_tail(tview, uviews, s, tbar, beta, consistent,
+                                       budget)
             except BudgetExhausted:
                 return InductionOutcome(
                     False, None, reports, None, tuple(ordered),

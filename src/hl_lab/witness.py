@@ -109,8 +109,18 @@ def _level_domain(spaces, room=1):
 
 
 def _full_domain(spaces):
-    per = [tuple(n for xi in range(s.height) for n in s.level(xi)) for s in spaces]
-    yield from itertools.product(*per)
+    """Every tuple of the factor product, in product order of each factor's
+    nodes by level.  A factor's level is listed only when the walk reaches
+    it, so a table missing an early tuple is refused without listing the
+    levels above it.
+    """
+    if not spaces:
+        yield ()
+        return
+    for xi in range(spaces[0].height):
+        for node in spaces[0].level(xi):
+            for rest in _full_domain(spaces[1:]):
+                yield (node,) + rest
 
 
 def table_coloring(spaces, colors, entries, *, domain="level") -> Coloring:

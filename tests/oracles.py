@@ -1400,12 +1400,14 @@ def verify_wmap_laws(wmap: WMap) -> WMapLawReport:
 # ``check_tail_cone`` restricted every coordinate of every tuple through
 # its view, and ``expr_coloring`` ran ``eval`` with fresh globals and
 # locals per tuple, so a comprehension could not see ``nodes``,
-# ``heights``, ``d`` or ``colors``.  Two edits: ``expr_coloring`` no
+# ``heights``, ``d`` or ``colors``.  Three edits: ``expr_coloring`` no
 # longer passes ``kind``, ``body`` or its ``arity`` to ``Coloring``, which
-# takes none of them (its arity is its number of spaces), and
+# takes none of them (its arity is its number of spaces);
 # ``verify_lower_bound`` ranks a pick's sorting permutation by its place
 # in ``itertools.permutations``, since the library's ``tuple_type`` is
-# gone.
+# gone; and it reads a factor's occupied heights off its nodes, each
+# once, where it read the levels a report claims, so a report without
+# nodes realized types.
 
 import ast  # noqa: E402
 import math  # noqa: E402
@@ -1434,8 +1436,7 @@ def verify_lower_bound(reports, d: int) -> LowerBoundReport:
                 f"insufficient spread: factor {idx} has {view.height} levels, "
                 f"need at least {d + 1}"
             )
-    heights = [tuple(view.ambient_level(xi) for xi in range(view.height))
-               for view in views]
+    heights = [tuple(sorted(set(map(len, view.nodes)))) for view in views]
     rank = {perm: i for i, perm in enumerate(itertools.permutations(range(d + 1)))}
     combos: Counter = Counter()
     for pick in itertools.product(*heights):
@@ -2492,3 +2493,63 @@ def almost_all_every_vector(f, epsilon=Fraction(1, 10), h=None, budget=None):
         success=False, reports=None, patterns=(), epsilon=epsilon,
         route="staged",
         failure="no root tuple and color vector admits the construction")
+
+
+# ---------------------------------------------------------------------------
+# the dimension-raising votes before they were read per node
+#
+# Kept verbatim as the reference: ``dimension_induction`` listed every
+# root-to-top branch of coordinate 0 and ran one dense-set search per
+# branch, its coloring reading the branch's node at the trimmed level of
+# the tuple's first coordinate.  The one edit: the loop is lifted out of
+# ``dimension_induction`` with the lines that build ``tview`` and
+# ``uviews`` from the reports, and a capped search raises.
+
+from hl_lab.subtrees import trim  # noqa: E402
+from hl_lab.witness import dshl_search  # noqa: E402
+
+
+def _branches(view):
+    chains = [(view.root,)]
+    for xi in range(1, view.height):
+        chains = [chain + (ext,) for chain in chains
+                  for ext in view.extensions(chain[-1], xi)]
+    return chains
+
+
+def branch_votes(coloring, reports, budget):
+    """The (beta, base, color) votes of one dense-set search per branch."""
+    level_set = reports[0].level_set
+    tview = reports[0]
+    uviews = [trim(r, level_set[1:]) for r in reports[1:]]
+
+    votes: Counter = Counter()
+    for chain in _branches(tview):
+
+        def branch_fn(tup, chain=chain):
+            zeta = uviews[0].level_of(tup[0])
+            return coloring.evaluate((chain[zeta],) + tuple(tup))
+
+        branch_coloring = Coloring(coloring.colors, uviews, branch_fn,
+                                   domain="level")
+        found = dshl_search(branch_coloring, budget)
+        if found is not None:
+            base, color = found
+            beta = uviews[0].level_of(base[0])
+            # the reassembly needs chain room: matrices live at trimmed
+            # levels in [beta + 2, height - 2]
+            if beta + 4 <= tview.height:
+                votes[(beta, base, color)] += 1
+    return votes
+
+
+def pruned_tree(rng, height, keep=0.6):
+    """A random explicit binary tree whose every branch reaches the top;
+    each child is kept with probability ``keep``, one kept at least."""
+    nodes, layer = [""], [""]
+    for _ in range(height - 1):
+        layer = [kid for node in layer
+                 for kid in ([node + digit for digit in "01" if rng.random() < keep]
+                             or [node + rng.choice("01")])]
+        nodes += layer
+    return TreeSpace.explicit(nodes)

@@ -637,6 +637,20 @@ def test_polarized_verify_lb_document(tmp_path, capsys):
     jsonschema.validate(doc, schema("verify-lb"))
 
 
+@pytest.mark.parametrize("first", [[""], []])
+def test_verify_lb_counts_the_heights_the_nodes_occupy(tmp_path, capsys, first):
+    # both once exited 0 with every type realized, counting the claimed
+    # levels, though the only tuple ("", "") has tied heights
+    space = {"branching": 2, "height": 4}
+    path = write_doc(tmp_path, "in.json", {
+        "spaces": [space, space], "d": 1,
+        "reports": [{"nodes": first, "level_set": [0, 2]},
+                    {"nodes": [""], "level_set": [1, 3]}]})
+    code, doc, _ = run_json(["polarized", "verify-lb", path], capsys)
+    assert code == 1
+    assert doc["realizes_all"] is False and doc["missing"] == [0, 1]
+
+
 @pytest.mark.parametrize("doc", [
     {"spaces": [], "reports": [], "d": -1},
     {"spaces": [{"branching": 2, "height": 3}],
@@ -1138,10 +1152,10 @@ POLARIZED_TOO_DEEP = {"spaces": [{"branching": 2, "height": 12}] * 2,
      "d60ca75c72e95c307986d3212018ae7a8ac59fbc7f2f028a74641b4b3f2b07a8"),
     (["dim-induct", "--max-steps", "400000"], DIM_INDUCT, 0,
      "ccbbda96a14554d7c409e45d9b2c6fa72019af3386a95b77e380b2f2460201b5"),
-    # the run takes 473 steps, 424 of them in the tail-cone step; a cap of
-    # 450 ends it in the branch searches, after the stage events of the
+    # the run takes 454 steps, 424 of them in the tail-cone step; a cap of
+    # 440 ends it in the branch searches, after the stage events of the
     # frozen transcript
-    (["dim-induct", "--max-steps", "450"], DIM_INDUCT, 3,
+    (["dim-induct", "--max-steps", "440"], DIM_INDUCT, 3,
      "02f7bda448ad2ac8800692842e1bb31a479e121ec843feabe529eabc38ab57e5"),
     (["polarized", "search"], {"spaces": [{"branching": 2, "height": 8}] * 2,
                                "coloring": HEIGHT_PERMUTATION, "depth": 1}, 0,
@@ -1241,9 +1255,9 @@ def test_fusion_check_needs_a_subtree_level_per_coloring(tmp_path, capsys):
                    "violations": ["2 colorings need subtree height 3, got 2"]}
 
 
-@pytest.mark.parametrize("steps", [462, 472])
+@pytest.mark.parametrize("steps", [443, 453])
 def test_dim_induct_capped_while_reassembling_its_cones(tmp_path, capsys, steps):
-    # the run takes 473 steps; its last eleven go to the cone reassembly
+    # the run takes 454 steps; its last eleven go to the cone reassembly
     code, doc, _ = run_json(["dim-induct", write_doc(tmp_path, "in.json", DIM_INDUCT),
                              "--max-steps", str(steps)], capsys)
     assert code == 3

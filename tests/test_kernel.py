@@ -161,7 +161,9 @@ OLD_STAGES = {"partial": _old_partial, "almost-all": _old_almost_all}
 # capped box runs out before its first skip.
 # The three uncapped dim-induct boxes keep their digests with fewer steps
 # and calls: their branch votes read top-level cones and make no staged
-# call, where each once searched a matrix per level.
+# call, where each once searched a matrix per level.  Two of them take
+# fewer steps again since one dense-set scan serves every branch through
+# a node one below the top.
 # The six uncapped polarized boxes keep their digests and calls with fewer
 # steps: the twin rule drops a terminal's first child from its second
 # child's candidates without a step.  The k = 3 random box stands on
@@ -181,8 +183,8 @@ PINNED = {
     "test_hl_search_matches_old_predicate[1]": ("f72098947bc7bbe8", 538, 130),
     "test_hl_search_matches_old_predicate[2]": ("d118336ecd63da17", 70, 5),
     "test_hl_search_matches_old_predicate[3]": ("f72098947bc7bbe8", 508, 127),
-    "test_dimension_induction_matches_old_predicates[10-19]": ("2d169bebd828928c", 230, 11),
-    "test_dimension_induction_matches_old_predicates[11-11]": ("abc616fb9fb277a7", 473, 14),
+    "test_dimension_induction_matches_old_predicates[10-19]": ("2d169bebd828928c", 208, 11),
+    "test_dimension_induction_matches_old_predicates[11-11]": ("abc616fb9fb277a7", 454, 14),
     "test_dimension_induction_matches_old_predicates[11-6]": ("052fc7b1ca9c32af", 394, 9),
     "test_partial_law_matches_old_predicate[2-base0-6-4-2]": ("438e14f50ef04377", 18, 5),
     "test_partial_law_matches_old_predicate[2-base1-6-4-0]": ("514bfdbb47a959bb", 26, 5),

@@ -168,7 +168,7 @@ def _factor_level_sets(rng, kind, d, count):
     if kind == "interleaved":
         offsets = rng.sample(factors, d + 1)
         return [[offsets[k] + (d + 1) * i for i in range(count)] for k in factors]
-    if kind == "repeated":  # not a strong subtree, but the product counts it
+    if kind == "repeated":  # not a strong subtree: the product counts its nodes
         return [sorted(rng.choices(range(count), k=count)) for _ in factors]
     return [sorted(rng.sample(range(2 * count), count)) for _ in factors]
 
@@ -199,7 +199,10 @@ def test_lower_bound_chain_count_matches_the_per_pick_oracle(d, kind):
         count = rng.randrange(d + 1, d + 3)
         level_sets = _factor_level_sets(rng, kind, d, count)
         if kind == "repeated":
-            reports = [SubtreeReport(space, (), levels) for levels in level_sets]
+            # a node on some of the claimed levels, each counted once
+            reports = [SubtreeReport(space, tuple("0" * lvl for lvl in sorted(set(levels))
+                                                  if rng.random() < 0.75), levels)
+                       for levels in level_sets]
         else:
             reports = [SubtreeReport(space, random_strong_subtree(rng, levels),
                                      levels) for levels in level_sets]

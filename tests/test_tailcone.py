@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from hl_lab import tailcone
 from hl_lab.errors import InvalidInputError
-from hl_lab.search import StepBudget, prefiltered_assignment
+from hl_lab.search import StepBudget, cross_consistent, prefiltered_assignment
 from hl_lab.subtrees import SubtreeReport
 from hl_lab.tailcone import (
     ColoringFamily,
@@ -18,6 +19,7 @@ from hl_lab.tailcone import (
     check_tail_cone,
     dimension_induction,
     fuse,
+    grow_shared_subtrees,
     hl_search,
 )
 from hl_lab.trees import TreeSpace
@@ -38,6 +40,22 @@ import oracles
 def _parity_family(space):
     return ColoringFamily([level_parity_coloring((space, space), 2),
                            level_parity_coloring((space, space), 3)])
+
+
+# ---------------------------------------------------------------------------
+# the staged growth engine
+
+
+@pytest.mark.parametrize("roots, error", [
+    (("",), "need one root per tree: 2 trees, 1 roots"),
+    (("", "0"), "roots must sit at one common view level")])
+def test_the_engine_refuses_roots_it_cannot_share_levels_from(roots, error):
+    stages = []
+    with pytest.raises(InvalidInputError, match=f"^{error}$"):
+        grow_shared_subtrees((TreeSpace(2, 4),) * 2, roots, 2,
+                             lambda *args: stages.append(args), StepBudget(10),
+                             label="t")
+    assert stages == []
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +380,8 @@ def test_dimension_induction_honest_failure():
 
 def test_dimension_induction_cap_bounds_the_whole_run():
     # the tail-cone step, every branch search and the cone reassembly
-    # spend from the caller's one budget: the run takes 473 steps, 424 of
-    # them in the tail-cone step, so a cap of 450 fits every phase but not
+    # spend from the caller's one budget: the run takes 454 steps, 424 of
+    # them in the tail-cone step, so a cap of 440 fits every phase but not
     # the run
     space = TreeSpace(2, 11)
     col = seeded_hash_coloring((space, space), 2, seed=11)
@@ -371,15 +389,81 @@ def test_dimension_induction_cap_bounds_the_whole_run():
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success
     needed = budget.used
-    assert needed == 473
-    budget = StepBudget(450)
+    assert needed == 454
+    budget = StepBudget(440)
     out = dimension_induction(col, h=4, budget=budget)
     assert not out.success and out.capped
-    # the cap's 450 steps were spent; the step that crossed it was refused
-    assert budget.used == 451
+    # the cap's 440 steps were spent; the step that crossed it was refused
+    assert budget.used == 441
     budget = StepBudget(needed)
     out = dimension_induction(col, h=4, budget=budget)
     assert out.success and budget.used == needed
+
+
+def _induction_votes(events):
+    """The votes of a run's ``induct-votes`` event, keyed as ``branch_votes``
+    keys them."""
+    votes, = (event["votes"] for event in events if event["event"] == "induct-votes")
+    return {(v["base_level"], tuple(v["base"]), v["color"]): v["count"] for v in votes}
+
+
+@pytest.mark.parametrize("kind, seed", [("uniform", 11), ("uniform", 19),
+                                        ("uniform", 27), ("explicit", 10),
+                                        ("explicit", 14), ("explicit", 28),
+                                        ("explicit", 38)])
+def test_dimension_induction_votes_match_the_per_branch_reference(kind, seed):
+    # the explicit boxes' nodes one below the top have one or two successors
+    rng = random.Random(f"votes:{seed}")
+    spaces = ((TreeSpace(2, 11),) * 2 if kind == "uniform"
+              else tuple(oracles.pruned_tree(rng, 10, keep=0.85) for _ in range(2)))
+    col = seeded_hash_coloring(spaces, 2, seed)
+    events = []
+    out = dimension_induction(col, h=4, budget=StepBudget(10 ** 6), transcript=events)
+    want = oracles.branch_votes(col, out.reports, StepBudget(10 ** 6))
+    assert want and _induction_votes(events) == want
+    tview = out.reports[0]
+    successors = {len(tview.extensions(node, 3)) for node in tview.level(2)}
+    assert successors == ({2} if kind == "uniform" else {1, 2})
+
+
+def _counting_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to log the name of each call's caller."""
+    callers = []
+    real = getattr(module, name)
+
+    def counting(*args, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(module, name, counting)
+    return callers
+
+
+@pytest.mark.parametrize("seed", [11, 19, 27, 6, 10, 12])
+def test_dimension_induction_scans_once_per_node_below_the_top(monkeypatch, seed):
+    # the benchmark's dim-induct boxes: one dense-set scan per node on
+    # level 2 of coordinate 0's subtree, where each of its 8 branches once
+    # had its own; and one reassembly filter per vote tried
+    col = seeded_hash_coloring((TreeSpace(2, 11),) * 2, 2, seed)
+    scans = _counting_calls(monkeypatch, tailcone, "dshl_search")
+    filters = _counting_calls(monkeypatch, tailcone, "cross_consistent")
+    out = dimension_induction(col, h=4, budget=StepBudget(10 ** 6))
+    assert len(scans) == len(out.reports[0].level(2)) == 4
+    tried = len(out.votes or ())
+    if out.witness is not None:
+        base, color = out.witness.base, out.witness.color
+        tried = 1 + [key for key, _ in out.votes].index(
+            (out.witness.density_level - 2, base[1:], color))
+    assert filters.count("dimension_induction") == tried
+
+
+def test_hl_search_builds_one_filter_per_root(monkeypatch):
+    col = seeded_hash_coloring((TreeSpace(2, 7),) * 2, 2, 1)
+    roots = _counting_grows(monkeypatch, tailcone)
+    filters = _counting_calls(monkeypatch, tailcone, "cross_consistent")
+    out = hl_search(col, h=4)
+    assert not out.success
+    assert filters == ["hl_search"] * len(roots) == ["hl_search"] * 85
 
 
 def _shifted(items):
@@ -415,8 +499,11 @@ def _both_tails(monkeypatch, col, beta, gamma, s, tbar, height):
     with monkeypatch.context() as patch:
         patch.setattr(tailcone, "prefiltered_assignment", library_search)
         patch.setattr(oracles, "prefiltered_assignment", oracle_search)
-        out = [tail_fn(col, tview, uviews, s, tbar, beta, gamma, StepBudget(100_000))
-               for tail_fn in (tailcone._induction_tail, oracles._induction_tail)]
+        out = [tailcone._induction_tail(tview, uviews, s, tbar, beta,
+                                        cross_consistent(2, col.evaluate, gamma),
+                                        StepBudget(100_000)),
+               oracles._induction_tail(col, tview, uviews, s, tbar, beta, gamma,
+                                       StepBudget(100_000))]
     # the oracle's searches at one chain level share its candidate dict
     per_level = []
     for index, candidates in enumerate(levels):

@@ -81,6 +81,22 @@ def test_table_coloring_totality_and_bounds():
         table_coloring((space,), 2, {("",): 5})  # color out of range
 
 
+def test_full_domain_table_lists_levels_only_as_its_walk_reaches_them(monkeypatch):
+    # the walk once listed every node of every factor first: some 10^11
+    # nodes on a branching-10 tree of height 12
+    listed = []
+    level = TreeSpace.level
+
+    def counting(space, alpha):
+        listed.append(alpha)
+        return level(space, alpha)
+
+    monkeypatch.setattr(TreeSpace, "level", counting)
+    with pytest.raises(InvalidInputError, match=r"^table is not total: missing \('0',\)$"):
+        table_coloring((TreeSpace(10, 6),), 2, {("",): 0}, domain="full")
+    assert listed == [0, 1]
+
+
 def test_expr_and_hash_colorings_are_deterministic():
     space = TreeSpace(2, 3)
     ex = expr_coloring((space, space), 3, "sum(heights) + len(nodes[0])")
@@ -461,17 +477,6 @@ def test_explicit_space_with_empty_top_levels_is_rejected():
     assert TreeSpace(2, 2, nodes=short) == TreeSpace.explicit(short)
 
 
-def _pruned_tree(rng, height):
-    """A random explicit binary tree whose every branch reaches the top."""
-    nodes, layer = [""], [""]
-    for _ in range(height - 1):
-        layer = [kid for node in layer
-                 for kid in ([node + digit for digit in "01" if rng.random() < 0.6]
-                             or [node + rng.choice("01")])]
-        nodes += layer
-    return TreeSpace.explicit(nodes)
-
-
 def _dense_set_box(rng):
     """A coloring biased toward color 1 on views of one random kind."""
     d = rng.randint(1, 3)
@@ -479,7 +484,7 @@ def _dense_set_box(rng):
     if kind == "uniform":
         views = [TreeSpace(2, rng.randint(2, 4)) for _ in range(d)]
     elif kind == "explicit":
-        views = [_pruned_tree(rng, rng.randint(2, 4)) for _ in range(d)]
+        views = [oracles.pruned_tree(rng, rng.randint(2, 4)) for _ in range(d)]
     else:
         # one level set, so that level sequences are level-domain tuples
         level_set = tuple(sorted(rng.sample(range(5), rng.randint(2, 3))))
